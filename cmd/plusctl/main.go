@@ -164,10 +164,11 @@ func printStatus(w *os.File, h plus.HealthzResponse) error {
 	fmt.Fprintf(tw, "edges\t%d\n", h.Edges)
 	fmt.Fprintf(tw, "revision\t%d\n", h.Revision)
 	if lc := h.LineageCache; lc != nil {
-		fmt.Fprintf(tw, "lineage cache\t%d entries, %d hits, %d misses\n",
-			lc.Entries, lc.Hits, lc.Misses)
+		fmt.Fprintf(tw, "lineage cache\t%d entries (%d closure nodes), %d hits, %d misses\n",
+			lc.Entries, lc.ClosureNodes, lc.Hits, lc.Misses)
 		fmt.Fprintf(tw, "  delta scoping\t%d evicted, %d full wipes\n",
 			lc.DeltaEvictions, lc.Wipes)
+		fmt.Fprintf(tw, "  size bound\t%d evicted for capacity\n", lc.CapacityEvictions)
 	}
 	if qc := h.QueryCache; qc != nil {
 		fmt.Fprintf(tw, "query views\t%d cached, %d hits, %d misses\n",

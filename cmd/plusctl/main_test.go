@@ -59,7 +59,7 @@ func TestExecuteWorkflow(t *testing.T) {
 // TestPrintStatus renders the healthz payload including the delta-scoped
 // cache counters.
 func TestPrintStatus(t *testing.T) {
-	lc := plus.LineageCacheStats{Entries: 2, Hits: 7, Misses: 3, DeltaEvictions: 1}
+	lc := plus.LineageCacheStats{Entries: 2, ClosureNodes: 31, Hits: 7, Misses: 3, DeltaEvictions: 1, CapacityEvictions: 6}
 	qc := plus.QueryCacheHealth{Views: 1, Hits: 4, Misses: 2, Advanced: 5, FullBuilds: 1}
 	ix := plus.IndexStats{Rev: 13, KindEntries: 9, NameEntries: 8, AttrEntries: 17, Hits: 21, Misses: 2}
 	in := plus.InternHealth{Strings: 42, Bytes: 311}
@@ -80,7 +80,7 @@ func TestPrintStatus(t *testing.T) {
 	out := string(buf[:n])
 	for _, want := range []string{
 		"status", "ok", "revision", "13",
-		"2 entries", "7 hits", "1 evicted",
+		"2 entries (31 closure nodes)", "7 hits", "1 evicted", "6 evicted for capacity",
 		"1 cached", "5 advanced", "1 full builds",
 		"9 kind, 8 name, 17 attr entries (rev 13)",
 		"21 hits, 2 misses",

@@ -107,11 +107,13 @@ func renderTop(w io.Writer, server string, fams []obs.Family) error {
 			firstValue(m, "plus_notify_wakeups_total"))
 	}
 	if _, ok := m["plus_lineage_cache_hits_total"]; ok {
-		fmt.Fprintf(tw, "lineage cache\t%.0f entries, %.0f hits, %.0f misses, %.0f delta-evictions\n",
+		fmt.Fprintf(tw, "lineage cache\t%.0f entries (%.0f closure nodes), %.0f hits, %.0f misses, %.0f delta-evictions, %.0f capacity-evictions\n",
 			firstValue(m, "plus_lineage_cache_entries"),
+			firstValue(m, "plus_lineage_cache_closure_nodes"),
 			firstValue(m, "plus_lineage_cache_hits_total"),
 			firstValue(m, "plus_lineage_cache_misses_total"),
-			firstValue(m, "plus_lineage_cache_delta_evictions_total"))
+			firstValue(m, "plus_lineage_cache_delta_evictions_total"),
+			firstValue(m, "plus_lineage_cache_capacity_evictions_total"))
 	}
 	if _, ok := m["plus_query_view_hits_total"]; ok {
 		fmt.Fprintf(tw, "query views\t%.0f cached, %.0f hits, %.0f misses, %.0f full builds\n",

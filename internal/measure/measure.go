@@ -2,6 +2,12 @@
 // protected accounts: the Path Utility Measure and Node Utility Measure
 // (Figure 3) and the per-edge opacity measure (Figure 4) with the advanced
 // adversary constants of Figure 5.
+//
+// Every measure that needs the §4.1 connectivity counts takes them for the
+// whole graph at once from graph.ConnectedPairsAll: O((n+e)·n/64) word
+// operations over 64 bytes of scratch per node, against the
+// O(n·(n+e)) map-BFS walks of asking ConnectedPairs node by node. The
+// counts are integers, so the measures are bit-identical either way.
 package measure
 
 import (
@@ -11,25 +17,14 @@ import (
 	"repro/internal/graph"
 )
 
-// connectedCounts returns, for every node, the number of other nodes it is
-// connected to by a directed path of any length to or from it —
-// |ancestors ∪ descendants|, the §4.1 connectivity notion (see DESIGN.md).
-func connectedCounts(g *graph.Graph) map[graph.NodeID]int {
-	counts := make(map[graph.NodeID]int, g.NumNodes())
-	for _, id := range g.Nodes() {
-		counts[id] = g.ConnectedPairs(id)
-	}
-	return counts
-}
-
 // PathPercentage computes %P(n) for one original node n: the number of
 // nodes connected to n's corresponding node in G', divided by the number of
 // nodes connected to n in G. Nodes with no corresponding node contribute 0.
 // An isolated original (denominator 0) contributes 1 when present — all of
 // its (empty) connectivity is retained — and 0 otherwise.
 func PathPercentage(spec *account.Spec, a *account.Account, n graph.NodeID) float64 {
-	connG := connectedCounts(spec.Graph)
-	connA := connectedCounts(a.Graph)
+	connG := spec.Graph.ConnectedPairsAll()
+	connA := a.Graph.ConnectedPairsAll()
 	return pathPercentage(a, n, connG, connA)
 }
 
@@ -51,8 +46,8 @@ func PathUtility(spec *account.Spec, a *account.Account) float64 {
 	if spec.Graph.NumNodes() == 0 {
 		return 0
 	}
-	connG := connectedCounts(spec.Graph)
-	connA := connectedCounts(a.Graph)
+	connG := spec.Graph.ConnectedPairsAll()
+	connA := a.Graph.ConnectedPairsAll()
 	var sum float64
 	for _, n := range spec.Graph.Nodes() {
 		sum += pathPercentage(a, n, connG, connA)
@@ -173,38 +168,43 @@ func (Naive) InferenceLikelihood(int) float64 { return 0.5 }
 // source degrees. The published formula rendering is partially unreadable;
 // DESIGN.md records this reading and its fidelity to Table 1.
 func EdgeOpacity(spec *account.Spec, a *account.Account, e graph.EdgeID, adv Adversary) float64 {
-	return edgeOpacityCached(a, e, connectedCounts(a.Graph), adv)
+	return edgeOpacityCached(a, e, a.Graph.ConnectedPairsAll(), totalInference(a, adv), adv)
+}
+
+// totalInference is Σ IE(deg m) over every account node m: the candidate
+// pool of the Figure 4 formula before the focused node is excluded. It
+// depends only on the account, so callers compute it once beside the
+// shared connectivity counts.
+func totalInference(a *account.Account, adv Adversary) float64 {
+	var sum float64
+	for _, m := range a.Graph.Nodes() {
+		sum += adv.InferenceLikelihood(a.Graph.Degree(m))
+	}
+	return sum
 }
 
 // inferability is R in the Figure 4 formula, for account nodes n1 -> n2.
-func inferability(a *account.Account, n1, n2 graph.NodeID, conn map[graph.NodeID]int, adv Adversary) float64 {
-	nodes := a.Graph.Nodes()
-	if len(nodes) < 2 {
+// ieTotal is totalInference(a, adv); each candidate pool Σ_{m≠n} IE(m) is
+// taken as ieTotal minus n's own term rather than re-summed per edge, so
+// the result can differ from the literal sum in the last ulp (well inside
+// the 1e-9 the tests and goldens compare at).
+func inferability(a *account.Account, n1, n2 graph.NodeID, conn map[graph.NodeID]int, ieTotal float64, adv Adversary) float64 {
+	if a.Graph.NumNodes() < 2 {
 		return 0
 	}
+	ie1 := adv.InferenceLikelihood(a.Graph.Degree(n1))
+	ie2 := adv.InferenceLikelihood(a.Graph.Degree(n2))
 	// Attacker focuses on n1 and guesses the target of a missing outgoing
 	// edge: candidates weighted by target degree.
-	var sumOut float64
-	for _, m := range nodes {
-		if m != n1 {
-			sumOut += adv.InferenceLikelihood(a.Graph.Degree(m))
-		}
-	}
 	var term1 float64
-	if sumOut > 0 {
-		term1 = adv.FocusProbability(conn[n1]) * adv.InferenceLikelihood(a.Graph.Degree(n2)) / sumOut
+	if sumOut := ieTotal - ie1; sumOut > 0 {
+		term1 = adv.FocusProbability(conn[n1]) * ie2 / sumOut
 	}
 	// Attacker focuses on n2 and guesses the source of a missing incoming
 	// edge: candidates weighted by source degree.
-	var sumIn float64
-	for _, m := range nodes {
-		if m != n2 {
-			sumIn += adv.InferenceLikelihood(a.Graph.Degree(m))
-		}
-	}
 	var term2 float64
-	if sumIn > 0 {
-		term2 = adv.FocusProbability(conn[n2]) * adv.InferenceLikelihood(a.Graph.Degree(n1)) / sumIn
+	if sumIn := ieTotal - ie2; sumIn > 0 {
+		term2 = adv.FocusProbability(conn[n2]) * ie1 / sumIn
 	}
 	return (term1 + term2) / 2
 }
@@ -221,7 +221,7 @@ func inferability(a *account.Account, n1, n2 graph.NodeID, conn map[graph.NodeID
 // the paper's Figure 9a bars display at scale. EXPERIMENTS.md reports
 // both. Fixed points (edge present -> 0, endpoint absent -> 1) are shared.
 func EdgeOpacityScaleFree(spec *account.Spec, a *account.Account, e graph.EdgeID, adv Adversary) float64 {
-	return edgeOpacityScaleFreeCached(a, e, connectedCounts(a.Graph), adv)
+	return edgeOpacityScaleFreeCached(a, e, a.Graph.ConnectedPairsAll(), adv)
 }
 
 func edgeOpacityScaleFreeCached(a *account.Account, e graph.EdgeID, conn map[graph.NodeID]int, adv Adversary) float64 {
@@ -250,7 +250,7 @@ func AverageOpacityScaleFree(spec *account.Spec, a *account.Account, edges []gra
 	if len(edges) == 0 {
 		return 0
 	}
-	conn := connectedCounts(a.Graph)
+	conn := a.Graph.ConnectedPairsAll()
 	var sum float64
 	for _, e := range edges {
 		sum += edgeOpacityScaleFreeCached(a, e, conn, adv)
@@ -264,18 +264,19 @@ func AverageOpacity(spec *account.Spec, a *account.Account, edges []graph.EdgeID
 	if len(edges) == 0 {
 		return 0
 	}
-	// Connectivity of the account is shared across all edges; computing it
-	// once keeps large sweeps (hundreds of protected edges per synthetic
-	// graph) linear instead of quadratic.
-	conn := connectedCounts(a.Graph)
+	// Connectivity and the inference pool of the account are shared across
+	// all edges; computing them once keeps large sweeps (hundreds of
+	// protected edges per synthetic graph) linear instead of quadratic.
+	conn := a.Graph.ConnectedPairsAll()
+	ieTotal := totalInference(a, adv)
 	var sum float64
 	for _, e := range edges {
-		sum += edgeOpacityCached(a, e, conn, adv)
+		sum += edgeOpacityCached(a, e, conn, ieTotal, adv)
 	}
 	return sum / float64(len(edges))
 }
 
-func edgeOpacityCached(a *account.Account, e graph.EdgeID, conn map[graph.NodeID]int, adv Adversary) float64 {
+func edgeOpacityCached(a *account.Account, e graph.EdgeID, conn map[graph.NodeID]int, ieTotal float64, adv Adversary) float64 {
 	n1, ok1 := a.Corresponding(e.From)
 	n2, ok2 := a.Corresponding(e.To)
 	if !ok1 || !ok2 {
@@ -284,7 +285,7 @@ func edgeOpacityCached(a *account.Account, e graph.EdgeID, conn map[graph.NodeID
 	if a.Graph.HasEdge(n1, n2) {
 		return 0
 	}
-	op := 1 - inferability(a, n1, n2, conn, adv)
+	op := 1 - inferability(a, n1, n2, conn, ieTotal, adv)
 	if op < 0 {
 		return 0
 	}

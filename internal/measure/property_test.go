@@ -149,3 +149,90 @@ func TestOpacityInvariantsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// referencePathUtility is Figure 3a computed the slow way: %P(n) from the
+// single-node graph.ConnectedPairs on both graphs, summed in sorted node
+// order like PathUtility.
+func referencePathUtility(spec *account.Spec, a *account.Account) float64 {
+	if spec.Graph.NumNodes() == 0 {
+		return 0
+	}
+	var sum float64
+	for _, n := range spec.Graph.Nodes() {
+		id, ok := a.Corresponding(n)
+		switch denom := spec.Graph.ConnectedPairs(n); {
+		case !ok:
+		case denom == 0:
+			sum++
+		default:
+			sum += float64(a.Graph.ConnectedPairs(id)) / float64(denom)
+		}
+	}
+	return sum / float64(spec.Graph.NumNodes())
+}
+
+// referenceOpacity is Figure 4 with both candidate pools re-summed per
+// edge, the literal reading inferability's shared total replaces.
+func referenceOpacity(a *account.Account, e graph.EdgeID, adv Adversary) float64 {
+	n1, ok1 := a.Corresponding(e.From)
+	n2, ok2 := a.Corresponding(e.To)
+	if !ok1 || !ok2 {
+		return 1
+	}
+	if a.Graph.HasEdge(n1, n2) {
+		return 0
+	}
+	if a.Graph.NumNodes() < 2 {
+		return 1
+	}
+	pool := func(skip graph.NodeID) float64 {
+		var sum float64
+		for _, m := range a.Graph.Nodes() {
+			if m != skip {
+				sum += adv.InferenceLikelihood(a.Graph.Degree(m))
+			}
+		}
+		return sum
+	}
+	var r float64
+	if s := pool(n1); s > 0 {
+		r += adv.FocusProbability(a.Graph.ConnectedPairs(n1)) * adv.InferenceLikelihood(a.Graph.Degree(n2)) / s
+	}
+	if s := pool(n2); s > 0 {
+		r += adv.FocusProbability(a.Graph.ConnectedPairs(n2)) * adv.InferenceLikelihood(a.Graph.Degree(n1)) / s
+	}
+	return 1 - r/2
+}
+
+// Property: the all-nodes kernel leaves the utilities bit-identical to
+// the per-node reference (==, not approx: the counts are integers and the
+// sum order is unchanged), and the shared inference pool keeps every edge
+// opacity within the suite's eps of the literal formula.
+func TestMeasuresMatchPerNodeReference(t *testing.T) {
+	advs := []Adversary{Figure5(), Naive{}}
+	for seed := int64(0); seed < 150; seed++ {
+		spec := randomMeasureSpec(rand.New(rand.NewSource(seed)))
+		surr, err := account.Generate(spec, privilege.Public)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hide, err := account.GenerateHide(spec, privilege.Public)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []*account.Account{surr, hide} {
+			want := Utility{Path: referencePathUtility(spec, a), Node: NodeUtility(spec, a)}
+			if got := Utilities(spec, a); got != want {
+				t.Fatalf("seed %d: Utilities = %v, per-node reference %v", seed, got, want)
+			}
+			for _, adv := range advs {
+				for _, e := range spec.Graph.Edges() {
+					got, want := EdgeOpacity(spec, a, e.ID(), adv), referenceOpacity(a, e.ID(), adv)
+					if !approx(got, want) {
+						t.Fatalf("seed %d: EdgeOpacity(%s) = %v, literal formula %v", seed, e.ID(), got, want)
+					}
+				}
+			}
+		}
+	}
+}

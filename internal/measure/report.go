@@ -25,8 +25,8 @@ type NodeReport struct {
 
 // NodeReports computes one row per original node, sorted by id.
 func NodeReports(spec *account.Spec, a *account.Account) []NodeReport {
-	connG := connectedCounts(spec.Graph)
-	connA := connectedCounts(a.Graph)
+	connG := spec.Graph.ConnectedPairsAll()
+	connA := a.Graph.ConnectedPairsAll()
 	var out []NodeReport
 	for _, n := range spec.Graph.Nodes() {
 		r := NodeReport{
@@ -60,13 +60,14 @@ type EdgeReport struct {
 
 // EdgeReports computes one row per original edge, sorted.
 func EdgeReports(spec *account.Spec, a *account.Account, adv Adversary) []EdgeReport {
-	conn := connectedCounts(a.Graph)
+	conn := a.Graph.ConnectedPairsAll()
+	ieTotal := totalInference(a, adv)
 	var out []EdgeReport
 	for _, e := range spec.Graph.Edges() {
 		id := e.ID()
 		r := EdgeReport{
 			Edge:             id,
-			Opacity:          edgeOpacityCached(a, id, conn, adv),
+			Opacity:          edgeOpacityCached(a, id, conn, ieTotal, adv),
 			OpacityScaleFree: edgeOpacityScaleFreeCached(a, id, conn, adv),
 		}
 		n1, ok1 := a.Corresponding(id.From)

@@ -1,6 +1,7 @@
 package plus
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -23,30 +24,50 @@ import (
 // disjoint from the delta's touched set is still exact and stays cached.
 // Only when the backend no longer retains the revision window does the
 // cache fall back to a full wipe.
+//
+// The cache is bounded: it holds at most lineageCacheBudget closure nodes
+// across all entries and evicts the least recently served answers beyond
+// that. The budget counts closure nodes, not entries, because an entry
+// pins its whole Spec and Account and answers differ several-fold in size
+// with the requested depth; an answer larger than the whole budget is
+// served but never admitted.
 type CachedEngine struct {
 	*Engine
 
 	mu      sync.Mutex
 	rev     uint64
-	entries map[cacheKey]*cacheEntry
+	entries map[cacheKey]*list.Element // of *cacheEntry
+	lru     list.List                  // most recently served first
+	budget  int                        // lineageCacheBudget outside tests
+	held    int                        // closure nodes over all entries
 	stats   LineageCacheStats
 }
 
+// lineageCacheBudget is the number of closure nodes the lineage cache may
+// hold (each pins on the order of 7 KB of Spec and Account).
+const lineageCacheBudget = 1 << 17
+
 // LineageCacheStats reports the lineage cache counters.
 type LineageCacheStats struct {
-	// Entries is the live cached answer count.
-	Entries int `json:"entries"`
+	// Entries is the live cached answer count; ClosureNodes is the closure
+	// nodes those answers hold, the quantity the cache's bound is set in.
+	Entries      int `json:"entries"`
+	ClosureNodes int `json:"closureNodes"`
 	// Hits / Misses count lineage lookups.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// DeltaEvictions counts entries evicted because a change-feed delta
-	// touched their closure; Wipes counts full invalidations (change feed
-	// too far behind or unavailable).
-	DeltaEvictions uint64 `json:"deltaEvictions"`
-	Wipes          uint64 `json:"wipes"`
+	// touched their closure; CapacityEvictions counts entries evicted as
+	// least recently served to stay inside the closure-node budget; Wipes
+	// counts full invalidations (change feed too far behind or
+	// unavailable).
+	DeltaEvictions    uint64 `json:"deltaEvictions"`
+	CapacityEvictions uint64 `json:"capacityEvictions"`
+	Wipes             uint64 `json:"wipes"`
 }
 
 type cacheEntry struct {
+	key cacheKey
 	res *Result
 	// closure holds the original object ids the answer was derived from;
 	// a delta invalidates the entry iff it touches one of them.
@@ -66,7 +87,29 @@ type cacheKey struct {
 
 // NewCachedEngine wraps the engine with a delta-scoped invalidating cache.
 func NewCachedEngine(engine *Engine) *CachedEngine {
-	return &CachedEngine{Engine: engine, entries: map[cacheKey]*cacheEntry{}}
+	return &CachedEngine{Engine: engine, entries: map[cacheKey]*list.Element{}, budget: lineageCacheBudget}
+}
+
+// removeLocked drops one entry and its share of the held count.
+func (ce *CachedEngine) removeLocked(el *list.Element) {
+	ent := ce.lru.Remove(el).(*cacheEntry)
+	delete(ce.entries, ent.key)
+	ce.held -= len(ent.closure)
+}
+
+// admitLocked caches ent as the most recently served answer, replacing
+// any entry a concurrent miss of the same key admitted first, and evicts
+// from the least recently served end until the budget holds again.
+func (ce *CachedEngine) admitLocked(ent *cacheEntry) {
+	if el, ok := ce.entries[ent.key]; ok {
+		ce.removeLocked(el)
+	}
+	ce.entries[ent.key] = ce.lru.PushFront(ent)
+	ce.held += len(ent.closure)
+	for ce.held > ce.budget {
+		ce.removeLocked(ce.lru.Back())
+		ce.stats.CapacityEvictions++
+	}
 }
 
 // refreshLocked brings the cache up to revision rev, evicting the entries
@@ -82,15 +125,17 @@ func (ce *CachedEngine) refreshLocked(rev uint64) {
 	if err != nil {
 		// Too far behind the retained feed (or the backend is closing):
 		// scope is unknown, wipe everything.
-		ce.entries = map[cacheKey]*cacheEntry{}
+		ce.entries = map[cacheKey]*list.Element{}
+		ce.lru.Init()
+		ce.held = 0
 		ce.stats.Wipes++
 		ce.rev = rev
 		return
 	}
 	touched := (&Delta{Changes: changes}).Touched()
-	for k, ent := range ce.entries {
-		if intersects(ent.closure, touched) {
-			delete(ce.entries, k)
+	for _, el := range ce.entries {
+		if intersects(el.Value.(*cacheEntry).closure, touched) {
+			ce.removeLocked(el)
 			ce.stats.DeltaEvictions++
 		}
 	}
@@ -146,10 +191,12 @@ func (ce *CachedEngine) LineageContext(ctx context.Context, req Request) (*Resul
 
 	ce.mu.Lock()
 	ce.refreshLocked(rev)
-	if ent, ok := ce.entries[key]; ok {
+	if el, ok := ce.entries[key]; ok {
 		ce.stats.Hits++
+		ce.lru.MoveToFront(el)
+		res := el.Value.(*cacheEntry).res
 		ce.mu.Unlock()
-		return ent.res, nil
+		return res, nil
 	}
 	ce.stats.Misses++
 	ce.mu.Unlock()
@@ -159,6 +206,10 @@ func (ce *CachedEngine) LineageContext(ctx context.Context, req Request) (*Resul
 		return nil, err
 	}
 
+	if res.Spec.Graph.NumNodes() > ce.budget {
+		// Larger than the whole cache: served, never admitted.
+		return res, nil
+	}
 	closure := map[string]bool{}
 	for _, id := range res.Spec.Graph.Nodes() {
 		closure[string(id)] = true
@@ -168,7 +219,7 @@ func (ce *CachedEngine) LineageContext(ctx context.Context, req Request) (*Resul
 	// answer's snapshot sits between rev (observed before computing) and
 	// the current revision, so equality pins it to the cache generation.
 	if ce.rev == rev && ce.store.Revision() == rev {
-		ce.entries[key] = &cacheEntry{res: res, closure: closure}
+		ce.admitLocked(&cacheEntry{key: key, res: res, closure: closure})
 	}
 	ce.mu.Unlock()
 	return res, nil
@@ -187,12 +238,13 @@ func (ce *CachedEngine) Stats() LineageCacheStats {
 	defer ce.mu.Unlock()
 	st := ce.stats
 	st.Entries = len(ce.entries)
+	st.ClosureNodes = ce.held
 	return st
 }
 
 // String summarises the cache state for logs.
 func (ce *CachedEngine) String() string {
 	st := ce.Stats()
-	return fmt.Sprintf("plus cache: %d entries, %d hits, %d misses, %d delta-evicted, %d wiped",
-		st.Entries, st.Hits, st.Misses, st.DeltaEvictions, st.Wipes)
+	return fmt.Sprintf("plus cache: %d entries (%d closure nodes), %d hits, %d misses, %d delta-evicted, %d capacity-evicted, %d wiped",
+		st.Entries, st.ClosureNodes, st.Hits, st.Misses, st.DeltaEvictions, st.CapacityEvictions, st.Wipes)
 }

@@ -1,6 +1,7 @@
 package plus
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -144,5 +145,198 @@ func TestCachedEngineConcurrent(t *testing.T) {
 	}
 	if ce.String() == "" {
 		t.Error("empty cache string")
+	}
+}
+
+// chainCache loads the chain c000 -> c001 -> ... into a one-shard mem
+// backend and fronts it with a cache budgeted at budget closure nodes. A
+// backward depth-3 lineage from c<i> (i >= 3) is a 4-node closure.
+func chainCache(t *testing.T, length, budget int) (*MemBackend, *CachedEngine) {
+	t.Helper()
+	m := NewMemBackend(1)
+	t.Cleanup(func() { m.Close() })
+	var b Batch
+	for i := 0; i < length; i++ {
+		b.Objects = append(b.Objects, Object{ID: chainID(i), Kind: Data, Name: "link"})
+		if i > 0 {
+			b.Edges = append(b.Edges, Edge{From: chainID(i - 1), To: chainID(i), Label: "input-to"})
+		}
+	}
+	if _, err := m.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	ce := NewCachedEngine(NewEngine(m, privilege.TwoLevel()))
+	ce.budget = budget
+	return m, ce
+}
+
+func chainID(i int) string { return fmt.Sprintf("c%03d", i) }
+
+func chainReq(i int) Request {
+	return Request{Start: chainID(i), Direction: graph.Backward, Depth: 3}
+}
+
+func TestCachedEngineBudgetBoundsNeverRepeatedRequests(t *testing.T) {
+	const budget = 40
+	_, ce := chainCache(t, 110, budget)
+	// 100 never-repeated 4-node answers: ten times the budget.
+	for i := 3; i < 103; i++ {
+		res, err := ce.Lineage(chainReq(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Spec.Graph.NumNodes(); n != 4 {
+			t.Fatalf("closure of %s has %d nodes, want 4", chainID(i), n)
+		}
+		if st := ce.Stats(); st.ClosureNodes > budget || st.Entries > budget/4 {
+			t.Fatalf("after %d requests: %d closure nodes in %d entries, budget %d", i-2, st.ClosureNodes, st.Entries, budget)
+		}
+	}
+	st := ce.Stats()
+	if st.Entries != 10 || st.ClosureNodes != 40 || st.CapacityEvictions != 90 || st.Hits != 0 || st.Misses != 100 {
+		t.Errorf("stats = %+v, want 10 entries, 40 nodes, 90 capacity evictions, 0/100 hits/misses", st)
+	}
+}
+
+func TestCachedEngineHitRefreshesRecency(t *testing.T) {
+	_, ce := chainCache(t, 20, 12) // room for three 4-node answers
+	ask := func(i int) {
+		t.Helper()
+		if _, err := ce.Lineage(chainReq(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask(4)
+	ask(8)
+	ask(12)
+	ask(4)  // hit: 4 is now more recent than 8
+	ask(16) // evicts 8, the oldest untouched entry
+	if st := ce.Stats(); st.Hits != 1 || st.CapacityEvictions != 1 || st.Entries != 3 {
+		t.Fatalf("stats = %+v, want 1 hit, 1 capacity eviction, 3 entries", st)
+	}
+	ask(4)
+	if st := ce.Stats(); st.Hits != 2 {
+		t.Errorf("re-asked entry was evicted before the older untouched one: %+v", st)
+	}
+	ask(8)
+	if st := ce.Stats(); st.Hits != 2 || st.Misses != 5 {
+		t.Errorf("untouched oldest entry survived the eviction: %+v", st)
+	}
+}
+
+func TestCachedEngineOversizedAnswerServedNotRetained(t *testing.T) {
+	_, ce := chainCache(t, 10, 3)
+	for round := 1; round <= 2; round++ {
+		res, err := ce.Lineage(chainReq(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Account.Graph.NumNodes(); n != 4 {
+			t.Fatalf("oversized answer has %d account nodes, want 4", n)
+		}
+		st := ce.Stats()
+		if st.Entries != 0 || st.ClosureNodes != 0 || st.CapacityEvictions != 0 || st.Hits != 0 || st.Misses != uint64(round) {
+			t.Errorf("round %d: stats = %+v, want nothing retained and every ask a miss", round, st)
+		}
+	}
+	// An answer that fits is still cached beside it.
+	if _, err := ce.Lineage(Request{Start: chainID(5), Direction: graph.Backward, Depth: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if st := ce.Stats(); st.Entries != 1 || st.ClosureNodes != 2 {
+		t.Errorf("stats = %+v, want the 2-node answer cached", st)
+	}
+}
+
+func TestCachedEngineEvictionAndWipeKeepAccounting(t *testing.T) {
+	m, ce := chainCache(t, 30, 1000)
+	for _, i := range []int{5, 15, 25} {
+		if _, err := ce.Lineage(chainReq(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ce.Lineage(Request{Start: chainID(25), Direction: graph.Backward, Depth: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if st := ce.Stats(); st.Entries != 4 || st.ClosureNodes != 14 {
+		t.Fatalf("stats = %+v, want 4 entries holding 14 nodes", st)
+	}
+	// Re-storing c013 touches only the closure of c015 (c012..c015).
+	if err := m.PutObject(Object{ID: chainID(13), Kind: Data, Name: "link v2"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ce.Lineage(chainReq(5)); err != nil {
+		t.Fatal(err)
+	}
+	if st := ce.Stats(); st.Entries != 3 || st.ClosureNodes != 10 || st.DeltaEvictions != 1 || st.Hits != 1 {
+		t.Fatalf("after delta: stats = %+v, want 3 entries, 10 nodes, 1 delta eviction, 1 hit", st)
+	}
+	// A burst longer than the retained feed leaves the scope unknown: the
+	// wipe must zero the held count, and the cache must keep working.
+	m.SetChangeHorizon(4)
+	for i := 0; i < 10; i++ {
+		if err := m.PutObject(Object{ID: fmt.Sprintf("burst%d", i), Kind: Data, Name: "x"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ce.Lineage(chainReq(25)); err != nil {
+		t.Fatal(err)
+	}
+	st := ce.Stats()
+	if st.Wipes != 1 || st.Entries != 1 || st.ClosureNodes != 4 || st.CapacityEvictions != 0 {
+		t.Errorf("after wipe: stats = %+v, want 1 wipe and only the re-asked 4-node answer held", st)
+	}
+}
+
+// Concurrent readers over more distinct answers than the budget holds,
+// with a writer evicting by delta: the held count must equal the sum over
+// the live entries at every observation and never exceed the budget.
+func TestCachedEngineBoundedConcurrent(t *testing.T) {
+	const budget = 24
+	m, ce := chainCache(t, 64, budget)
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := m.PutObject(Object{ID: chainID(3 + i%60), Kind: Data, Name: fmt.Sprintf("v%d", i)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 6; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for j := 0; j < 150; j++ {
+				res, err := ce.Lineage(chainReq(3 + (r*7+j*5)%60))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n := res.Spec.Graph.NumNodes(); n != 4 {
+					t.Errorf("closure has %d nodes, want 4", n)
+					return
+				}
+				if st := ce.Stats(); st.ClosureNodes > budget || st.ClosureNodes != 4*st.Entries {
+					t.Errorf("stats = %+v: held count off or over budget %d", st, budget)
+					return
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	if st := ce.Stats(); st.Hits+st.Misses != 900 {
+		t.Errorf("hits+misses = %d, want 900", st.Hits+st.Misses)
 	}
 }

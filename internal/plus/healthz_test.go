@@ -150,8 +150,8 @@ func TestHealthzCacheStats(t *testing.T) {
 		t.Fatal("healthz missing lineageCache section on a cached server")
 	}
 	lc := h.LineageCache
-	if lc.Hits != 1 || lc.Misses != 2 || lc.DeltaEvictions != 1 || lc.Entries != 1 {
-		t.Errorf("lineage cache stats = %+v, want 1 hit, 2 misses, 1 eviction, 1 entry", lc)
+	if lc.Hits != 1 || lc.Misses != 2 || lc.DeltaEvictions != 1 || lc.Entries != 1 || lc.ClosureNodes != 3 || lc.CapacityEvictions != 0 {
+		t.Errorf("lineage cache stats = %+v, want 1 hit, 2 misses, 1 eviction, 1 entry of 3 closure nodes", lc)
 	}
 	if h.QueryCache != nil {
 		t.Error("queryCache present without the query subsystem attached")

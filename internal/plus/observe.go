@@ -285,6 +285,9 @@ func (s *Server) registerServerMetrics() {
 	if ce, ok := s.answerer.(*CachedEngine); ok {
 		reg.GaugeFunc("plus_lineage_cache_entries", "Cached lineage answers.",
 			func() float64 { return float64(ce.Stats().Entries) })
+		reg.GaugeFunc("plus_lineage_cache_closure_nodes",
+			"Closure nodes held by the cached lineage answers (what the cache bound counts).",
+			func() float64 { return float64(ce.Stats().ClosureNodes) })
 		reg.CounterFunc("plus_lineage_cache_hits_total", "Lineage cache hits.",
 			func() float64 { return float64(ce.Stats().Hits) })
 		reg.CounterFunc("plus_lineage_cache_misses_total", "Lineage cache misses.",
@@ -292,6 +295,9 @@ func (s *Server) registerServerMetrics() {
 		reg.CounterFunc("plus_lineage_cache_delta_evictions_total",
 			"Lineage cache entries evicted by change-feed deltas.",
 			func() float64 { return float64(ce.Stats().DeltaEvictions) })
+		reg.CounterFunc("plus_lineage_cache_capacity_evictions_total",
+			"Lineage cache entries evicted least-recently-served-first to stay inside the closure-node budget.",
+			func() float64 { return float64(ce.Stats().CapacityEvictions) })
 		reg.CounterFunc("plus_lineage_cache_wipes_total",
 			"Lineage cache full invalidations.",
 			func() float64 { return float64(ce.Stats().Wipes) })

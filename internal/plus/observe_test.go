@@ -79,7 +79,9 @@ func TestMetricsEndpointFormats(t *testing.T) {
 		`plus_backend_op_seconds_count{op="put_object"}`,
 		`plus_lineage_seconds_count{phase="total"}`,
 		"plus_changefeed_ring_depth",
-		"plus_lineage_cache_entries",
+		"plus_lineage_cache_entries 1",
+		"plus_lineage_cache_closure_nodes 4",
+		"plus_lineage_cache_capacity_evictions_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

@@ -81,10 +81,10 @@ type Result struct {
 	Account *account.Account
 	Timing  Timing
 
-	// utilOnce memoises the §4.1 utility measures: PathUtility walks the
-	// whole reachability of both graphs (quadratic in the answer size),
-	// and a cache-served answer is asked for the same numbers on every
-	// request.
+	// utilOnce memoises the §4.1 utility measures: PathUtility takes the
+	// all-nodes reachability counts of both graphs (one blocked-bitset
+	// pass each, see graph.ConnectedPairsAll), and a cache-served answer
+	// is asked for the same numbers on every request.
 	utilOnce sync.Once
 	pathUtil float64
 	nodeUtil float64

@@ -130,8 +130,8 @@ type incrementalReport struct {
 
 // TestIncrementalSpeedupReport runs the write-heavy mix both ways on a
 // >=1k-node graph, requires the delta-scoped refresh to beat full rebuild
-// by at least 5x, and emits the measurements as BENCH_incremental.json at
-// the repository root.
+// by at least 5x, and (with BENCH_WRITE=1) emits the measurements as
+// BENCH_incremental.json at the repository root.
 func TestIncrementalSpeedupReport(t *testing.T) {
 	const (
 		nodes           = 3200
@@ -190,12 +190,14 @@ func TestIncrementalSpeedupReport(t *testing.T) {
 		AdvanceRebuilds: incStats.AdvanceRebuilds,
 		FullBuilds:      incStats.FullBuilds,
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_incremental.json", append(data, '\n'), 0o644); err != nil {
-		t.Logf("could not write BENCH_incremental.json: %v", err)
+	if os.Getenv("BENCH_WRITE") == "1" {
+		data, err := json.MarshalIndent(report, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile("../../BENCH_incremental.json", append(data, '\n'), 0o644); err != nil {
+			t.Logf("could not write BENCH_incremental.json: %v", err)
+		}
 	}
 	t.Logf("write-heavy mix over %d nodes: incremental %v, rebuild %v, speedup %.1fx (advanced %d, rebuilds %d)",
 		nodes, inc, reb, speedup, incStats.Advanced, incStats.AdvanceRebuilds)

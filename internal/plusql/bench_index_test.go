@@ -103,7 +103,7 @@ func benchScales(tb testing.TB) []int {
 // TestIndexSpeedupReport runs the point-predicate panel indexed and
 // naive at every ladder scale, requires the indexed path to win — by
 // >=10x from 100k nodes up — with a sublinear indexed latency curve, and
-// (with INDEX_BENCH_WRITE=1) emits BENCH_index.json at the repo root.
+// (with BENCH_WRITE=1) emits BENCH_index.json at the repo root.
 func TestIndexSpeedupReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("index speedup ladder skipped in -short mode")
@@ -223,7 +223,7 @@ func TestIndexSpeedupReport(t *testing.T) {
 		}
 	}
 
-	if os.Getenv("INDEX_BENCH_WRITE") == "1" {
+	if os.Getenv("BENCH_WRITE") == "1" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			t.Fatal(err)

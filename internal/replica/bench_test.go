@@ -63,11 +63,11 @@ type benchReport struct {
 
 // TestFollowerScalingReport measures aggregate read throughput against a
 // primary under continuous ingest, then against 1 and 3 read replicas of
-// it, and writes BENCH_replica.json at the repo root. The contrast it
-// demonstrates is the one replicas exist for: on the primary every write
-// lands individually, so each lineage query pays a cache refresh and —
-// when the write touched the queried closure — a full recompute, while a
-// coalescing follower applies the same stream in group-committed batches
+// it, and (with BENCH_WRITE=1) writes BENCH_replica.json at the repo
+// root. The contrast it demonstrates is the one replicas exist for: on
+// the primary every write lands individually, so each lineage query pays
+// a cache refresh and — when the write touched the queried closure — a
+// full recompute, while a coalescing follower applies the same stream in group-committed batches
 // and serves the reads between batches from cache. Lag is sampled
 // throughout and reported, bounding the staleness the throughput was
 // bought with.
@@ -302,12 +302,14 @@ func TestFollowerScalingReport(t *testing.T) {
 	}
 	t.Logf("aggregate speedup (3 followers vs single node): %.2fx", report.SpeedupAggregate3x)
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_replica.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	if os.Getenv("BENCH_WRITE") == "1" {
+		data, err := json.MarshalIndent(report, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile("../../BENCH_replica.json", append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

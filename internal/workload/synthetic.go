@@ -52,8 +52,8 @@ func meanConnectedPairs(g *graph.Graph) float64 {
 		return 0
 	}
 	var sum int
-	for _, id := range g.Nodes() {
-		sum += g.ConnectedPairs(id)
+	for _, c := range g.ConnectedPairsAll() {
+		sum += c
 	}
 	return float64(sum) / float64(g.NumNodes())
 }
