@@ -83,40 +83,6 @@ type Account struct {
 	completed bool
 }
 
-// Clone returns an independent copy of the account (graph structure
-// copied, node feature maps shared — see graph.CloneShared). Incremental
-// maintenance patches a clone so live readers of the original are never
-// disturbed.
-func (a *Account) Clone() *Account {
-	c := &Account{
-		Graph:          a.Graph.CloneShared(),
-		HighWater:      append([]privilege.Predicate(nil), a.HighWater...),
-		Target:         a.Target,
-		ToOriginal:     make(map[graph.NodeID]graph.NodeID, len(a.ToOriginal)),
-		FromOriginal:   make(map[graph.NodeID]graph.NodeID, len(a.FromOriginal)),
-		InfoScore:      make(map[graph.NodeID]float64, len(a.InfoScore)),
-		SurrogateNodes: make(map[graph.NodeID]surrogate.Surrogate, len(a.SurrogateNodes)),
-		SurrogateEdges: make(map[graph.EdgeID]bool, len(a.SurrogateEdges)),
-		completed:      a.completed,
-	}
-	for k, v := range a.ToOriginal {
-		c.ToOriginal[k] = v
-	}
-	for k, v := range a.FromOriginal {
-		c.FromOriginal[k] = v
-	}
-	for k, v := range a.InfoScore {
-		c.InfoScore[k] = v
-	}
-	for k, v := range a.SurrogateNodes {
-		c.SurrogateNodes[k] = v
-	}
-	for k, v := range a.SurrogateEdges {
-		c.SurrogateEdges[k] = v
-	}
-	return c
-}
-
 // Present reports whether original node n has a corresponding node in the
 // account.
 func (a *Account) Present(n graph.NodeID) bool {

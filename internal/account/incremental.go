@@ -4,13 +4,13 @@
 // surrogates added), most of the account is unaffected. Maintain computes
 // the dirty region — the touched nodes plus everything whose surrogate
 // wiring can transitively change through chains of restricted incidences —
-// and regenerates only that region, falling back to full regeneration
-// whenever the delta's effects cannot be localised (a replaced object
-// changed its protection, a hidden node's surrogate selection moved, or a
-// Definition 8 condition 2 veto demands the global completion sweep). The
-// patched account is identical to one generated from scratch at the same
-// spec; the parity tests assert exactly that, and VerifySound/VerifyMaximal
-// hold on it.
+// and regenerates only that region of the account, in place, falling back
+// to full regeneration whenever the delta's effects cannot be localised (a
+// replaced object changed its protection, a hidden node's surrogate
+// selection moved, or a Definition 8 condition 2 veto demands the global
+// completion sweep). The patched account is identical to one generated from
+// scratch at the same spec; the parity tests assert exactly that, and
+// VerifySound/VerifyMaximal hold on it.
 
 package account
 
@@ -76,19 +76,37 @@ func Capture(spec *Spec, d Delta) *PreState {
 	return ps
 }
 
+// RebuildCause classifies why a maintenance pass regenerated the account.
+// Unlike MaintainStats.Reason it never names a node, so it is safe as a
+// metrics label.
+type RebuildCause string
+
+const (
+	CauseLowestChange    RebuildCause = "lowest_change"
+	CauseThresholdChange RebuildCause = "threshold_change"
+	CauseSurrogateChange RebuildCause = "surrogate_change"
+	CauseSweepVeto       RebuildCause = "sweep_veto"
+	CauseNoPreState      RebuildCause = "no_pre_state"
+)
+
 // MaintainStats reports what one maintenance pass did; the view layer uses
 // the added/updated/removed sets to patch its indexes in place.
 type MaintainStats struct {
 	// Rebuilt reports that the account was regenerated from scratch
-	// because the delta could not be localised; Reason says why.
+	// because the delta could not be localised; Reason says why (and may
+	// name the node), Cause is its class.
 	Rebuilt bool
 	Reason  string
+	Cause   RebuildCause
 	// Dirty is the size of the closed dirty region (original nodes).
 	Dirty int
-	// AddedNodes / UpdatedNodes / RemovedNodes are account (G') node ids.
+	// AddedNodes are the ids of account (G') nodes the pass created.
+	// UpdatedNodes and RemovedNodes are the account nodes it replaced or
+	// deleted, AS THEY WERE before the pass (the patched account no longer
+	// holds their old features, which index maintenance needs).
 	AddedNodes   []graph.NodeID
-	UpdatedNodes []graph.NodeID
-	RemovedNodes []graph.NodeID
+	UpdatedNodes []graph.Node
+	RemovedNodes []graph.Node
 	// AddedEdges / RemovedEdges are account (G') edges.
 	AddedEdges   []graph.Edge
 	RemovedEdges []graph.EdgeID
@@ -97,9 +115,11 @@ type MaintainStats struct {
 // Maintain advances an account produced by Generate/GenerateForSet (in
 // this process) to the account GenerateForSet(spec, hw) would produce,
 // where spec is the ALREADY-ADVANCED spec and pre the Capture taken before
-// advancing it. The input account is never mutated: the incremental path
-// patches a clone, the fallback path generates fresh. The result is
-// structurally identical to a from-scratch generation at the same spec.
+// advancing it. The incremental path patches a IN PLACE and returns it,
+// so the caller must own a exclusively (no concurrent readers); the
+// fallback path returns a freshly generated account. Either way only the
+// returned account may be used afterwards — on error, neither. The result
+// is structurally identical to a from-scratch generation at the same spec.
 //
 // The incremental path applies when the delta is effect-additive: no
 // pre-existing node changed its visibility, node-level protection or
@@ -107,20 +127,20 @@ type MaintainStats struct {
 // anchor walks keep their results, and only contract edges touching the
 // dirty region can gain anchor pairs — so patching the dirty region is
 // exact. Any other delta falls back to GenerateForSet.
-func Maintain(acct *Account, spec *Spec, d Delta, pre *PreState) (*Account, MaintainStats, error) {
+func Maintain(a *Account, spec *Spec, d Delta, pre *PreState) (*Account, MaintainStats, error) {
 	if d.Empty() {
-		return acct, MaintainStats{}, nil
+		return a, MaintainStats{}, nil
 	}
-	rebuild := func(reason string) (*Account, MaintainStats, error) {
-		a2, err := GenerateForSet(spec, acct.HighWater)
-		return a2, MaintainStats{Rebuilt: true, Reason: reason}, err
+	rebuild := func(cause RebuildCause, reason string) (*Account, MaintainStats, error) {
+		a2, err := GenerateForSet(spec, a.HighWater)
+		return a2, MaintainStats{Rebuilt: true, Reason: reason, Cause: cause}, err
 	}
-	if acct.completed {
+	if a.completed {
 		// Completion-sweep edge sets are order-sensitive; patching one
 		// incrementally cannot guarantee parity with a scratch build.
-		return rebuild("account was built with the completion sweep")
+		return rebuild(CauseSweepVeto, "account was built with the completion sweep")
 	}
-	v := viewOf(spec, acct)
+	v := viewOf(spec, a)
 
 	newSet := make(map[graph.NodeID]bool, len(d.NewNodes))
 	for _, u := range d.NewNodes {
@@ -130,39 +150,38 @@ func Maintain(acct *Account, spec *Spec, d Delta, pre *PreState) (*Account, Main
 	// Hazard checks: a pre-existing node whose protection-relevant state
 	// changed invalidates walks and mappings arbitrarily far away.
 	if pre == nil {
-		return rebuild("no pre-state captured")
+		return rebuild(CauseNoPreState, "no pre-state captured")
 	}
 	for _, u := range d.UpdatedNodes {
 		st, ok := pre.nodes[u]
 		if !ok {
-			return rebuild(fmt.Sprintf("no pre-state for updated node %s", u))
+			return rebuild(CauseNoPreState, fmt.Sprintf("no pre-state for updated node %s", u))
 		}
 		if spec.Labeling.LowestNode(u) != st.lowest {
-			return rebuild(fmt.Sprintf("node %s changed its lowest predicate", u))
+			return rebuild(CauseLowestChange, fmt.Sprintf("node %s changed its lowest predicate", u))
 		}
 		at, below, has := spec.Policy.NodeThreshold(u)
 		if has != st.hasThr || at != st.thrAt || below != st.thrBelow {
-			return rebuild(fmt.Sprintf("node %s changed its protection threshold", u))
+			return rebuild(CauseThresholdChange, fmt.Sprintf("node %s changed its protection threshold", u))
 		}
 	}
 	for _, u := range d.SurrogateFor {
 		if newSet[u] {
 			continue // handled by node addition below
 		}
-		mapped, present := acct.FromOriginal[u]
+		mapped, present := a.FromOriginal[u]
 		if present && mapped == u {
 			continue // visible as itself; surrogates are irrelevant
 		}
 		s, ok := spec.Surrogates.SelectForSet(u, v.hw)
 		switch {
 		case !present && ok:
-			return rebuild(fmt.Sprintf("hidden node %s gained a releasable surrogate", u))
+			return rebuild(CauseSurrogateChange, fmt.Sprintf("hidden node %s gained a releasable surrogate", u))
 		case present && (!ok || s.ID != mapped):
-			return rebuild(fmt.Sprintf("node %s changed its surrogate selection", u))
+			return rebuild(CauseSurrogateChange, fmt.Sprintf("node %s changed its surrogate selection", u))
 		}
 	}
 
-	a := acct.Clone()
 	var st MaintainStats
 
 	// Patch nodes. Updated nodes keep their mapping (no hazard); visible
@@ -170,9 +189,10 @@ func Maintain(acct *Account, spec *Spec, d Delta, pre *PreState) (*Account, Main
 	// node-selection rule.
 	for _, u := range sortedIDs(d.UpdatedNodes) {
 		if gid, ok := a.FromOriginal[u]; ok && gid == u {
+			old, _ := a.Graph.NodeByID(u)
 			n, _ := spec.Graph.NodeByID(u)
 			a.Graph.AddNode(n)
-			st.UpdatedNodes = append(st.UpdatedNodes, u)
+			st.UpdatedNodes = append(st.UpdatedNodes, old)
 		}
 	}
 	for _, u := range sortedIDs(d.NewNodes) {
@@ -295,7 +315,7 @@ func Maintain(acct *Account, spec *Spec, d Delta, pre *PreState) (*Account, Main
 	if vetoed {
 		// A restricted direct edge vetoed an anchor pair; the repair is
 		// the global completion sweep, which cannot be localised.
-		return rebuild("anchor pair vetoed by a restricted direct edge")
+		return rebuild(CauseSweepVeto, "anchor pair vetoed by a restricted direct edge")
 	}
 	return a, st, nil
 }
@@ -303,13 +323,13 @@ func Maintain(acct *Account, spec *Spec, d Delta, pre *PreState) (*Account, Main
 // MaintainHide advances an account produced by GenerateHide. The hide
 // baseline is purely local — a node is kept iff visible, an edge iff both
 // endpoints are kept and both incidence marks are Visible — so maintenance
-// is always incremental and exact, including protection changes.
-func MaintainHide(acct *Account, spec *Spec, d Delta) (*Account, MaintainStats, error) {
+// is always incremental and exact, including protection changes. Like
+// Maintain it patches a in place.
+func MaintainHide(a *Account, spec *Spec, d Delta) (*Account, MaintainStats, error) {
 	if d.Empty() {
-		return acct, MaintainStats{}, nil
+		return a, MaintainStats{}, nil
 	}
-	v := viewOf(spec, acct)
-	a := acct.Clone()
+	v := viewOf(spec, a)
 	var st MaintainStats
 
 	dirty := map[graph.NodeID]bool{}
@@ -341,10 +361,12 @@ func MaintainHide(acct *Account, spec *Spec, d Delta) (*Account, MaintainStats, 
 			a.InfoScore[u] = 1
 			st.AddedNodes = append(st.AddedNodes, u)
 		case vis && present:
+			old, _ := a.Graph.NodeByID(u)
 			n, _ := spec.Graph.NodeByID(u)
 			a.Graph.AddNode(n)
-			st.UpdatedNodes = append(st.UpdatedNodes, u)
+			st.UpdatedNodes = append(st.UpdatedNodes, old)
 		case !vis && present:
+			old, _ := a.Graph.NodeByID(u)
 			for _, nb := range a.Graph.Successors(u) {
 				st.RemovedEdges = append(st.RemovedEdges, graph.EdgeID{From: u, To: nb})
 			}
@@ -355,7 +377,7 @@ func MaintainHide(acct *Account, spec *Spec, d Delta) (*Account, MaintainStats, 
 			delete(a.ToOriginal, u)
 			delete(a.FromOriginal, u)
 			delete(a.InfoScore, u)
-			st.RemovedNodes = append(st.RemovedNodes, u)
+			st.RemovedNodes = append(st.RemovedNodes, old)
 		}
 	}
 

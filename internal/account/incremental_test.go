@@ -138,6 +138,10 @@ func (h *harness) step(wantRebuild bool) MaintainStats {
 	if st.Rebuilt != wantRebuild {
 		t.Fatalf("Maintain rebuilt = %v (%q), want %v", st.Rebuilt, st.Reason, wantRebuild)
 	}
+	if (got == h.acct) == st.Rebuilt || (st.Cause != "") != st.Rebuilt {
+		t.Fatalf("Maintain: in place = %v, cause %q, rebuilt = %v: an incremental pass patches its input, a rebuild returns a fresh account and names its cause",
+			got == h.acct, st.Cause, st.Rebuilt)
+	}
 	want, err := Generate(h.spec, h.viewer)
 	if err != nil {
 		t.Fatal(err)
@@ -444,24 +448,4 @@ func TestMaintainEmptyDelta(t *testing.T) {
 	if err != nil || got != h.acct || st.Rebuilt {
 		t.Fatalf("empty delta: got %p (acct %p), st %+v, err %v", got, h.acct, st, err)
 	}
-}
-
-// TestMaintainDoesNotMutateInput verifies the input account is left
-// untouched by an incremental pass (live readers may hold it).
-func TestMaintainDoesNotMutateInput(t *testing.T) {
-	h := newHarness(t, privilege.Public)
-	h.addNode("a", "", policy.Visible, graph.Features{"name": "a"})
-	h.addNode("b", "", policy.Visible, graph.Features{"name": "b"})
-	h.addEdge("a", "b")
-	h.step(false)
-
-	before := h.acct.Clone()
-	h.addNode("c", "", policy.Visible, graph.Features{"name": "c"})
-	h.addEdge("b", "c")
-	d, pre := h.pending, h.pre
-	h.pending, h.pre = Delta{}, &PreState{nodes: map[graph.NodeID]nodeProtection{}}
-	if _, _, err := Maintain(h.acct, h.spec, d, pre); err != nil {
-		t.Fatal(err)
-	}
-	assertSameAccount(t, "input", h.acct, before)
 }

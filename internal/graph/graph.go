@@ -335,42 +335,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// CloneShared returns an independent copy of the graph's structure that
-// SHARES the node feature maps with the source. The clone may be mutated
-// freely (nodes and edges added or removed) without affecting the source,
-// but callers must treat the feature maps of carried-over nodes as
-// immutable — replacing a node via AddNode is fine, writing into a
-// returned Features map is not. This is the fast path for incremental
-// account maintenance, which patches a copy while readers hold the
-// original.
-func (g *Graph) CloneShared() *Graph {
-	c := &Graph{
-		nodes: make(map[NodeID]Node, len(g.nodes)),
-		edges: make(map[EdgeID]Edge, len(g.edges)),
-		out:   make(map[NodeID][]NodeID, len(g.out)),
-		in:    make(map[NodeID][]NodeID, len(g.in)),
-	}
-	for id, n := range g.nodes {
-		c.nodes[id] = n
-	}
-	for id, e := range g.edges {
-		c.edges[id] = e
-	}
-	for id, s := range g.out {
-		// Exact-length copies so later appends reallocate instead of
-		// growing into a backing array another clone could share.
-		cp := make([]NodeID, len(s))
-		copy(cp, s)
-		c.out[id] = cp
-	}
-	for id, s := range g.in {
-		cp := make([]NodeID, len(s))
-		copy(cp, s)
-		c.in[id] = cp
-	}
-	return c
-}
-
 // Equal reports structural equality: same node IDs with equal features and
 // the same edge set (labels included).
 func (g *Graph) Equal(h *Graph) bool {

@@ -33,6 +33,10 @@ type SlowEntry struct {
 	Levels int `json:"levels,omitempty"`
 	// CacheHit reports whether a cached view/lineage answered the query.
 	CacheHit bool `json:"cacheHit,omitempty"`
+	// ViewRefresh is what a plusql query had to do to its protected view
+	// before running: advanced, advance_rebuild or full_build (empty on a
+	// cache hit).
+	ViewRefresh string `json:"viewRefresh,omitempty"`
 	// Rows is the result row count (plusql queries).
 	Rows int `json:"rows,omitempty"`
 }

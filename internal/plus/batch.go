@@ -27,21 +27,18 @@ func (b *Batch) Len() int {
 // shared by every Backend implementation; callers hold whatever locks
 // make the callbacks stable.
 func (b *Batch) validate(stored func(id string) bool, hasEdge func(from, to string) bool) error {
-	have := func(id string) bool {
-		if stored(id) {
-			return true
-		}
-		for _, o := range b.Objects {
-			if o.ID == id {
-				return true
-			}
-		}
-		return false
-	}
+	inBatch := make(map[string]struct{}, len(b.Objects))
 	for _, o := range b.Objects {
 		if err := validateObject(o); err != nil {
 			return fmt.Errorf("plus: batch: %w", err)
 		}
+		inBatch[o.ID] = struct{}{}
+	}
+	have := func(id string) bool {
+		if _, ok := inBatch[id]; ok {
+			return true
+		}
+		return stored(id)
 	}
 	batchEdges := map[[2]string]bool{}
 	for _, e := range b.Edges {

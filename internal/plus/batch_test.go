@@ -148,3 +148,39 @@ func TestApplyReturnsOwnRevision(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchValidateRejections pins every rejection of Batch.validate and
+// its exact message, and that endpoints may come from the store, from the
+// batch, or one from each.
+func TestBatchValidateRejections(t *testing.T) {
+	stored := func(id string) bool { return id == "x" || id == "y" }
+	hasEdge := func(from, to string) bool { return from == "x" && to == "y" }
+	q := Object{ID: "q", Kind: Data}
+	r := Object{ID: "r", Kind: Data}
+	for _, tc := range []struct {
+		name string
+		b    Batch
+		want string // "" = accepted
+	}{
+		{"self edge", Batch{Edges: []Edge{{From: "x", To: "x"}}}, "plus: batch self edge x"},
+		{"missing source", Batch{Edges: []Edge{{From: "nope", To: "x"}}}, "plus: batch edge nope->x references missing object"},
+		{"missing target", Batch{Objects: []Object{q}, Edges: []Edge{{From: "q", To: "nope"}}}, "plus: batch edge q->nope references missing object"},
+		{"duplicate in batch", Batch{Objects: []Object{q}, Edges: []Edge{{From: "x", To: "q"}, {From: "x", To: "q"}}}, "plus: batch duplicate edge x->q"},
+		{"already stored", Batch{Edges: []Edge{{From: "x", To: "y"}}}, "plus: batch edge x->y already stored"},
+		{"surrogate for missing object", Batch{Surrogates: []SurrogateSpec{{ForID: "nope", ID: "n~"}}}, "plus: batch surrogate for missing object nope"},
+		{"invalid object first", Batch{Objects: []Object{q, {ID: "", Kind: Data}}, Edges: []Edge{{From: "x", To: "x"}}}, "plus: batch: plus: object with empty id"},
+		{"stored to stored", Batch{Edges: []Edge{{From: "y", To: "x"}}}, ""},
+		{"batch to batch", Batch{Objects: []Object{q, r}, Edges: []Edge{{From: "q", To: "r"}, {From: "r", To: "q"}}}, ""},
+		{"stored to batch and back", Batch{Objects: []Object{r, q}, Edges: []Edge{{From: "x", To: "q"}, {From: "q", To: "y"}}}, ""},
+		{"surrogate for batch object", Batch{Objects: []Object{q}, Surrogates: []SurrogateSpec{{ForID: "q", ID: "q~"}}}, ""},
+		{"surrogate for stored object", Batch{Surrogates: []SurrogateSpec{{ForID: "y", ID: "y~"}}}, ""},
+	} {
+		err := tc.b.validate(stored, hasEdge)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

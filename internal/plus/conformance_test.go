@@ -77,6 +77,7 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("BatchApply", func(t *testing.T) { conformBatch(t, h) })
 			t.Run("RevisionMonotonic", func(t *testing.T) { conformRevision(t, h) })
 			t.Run("SnapshotIsolation", func(t *testing.T) { conformSnapshotIsolation(t, h) })
+			t.Run("SnapshotClonedOncePerRevision", func(t *testing.T) { conformSnapshotClonedOnce(t, h) })
 			t.Run("CloseSemantics", func(t *testing.T) { conformClose(t, h) })
 			t.Run("ConcurrentReadersWriters", func(t *testing.T) { conformConcurrency(t, h) })
 			t.Run("NotifyOnWrite", func(t *testing.T) { conformNotify(t, h) })
@@ -692,6 +693,49 @@ func conformRevision(t *testing.T, h backendHarness) {
 	seedChain(t, b, "b", "c")
 	if b.Revision() != r1+3 { // 2 objects + 1 edge
 		t.Errorf("revision = %d, want %d (one bump per record)", b.Revision(), r1+3)
+	}
+}
+
+// conformSnapshotClonedOnce: readers released together after a write all
+// receive the one clone of the new revision, not a clone each.
+func conformSnapshotClonedOnce(t *testing.T, h backendHarness) {
+	b, _ := h.open(t)
+	var seed Batch
+	for i := 0; i < 2000; i++ { // big enough that a clone outlasts a goroutine start
+		seed.Objects = append(seed.Objects, Object{ID: fmt.Sprintf("s%04d", i), Kind: Data, Name: "s"})
+	}
+	if _, err := b.Apply(seed); err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	for round := 0; round < 20; round++ {
+		if err := b.PutObject(Object{ID: fmt.Sprintf("w%d", round), Kind: Data, Name: "w"}); err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg      sync.WaitGroup
+			release = make(chan struct{})
+			got     [readers]*Snapshot
+		)
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-release
+				sn, err := b.Snapshot()
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = sn
+			}(i)
+		}
+		close(release)
+		wg.Wait()
+		for i := 1; i < readers; i++ {
+			if got[i] != got[0] {
+				t.Fatalf("round %d: reader %d got its own clone of revision %d", round, i, got[i].Revision())
+			}
+		}
 	}
 }
 

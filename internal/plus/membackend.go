@@ -48,7 +48,11 @@ type MemBackend struct {
 	revision atomic.Uint64
 	edges    atomic.Int64
 	snap     atomic.Pointer[Snapshot]
-	closed   atomic.Bool
+	// snapMu serialises the clone in Snapshot, so readers arriving
+	// together after a write share one clone instead of making one each.
+	// Acquired before the shard locks.
+	snapMu sync.Mutex
+	closed atomic.Bool
 }
 
 type memShard struct {
@@ -546,9 +550,10 @@ func (m *MemBackend) walkChangesSince(since, upTo uint64, visit func(*Change)) e
 }
 
 // Snapshot returns an immutable view of the backend at its current
-// revision, cached per revision like LogBackend's. The slow path briefly
-// read-locks every shard, which blocks writers but not other snapshot
-// readers; the fast path is a single atomic load.
+// revision, cached per revision like LogBackend's. The slow path clones
+// once per revision: it briefly read-locks every shard, which blocks
+// writers, while other first readers wait on snapMu for its result; the
+// fast path is a single atomic load.
 func (m *MemBackend) Snapshot() (*Snapshot, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
@@ -556,6 +561,8 @@ func (m *MemBackend) Snapshot() (*Snapshot, error) {
 	if sn := m.snap.Load(); sn != nil && sn.rev == m.revision.Load() {
 		return sn, nil
 	}
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
 	m.rlockAll()
 	defer m.runlockAll()
 	if m.closed.Load() {
@@ -567,14 +574,24 @@ func (m *MemBackend) Snapshot() (*Snapshot, error) {
 	if sn := m.snap.Load(); sn != nil && sn.rev == rev {
 		return sn, nil
 	}
+	// Sized up front: growing four maps to the store's size by doubling
+	// costs as much again as filling them, all of it garbage.
+	var objects, out, in, surrogates int
+	for i := range m.shards {
+		sh := &m.shards[i]
+		objects += len(sh.objects)
+		out += len(sh.out)
+		in += len(sh.in)
+		surrogates += len(sh.surrogates)
+	}
 	sn := &Snapshot{
 		source:     m,
 		idx:        m.idx,
 		rev:        rev,
-		objects:    map[string]Object{},
-		out:        map[string][]Edge{},
-		in:         map[string][]Edge{},
-		surrogates: map[string][]SurrogateSpec{},
+		objects:    make(map[string]Object, objects),
+		out:        make(map[string][]Edge, out),
+		in:         make(map[string][]Edge, in),
+		surrogates: make(map[string][]SurrogateSpec, surrogates),
 	}
 	for i := range m.shards {
 		sh := &m.shards[i]

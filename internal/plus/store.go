@@ -139,6 +139,10 @@ type LogBackend struct {
 	// snap caches the last snapshot clone; valid while its revision
 	// matches the store's. Readers hitting the cache never touch mu.
 	snap atomic.Pointer[Snapshot]
+	// snapMu serialises the clone in Snapshot, so readers arriving
+	// together after a write share one clone instead of making one each.
+	// Acquired before mu.
+	snapMu sync.Mutex
 
 	// changes is the bounded in-memory change feed: changes[i] was
 	// applied at revision changesBase+i+1. The append-only log is the
@@ -482,12 +486,14 @@ func (s *LogBackend) Snapshot() (*Snapshot, error) {
 	if sn := s.snap.Load(); sn != nil && sn.rev == s.revision.Load() {
 		return sn, nil
 	}
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	// Re-check under the lock: another reader may have cloned already.
+	// Re-check under the locks: another reader may have cloned already.
 	rev := s.revision.Load()
 	if sn := s.snap.Load(); sn != nil && sn.rev == rev {
 		return sn, nil

@@ -1,6 +1,7 @@
 package plusql
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/account"
@@ -10,351 +11,180 @@ import (
 )
 
 // This file implements delta-scoped view refresh: instead of rebuilding a
-// protected view from a whole snapshot after every write, the engine pulls
-// the change-feed delta between the view's revision and the snapshot's,
-// advances the retained spec record-for-record, incrementally maintains
-// the protected account (internal/account.Maintain), and patches the
-// view's node/kind/adjacency indexes in place — invalidating only the
-// reachability memos the dirty region can reach.
+// protected view from a whole snapshot after every write, Advance pulls
+// the change-feed delta between the view's revision and the snapshot's and
+// applies it IN PLACE — to the retained spec record-for-record, to the
+// protected account (internal/account.Maintain) and to the view's
+// node/kind/name/attr/adjacency indexes — dropping only the reachability
+// memos an added edge can extend. The work and the allocation are
+// proportional to the delta, not to the graph.
 
 // AdvanceInfo reports how one view advance was served.
 type AdvanceInfo struct {
 	// AccountRebuilt reports the account was regenerated from the
 	// (incrementally advanced) spec because the delta could not be
-	// localised; Reason says why.
+	// localised; Reason says why and may name the node.
 	AccountRebuilt bool
 	Reason         string
+	// Cause classifies a rebuild or a refusal from a fixed vocabulary
+	// (see the cause constants) that never carries a node id.
+	Cause string
 	// Dirty is the size of the account's dirty region (original nodes).
 	Dirty int
 }
 
-// memoDropAllThreshold bounds the per-added-edge reachability scans used
-// for scoped memo invalidation; past it, dropping every memo is cheaper.
-const memoDropAllThreshold = 32
+// Refresh causes, the reason label of plus_plusql_view_refresh_total.
+// Account rebuilds use account.RebuildCause's values.
+const (
+	causeDelta      = "delta"       // an ordinary localised advance
+	causeColdStart  = "cold_start"  // no view to advance
+	causeFeedBehind = "feed_behind" // the feed no longer retains the window
+	causeApplyError = "apply_error" // the delta failed to apply
+)
 
-// Advance derives the view of snapshot sn for the same (viewer, mode) by
-// incrementally maintaining this view's account with the changes between
-// the two revisions. It returns ok=false when the view cannot advance —
-// spec already consumed by a concurrent advance, change feed too far
-// behind (or closed), or the delta failed to apply — and the caller falls
-// back to a full NewView build.
+// Advance moves the view forward to snapshot sn by the changes between the
+// two revisions, mutating it in place, and returns the view itself. The
+// caller must hold the view exclusively: no query may be reading it (the
+// Engine's slot lock guarantees that). It returns ok=false when the view
+// cannot advance — change feed too far behind (or closed), or the delta
+// failed to apply; the view must then be discarded (it may be half
+// advanced) and the caller falls back to a full NewView build.
 func (v *View) Advance(sn *plus.Snapshot) (*View, AdvanceInfo, bool) {
-	if sn.Revision() < v.rev {
-		return nil, AdvanceInfo{}, false
-	}
-	// One-shot spec ownership: the spec is mutated forward, so only one
-	// successor view may ever be derived from it.
-	v.mu.Lock()
-	spec := v.spec
-	v.spec = nil
-	v.mu.Unlock()
-	if spec == nil {
-		return nil, AdvanceInfo{}, false
-	}
 	if sn.Revision() == v.rev {
-		// Same revision: nothing to do; hand the spec back.
-		v.mu.Lock()
-		v.spec = spec
-		v.mu.Unlock()
 		return v, AdvanceInfo{}, true
 	}
 	delta, err := sn.DeltaSince(v.rev)
 	if err != nil {
-		// Too far behind the retained feed (or the backend closed): the
-		// old spec is still intact; restore it for a later attempt.
-		v.mu.Lock()
-		v.spec = spec
-		v.mu.Unlock()
-		return nil, AdvanceInfo{}, false
+		return nil, AdvanceInfo{Cause: causeFeedBehind}, false
 	}
-	ad := plus.ClassifyDelta(spec, delta)
-	pre := account.Capture(spec, ad)
-	if err := plus.ApplyDelta(spec, delta); err != nil {
-		// The spec may be half-advanced; it must not be reused.
-		return nil, AdvanceInfo{}, false
+	ad := plus.ClassifyDelta(v.spec, delta)
+	pre := account.Capture(v.spec, ad)
+	if err := plus.ApplyDelta(v.spec, delta); err != nil {
+		return nil, AdvanceInfo{Cause: causeApplyError}, false
 	}
 
-	var (
-		acct2 *account.Account
-		st    account.MaintainStats
-	)
+	var st account.MaintainStats
 	if v.mode == plus.ModeHide {
-		acct2, st, err = account.MaintainHide(v.acct, spec, ad)
+		v.acct, st, err = account.MaintainHide(v.acct, v.spec, ad)
 	} else {
-		acct2, st, err = account.Maintain(v.acct, spec, ad, pre)
+		v.acct, st, err = account.Maintain(v.acct, v.spec, ad, pre)
 	}
 	if err != nil {
-		return nil, AdvanceInfo{}, false
+		return nil, AdvanceInfo{Cause: causeApplyError}, false
 	}
-
-	nv := &View{
-		rev:    sn.Revision(),
-		viewer: v.viewer,
-		mode:   v.mode,
-		acct:   acct2,
-		spec:   spec,
-	}
+	v.rev = sn.Revision()
 	if st.Rebuilt {
-		nv.index()
-		return nv, AdvanceInfo{AccountRebuilt: true, Reason: st.Reason}, true
+		v.index()
+		return v, AdvanceInfo{AccountRebuilt: true, Reason: st.Reason, Cause: string(st.Cause)}, true
 	}
-	nv.patch(v, st)
-	return nv, AdvanceInfo{Dirty: st.Dirty}, true
+	v.patch(st)
+	return v, AdvanceInfo{Cause: causeDelta, Dirty: st.Dirty}, true
 }
 
-// patch builds the new view's indexes from the old view's by applying the
-// maintenance stats, copy-on-write so live queries on the old view are
-// never disturbed.
-func (nv *View) patch(old *View, st account.MaintainStats) {
-	// Node list.
-	if len(st.AddedNodes) == 0 && len(st.RemovedNodes) == 0 {
-		nv.nodes = old.nodes
-	} else {
-		removed := map[graph.NodeID]bool{}
-		for _, id := range st.RemovedNodes {
-			removed[id] = true
-		}
-		nodes := make([]graph.NodeID, 0, len(old.nodes)+len(st.AddedNodes))
-		for _, id := range old.nodes {
-			if !removed[id] {
-				nodes = append(nodes, id)
-			}
-		}
-		nodes = append(nodes, st.AddedNodes...)
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		nv.nodes = nodes
+// patch applies one maintenance pass's stats to the view's indexes.
+func (v *View) patch(st account.MaintainStats) {
+	// Node list and postings: withdraw what the replaced and removed nodes
+	// posted under their old features, then post the current ones.
+	for _, n := range st.RemovedNodes {
+		v.nodes = withoutID(v.nodes, n.ID)
+		v.post(n.ID, n.Features, false)
 	}
-
-	// Kind index: recompute only the kinds the patch touched. A replaced
-	// node may have changed its released "kind" feature, so updated nodes
-	// contribute both their old and new kind.
-	touchedKinds := map[string]bool{}
-	newKind := map[graph.NodeID]string{}
+	for _, n := range st.UpdatedNodes {
+		v.post(n.ID, n.Features, false)
+	}
+	for _, n := range st.UpdatedNodes {
+		v.post(n.ID, v.Features(n.ID), true)
+	}
 	for _, id := range st.AddedNodes {
-		k := nv.Features(id)["kind"]
-		newKind[id] = k
-		touchedKinds[k] = true
-	}
-	for _, id := range st.UpdatedNodes {
-		oldK := old.Features(id)["kind"]
-		k := nv.Features(id)["kind"]
-		newKind[id] = k
-		if k != oldK {
-			touchedKinds[oldK] = true
-			touchedKinds[k] = true
-		}
-	}
-	for _, id := range st.RemovedNodes {
-		touchedKinds[old.Features(id)["kind"]] = true
-		newKind[id] = ""
-	}
-	delete(touchedKinds, "")
-	nv.byKind = make(map[string][]graph.NodeID, len(old.byKind))
-	for k, ids := range old.byKind {
-		if !touchedKinds[k] {
-			nv.byKind[k] = ids
-		}
-	}
-	for k := range touchedKinds {
-		var ids []graph.NodeID
-		for _, id := range old.byKind[k] {
-			if nk, changed := newKind[id]; changed && nk != k {
-				continue
-			}
-			ids = append(ids, id)
-		}
-		for id, nk := range newKind {
-			if nk == k && !contains(old.byKind[k], id) {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if len(ids) > 0 {
-			nv.byKind[k] = ids
-		}
+		v.nodes = withID(v.nodes, id)
+		v.post(id, v.Features(id), true)
 	}
 
-	// Name and attr secondary indexes: the same recompute-touched-postings
-	// scheme as the kind index, via the generic helper (a node has at most
-	// one name key but many attr pairs).
-	nv.byName = patchPostings(old.byName, old, nv, st, func(f graph.Features) []intern.Sym {
-		if n := f["name"]; n != "" {
-			return []intern.Sym{intern.S(n)}
-		}
-		return nil
-	})
-	nv.byAttr = patchPostings(old.byAttr, old, nv, st, attrPairs)
-
-	// Adjacency: clone the map headers, copy-on-write the slices of the
-	// endpoints the patch touched.
-	nv.out = make(map[graph.NodeID][]Neighbor, len(old.out))
-	for id, ns := range old.out {
-		nv.out[id] = ns
-	}
-	nv.in = make(map[graph.NodeID][]Neighbor, len(old.in))
-	for id, ns := range old.in {
-		nv.in[id] = ns
-	}
-	cowOut := map[graph.NodeID]bool{}
-	cowIn := map[graph.NodeID]bool{}
-	outSlice := func(id graph.NodeID) []Neighbor {
-		if !cowOut[id] {
-			cowOut[id] = true
-			nv.out[id] = append([]Neighbor(nil), nv.out[id]...)
-		}
-		return nv.out[id]
-	}
-	inSlice := func(id graph.NodeID) []Neighbor {
-		if !cowIn[id] {
-			cowIn[id] = true
-			nv.in[id] = append([]Neighbor(nil), nv.in[id]...)
-		}
-		return nv.in[id]
-	}
-	nv.edges = old.edges
+	// Adjacency.
 	for _, eid := range st.RemovedEdges {
-		nv.out[eid.From] = removeNeighbor(outSlice(eid.From), eid.To)
-		nv.in[eid.To] = removeNeighbor(inSlice(eid.To), eid.From)
-		nv.edges--
+		v.out[eid.From] = removeNeighbor(v.out[eid.From], eid.To)
+		v.in[eid.To] = removeNeighbor(v.in[eid.To], eid.From)
+		v.edges--
 	}
 	for _, e := range st.AddedEdges {
-		nv.out[e.From] = insertNeighbor(outSlice(e.From), Neighbor{To: e.To, Label: e.Label})
-		nv.in[e.To] = insertNeighbor(inSlice(e.To), Neighbor{To: e.From, Label: e.Label})
-		nv.edges++
+		v.out[e.From] = insertNeighbor(v.out[e.From], Neighbor{To: e.To, Label: e.Label})
+		v.in[e.To] = insertNeighbor(v.in[e.To], Neighbor{To: e.From, Label: e.Label})
+		v.edges++
 	}
 
-	// Reachability memos: closures only change where the dirty region can
-	// reach them. An added edge u->v staleness-taints the forward memos of
-	// everything that reaches u and the backward memos of everything v
-	// reaches; removals (rare: hide-mode visibility downgrades) drop all.
-	old.mu.Lock()
-	oldFwd := old.fwdReach
-	oldBack := old.backReach
-	sampleFwd := make(map[graph.NodeID][]graph.NodeID, len(oldFwd))
-	for k, vv := range oldFwd {
-		sampleFwd[k] = vv
-	}
-	sampleBack := make(map[graph.NodeID][]graph.NodeID, len(oldBack))
-	for k, vv := range oldBack {
-		sampleBack[k] = vv
-	}
-	old.mu.Unlock()
-	if len(sampleFwd) == 0 && len(sampleBack) == 0 {
-		// Nothing memoised: skip the staleness scans entirely.
-		nv.fwdReach = map[graph.NodeID][]graph.NodeID{}
-		nv.backReach = map[graph.NodeID][]graph.NodeID{}
+	// Reachability memos. Removals (rare: hide-mode visibility downgrades)
+	// drop all. An added edge u->w extends exactly the forward closures
+	// that already contain u (or start at it) and the backward closures
+	// that contain w: any new path leaves the old graph through some added
+	// edge whose source the old closure reached, so testing each memo
+	// against its own pre-patch contents is exact.
+	if len(st.RemovedEdges) > 0 || len(st.RemovedNodes) > 0 {
+		v.fwdReach = map[graph.NodeID][]graph.NodeID{}
+		v.backReach = map[graph.NodeID][]graph.NodeID{}
 		return
 	}
-	if len(st.RemovedEdges) > 0 || len(st.RemovedNodes) > 0 ||
-		len(st.AddedEdges) > memoDropAllThreshold {
-		nv.fwdReach = map[graph.NodeID][]graph.NodeID{}
-		nv.backReach = map[graph.NodeID][]graph.NodeID{}
-		return
-	}
-	staleFwd := map[graph.NodeID]bool{}
-	staleBack := map[graph.NodeID]bool{}
 	for _, e := range st.AddedEdges {
-		staleFwd[e.From] = true
-		for id := range nv.acct.Graph.Reachable(e.From, graph.Backward) {
-			staleFwd[id] = true
+		for id, reach := range v.fwdReach {
+			if id == e.From || contains(reach, e.From) {
+				delete(v.fwdReach, id)
+			}
 		}
-		staleBack[e.To] = true
-		for id := range nv.acct.Graph.Reachable(e.To, graph.Forward) {
-			staleBack[id] = true
-		}
-	}
-	nv.fwdReach = map[graph.NodeID][]graph.NodeID{}
-	for id, r := range sampleFwd {
-		if !staleFwd[id] {
-			nv.fwdReach[id] = r
-		}
-	}
-	nv.backReach = map[graph.NodeID][]graph.NodeID{}
-	for id, r := range sampleBack {
-		if !staleBack[id] {
-			nv.backReach[id] = r
+		for id, reach := range v.backReach {
+			if id == e.To || contains(reach, e.To) {
+				delete(v.backReach, id)
+			}
 		}
 	}
 }
 
-// patchPostings derives a successor view's posting map from the old
-// view's, copy-on-write: only the keys whose membership the maintenance
-// stats could have changed are recomputed (old postings minus departures
-// plus arrivals, re-sorted); every untouched posting list is shared with
-// the old view. keysOf maps a node's released features to its index keys.
-func patchPostings[K comparable](oldIdx map[K][]graph.NodeID, old, nv *View,
-	st account.MaintainStats, keysOf func(graph.Features) []K) map[K][]graph.NodeID {
-	touched := map[K]bool{}
-	newKeys := map[graph.NodeID]map[K]bool{}
-	setOf := func(ks []K) map[K]bool {
-		if len(ks) == 0 {
-			return nil
-		}
-		m := make(map[K]bool, len(ks))
-		for _, k := range ks {
-			m[k] = true
-		}
-		return m
+// post adds (present=true) or withdraws a node's entries in the kind, name
+// and attr posting lists, keyed by the given features.
+func (v *View) post(id graph.NodeID, f graph.Features, present bool) {
+	if k := f["kind"]; k != "" {
+		setPosting(v.byKind, k, id, present)
 	}
-	for _, id := range st.AddedNodes {
-		ks := setOf(keysOf(nv.Features(id)))
-		newKeys[id] = ks
-		for k := range ks {
-			touched[k] = true
-		}
+	if name := f["name"]; name != "" {
+		setPosting(v.byName, intern.S(name), id, present)
 	}
-	for _, id := range st.UpdatedNodes {
-		oldKs := setOf(keysOf(old.Features(id)))
-		ks := setOf(keysOf(nv.Features(id)))
-		newKeys[id] = ks
-		for k := range oldKs {
-			if !ks[k] {
-				touched[k] = true
-			}
-		}
-		for k := range ks {
-			if !oldKs[k] {
-				touched[k] = true
-			}
-		}
+	for _, p := range attrPairs(f) {
+		setPosting(v.byAttr, p, id, present)
 	}
-	for _, id := range st.RemovedNodes {
-		for _, k := range keysOf(old.Features(id)) {
-			touched[k] = true
-		}
-		newKeys[id] = nil
-	}
+}
 
-	out := make(map[K][]graph.NodeID, len(oldIdx))
-	for k, ids := range oldIdx {
-		if !touched[k] {
-			out[k] = ids
-		}
+// setPosting makes id a member (or not) of the sorted posting list idx[k].
+// A list that empties is deleted, as index() never creates one.
+func setPosting[K comparable](idx map[K][]graph.NodeID, k K, id graph.NodeID, present bool) {
+	if present {
+		idx[k] = withID(idx[k], id)
+		return
 	}
-	for k := range touched {
-		var ids []graph.NodeID
-		for _, id := range oldIdx[k] {
-			if ks, changed := newKeys[id]; changed && !ks[k] {
-				continue
-			}
-			ids = append(ids, id)
-		}
-		for id, ks := range newKeys {
-			if ks[k] && !contains(oldIdx[k], id) {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if len(ids) > 0 {
-			out[k] = ids
-		}
+	ids := withoutID(idx[k], id)
+	if len(ids) == 0 {
+		delete(idx, k)
+		return
 	}
-	return out
+	idx[k] = ids
 }
 
 func contains(ids []graph.NodeID, id graph.NodeID) bool {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	return i < len(ids) && ids[i] == id
+	_, ok := slices.BinarySearch(ids, id)
+	return ok
+}
+
+// withID inserts id into a sorted list in place unless already present.
+func withID(ids []graph.NodeID, id graph.NodeID) []graph.NodeID {
+	if i, ok := slices.BinarySearch(ids, id); !ok {
+		return slices.Insert(ids, i, id)
+	}
+	return ids
+}
+
+// withoutID removes id from a sorted list in place if present.
+func withoutID(ids []graph.NodeID, id graph.NodeID) []graph.NodeID {
+	if i, ok := slices.BinarySearch(ids, id); ok {
+		return slices.Delete(ids, i, i+1)
+	}
+	return ids
 }
 
 // insertNeighbor inserts nb into a slice sorted by To, keeping it sorted.

@@ -46,28 +46,30 @@ type Options struct {
 	Explain bool
 }
 
-// Engine compiles and runs PLUSQL queries against a storage backend.
-// Each evaluation pins one immutable Backend.Snapshot — no store lock is
-// held at any point — and runs against the cached protected view for
-// (snapshot revision, viewer, mode), so repeated queries by the same
-// class of consumer share the account materialisation. Engine is safe
-// for concurrent use.
+// Engine compiles and runs PLUSQL queries against a storage backend. It
+// keeps one protected view per (viewer, mode) — a slot — so every query by
+// the same class of consumer shares one account materialisation and one
+// closure memo. Engine is safe for concurrent use.
 //
 // The whole-snapshot view is what makes arbitrary conjunctive queries
-// policy-sound without per-binding checks. A write no longer discards it:
-// the engine pulls the change-feed delta between the cached view's
-// revision and the current one and advances the view in place
-// (View.Advance) — the dirty region of the account is regenerated, the
-// scan indexes are patched, and only intersecting reachability memos are
-// dropped. A full rebuild happens only when the delta cannot be
-// localised (protection changes, completion-sweep vetoes) or the backend
-// no longer retains the revision window.
+// policy-sound without per-binding checks. A write does not discard it:
+// the first query to see the new revision takes the slot's write lock,
+// pulls the change-feed delta and advances the view in place
+// (View.Advance), at a cost proportional to the delta; queries that
+// arrive meanwhile wait for that one refresh and share it. Queries hold
+// the slot's read lock from lookup to their last row — rows are plain
+// strings, nothing of the view escapes — so a refresh waits for the
+// slot's in-flight queries instead of building beside them. A full
+// rebuild happens only on a slot's first use, when the backend no longer
+// retains the revision window, or when a delta fails to apply.
 type Engine struct {
 	store   plus.Backend
 	lattice *privilege.Lattice
 
+	// mu guards the slot table, the incremental switch and the counters;
+	// it is never held while a view is built, advanced or queried.
 	mu          sync.Mutex
-	views       map[viewKey]*View
+	slots       map[slotKey]*viewSlot
 	incremental bool
 	stats       ViewCacheStats
 
@@ -81,7 +83,9 @@ type Engine struct {
 type ViewCacheStats struct {
 	// Views is the live cached view count.
 	Views int `json:"views"`
-	// Hits / Misses count view lookups by (revision, viewer, mode).
+	// Hits / Misses count view lookups: a miss is a lookup that had to
+	// refresh the view (advance or build) itself; a lookup that waited
+	// for another query's refresh of the same revision is a hit.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Advanced counts views refreshed by patching the delta's dirty
@@ -91,21 +95,29 @@ type ViewCacheStats struct {
 	AdvanceRebuilds uint64 `json:"advanceRebuilds"`
 	// FullBuilds counts views built from scratch off a snapshot;
 	// Fallbacks counts advance attempts abandoned (feed too far behind,
-	// spec already consumed by a concurrent advance).
+	// delta failed to apply).
 	FullBuilds uint64 `json:"fullBuilds"`
 	Fallbacks  uint64 `json:"fallbacks"`
 }
 
-type viewKey struct {
-	rev    uint64
+type slotKey struct {
 	viewer privilege.Predicate
 	mode   plus.Mode
+}
+
+// viewSlot holds the current view of one (viewer, mode). Queries read
+// view under mu's read side; a refresh replaces or advances it under the
+// write side. view is nil before the first build and after a refresh
+// failed.
+type viewSlot struct {
+	mu   sync.RWMutex
+	view *View
 }
 
 // NewEngine binds a backend to the lattice its privilege nicknames refer
 // to.
 func NewEngine(store plus.Backend, lattice *privilege.Lattice) *Engine {
-	return &Engine{store: store, lattice: lattice, views: map[viewKey]*View{}, incremental: true}
+	return &Engine{store: store, lattice: lattice, slots: map[slotKey]*viewSlot{}, incremental: true}
 }
 
 // Lattice returns the engine's privilege lattice.
@@ -124,100 +136,119 @@ func (e *Engine) SetIncremental(on bool) {
 func (e *Engine) CacheStats() ViewCacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.stats
-	st.Views = len(e.views)
-	return st
+	return e.stats
 }
 
-// view returns the cached protected view for (current revision, viewer,
-// mode) and whether it was a cache hit. On miss it first tries to
-// advance the newest cached view of the same (viewer, mode) by the
-// change-feed delta, then falls back to a full build from the snapshot;
-// views of older revisions are evicted.
-func (e *Engine) view(viewer privilege.Predicate, mode plus.Mode) (*View, bool, error) {
+// acquire returns the slot of (viewer, mode) READ-LOCKED with a view at or
+// past the store's current revision; the caller queries s.view and then
+// releases s.mu.RUnlock. refreshed names what this lookup had to do to get
+// there ("" for a hit).
+func (e *Engine) acquire(viewer privilege.Predicate, mode plus.Mode) (s *viewSlot, refreshed string, err error) {
 	sn, err := e.store.Snapshot()
 	if err != nil {
-		return nil, false, err
+		return nil, "", err
 	}
-	key := viewKey{rev: sn.Revision(), viewer: viewer, mode: mode}
+	key := slotKey{viewer: viewer, mode: mode}
 	e.mu.Lock()
-	if v, ok := e.views[key]; ok {
-		e.stats.Hits++
-		e.mu.Unlock()
-		return v, true, nil
-	}
-	e.stats.Misses++
-	var prev *View
-	if e.incremental {
-		var prevRev uint64
-		for k, cand := range e.views {
-			if k.viewer == viewer && k.mode == mode && k.rev < key.rev && (prev == nil || k.rev > prevRev) {
-				prev, prevRev = cand, k.rev
-			}
-		}
+	s = e.slots[key]
+	if s == nil {
+		s = &viewSlot{}
+		e.slots[key] = s
 	}
 	e.mu.Unlock()
 
-	if prev != nil {
-		if nv, info, ok := prev.Advance(sn); ok {
-			e.mu.Lock()
-			if info.AccountRebuilt {
-				e.stats.AdvanceRebuilds++
-			} else {
-				e.stats.Advanced++
-			}
-			nv = e.cache(key, nv)
-			e.mu.Unlock()
-			return nv, false, nil
+	s.mu.RLock()
+	for s.view == nil || s.view.rev < sn.Revision() {
+		// RWMutex cannot upgrade: trade the read side for the write side
+		// and look again, since another query may have refreshed the view
+		// while this one waited.
+		s.mu.RUnlock()
+		s.mu.Lock()
+		if s.view == nil || s.view.rev < sn.Revision() {
+			refreshed, err = e.refresh(s, sn, viewer, mode)
 		}
+		s.mu.Unlock()
+		if err != nil {
+			return nil, "", err
+		}
+		s.mu.RLock()
+	}
+	e.mu.Lock()
+	if refreshed == "" {
+		e.stats.Hits++
+	} else {
+		e.stats.Misses++
+	}
+	e.mu.Unlock()
+	return s, refreshed, nil
+}
+
+// Refresh outcomes, the outcome label of plus_plusql_view_refresh_total
+// and the slow log's viewRefresh.
+const (
+	outcomeAdvanced       = "advanced"
+	outcomeAdvanceRebuild = "advance_rebuild"
+	outcomeFullBuild      = "full_build"
+	outcomeFallback       = "fallback"
+)
+
+// refresh brings the slot's view to snapshot sn: by advancing it in place
+// when there is one, by a full build otherwise or when the advance is
+// refused. It returns the outcome; the caller holds s.mu's write side.
+func (e *Engine) refresh(s *viewSlot, sn *plus.Snapshot, viewer privilege.Predicate, mode plus.Mode) (string, error) {
+	e.mu.Lock()
+	incremental := e.incremental
+	e.mu.Unlock()
+
+	cause := causeColdStart
+	if s.view != nil && incremental {
+		_, info, ok := s.view.Advance(sn)
+		if ok {
+			outcome := outcomeAdvanced
+			if info.AccountRebuilt {
+				outcome = outcomeAdvanceRebuild
+			}
+			e.count(outcome, info.Cause)
+			return outcome, nil
+		}
+		cause = info.Cause
+		e.count(outcomeFallback, cause)
+	}
+	// A refused advance may have left the view half advanced, and a failed
+	// build must not leave the old one behind for the next query either.
+	if s.view != nil {
+		s.view = nil
 		e.mu.Lock()
-		e.stats.Fallbacks++
+		e.stats.Views--
 		e.mu.Unlock()
 	}
-
 	v, err := NewView(sn, e.lattice, viewer, mode)
 	if err != nil {
-		return nil, false, err
+		return "", err
 	}
+	s.view = v
+	e.count(outcomeFullBuild, cause)
+	return outcomeFullBuild, nil
+}
+
+// count records one refresh outcome, in the stats and the metrics.
+func (e *Engine) count(outcome, cause string) {
 	e.mu.Lock()
-	e.stats.FullBuilds++
-	v = e.cache(key, v)
+	switch outcome {
+	case outcomeAdvanced:
+		e.stats.Advanced++
+	case outcomeAdvanceRebuild:
+		e.stats.AdvanceRebuilds++
+	case outcomeFullBuild:
+		e.stats.FullBuilds++
+		e.stats.Views++
+	case outcomeFallback:
+		e.stats.Fallbacks++
+	}
 	e.mu.Unlock()
-	return v, false, nil
-}
-
-// cache installs a freshly built or advanced view, keeping whichever view
-// won a concurrent race so callers share one closure memo, and never
-// letting a slow build for an old revision evict or displace views of a
-// newer one. Callers must hold e.mu.
-func (e *Engine) cache(key viewKey, v *View) *View {
-	switch won, ok := e.views[key]; {
-	case ok:
-		return won
-	case e.newestCached() > key.rev:
-		// Stale build: serve it to this caller but don't cache it.
-		return v
-	default:
-		for k := range e.views {
-			if k.rev < key.rev {
-				delete(e.views, k)
-			}
-		}
-		e.views[key] = v
-		return v
+	if h := e.obsHooks.Load(); h != nil {
+		h.refresh.With(outcome, cause).Inc()
 	}
-}
-
-// newestCached reports the highest revision in the view cache (0 when
-// empty). Callers must hold e.mu.
-func (e *Engine) newestCached() uint64 {
-	var newest uint64
-	for k := range e.views {
-		if k.rev > newest {
-			newest = k.rev
-		}
-	}
-	return newest
 }
 
 // Query parses, plans and executes one PLUSQL query.
@@ -270,10 +301,12 @@ func (e *Engine) runTimed(ctx context.Context, q *Query, opts Options, src strin
 		return nil, fmt.Errorf("plusql: %w", err)
 	}
 	tView := time.Now()
-	v, hit, err := e.view(viewer, mode)
+	slot, refreshed, err := e.acquire(viewer, mode)
 	if err != nil {
 		return nil, err
 	}
+	defer slot.mu.RUnlock()
+	v := slot.view
 	viewD := time.Since(tView)
 	tPlan := time.Now()
 	plan, err := Compile(q, ViewStats(v), opts.Naive)
@@ -292,7 +325,8 @@ func (e *Engine) runTimed(ctx context.Context, q *Query, opts Options, src strin
 		plan:    planD,
 		exec:    time.Since(tExec),
 		total:   parseD + time.Since(t0),
-		viewHit: hit,
+		viewHit: refreshed == "",
+		refresh: refreshed,
 		rows:    rs.Stats.Rows,
 	}
 	rs.Phases = t.phases()

@@ -385,14 +385,21 @@ func (ex *exec) check(a Atom) bool {
 		}
 		return true
 	case PredAncestorT, PredDescendantT:
-		from, to := ex.term(a.Args[0]), ex.term(a.Args[1])
+		fromArg, toArg := a.Args[0], a.Args[1]
 		if a.Pred == PredDescendantT {
-			from, to = to, from
+			fromArg, toArg = toArg, fromArg
 		}
+		from, to := ex.term(fromArg), ex.term(toArg)
 		if !v.Has(from) || !v.Has(to) {
 			return false
 		}
-		return v.CanReach(from, to)
+		// A constant end is the same for every candidate the variable end
+		// takes: search its one memoised closure, not a closure per
+		// candidate.
+		if fromArg.IsVar && !toArg.IsVar {
+			return contains(v.Reach(to, graph.Backward), from)
+		}
+		return contains(v.Reach(from, graph.Forward), to)
 	}
 	return false
 }

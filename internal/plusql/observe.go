@@ -21,8 +21,9 @@ type PhaseTimings struct {
 	PlanUS  int64 `json:"planUs"`
 	ExecUS  int64 `json:"execUs"`
 	TotalUS int64 `json:"totalUs"`
-	// ViewCacheHit reports the protected view was served from the cache
-	// at the current revision (advances and full builds are misses).
+	// ViewCacheHit reports the protected view was already at the current
+	// revision, or got there by another query's refresh (an advance or
+	// full build this query performed itself is a miss).
 	ViewCacheHit bool `json:"viewCacheHit"`
 }
 
@@ -32,6 +33,7 @@ type PhaseTimings struct {
 type queryTiming struct {
 	parse, view, plan, exec, total time.Duration
 	viewHit                        bool
+	refresh                        string // refresh outcome this query performed, "" on a hit
 	rows                           int
 }
 
@@ -47,14 +49,19 @@ func (t queryTiming) phases() *PhaseTimings {
 }
 
 // queryObs is the engine's telemetry bundle: the per-phase latency
-// histograms plus the server's shared slow-query sink.
+// histograms, the view-refresh counters and the server's shared
+// slow-query sink.
 type queryObs struct {
-	o     *plus.Observability
-	phase *obs.HistogramVec // parse / view / plan / exec / total
+	o       *plus.Observability
+	phase   *obs.HistogramVec // parse / view / plan / exec / total
+	refresh *obs.CounterVec   // outcome, reason
 }
 
 // SetObservability instruments the engine: per-phase latency histograms
-// (plus_plusql_seconds{phase}) and slow-query capture through o's ring.
+// (plus_plusql_seconds{phase}), view refreshes by outcome and cause
+// (plus_plusql_view_refresh_total{outcome,reason}; reason is one of a
+// fixed set of classes, never a node id) and slow-query capture through
+// o's ring.
 // Passing nil uninstruments. Attach wires this automatically; call it
 // directly only for engines serving without a plus server.
 func (e *Engine) SetObservability(o *plus.Observability) {
@@ -67,6 +74,9 @@ func (e *Engine) SetObservability(o *plus.Observability) {
 		o: o,
 		phase: o.Registry().HistogramVec("plus_plusql_seconds",
 			"PLUSQL query latency by phase (parse/view/plan/exec/total).", obs.ScaleNanos, "phase"),
+		refresh: o.Registry().CounterVec("plus_plusql_view_refresh_total",
+			"Protected-view refreshes by outcome (advanced/advance_rebuild/full_build/fallback) and cause.",
+			"outcome", "reason"),
 	})
 }
 
@@ -94,8 +104,9 @@ func (e *Engine) observe(ctx context.Context, text string, viewer string, t quer
 				{Name: "plan", US: t.plan.Microseconds()},
 				{Name: "exec", US: t.exec.Microseconds()},
 			},
-			CacheHit: t.viewHit,
-			Rows:     t.rows,
+			CacheHit:    t.viewHit,
+			ViewRefresh: t.refresh,
+			Rows:        t.rows,
 		})
 	}
 }

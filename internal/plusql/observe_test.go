@@ -147,3 +147,85 @@ func TestUninstrumentedEngineStaysQuiet(t *testing.T) {
 		t.Error("inert observability installed hooks")
 	}
 }
+
+// TestViewRefreshCountedByOutcomeAndCause drives one refresh of each kind
+// and reads them back from plus_plusql_view_refresh_total and the slow
+// log: the cause is a class from a fixed set, never the id of the node
+// that triggered it.
+func TestViewRefreshCountedByOutcomeAndCause(t *testing.T) {
+	b := plus.NewMemBackend(1)
+	t.Cleanup(func() { b.Close() })
+	reg := obs.NewRegistry()
+	slow := obs.NewSlowLog(32, 0)
+	e := NewEngine(b, privilege.TwoLevel())
+	e.SetObservability(plus.NewObservability(reg, slow, nil))
+	put := func(o plus.Object) {
+		t.Helper()
+		if err := b.PutObject(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := func() {
+		t.Helper()
+		if _, err := e.Query(`node(X)`, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	secret := plus.Object{ID: "secret-node-id", Kind: plus.Data, Name: "s"}
+	put(secret)
+	query() // full_build / cold_start
+	put(plus.Object{ID: "w", Kind: plus.Data, Name: "w"})
+	query() // advanced / delta
+	secret.Lowest, secret.Protect = "Protected", "hide"
+	put(secret)
+	query() // advance_rebuild / lowest_change
+	query() // a hit: nothing counted
+	b.SetChangeHorizon(2)
+	for _, id := range []string{"x1", "x2", "x3", "x4"} {
+		put(plus.Object{ID: id, Kind: plus.Data, Name: id})
+	}
+	query() // fallback / feed_behind, then full_build / feed_behind
+
+	got := map[string]float64{}
+	for _, f := range reg.Gather() {
+		if f.Name != "plus_plusql_view_refresh_total" {
+			continue
+		}
+		for _, s := range f.Series {
+			var key []string
+			for _, l := range s.Labels {
+				key = append(key, l.Name+"="+l.Value)
+				if strings.Contains(l.Value, secret.ID) {
+					t.Errorf("label %s=%q names a node", l.Name, l.Value)
+				}
+			}
+			got[strings.Join(key, ",")] = s.Value
+		}
+	}
+	want := map[string]float64{
+		"outcome=full_build,reason=cold_start":         1,
+		"outcome=advanced,reason=delta":                1,
+		"outcome=advance_rebuild,reason=lowest_change": 1,
+		"outcome=fallback,reason=feed_behind":          1,
+		"outcome=full_build,reason=feed_behind":        1,
+	}
+	if len(got) != len(want) {
+		t.Errorf("refresh series = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("refresh series %s = %v, want %v (all: %v)", k, got[k], v, got)
+		}
+	}
+
+	var outcomes []string
+	for _, en := range slow.Entries() {
+		outcomes = append(outcomes, en.ViewRefresh)
+		if (en.ViewRefresh == "") != en.CacheHit {
+			t.Errorf("slow-log entry %+v: a refresh outcome and a cache hit exclude each other", en)
+		}
+	}
+	if got := strings.Join(outcomes, ","); got != "full_build,advanced,advance_rebuild,,full_build" {
+		t.Errorf("slow-log refresh outcomes = %q", got)
+	}
+}

@@ -12,15 +12,18 @@ import (
 	"repro/internal/privilege"
 )
 
-// View is the viewer-protected, immutable face a query executes against:
-// the protected account of one storage snapshot for one viewer, plus the
+// View is the viewer-protected face a query executes against: the
+// protected account of one storage snapshot for one viewer, plus the
 // indexes the planner pushes predicates into. Everything a query can bind
 // is a node or edge of this account, so results are policy-safe by
 // construction — a hidden original simply is not here, and a surrogated
 // original appears only as its surrogate.
 //
-// A View is built once per (snapshot revision, viewer, mode) and shared
-// between queries; all exported methods are safe for concurrent use.
+// A View is built once per (viewer, mode) by NewView and then moved from
+// revision to revision in place by Advance. Any number of queries may read
+// one view concurrently (every exported method but Advance is safe for
+// that); Advance needs the view to itself, which the Engine arranges with
+// a read-write lock per view.
 type View struct {
 	rev    uint64
 	viewer privilege.Predicate
@@ -42,6 +45,7 @@ type View struct {
 	in     map[graph.NodeID][]Neighbor
 	edges  int
 
+	// mu guards the closure memos, which concurrent readers fill.
 	mu        sync.Mutex
 	fwdReach  map[graph.NodeID][]graph.NodeID
 	backReach map[graph.NodeID][]graph.NodeID
@@ -49,9 +53,7 @@ type View struct {
 	// spec is the account's generation spec, retained so the view can be
 	// advanced by a change-feed delta instead of rebuilt from a snapshot.
 	// It roughly doubles a cached view's footprint — the price of
-	// incremental maintenance. Ownership is one-shot: Advance mutates the
-	// spec forward and moves it to the successor view, so it is guarded by
-	// mu and nilled once consumed.
+	// incremental maintenance.
 	spec *account.Spec
 }
 
@@ -138,7 +140,7 @@ func (v *View) index() {
 	}
 }
 
-// Revision reports the snapshot revision the view was built from.
+// Revision reports the snapshot revision the view stands at.
 func (v *View) Revision() uint64 { return v.rev }
 
 // Viewer reports the privilege-predicate the view protects for.
@@ -274,12 +276,4 @@ func (v *View) Reach(id graph.NodeID, dir graph.Direction) []graph.NodeID {
 	memo[id] = out
 	v.mu.Unlock()
 	return out
-}
-
-// CanReach reports whether to is reachable from from over 1+ visible
-// hops.
-func (v *View) CanReach(from, to graph.NodeID) bool {
-	reach := v.Reach(from, graph.Forward)
-	i := sort.Search(len(reach), func(i int) bool { return reach[i] >= to })
-	return i < len(reach) && reach[i] == to
 }
