@@ -99,6 +99,12 @@ func renderTop(w io.Writer, server string, fams []obs.Family) error {
 	fmt.Fprintf(tw, "store\tobjects %.0f, edges %.0f, revision %.0f, log %.0f bytes\n",
 		firstValue(m, "plus_store_objects"), firstValue(m, "plus_store_edges"),
 		firstValue(m, "plus_store_revision"), firstValue(m, "plus_store_log_bytes"))
+	if _, ok := m["plus_store_snapshots_built_total"]; ok {
+		fmt.Fprintf(tw, "snapshots\t%.0f built, %.0f buckets copied (%.0f records)\n",
+			firstValue(m, "plus_store_snapshots_built_total"),
+			firstValue(m, "plus_store_bucket_copies_total"),
+			firstValue(m, "plus_store_records_copied_total"))
+	}
 	if _, ok := m["plus_changefeed_ring_depth"]; ok {
 		fmt.Fprintf(tw, "changefeed\tbase %.0f, depth %.0f / horizon %.0f, wakeups %.0f\n",
 			firstValue(m, "plus_changefeed_base_revision"),

@@ -73,8 +73,9 @@ type Backend interface {
 	// Snapshot returns an immutable, revision-stamped view of the whole
 	// store. The returned snapshot is stable forever: later writes bump
 	// the revision and surface only in later snapshots. Implementations
-	// cache the clone per revision, so read-heavy workloads pay for at
-	// most one clone per intervening write.
+	// cache the snapshot per revision and build it without copying records
+	// (see table.go), so the first read after a write costs the same
+	// whatever the store's size.
 	Snapshot() (*Snapshot, error)
 
 	// Size reports the durable footprint in bytes (0 for volatile
@@ -87,26 +88,23 @@ type Backend interface {
 	Close() error
 }
 
-// Snapshot is an immutable point-in-time view of a backend. Its maps are
-// never mutated after construction: map headers are cloned from the live
-// index while slice values share backing arrays with it, which is safe
-// because the live index only ever appends (either growing in place past
-// this snapshot's length, which readers here never look at, or
-// reallocating).
+// Snapshot is an immutable point-in-time view of a backend: a frozen copy
+// of the record table's bucket pointers (table.go). The buckets it points
+// at are never written again — a later write copies its bucket first — so
+// a snapshot stays exact for as long as it is held and shares every
+// bucket no write has landed in since with the live table and with the
+// snapshots before and after it.
 type Snapshot struct {
-	rev        uint64
-	objects    map[string]Object
-	out        map[string][]Edge
-	in         map[string][]Edge
-	surrogates map[string][]SurrogateSpec
+	bucketSet
+	rev     uint64
+	objects int // live object count at rev
 
-	// source is the backend the snapshot was cloned from; DeltaSince
-	// reads the change feed through it.
+	// source is the backend the snapshot was taken of; DeltaSince reads
+	// the change feed through it.
 	source Backend
 
 	// idx is the owning backend's live secondary index (shared by every
-	// snapshot of that backend); nil for hand-built snapshots, in which
-	// case FindBy* scan. See index.go.
+	// snapshot of that backend). See index.go.
 	idx *backendIndex
 }
 
@@ -114,71 +112,28 @@ type Snapshot struct {
 func (sn *Snapshot) Revision() uint64 { return sn.rev }
 
 // NumObjects reports how many objects the snapshot holds.
-func (sn *Snapshot) NumObjects() int { return len(sn.objects) }
+func (sn *Snapshot) NumObjects() int { return sn.objects }
 
 // Object looks up one object.
 func (sn *Snapshot) Object(id string) (Object, bool) {
-	o, ok := sn.objects[id]
+	o, ok := sn.of(id).objects[id]
 	return o, ok
 }
 
 // Objects returns every object in the snapshot in unspecified order.
-func (sn *Snapshot) Objects() []Object {
-	out := make([]Object, 0, len(sn.objects))
-	for _, o := range sn.objects {
-		out = append(out, o)
-	}
-	return out
-}
+func (sn *Snapshot) Objects() []Object { return sn.objectList(sn.objects) }
 
 // Out returns the outgoing edges of an object. The slice is shared with
 // the snapshot and must not be mutated.
-func (sn *Snapshot) Out(id string) []Edge { return sn.out[id] }
+func (sn *Snapshot) Out(id string) []Edge { return sn.of(id).out[id] }
 
 // In returns the incoming edges of an object. The slice is shared with
 // the snapshot and must not be mutated.
-func (sn *Snapshot) In(id string) []Edge { return sn.in[id] }
+func (sn *Snapshot) In(id string) []Edge { return sn.of(id).in[id] }
 
 // Surrogates returns the surrogate specs of an object. The slice is
 // shared with the snapshot and must not be mutated.
-func (sn *Snapshot) Surrogates(id string) []SurrogateSpec { return sn.surrogates[id] }
-
-// cloneIndex builds a Snapshot from live index maps. Callers must hold
-// whatever lock makes the maps stable for the duration.
-func cloneIndex(source Backend, rev uint64,
-	objects map[string]Object,
-	out, in map[string][]Edge,
-	surrogates map[string][]SurrogateSpec) *Snapshot {
-	sn := &Snapshot{
-		source:     source,
-		rev:        rev,
-		objects:    make(map[string]Object, len(objects)),
-		out:        make(map[string][]Edge, len(out)),
-		in:         make(map[string][]Edge, len(in)),
-		surrogates: make(map[string][]SurrogateSpec, len(surrogates)),
-	}
-	sn.mergeInto(objects, out, in, surrogates)
-	return sn
-}
-
-// mergeInto copies one shard's live maps into an under-construction
-// snapshot (used by sharded backends whose index is partitioned).
-func (sn *Snapshot) mergeInto(objects map[string]Object,
-	out, in map[string][]Edge,
-	surrogates map[string][]SurrogateSpec) {
-	for id, o := range objects {
-		sn.objects[id] = o
-	}
-	for id, es := range out {
-		sn.out[id] = es
-	}
-	for id, es := range in {
-		sn.in[id] = es
-	}
-	for id, sps := range surrogates {
-		sn.surrogates[id] = sps
-	}
-}
+func (sn *Snapshot) Surrogates(id string) []SurrogateSpec { return sn.of(id).surrogates[id] }
 
 // validateObject is the shared object-shape check every backend applies
 // before accepting a record.

@@ -81,21 +81,7 @@ func (s *LogBackend) Apply(b Batch) (uint64, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	err := b.validate(
-		func(id string) bool {
-			_, ok := s.objects[id]
-			return ok
-		},
-		func(from, to string) bool {
-			for _, prev := range s.out[from] {
-				if prev.To == to {
-					return true
-				}
-			}
-			return false
-		},
-	)
-	if err != nil {
+	if err := b.validate(s.tab.has, s.tab.hasEdge); err != nil {
 		return 0, err
 	}
 

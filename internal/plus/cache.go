@@ -19,11 +19,14 @@ import (
 // having "the appropriate views constructed automatically"): accounts are
 // derived on demand and cached, and a store mutation — including new
 // surrogates or re-stored objects with different sensitivity — invalidates
-// exactly the accounts whose region it touches. A closure can only grow
-// through objects already inside it, so an answer whose closure is
-// disjoint from the delta's touched set is still exact and stays cached.
-// Only when the backend no longer retains the revision window does the
-// cache fall back to a full wipe.
+// exactly the accounts whose region it can change. A closure can only grow
+// through objects already inside it, and only along the direction it was
+// walked in, so an answer stays cached unless the delta changes an object
+// or surrogate inside its closure, adds an edge on the side of the closure
+// its walk reads (see cacheDelta.stales; an answer not yet served twice is
+// held to either side), or changes what its KindFilter or StartName
+// select. Only when the backend no longer retains the
+// revision window does the cache fall back to a full wipe.
 //
 // The cache is bounded: it holds at most lineageCacheBudget closure nodes
 // across all entries and evicts the least recently served answers beyond
@@ -70,8 +73,10 @@ type cacheEntry struct {
 	key cacheKey
 	res *Result
 	// closure holds the original object ids the answer was derived from;
-	// a delta invalidates the entry iff it touches one of them.
+	// cacheDelta.stales tests a delta against them.
 	closure map[string]bool
+	// served is set by the first hit; see cacheDelta.stales.
+	served bool
 }
 
 type cacheKey struct {
@@ -132,14 +137,76 @@ func (ce *CachedEngine) refreshLocked(rev uint64) {
 		ce.rev = rev
 		return
 	}
-	touched := (&Delta{Changes: changes}).Touched()
+	d := newCacheDelta(changes)
 	for _, el := range ce.entries {
-		if intersects(el.Value.(*cacheEntry).closure, touched) {
+		if d.stales(el.Value.(*cacheEntry)) {
 			ce.removeLocked(el)
 			ce.stats.DeltaEvictions++
 		}
 	}
 	ce.rev = rev
+}
+
+// cacheDelta is a change window split by what each record can change in
+// a cached answer.
+type cacheDelta struct {
+	// changed holds objects stored or replaced and originals given a new
+	// surrogate; froms and tos hold the two ends of new edges.
+	changed, froms, tos map[string]bool
+	// kinds and names hold the kind and name every stored object now has.
+	kinds map[ObjectKind]bool
+	names map[string]bool
+}
+
+func newCacheDelta(changes []Change) *cacheDelta {
+	d := &cacheDelta{
+		changed: map[string]bool{}, froms: map[string]bool{}, tos: map[string]bool{},
+		kinds: map[ObjectKind]bool{}, names: map[string]bool{},
+	}
+	for _, c := range changes {
+		switch c.Kind {
+		case ChangeObject:
+			d.changed[c.Object.ID] = true
+			d.kinds[c.Object.Kind] = true
+			d.names[c.Object.Name] = true
+		case ChangeEdge:
+			d.froms[c.Edge.From] = true
+			d.tos[c.Edge.To] = true
+		case ChangeSurrogate:
+			d.changed[c.Surrogate.ForID] = true
+		}
+	}
+	return d
+}
+
+// stales reports whether the delta can change ent's answer. fetch reads
+// the object and surrogates of every closure node, In of the nodes it
+// expands going backward and Out going forward, so a new edge matters to
+// a backward answer only when its To is in the closure and to a forward
+// one only when its From is. Two things sit outside the closure: an
+// object fetch skipped because its kind did not pass the KindFilter, which
+// a re-store with that kind lets in, and an object that now carries the
+// StartName and so is a new seed.
+//
+// The direction is only trusted for an answer that has been served from
+// the cache at least once. One nobody has asked for twice is tested as if
+// walked both ways, so any write next to it drops it: it pins its whole
+// Spec and Account (≈270 KB at depth 3), and answers that are never
+// re-asked would otherwise outlive every write around them and pile up to
+// the budget — on a write-then-read-something-new load the server's
+// resident set doubled for no hit.
+func (d *cacheDelta) stales(ent *cacheEntry) bool {
+	k := ent.key
+	if k.kind != "" && d.kinds[k.kind] || k.start == "" && d.names[k.startName] {
+		return true
+	}
+	dir := k.direction
+	if !ent.served {
+		dir = graph.Undirected
+	}
+	return intersects(ent.closure, d.changed) ||
+		dir != graph.Forward && intersects(ent.closure, d.tos) ||
+		dir != graph.Backward && intersects(ent.closure, d.froms)
 }
 
 // intersects reports whether the two id sets share a member.
@@ -194,7 +261,9 @@ func (ce *CachedEngine) LineageContext(ctx context.Context, req Request) (*Resul
 	if el, ok := ce.entries[key]; ok {
 		ce.stats.Hits++
 		ce.lru.MoveToFront(el)
-		res := el.Value.(*cacheEntry).res
+		ent := el.Value.(*cacheEntry)
+		ent.served = true
+		res := ent.res
 		ce.mu.Unlock()
 		return res, nil
 	}

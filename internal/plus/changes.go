@@ -64,25 +64,6 @@ type Delta struct {
 // Empty reports whether the delta carries no changes.
 func (d *Delta) Empty() bool { return len(d.Changes) == 0 }
 
-// Touched returns the ids of every object the delta touches directly:
-// objects stored or replaced, endpoints of new edges, and originals of new
-// surrogates. This is the seed of any dirty-region computation.
-func (d *Delta) Touched() map[string]bool {
-	out := make(map[string]bool, len(d.Changes))
-	for _, c := range d.Changes {
-		switch c.Kind {
-		case ChangeObject:
-			out[c.Object.ID] = true
-		case ChangeEdge:
-			out[c.Edge.From] = true
-			out[c.Edge.To] = true
-		case ChangeSurrogate:
-			out[c.Surrogate.ForID] = true
-		}
-	}
-	return out
-}
-
 // changeWalker is implemented by backends that can stream their retained
 // change feed in place. Unlike ChangesSince it neither copies the Change
 // records nor merge-sorts them: visit observes each change with revision

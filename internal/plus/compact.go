@@ -48,10 +48,8 @@ func (s *LogBackend) Compact() error {
 		return nil
 	}
 
-	ids := make([]string, 0, len(s.objects))
-	for id := range s.objects {
-		ids = append(ids, id)
-	}
+	ids := make([]string, 0, s.NumObjects())
+	s.tab.eachObject(func(o Object) { ids = append(ids, o.ID) })
 	sort.Strings(ids)
 
 	// Compaction renumbers history: replaying the rewritten log yields one
@@ -60,9 +58,9 @@ func (s *LogBackend) Compact() error {
 	// (stranded cursors get a 410-resync instead of silently wrong deltas)
 	// and record the replay base so the counter resumes at its current
 	// height — in-process consumers keep their revision-numbered state.
-	live := uint64(len(s.objects))
+	live := uint64(len(ids) + s.NumEdges())
 	for _, id := range ids {
-		live += uint64(len(s.out[id]) + len(s.surrogates[id]))
+		live += uint64(len(s.tab.of(id).surrogates[id]))
 	}
 	nextEpoch := newEpoch()
 	if err := writeRec(recEpoch, epochRecord{Epoch: nextEpoch, Base: s.revision.Load() - live}); err != nil {
@@ -70,19 +68,20 @@ func (s *LogBackend) Compact() error {
 		return fmt.Errorf("plus: compact: %w", err)
 	}
 	for _, id := range ids {
-		if err := writeRec(recObject, s.objects[id]); err != nil {
+		if err := writeRec(recObject, s.tab.of(id).objects[id]); err != nil {
 			tmp.Close()
 			return fmt.Errorf("plus: compact: %w", err)
 		}
 	}
 	for _, id := range ids {
-		for _, e := range s.out[id] {
+		b := s.tab.of(id)
+		for _, e := range b.out[id] {
 			if err := writeRec(recEdge, e); err != nil {
 				tmp.Close()
 				return fmt.Errorf("plus: compact: %w", err)
 			}
 		}
-		for _, sp := range s.surrogates[id] {
+		for _, sp := range b.surrogates[id] {
 			if err := writeRec(recSurrogate, sp); err != nil {
 				tmp.Close()
 				return fmt.Errorf("plus: compact: %w", err)
@@ -138,19 +137,19 @@ func (s *LogBackend) Compact() error {
 func (s *LogBackend) EdgesFrom(id string) []Edge {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]Edge(nil), s.out[id]...)
+	return append([]Edge(nil), s.tab.of(id).out[id]...)
 }
 
 // EdgesTo returns the incoming edges of an object, in insertion order.
 func (s *LogBackend) EdgesTo(id string) []Edge {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]Edge(nil), s.in[id]...)
+	return append([]Edge(nil), s.tab.of(id).in[id]...)
 }
 
 // SurrogatesOf returns the stored surrogate specs for an object.
 func (s *LogBackend) SurrogatesOf(id string) []SurrogateSpec {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]SurrogateSpec(nil), s.surrogates[id]...)
+	return append([]SurrogateSpec(nil), s.tab.of(id).surrogates[id]...)
 }

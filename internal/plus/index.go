@@ -198,17 +198,17 @@ func (ix *backendIndex) advanceLocked(sn *Snapshot) {
 }
 
 func (ix *backendIndex) rebuildLocked(sn *Snapshot) {
-	n := len(sn.objects)
+	n := sn.NumObjects()
 	ix.byKind = make(map[intern.Sym][]string, 8)
 	ix.byName = make(map[intern.Sym][]string, n)
 	ix.byAttr = make(map[uint64][]string, n)
 	ix.rows = make(map[string]indexRow, n)
 	ix.attrEntries = 0
-	for id, o := range sn.objects {
+	sn.eachObject(func(o Object) {
 		row := rowFor(o)
-		ix.rows[id] = row
-		ix.publishLocked(id, row)
-	}
+		ix.rows[o.ID] = row
+		ix.publishLocked(o.ID, row)
+	})
 	ix.rev = sn.rev
 	ix.built = true
 }
@@ -278,12 +278,17 @@ func (sn *Snapshot) FindByKind(kind string) []string {
 			return ids
 		}
 	}
+	return sn.scan(func(o Object) bool { return string(o.Kind) == kind })
+}
+
+// scan is the index-less fallback: the ids of the objects match accepts.
+func (sn *Snapshot) scan(match func(Object) bool) []string {
 	var out []string
-	for id, o := range sn.objects {
-		if string(o.Kind) == kind {
-			out = append(out, id)
+	sn.eachObject(func(o Object) {
+		if match(o) {
+			out = append(out, o.ID)
 		}
-	}
+	})
 	return out
 }
 
@@ -293,13 +298,7 @@ func (sn *Snapshot) FindByKind(kind string) []string {
 func (sn *Snapshot) FindByName(name string) []string {
 	if name == "" {
 		// Unnamed objects are not indexed; scan for them.
-		var out []string
-		for id, o := range sn.objects {
-			if o.Name == "" {
-				out = append(out, id)
-			}
-		}
-		return out
+		return sn.scan(func(o Object) bool { return o.Name == "" })
 	}
 	if ix := sn.idx; ix != nil {
 		sym, known := intern.Lookup(name)
@@ -311,13 +310,7 @@ func (sn *Snapshot) FindByName(name string) []string {
 			return ids
 		}
 	}
-	var out []string
-	for id, o := range sn.objects {
-		if o.Name == name {
-			out = append(out, id)
-		}
-	}
-	return out
+	return sn.scan(func(o Object) bool { return o.Name == name })
 }
 
 // FindByAttr returns the ids of the snapshot's objects whose feature map
@@ -345,13 +338,10 @@ func (sn *Snapshot) FindByAttr(key, value string) []string {
 			return ids
 		}
 	}
-	var out []string
-	for id, o := range sn.objects {
-		if v, ok := o.Features[key]; ok && v == value {
-			out = append(out, id)
-		}
-	}
-	return out
+	return sn.scan(func(o Object) bool {
+		v, ok := o.Features[key]
+		return ok && v == value
+	})
 }
 
 // indexStatsProvider is implemented by backends that own a secondary

@@ -3,29 +3,30 @@ package plus
 import (
 	"cmp"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// MemBackend is the volatile, serving-optimised storage engine: the index
-// is hash-partitioned into shards with per-shard RWMutexes, so point
-// reads and writes on different objects proceed concurrently instead of
-// funnelling through one global lock. It offers the same contract as
-// LogBackend minus durability (Size is 0 and contents die with the
-// process), and the same snapshot isolation: lineage queries run over
-// immutable revision-stamped clones. It implements Backend.
+// MemBackend is the volatile, serving-optimised storage engine: the
+// record table (table.go) under a stripe of RWMutexes, so point reads and
+// writes on different objects proceed concurrently instead of funnelling
+// through one global lock. It offers the same contract as LogBackend minus
+// durability (Size is 0 and contents die with the process), and the same
+// snapshot isolation: lineage queries run over immutable revision-stamped
+// snapshots that share the table's buckets. It implements Backend.
 //
-// Sharding invariants: an object, its history, its outgoing edges and its
-// surrogates live in the shard of its id; an edge's incoming copy lives
-// in the shard of its To id. Cross-shard operations (PutEdge, Apply,
+// Striping invariants: bucket i of the table is guarded by shard i mod
+// len(shards). An object, its outgoing edges and its surrogates live in
+// the bucket of its id, an edge's incoming copy in the bucket of its To
+// id; an object's history and the change records whose primary id it is
+// live in that bucket's shard. Cross-shard operations (PutEdge, Apply,
 // Snapshot) take the shards they need in index order, so lock ordering is
 // global and deadlock-free.
 type MemBackend struct {
+	tab    *table
 	shards []memShard
-	seed   maphash.Seed
 
 	// horizon bounds each shard's change ring: the backend retains at
 	// least the last horizon changes overall (more when writes spread
@@ -46,22 +47,19 @@ type MemBackend struct {
 	idx *backendIndex
 
 	revision atomic.Uint64
-	edges    atomic.Int64
 	snap     atomic.Pointer[Snapshot]
-	// snapMu serialises the clone in Snapshot, so readers arriving
-	// together after a write share one clone instead of making one each.
-	// Acquired before the shard locks.
+	// snapMu serialises the slow path of Snapshot, so readers arriving
+	// together after a write share one snapshot instead of freezing one
+	// each. Acquired before the shard locks.
 	snapMu sync.Mutex
 	closed atomic.Bool
 }
 
 type memShard struct {
-	mu         sync.RWMutex
-	objects    map[string]Object
-	history    map[string][]Object
-	out        map[string][]Edge
-	in         map[string][]Edge
-	surrogates map[string][]SurrogateSpec
+	mu sync.RWMutex
+	// history holds superseded object versions; snapshots never carry it,
+	// so it stays outside the table.
+	history map[string][]Object
 
 	// changes is a bounded ring of this shard's recent mutations (a
 	// record lands in the shard of its primary id: the object's, the
@@ -152,38 +150,37 @@ const DefaultMemChangeHorizon = 4096
 var _ Backend = (*MemBackend)(nil)
 
 // NewMemBackend creates an empty in-memory backend with the given number
-// of hash partitions (0 means DefaultMemShards).
+// of lock stripes (0 means DefaultMemShards).
 func NewMemBackend(shards int) *MemBackend {
 	if shards <= 0 {
 		shards = DefaultMemShards
 	}
 	m := &MemBackend{
+		tab:     newTable(),
 		shards:  make([]memShard, shards),
-		seed:    maphash.MakeSeed(),
 		horizon: DefaultMemChangeHorizon,
 		epoch:   newEpoch(),
 		idx:     newBackendIndex(),
 	}
 	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.objects = map[string]Object{}
-		sh.history = map[string][]Object{}
-		sh.out = map[string][]Edge{}
-		sh.in = map[string][]Edge{}
-		sh.surrogates = map[string][]SurrogateSpec{}
+		m.shards[i].history = map[string][]Object{}
 	}
 	return m
 }
 
-// NumShards reports the partition count.
+// NumShards reports the stripe count.
 func (m *MemBackend) NumShards() int { return len(m.shards) }
 
-func (m *MemBackend) shardIndex(id string) int {
-	return int(maphash.String(m.seed, id) % uint64(len(m.shards)))
-}
+// shardOf returns the shard guarding bucket slot.
+func (m *MemBackend) shardOf(slot int) *memShard { return &m.shards[slot%len(m.shards)] }
 
-func (m *MemBackend) shardFor(id string) *memShard {
-	return &m.shards[m.shardIndex(id)]
+// rlock read-locks the shard of id's bucket and returns both; the caller
+// RUnlocks the shard.
+func (m *MemBackend) rlock(id string) (*bucket, *memShard) {
+	slot := m.tab.slot(id)
+	sh := m.shardOf(slot)
+	sh.mu.RLock()
+	return m.tab.at[slot], sh
 }
 
 // lockAll / runlockAll take every shard in index order; used by Apply and
@@ -212,6 +209,27 @@ func (m *MemBackend) runlockAll() {
 	}
 }
 
+// storeObject, storeEdge and storeSurrogate put one validated, interned
+// record into the table and the change ring of its primary id's shard.
+// Callers hold the shards of every slot passed.
+func (m *MemBackend) storeObject(slot int, o Object) {
+	sh := m.shardOf(slot)
+	if prev, replaced := m.tab.putObject(slot, o); replaced {
+		sh.history[o.ID] = append(sh.history[o.ID], prev)
+	}
+	sh.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeObject, Object: o}, m.horizon)
+}
+
+func (m *MemBackend) storeEdge(from, to int, e Edge) {
+	m.tab.putEdge(from, to, e)
+	m.shardOf(from).changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeEdge, Edge: e}, m.horizon)
+}
+
+func (m *MemBackend) storeSurrogate(slot int, sp SurrogateSpec) {
+	m.tab.putSurrogate(slot, sp)
+	m.shardOf(slot).changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeSurrogate, Surrogate: sp}, m.horizon)
+}
+
 // PutObject stores (or replaces) a provenance object.
 func (m *MemBackend) PutObject(o Object) error {
 	if m.closed.Load() {
@@ -220,15 +238,11 @@ func (m *MemBackend) PutObject(o Object) error {
 	if err := validateObject(o); err != nil {
 		return err
 	}
-	o = internObject(o)
-	sh := m.shardFor(o.ID)
+	slot := m.tab.slot(o.ID)
+	sh := m.shardOf(slot)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if prev, existed := sh.objects[o.ID]; existed {
-		sh.history[o.ID] = append(sh.history[o.ID], prev)
-	}
-	sh.objects[o.ID] = o
-	sh.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeObject, Object: o}, m.horizon)
+	m.storeObject(slot, internObject(o))
 	m.broadcast()
 	return nil
 }
@@ -241,9 +255,9 @@ func (m *MemBackend) PutEdge(e Edge) error {
 	if e.From == e.To {
 		return fmt.Errorf("plus: self edge %s rejected", e.From)
 	}
-	fi, ti := m.shardIndex(e.From), m.shardIndex(e.To)
+	from, to := m.tab.slot(e.From), m.tab.slot(e.To)
 	// Lock the two shards in index order (one lock when they collide).
-	lo, hi := fi, ti
+	lo, hi := from%len(m.shards), to%len(m.shards)
 	if lo > hi {
 		lo, hi = hi, lo
 	}
@@ -253,23 +267,16 @@ func (m *MemBackend) PutEdge(e Edge) error {
 		m.shards[hi].mu.Lock()
 		defer m.shards[hi].mu.Unlock()
 	}
-	from, to := &m.shards[fi], &m.shards[ti]
-	if _, ok := from.objects[e.From]; !ok {
+	if _, ok := m.tab.at[from].objects[e.From]; !ok {
 		return fmt.Errorf("plus: edge %s->%s: %w (from)", e.From, e.To, ErrNotFound)
 	}
-	if _, ok := to.objects[e.To]; !ok {
+	if _, ok := m.tab.at[to].objects[e.To]; !ok {
 		return fmt.Errorf("plus: edge %s->%s: %w (to)", e.From, e.To, ErrNotFound)
 	}
-	for _, prev := range from.out[e.From] {
-		if prev.To == e.To {
-			return fmt.Errorf("plus: duplicate edge %s->%s", e.From, e.To)
-		}
+	if m.tab.at[from].hasEdge(e.From, e.To) {
+		return fmt.Errorf("plus: duplicate edge %s->%s", e.From, e.To)
 	}
-	e = internEdge(e)
-	from.out[e.From] = append(from.out[e.From], e)
-	to.in[e.To] = append(to.in[e.To], e)
-	m.edges.Add(1)
-	from.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeEdge, Edge: e}, m.horizon)
+	m.storeEdge(from, to, internEdge(e))
 	m.broadcast()
 	return nil
 }
@@ -282,15 +289,14 @@ func (m *MemBackend) PutSurrogate(sp SurrogateSpec) error {
 	if err := validateSurrogate(sp); err != nil {
 		return err
 	}
-	sh := m.shardFor(sp.ForID)
+	slot := m.tab.slot(sp.ForID)
+	sh := m.shardOf(slot)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.objects[sp.ForID]; !ok {
+	if _, ok := m.tab.at[slot].objects[sp.ForID]; !ok {
 		return fmt.Errorf("plus: surrogate for %s: %w", sp.ForID, ErrNotFound)
 	}
-	sp = internSurrogate(sp)
-	sh.surrogates[sp.ForID] = append(sh.surrogates[sp.ForID], sp)
-	sh.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeSurrogate, Surrogate: sp}, m.horizon)
+	m.storeSurrogate(slot, internSurrogate(sp))
 	m.broadcast()
 	return nil
 }
@@ -304,45 +310,17 @@ func (m *MemBackend) Apply(b Batch) (uint64, error) {
 	}
 	m.lockAll()
 	defer m.unlockAll()
-	err := b.validate(
-		func(id string) bool {
-			_, ok := m.shardFor(id).objects[id]
-			return ok
-		},
-		func(from, to string) bool {
-			for _, prev := range m.shardFor(from).out[from] {
-				if prev.To == to {
-					return true
-				}
-			}
-			return false
-		},
-	)
-	if err != nil {
+	if err := b.validate(m.tab.has, m.tab.hasEdge); err != nil {
 		return 0, err
 	}
 	for _, o := range b.Objects {
-		o = internObject(o)
-		sh := m.shardFor(o.ID)
-		if prev, existed := sh.objects[o.ID]; existed {
-			sh.history[o.ID] = append(sh.history[o.ID], prev)
-		}
-		sh.objects[o.ID] = o
-		sh.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeObject, Object: o}, m.horizon)
+		m.storeObject(m.tab.slot(o.ID), internObject(o))
 	}
 	for _, e := range b.Edges {
-		e = internEdge(e)
-		from, to := m.shardFor(e.From), m.shardFor(e.To)
-		from.out[e.From] = append(from.out[e.From], e)
-		to.in[e.To] = append(to.in[e.To], e)
-		m.edges.Add(1)
-		from.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeEdge, Edge: e}, m.horizon)
+		m.storeEdge(m.tab.slot(e.From), m.tab.slot(e.To), internEdge(e))
 	}
 	for _, sp := range b.Surrogates {
-		sp = internSurrogate(sp)
-		sh := m.shardFor(sp.ForID)
-		sh.surrogates[sp.ForID] = append(sh.surrogates[sp.ForID], sp)
-		sh.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeSurrogate, Surrogate: sp}, m.horizon)
+		m.storeSurrogate(m.tab.slot(sp.ForID), internSurrogate(sp))
 	}
 	m.broadcast()
 	// All shard locks are still held, so no concurrent writer can have
@@ -355,10 +333,9 @@ func (m *MemBackend) GetObject(id string) (Object, error) {
 	if m.closed.Load() {
 		return Object{}, ErrClosed
 	}
-	sh := m.shardFor(id)
-	sh.mu.RLock()
+	b, sh := m.rlock(id)
 	defer sh.mu.RUnlock()
-	o, ok := sh.objects[id]
+	o, ok := b.objects[id]
 	if !ok {
 		return Object{}, fmt.Errorf("plus: %q: %w", id, ErrNotFound)
 	}
@@ -367,64 +344,42 @@ func (m *MemBackend) GetObject(id string) (Object, error) {
 
 // History returns the superseded versions of an object, oldest first.
 func (m *MemBackend) History(id string) []Object {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
+	_, sh := m.rlock(id)
 	defer sh.mu.RUnlock()
 	return append([]Object(nil), sh.history[id]...)
 }
 
 // Objects returns every object (unspecified order).
 func (m *MemBackend) Objects() []Object {
-	var out []Object
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, o := range sh.objects {
-			out = append(out, o)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
+	m.rlockAll()
+	defer m.runlockAll()
+	return m.tab.objectList(m.NumObjects())
 }
 
 // EdgesFrom returns the outgoing edges of an object, in insertion order.
 func (m *MemBackend) EdgesFrom(id string) []Edge {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
+	b, sh := m.rlock(id)
 	defer sh.mu.RUnlock()
-	return append([]Edge(nil), sh.out[id]...)
+	return append([]Edge(nil), b.out[id]...)
 }
 
 // EdgesTo returns the incoming edges of an object, in insertion order.
 func (m *MemBackend) EdgesTo(id string) []Edge {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
+	b, sh := m.rlock(id)
 	defer sh.mu.RUnlock()
-	return append([]Edge(nil), sh.in[id]...)
+	return append([]Edge(nil), b.in[id]...)
 }
 
 // SurrogatesOf returns the stored surrogate specs for an object.
 func (m *MemBackend) SurrogatesOf(id string) []SurrogateSpec {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
+	b, sh := m.rlock(id)
 	defer sh.mu.RUnlock()
-	return append([]SurrogateSpec(nil), sh.surrogates[id]...)
+	return append([]SurrogateSpec(nil), b.surrogates[id]...)
 }
 
-// NumObjects reports how many objects the backend holds.
-func (m *MemBackend) NumObjects() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		n += len(sh.objects)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// NumEdges reports how many edges the backend holds.
-func (m *MemBackend) NumEdges() int { return int(m.edges.Load()) }
+// NumObjects / NumEdges report the table's own counts.
+func (m *MemBackend) NumObjects() int { return int(m.tab.objects.Load()) }
+func (m *MemBackend) NumEdges() int   { return int(m.tab.edges.Load()) }
 
 // Revision returns a counter that increases with every stored record.
 func (m *MemBackend) Revision() uint64 { return m.revision.Load() }
@@ -550,10 +505,11 @@ func (m *MemBackend) walkChangesSince(since, upTo uint64, visit func(*Change)) e
 }
 
 // Snapshot returns an immutable view of the backend at its current
-// revision, cached per revision like LogBackend's. The slow path clones
-// once per revision: it briefly read-locks every shard, which blocks
-// writers, while other first readers wait on snapMu for its result; the
-// fast path is a single atomic load.
+// revision, cached per revision like LogBackend's. The slow path runs once
+// per revision: it briefly read-locks every shard, which blocks writers,
+// and freezes the table's bucket pointers — no record is copied — while
+// other first readers wait on snapMu for its result; the fast path is a
+// single atomic load.
 func (m *MemBackend) Snapshot() (*Snapshot, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
@@ -569,40 +525,21 @@ func (m *MemBackend) Snapshot() (*Snapshot, error) {
 		return nil, ErrClosed
 	}
 	// With every shard read-locked no writer can hold a shard lock, so
-	// the revision is stable for the duration of the clone.
+	// the revision and the table are stable while it is frozen.
 	rev := m.revision.Load()
 	if sn := m.snap.Load(); sn != nil && sn.rev == rev {
 		return sn, nil
 	}
-	// Sized up front: growing four maps to the store's size by doubling
-	// costs as much again as filling them, all of it garbage.
-	var objects, out, in, surrogates int
-	for i := range m.shards {
-		sh := &m.shards[i]
-		objects += len(sh.objects)
-		out += len(sh.out)
-		in += len(sh.in)
-		surrogates += len(sh.surrogates)
-	}
-	sn := &Snapshot{
-		source:     m,
-		idx:        m.idx,
-		rev:        rev,
-		objects:    make(map[string]Object, objects),
-		out:        make(map[string][]Edge, out),
-		in:         make(map[string][]Edge, in),
-		surrogates: make(map[string][]SurrogateSpec, surrogates),
-	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sn.mergeInto(sh.objects, sh.out, sh.in, sh.surrogates)
-	}
+	sn := m.tab.freeze(m, m.idx, rev)
 	m.snap.Store(sn)
 	return sn, nil
 }
 
 // IndexStats reports the secondary index's current state.
 func (m *MemBackend) IndexStats() IndexStats { return m.idx.stats() }
+
+// StoreStats reports the record table's snapshot and copy counters.
+func (m *MemBackend) StoreStats() StoreStats { return m.tab.stats() }
 
 // Size reports the durable footprint: always 0, the backend is volatile.
 func (m *MemBackend) Size() int64 { return 0 }

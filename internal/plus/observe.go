@@ -251,6 +251,17 @@ func (s *Server) registerServerMetrics() {
 			"Change-feed notifier broadcasts that woke parked followers.",
 			func() float64 { return float64(wr.Wakeups()) })
 	}
+	if sp, ok := unwrapBackend(b).(storeStatsProvider); ok {
+		reg.CounterFunc("plus_store_snapshots_built_total",
+			"Snapshots built (one per revision a reader asked at); none copies records.",
+			func() float64 { return float64(sp.StoreStats().SnapshotsBuilt) })
+		reg.CounterFunc("plus_store_bucket_copies_total",
+			"Record-table buckets a write copied because a snapshot still shared them.",
+			func() float64 { return float64(sp.StoreStats().BucketCopies) })
+		reg.CounterFunc("plus_store_records_copied_total",
+			"Records (objects, per-id adjacency and surrogate lists) in those copied buckets.",
+			func() float64 { return float64(sp.StoreStats().RecordsCopied) })
+	}
 	if ip, ok := unwrapBackend(b).(indexStatsProvider); ok {
 		entries := reg.GaugeFuncVec("plus_index_entries",
 			"Secondary-index postings by index (kind/name/attr).", "index")

@@ -76,6 +76,11 @@ func TestMetricsEndpointFormats(t *testing.T) {
 		"# TYPE plus_http_request_seconds summary",
 		"plus_store_objects 4",
 		"plus_store_edges 3",
+		// One snapshot for the one lineage, found through ObserveBackend;
+		// nothing was written after it, so no bucket was copied.
+		"plus_store_snapshots_built_total 1",
+		"plus_store_bucket_copies_total 0",
+		"plus_store_records_copied_total 0",
 		`plus_backend_op_seconds_count{op="put_object"}`,
 		`plus_lineage_seconds_count{phase="total"}`,
 		"plus_changefeed_ring_depth",

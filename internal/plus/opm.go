@@ -73,14 +73,12 @@ func ExportOPM(b Backend, w io.Writer) error {
 		Used:           []OPMDependency{},
 		WasGeneratedBy: []OPMDependency{},
 	}
-	ids := make([]string, 0, len(sn.objects))
-	for id := range sn.objects {
-		ids = append(ids, id)
-	}
+	ids := make([]string, 0, sn.NumObjects())
+	sn.eachObject(func(o Object) { ids = append(ids, o.ID) })
 	sort.Strings(ids)
 	kind := map[string]ObjectKind{}
 	for _, id := range ids {
-		o := sn.objects[id]
+		o, _ := sn.Object(id)
 		kind[id] = o.Kind
 		var x *OPMXPlus
 		if o.Lowest != "" || o.Protect != "" {

@@ -8,17 +8,19 @@
 //
 // Storage is pluggable behind the Backend interface. LogBackend is the
 // durable engine: a single append-only log file where each record is
-// length-prefixed, type-tagged and CRC-guarded; an in-memory index (object
-// id -> offset, plus adjacency) is rebuilt by scanning the log on open,
-// and a torn tail from a crashed writer is detected and truncated. This is
-// deliberately the classical minimal write-ahead design: the paper's
-// Figure 10 experiment decomposes query cost into DB access, graph build
-// and protection, and this engine reproduces that decomposition honestly.
-// MemBackend (membackend.go) is the volatile, shard-partitioned engine for
-// read-heavy serving. Both hand queries immutable revision-stamped
-// snapshots, so lineage traversal never blocks writers, and both expose
-// the change feed (ChangesSince / Snapshot.DeltaSince) that the account,
-// view and cache layers consume for incremental maintenance.
+// length-prefixed, type-tagged and CRC-guarded; the in-memory record table
+// is rebuilt by scanning the log on open, and a torn tail from a crashed
+// writer is detected and truncated. This is deliberately the classical
+// minimal write-ahead design: the paper's Figure 10 experiment decomposes
+// query cost into DB access, graph build and protection, and this engine
+// reproduces that decomposition honestly. MemBackend (membackend.go) is
+// the volatile, lock-striped engine for read-heavy serving. Both keep
+// their records in the one copy-on-write table of table.go and hand
+// queries immutable revision-stamped snapshots that share its buckets, so
+// lineage traversal never blocks writers and the first read after a write
+// copies no records; both expose the change feed (ChangesSince /
+// Snapshot.DeltaSince) that the account, view and cache layers consume for
+// incremental maintenance.
 package plus
 
 import (
@@ -116,8 +118,8 @@ var ErrNotFound = errors.New("plus: object not found")
 var ErrClosed = errors.New("plus: store closed")
 
 // LogBackend is the durable provenance store: a CRC-guarded append-only
-// log with a full in-memory index. All methods are safe for concurrent
-// use. It implements Backend.
+// log with every live record resident in the record table. All methods
+// are safe for concurrent use. It implements Backend.
 type LogBackend struct {
 	mu   sync.RWMutex
 	f    *os.File
@@ -125,23 +127,23 @@ type LogBackend struct {
 	size int64
 	sync bool
 
-	objects    map[string]Object
-	history    map[string][]Object // superseded versions, oldest first
-	out        map[string][]Edge   // keyed by From
-	in         map[string][]Edge   // keyed by To
-	surrogates map[string][]SurrogateSpec
+	// tab holds the live records, guarded by mu; history (superseded
+	// versions, oldest first) is never part of a snapshot and stays
+	// outside it.
+	tab     *table
+	history map[string][]Object
 
 	// revision increments on every applied record; engines use it to
 	// invalidate cached protected accounts and snapshots when the store
 	// changes. Atomic so the snapshot fast path never takes mu.
 	revision atomic.Uint64
 
-	// snap caches the last snapshot clone; valid while its revision
-	// matches the store's. Readers hitting the cache never touch mu.
+	// snap caches the last snapshot; valid while its revision matches the
+	// store's. Readers hitting the cache never touch mu.
 	snap atomic.Pointer[Snapshot]
-	// snapMu serialises the clone in Snapshot, so readers arriving
-	// together after a write share one clone instead of making one each.
-	// Acquired before mu.
+	// snapMu serialises the slow path of Snapshot, so readers arriving
+	// together after a write share one snapshot instead of freezing one
+	// each. Acquired before mu.
 	snapMu sync.Mutex
 
 	// changes is the bounded in-memory change feed: changes[i] was
@@ -200,11 +202,8 @@ func Open(path string, opts Options) (*LogBackend, error) {
 		f:             f,
 		path:          path,
 		sync:          opts.Sync,
-		objects:       map[string]Object{},
+		tab:           newTable(),
 		history:       map[string][]Object{},
-		out:           map[string][]Edge{},
-		in:            map[string][]Edge{},
-		surrogates:    map[string][]SurrogateSpec{},
 		changeHorizon: DefaultLogChangeHorizon,
 		idx:           newBackendIndex(),
 	}
@@ -325,10 +324,9 @@ func (s *LogBackend) apply(kind byte, body []byte) error {
 			return err
 		}
 		o = internObject(o)
-		if prev, existed := s.objects[o.ID]; existed {
+		if prev, replaced := s.tab.putObject(s.tab.slot(o.ID), o); replaced {
 			s.history[o.ID] = append(s.history[o.ID], prev)
 		}
-		s.objects[o.ID] = o
 		c.Kind, c.Object = ChangeObject, o
 	case recEdge:
 		var e Edge
@@ -336,8 +334,7 @@ func (s *LogBackend) apply(kind byte, body []byte) error {
 			return err
 		}
 		e = internEdge(e)
-		s.out[e.From] = append(s.out[e.From], e)
-		s.in[e.To] = append(s.in[e.To], e)
+		s.tab.putEdge(s.tab.slot(e.From), s.tab.slot(e.To), e)
 		c.Kind, c.Edge = ChangeEdge, e
 	case recSurrogate:
 		var sp SurrogateSpec
@@ -345,7 +342,7 @@ func (s *LogBackend) apply(kind byte, body []byte) error {
 			return err
 		}
 		sp = internSurrogate(sp)
-		s.surrogates[sp.ForID] = append(s.surrogates[sp.ForID], sp)
+		s.tab.putSurrogate(s.tab.slot(sp.ForID), sp)
 		c.Kind, c.Surrogate = ChangeSurrogate, sp
 	default:
 		return fmt.Errorf("plus: unknown record type %d", kind)
@@ -475,10 +472,11 @@ func (s *LogBackend) walkChangesSince(since, upTo uint64, visit func(*Change)) e
 }
 
 // Snapshot returns an immutable view of the store at its current
-// revision. The clone is cached: consecutive snapshots with no
-// intervening write return the same *Snapshot without taking the store
-// lock, so concurrent lineage readers scale with cores instead of
-// serializing on mu.
+// revision. It is cached: consecutive snapshots with no intervening write
+// return the same *Snapshot without taking the store lock, so concurrent
+// lineage readers scale with cores instead of serializing on mu. The
+// first one after a write freezes the table's bucket pointers under the
+// read lock; no record is copied.
 func (s *LogBackend) Snapshot() (*Snapshot, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -493,19 +491,21 @@ func (s *LogBackend) Snapshot() (*Snapshot, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	// Re-check under the locks: another reader may have cloned already.
+	// Re-check under the locks: another reader may have built it already.
 	rev := s.revision.Load()
 	if sn := s.snap.Load(); sn != nil && sn.rev == rev {
 		return sn, nil
 	}
-	sn := cloneIndex(s, rev, s.objects, s.out, s.in, s.surrogates)
-	sn.idx = s.idx
+	sn := s.tab.freeze(s, s.idx, rev)
 	s.snap.Store(sn)
 	return sn, nil
 }
 
 // IndexStats reports the secondary index's current state.
 func (s *LogBackend) IndexStats() IndexStats { return s.idx.stats() }
+
+// StoreStats reports the record table's snapshot and copy counters.
+func (s *LogBackend) StoreStats() StoreStats { return s.tab.stats() }
 
 // Ping reports whether the store is open.
 func (s *LogBackend) Ping() error {
@@ -561,19 +561,17 @@ func (s *LogBackend) PutObject(o Object) error {
 func (s *LogBackend) PutEdge(e Edge) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.objects[e.From]; !ok {
+	if !s.tab.has(e.From) {
 		return fmt.Errorf("plus: edge %s->%s: %w (from)", e.From, e.To, ErrNotFound)
 	}
-	if _, ok := s.objects[e.To]; !ok {
+	if !s.tab.has(e.To) {
 		return fmt.Errorf("plus: edge %s->%s: %w (to)", e.From, e.To, ErrNotFound)
 	}
 	if e.From == e.To {
 		return fmt.Errorf("plus: self edge %s rejected", e.From)
 	}
-	for _, prev := range s.out[e.From] {
-		if prev.To == e.To {
-			return fmt.Errorf("plus: duplicate edge %s->%s", e.From, e.To)
-		}
+	if s.tab.hasEdge(e.From, e.To) {
+		return fmt.Errorf("plus: duplicate edge %s->%s", e.From, e.To)
 	}
 	return s.append(recEdge, e)
 }
@@ -582,7 +580,7 @@ func (s *LogBackend) PutEdge(e Edge) error {
 func (s *LogBackend) PutSurrogate(sp SurrogateSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.objects[sp.ForID]; !ok {
+	if !s.tab.has(sp.ForID) {
 		return fmt.Errorf("plus: surrogate for %s: %w", sp.ForID, ErrNotFound)
 	}
 	if err := validateSurrogate(sp); err != nil {
@@ -598,30 +596,16 @@ func (s *LogBackend) GetObject(id string) (Object, error) {
 	if s.closed.Load() {
 		return Object{}, ErrClosed
 	}
-	o, ok := s.objects[id]
+	o, ok := s.tab.of(id).objects[id]
 	if !ok {
 		return Object{}, fmt.Errorf("plus: %q: %w", id, ErrNotFound)
 	}
 	return o, nil
 }
 
-// NumObjects reports how many objects the store holds.
-func (s *LogBackend) NumObjects() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.objects)
-}
-
-// NumEdges reports how many edges the store holds.
-func (s *LogBackend) NumEdges() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, es := range s.out {
-		n += len(es)
-	}
-	return n
-}
+// NumObjects / NumEdges report the table's own counts.
+func (s *LogBackend) NumObjects() int { return int(s.tab.objects.Load()) }
+func (s *LogBackend) NumEdges() int   { return int(s.tab.edges.Load()) }
 
 // History returns the superseded versions of an object, oldest first; the
 // live version is not included. Because the log is append-only the full
@@ -637,11 +621,7 @@ func (s *LogBackend) History(id string) []Object {
 func (s *LogBackend) Objects() []Object {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Object, 0, len(s.objects))
-	for _, o := range s.objects {
-		out = append(out, o)
-	}
-	return out
+	return s.tab.objectList(s.NumObjects())
 }
 
 // Close flushes and closes the log file.

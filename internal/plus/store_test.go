@@ -105,7 +105,7 @@ func TestReopenRecoversState(t *testing.T) {
 	if err != nil || o.Name != "obj b" {
 		t.Errorf("recovered object b = %+v, %v", o, err)
 	}
-	if len(s2.surrogates["b"]) != 1 {
+	if len(s2.SurrogatesOf("b")) != 1 {
 		t.Error("surrogate lost on reopen")
 	}
 	// The store stays writable after recovery.
