@@ -264,7 +264,7 @@ func GenerateForSet(spec *Spec, hw []privilege.Predicate) (*Account, error) {
 	w := &walker{view: v, acct: a}
 
 	// Algorithm 3: classify edges by effective disposition.
-	var contract []graph.Edge
+	var contract []graph.EdgeID
 	for _, e := range spec.Graph.Edges() {
 		switch w.disposition(e.ID()) {
 		case policy.ShowEdge:
@@ -275,18 +275,20 @@ func GenerateForSet(spec *Spec, hw []privilege.Predicate) (*Account, error) {
 				return nil, err
 			}
 		case policy.ContractEdge:
-			contract = append(contract, e)
+			contract = append(contract, e.ID())
 		}
 	}
 
-	// Algorithm 1 lines 12–29: interpose surrogate edges for contracted
-	// incidences, followed — only when a Definition 8 condition 2 veto
-	// occurred — by the global completion sweep.
-	vetoed, err := w.interpose(contract, nil)
-	if err != nil {
-		return nil, err
+	// Algorithm 1 lines 12–29: interpose surrogate edges between the
+	// anchor pairs of contracted edges, followed — only when a Definition 8
+	// condition 2 veto occurred — by the global completion sweep.
+	for _, c := range contract {
+		back, fwd := w.ends(c)
+		if err := w.connect(back, fwd); err != nil {
+			return nil, err
+		}
 	}
-	if !vetoed {
+	if !w.vetoed {
 		return a, nil
 	}
 	a.completed = true
@@ -296,67 +298,70 @@ func GenerateForSet(spec *Spec, hw []privilege.Predicate) (*Account, error) {
 	return a, nil
 }
 
-// interpose connects the anchor pairs of the given contracted edges with
-// surrogate edges. For each contracted edge, anchor sets are the nearest
+// ends returns the anchor sets of a Hide-free edge: the nearest
 // Visible-incidence nodes upstream and downstream (Algorithm 2's
 // stop-at-first-visible walk, which realises the "no shorter HW-permitted
-// path" minimality rule). It reports whether any pair was vetoed by
-// Definition 8 condition 2 (a restricted direct edge between the anchors),
-// in which case only the completion sweep restores maximal connectivity.
-// onAdd, when non-nil, observes every edge added (incremental maintenance
-// uses it to patch view indexes).
-func (w *walker) interpose(contract []graph.Edge, onAdd func(graph.Edge)) (vetoed bool, err error) {
+// path" minimality rule) — the endpoint itself where its own incidence on
+// the edge is effectively Visible.
+func (w *walker) ends(e graph.EdgeID) (back, fwd []graph.NodeID) {
+	back, fwd = []graph.NodeID{e.From}, []graph.NodeID{e.To}
+	if w.effectiveMark(e.From, e) != policy.Visible {
+		back = w.walk(e.From, graph.Backward, crossed)
+	}
+	if w.effectiveMark(e.To, e) != policy.Visible {
+		fwd = w.walk(e.To, graph.Forward, crossed)
+	}
+	return back, fwd
+}
+
+// connect is the per-pair step of Algorithm 1 over the anchor pairs
+// back × fwd, shared by generation and incremental maintenance: a pair
+// with no direct edge gets a surrogate edge unless G' already joins it. It
+// sets w.vetoed when Definition 8 condition 2 (a restricted direct edge
+// between the anchors) vetoes a pair, in which case only the completion
+// sweep restores maximal connectivity. w.onAdd, when non-nil, observes
+// every edge added (maintenance uses it to patch view indexes).
+func (w *walker) connect(back, fwd []graph.NodeID) error {
 	spec, a := w.spec(), w.acct
-	type pair struct{ from, to graph.NodeID }
-	added := map[pair]bool{}
-	for _, e := range contract {
-		var back []graph.NodeID
-		if w.effectiveMark(e.From, e.ID()) == policy.Visible {
-			back = []graph.NodeID{e.From}
-		} else {
-			back = w.anchors(e.From, graph.Backward)
-		}
-		var fwd []graph.NodeID
-		if w.effectiveMark(e.To, e.ID()) == policy.Visible {
-			fwd = []graph.NodeID{e.To}
-		} else {
-			fwd = w.anchors(e.To, graph.Forward)
-		}
-		for _, u := range back {
-			for _, vv := range fwd {
-				if u == vv || added[pair{u, vv}] {
-					continue
+	if w.tried == nil {
+		w.tried = map[graph.EdgeID]bool{}
+	}
+	for _, u := range back {
+		for _, vv := range fwd {
+			pair := graph.EdgeID{From: u, To: vv}
+			if u == vv || w.tried[pair] {
+				continue
+			}
+			w.tried[pair] = true
+			w.pairs++
+			if _, ok := spec.Graph.EdgeByID(pair); ok {
+				// Definition 8 condition 2: a pair with a direct edge
+				// may only be connected when that edge's incidences
+				// are both Visible — and then the edge is already in
+				// G', so a surrogate edge is never interposed. A
+				// non-Show direct edge vetoes the pair and may leave
+				// longer permitted pairs unserved; the completion
+				// sweep repairs exactly those.
+				if w.disposition(pair) != policy.ShowEdge {
+					w.vetoed = true
 				}
-				added[pair{u, vv}] = true
-				if de, ok := spec.Graph.EdgeByID(graph.EdgeID{From: u, To: vv}); ok {
-					// Definition 8 condition 2: a pair with a direct edge
-					// may only be connected when that edge's incidences
-					// are both Visible — and then the edge is already in
-					// G', so a surrogate edge is never interposed. A
-					// non-Show direct edge vetoes the pair and may leave
-					// longer permitted pairs unserved; the completion
-					// sweep repairs exactly those.
-					if w.disposition(de.ID()) != policy.ShowEdge {
-						vetoed = true
-					}
-					continue
-				}
-				gu, gv := a.FromOriginal[u], a.FromOriginal[vv]
-				if a.Graph.HasEdge(gu, gv) {
-					continue
-				}
-				ge := graph.Edge{From: gu, To: gv, Label: SurrogateEdgeLabel}
-				if err := a.Graph.AddEdge(ge); err != nil {
-					return vetoed, err
-				}
-				a.SurrogateEdges[ge.ID()] = true
-				if onAdd != nil {
-					onAdd(ge)
-				}
+				continue
+			}
+			gu, gv := a.FromOriginal[u], a.FromOriginal[vv]
+			if a.Graph.HasEdge(gu, gv) {
+				continue
+			}
+			ge := graph.Edge{From: gu, To: gv, Label: SurrogateEdgeLabel}
+			if err := a.Graph.AddEdge(ge); err != nil {
+				return err
+			}
+			a.SurrogateEdges[ge.ID()] = true
+			if w.onAdd != nil {
+				w.onAdd(ge)
 			}
 		}
 	}
-	return vetoed, nil
+	return nil
 }
 
 // completionSweep repairs the pairs a condition 2 veto left unserved: the
@@ -424,11 +429,15 @@ func newAccount(hw []privilege.Predicate) *Account {
 // walker evaluates effective markings and runs the Algorithm 2 anchor
 // searches over one (view, account) pair.
 type walker struct {
-	view hwView
-	acct *Account
+	view  hwView
+	acct  *Account
+	onAdd func(graph.Edge) // observes edges connect adds; may be nil
 
-	backMemo map[graph.NodeID][]graph.NodeID
-	fwdMemo  map[graph.NodeID][]graph.NodeID
+	memo  [2]map[graph.NodeID][]graph.NodeID // walk(n, dir, crossed), by dir
+	tried map[graph.EdgeID]bool              // anchor pairs connect has examined
+
+	walked, pairs int  // (node, state) visits by walk, pairs examined by connect
+	vetoed        bool // connect met a Definition 8 condition 2 veto
 }
 
 func (w *walker) spec() *Spec { return w.view.spec }
@@ -500,61 +509,87 @@ func (w *walker) permittedFrom(u graph.NodeID) map[graph.NodeID]bool {
 	return out
 }
 
-// anchors walks from start in the given direction across non-Hide edges,
-// collecting the nearest nodes whose incidence on the edge reaching them is
-// effectively Visible (Algorithm 2: BuildVisibleSet). The walk stops at
-// each anchor; non-anchor nodes are walked through. Results are sorted for
-// determinism and memoised per (node, direction).
-func (w *walker) anchors(start graph.NodeID, dir graph.Direction) []graph.NodeID {
-	memo := &w.backMemo
-	if dir == graph.Forward {
-		memo = &w.fwdMemo
-	}
-	if *memo == nil {
-		*memo = map[graph.NodeID][]graph.NodeID{}
-	}
-	if got, ok := (*memo)[start]; ok {
+// The two states of an anchor walk at a node.
+const (
+	approaching = iota // on a chain leading up to a contract edge
+	crossed            // the contract edge lies behind
+)
+
+// walk runs the Algorithm 2 anchor search (BuildVisibleSet) from start in
+// the given direction across Hide-free edges, in one of two states per
+// node. Crossed: collect the nearest nodes whose incidence on the edge
+// reaching them is effectively Visible; the walk stops at each such anchor
+// and walks through every other node. Approaching: follow only edges the
+// current node's own incidence on is non-Visible (any such edge is a
+// contract edge), either staying before the contract edge or taking this
+// edge as it. So walk(n, dir, crossed) is the anchor set of a contract edge
+// ending at n, memoised per (node, direction), and walk(n, dir,
+// approaching) the anchors beyond every contract edge a chain from n
+// reaches. Results are sorted for determinism.
+func (w *walker) walk(start graph.NodeID, dir graph.Direction, from int) []graph.NodeID {
+	if got, ok := w.memo[dir][start]; ok && from == crossed {
 		return got
 	}
-
-	seen := map[graph.NodeID]bool{start: true}
+	type at struct {
+		n     graph.NodeID
+		state int
+	}
+	var seen [2]map[graph.NodeID]bool // by state; a walk never goes back to approaching
+	for s := from; s <= crossed; s++ {
+		seen[s] = map[graph.NodeID]bool{}
+	}
+	seen[from][start] = true
+	queue := []at{{start, from}}
 	found := map[graph.NodeID]bool{}
-	queue := []graph.NodeID{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	for i := 0; i < len(queue); i++ {
+		cur := queue[i]
 		var steps []graph.NodeID
 		if dir == graph.Forward {
-			steps = w.spec().Graph.Successors(cur)
+			steps = w.spec().Graph.Successors(cur.n)
 		} else {
-			steps = w.spec().Graph.Predecessors(cur)
+			steps = w.spec().Graph.Predecessors(cur.n)
 		}
 		for _, next := range steps {
-			var e graph.EdgeID
-			if dir == graph.Forward {
-				e = graph.EdgeID{From: cur, To: next}
-			} else {
-				e = graph.EdgeID{From: next, To: cur}
+			e := graph.EdgeID{From: cur.n, To: next}
+			if dir == graph.Backward {
+				e = e.Reverse()
 			}
 			// The walk may not cross Hide incidences at either end.
 			if w.view.mark(e.From, e) == policy.Hide || w.view.mark(e.To, e) == policy.Hide {
 				continue
 			}
-			if w.effectiveMark(next, e) == policy.Visible {
-				found[next] = true // anchor: stop here
-				continue
+			// Over e, next is reached before the contract edge (when
+			// approaching) and beyond it (unless an anchor: stop there).
+			first, last := crossed, crossed
+			if cur.state == approaching {
+				if w.effectiveMark(cur.n, e) == policy.Visible {
+					continue // the chain does not leave cur over e
+				}
+				first = approaching
 			}
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
+			if w.effectiveMark(next, e) == policy.Visible {
+				found[next] = true
+				last = approaching
+			}
+			for s := first; s <= last; s++ {
+				if !seen[s][next] {
+					seen[s][next] = true
+					queue = append(queue, at{next, s})
+				}
 			}
 		}
 	}
+	w.walked += len(queue)
 	out := make([]graph.NodeID, 0, len(found))
 	for id := range found {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	(*memo)[start] = out
+	if from == crossed {
+		if w.memo[dir] == nil {
+			w.memo[dir] = map[graph.NodeID][]graph.NodeID{}
+		}
+		w.memo[dir][start] = out
+	}
 	return out
 }

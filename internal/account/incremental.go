@@ -1,16 +1,32 @@
 // Incremental protected-account maintenance. A generated account is a
 // derived structure over its Spec; when the spec advances by a delta
 // (records are append-only upstream: objects stored or replaced, edges and
-// surrogates added), most of the account is unaffected. Maintain computes
-// the dirty region — the touched nodes plus everything whose surrogate
-// wiring can transitively change through chains of restricted incidences —
-// and regenerates only that region of the account, in place, falling back
-// to full regeneration whenever the delta's effects cannot be localised (a
-// replaced object changed its protection, a hidden node's surrogate
-// selection moved, or a Definition 8 condition 2 veto demands the global
-// completion sweep). The patched account is identical to one generated from
-// scratch at the same spec; the parity tests assert exactly that, and
-// VerifySound/VerifyMaximal hold on it.
+// surrogates added), Maintain connects exactly the anchor pairs the
+// delta's new edges create, from those edges alone, and leaves the rest of
+// the account as it is.
+//
+// An anchor pair (x, y) is witnessed by a Hide-free path x = p0 -> ... ->
+// pk = y carrying one contract edge c = (pi -> pi+1): x's incidence on the
+// first edge and y's on the last are effectively Visible, every p1..pi has
+// a non-Visible incidence on the path edge leaving it and every
+// pi+1..pk-1 on the path edge entering it (the two walks of walker.ends).
+// Under an effect-additive delta the pair set only grows, and a new pair's
+// witness crosses some new edge e = (a -> b) in one of three positions; on
+// the advanced spec, with (back, fwd) = walker.ends(e) and through(n, dir)
+// = walker.walk(n, dir, approaching), the new pairs lie in
+//
+//	back × fwd                   e is c (only if e is a contract edge)
+//	back × through(b, Forward)   e comes before c
+//	through(a, Backward) × fwd   e comes after c
+//
+// and each of those is a pair of the advanced spec, so putting every one
+// through walker.connect, the per-pair step generation uses, is exact.
+// Whatever cannot be localised regenerates: a replaced object changed its
+// protection, a hidden node's surrogate selection moved, or a Definition 8
+// condition 2 veto demands the global completion sweep. The patched account
+// is identical to one generated from scratch at the same spec; the parity
+// tests assert exactly that, and VerifySound/VerifyMaximal hold on it
+// wherever they hold on the scratch account.
 
 package account
 
@@ -98,8 +114,9 @@ type MaintainStats struct {
 	Rebuilt bool
 	Reason  string
 	Cause   RebuildCause
-	// Dirty is the size of the closed dirty region (original nodes).
-	Dirty int
+	// Walked counts the (node, state) visits of the pass's anchor walks,
+	// Pairs the candidate anchor pairs it examined: its cost, in steps.
+	Walked, Pairs int
 	// AddedNodes are the ids of account (G') nodes the pass created.
 	// UpdatedNodes and RemovedNodes are the account nodes it replaced or
 	// deleted, AS THEY WERE before the pass (the patched account no longer
@@ -124,9 +141,10 @@ type MaintainStats struct {
 // The incremental path applies when the delta is effect-additive: no
 // pre-existing node changed its visibility, node-level protection or
 // surrogate selection. Then no account node or edge ever disappears, old
-// anchor walks keep their results, and only contract edges touching the
-// dirty region can gain anchor pairs — so patching the dirty region is
-// exact. Any other delta falls back to GenerateForSet.
+// anchor walks keep their results, and every new anchor pair's witness
+// crosses a new edge (see the file comment) — so the pass costs its new
+// edges' walks plus the candidate pairs they yield, whatever the size of
+// the restricted region around them. Other deltas regenerate.
 func Maintain(a *Account, spec *Spec, d Delta, pre *PreState) (*Account, MaintainStats, error) {
 	if d.Empty() {
 		return a, MaintainStats{}, nil
@@ -215,108 +233,55 @@ func Maintain(a *Account, spec *Spec, d Delta, pre *PreState) (*Account, Maintai
 		}
 	}
 
-	// Dirty-region closure: seed with everything the delta touched, then
-	// trace the anchor-walk chains backward. An effect-additive delta
-	// changes a walk only by growing a branch at a seed the walk passes
-	// through (or starts at); a walk occupies a node u only when u's own
-	// incidence on the edge that reached it is non-Visible, and it
-	// traverses only edges free of Hide marks. So from a region node u,
-	// cross an edge exactly when u's effective incidence on it is neither
-	// Visible nor blocked by a Hide at either end — this follows every
-	// chain back to its generating contract edges without spilling across
-	// Visible anchors, keeping the region proportional to the restricted
-	// neighbourhood of the delta. Walks that merely STOP at a seed (a
-	// Visible incidence) are unaffected by anything beyond it and need no
-	// recomputation.
-	w := &walker{view: v, acct: a}
-	dirty := map[graph.NodeID]bool{}
-	var queue []graph.NodeID
-	mark := func(u graph.NodeID) {
-		if !dirty[u] {
-			dirty[u] = true
-			queue = append(queue, u)
+	// Connect the pairs the delta's new edges create. Walks run on the
+	// advanced spec, so one pass sees every new edge whatever the order.
+	w := &walker{view: v, acct: a, onAdd: func(ge graph.Edge) { st.AddedEdges = append(st.AddedEdges, ge) }}
+	for _, id := range d.NewEdges {
+		e, ok := spec.Graph.EdgeByID(id)
+		if !ok {
+			continue
+		}
+		disp := w.disposition(id)
+		gu, gv := a.FromOriginal[e.From], a.FromOriginal[e.To]
+		if gid := (graph.EdgeID{From: gu, To: gv}); a.SurrogateEdges[gid] {
+			if disp != policy.ShowEdge {
+				// The endpoints are an anchor pair (pairs only grow) and
+				// the provider just restricted their direct edge.
+				return rebuild(CauseSweepVeto, "restricted direct edge between a connected anchor pair")
+			}
+			// A pair previously served by an interposed surrogate edge
+			// now has a direct Show edge; the scratch build copies the
+			// direct edge instead.
+			a.Graph.RemoveEdge(gu, gv)
+			delete(a.SurrogateEdges, gid)
+			st.RemovedEdges = append(st.RemovedEdges, gid)
+		}
+		if disp == policy.DropEdge {
+			continue // no walk crosses a Hide
+		}
+		if disp == policy.ShowEdge && !a.Graph.HasEdge(gu, gv) {
+			ge := graph.Edge{From: gu, To: gv, Label: e.Label}
+			if err := a.Graph.AddEdge(ge); err != nil {
+				panic(err) // endpoints present by construction
+			}
+			st.AddedEdges = append(st.AddedEdges, ge)
+		}
+		back, fwd := w.ends(id)
+		for _, c := range [3][2][]graph.NodeID{
+			{back, fwd}, // e is c (a Show e is its own, already served, pair)
+			{back, w.walk(e.To, graph.Forward, approaching)},   // e before c
+			{w.walk(e.From, graph.Backward, approaching), fwd}, // e after c
+		} {
+			if err := w.connect(c[0], c[1]); err != nil {
+				return nil, st, err
+			}
+		}
+		if w.vetoed {
+			// Only the global completion sweep repairs a veto.
+			return rebuild(CauseSweepVeto, "anchor pair vetoed by a restricted direct edge")
 		}
 	}
-	for _, u := range d.NewNodes {
-		mark(u)
-	}
-	for _, u := range d.UpdatedNodes {
-		mark(u)
-	}
-	for _, u := range d.SurrogateFor {
-		mark(u)
-	}
-	for _, e := range d.NewEdges {
-		mark(e.From)
-		mark(e.To)
-	}
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		incidentEdges(spec.Graph, u, func(e graph.Edge) {
-			eid := e.ID()
-			if v.mark(e.From, eid) == policy.Hide || v.mark(e.To, eid) == policy.Hide {
-				return // walks never traverse a Hide incidence
-			}
-			if w.effectiveMark(u, eid) == policy.Visible {
-				return // walks stop at u here; nothing propagates
-			}
-			if e.From != u {
-				mark(e.From)
-			}
-			if e.To != u {
-				mark(e.To)
-			}
-		})
-	}
-	st.Dirty = len(dirty)
-
-	// Patch direct edges incident to the region and collect its contract
-	// edges for re-interposition.
-	var contract []graph.Edge
-	seenEdge := map[graph.EdgeID]bool{}
-	for _, u := range sortedKeys(dirty) {
-		incidentEdges(spec.Graph, u, func(e graph.Edge) {
-			if seenEdge[e.ID()] {
-				return
-			}
-			seenEdge[e.ID()] = true
-			switch w.disposition(e.ID()) {
-			case policy.ShowEdge:
-				gu, gv := a.FromOriginal[e.From], a.FromOriginal[e.To]
-				gid := graph.EdgeID{From: gu, To: gv}
-				if a.SurrogateEdges[gid] {
-					// A pair previously served by an interposed surrogate
-					// edge now has a direct Show edge; the scratch build
-					// copies the direct edge instead.
-					a.Graph.RemoveEdge(gu, gv)
-					delete(a.SurrogateEdges, gid)
-					st.RemovedEdges = append(st.RemovedEdges, gid)
-				}
-				if !a.Graph.HasEdge(gu, gv) {
-					ge := graph.Edge{From: gu, To: gv, Label: e.Label}
-					if err := a.Graph.AddEdge(ge); err != nil {
-						panic(err) // endpoints present by construction
-					}
-					st.AddedEdges = append(st.AddedEdges, ge)
-				}
-			case policy.ContractEdge:
-				contract = append(contract, e)
-			}
-		})
-	}
-
-	vetoed, err := w.interpose(contract, func(ge graph.Edge) {
-		st.AddedEdges = append(st.AddedEdges, ge)
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	if vetoed {
-		// A restricted direct edge vetoed an anchor pair; the repair is
-		// the global completion sweep, which cannot be localised.
-		return rebuild(CauseSweepVeto, "anchor pair vetoed by a restricted direct edge")
-	}
+	st.Walked, st.Pairs = w.walked, w.pairs
 	return a, st, nil
 }
 

@@ -3,6 +3,7 @@ package account
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -251,13 +252,13 @@ func TestMaintainAdditiveChain(t *testing.T) {
 		t.Fatal("surrogate m' not selected")
 	}
 
-	// Grow a new branch into the protected region: the dirty closure must
-	// absorb the chain and re-run interposition.
+	// Grow a new branch into the protected region: the new edge's walks
+	// must follow the chain through m and connect c to b.
 	h.addNode("c", "", policy.Visible, graph.Features{"name": "c", "kind": "data"})
 	h.addEdge("c", "m")
 	st := h.step(false)
-	if st.Dirty == 0 {
-		t.Fatal("dirty region empty after edge into protected chain")
+	if st.Walked == 0 || st.Pairs == 0 {
+		t.Fatalf("walked %d, pairs %d after edge into protected chain, want both > 0", st.Walked, st.Pairs)
 	}
 
 	// Benign feature update of a visible node.
@@ -437,6 +438,161 @@ func TestMaintainRandomParity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// markIncidence restricts one incidence of an edge added in the pending
+// delta: Visible from at upwards, below beneath it.
+func (h *harness) markIncidence(n graph.NodeID, e graph.EdgeID, at privilege.Predicate, below policy.Marking) {
+	if err := h.spec.Policy.SetIncidenceThreshold(n, e, at, below); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+// TestMaintainVetoBetweenDistantAnchors: a restricted direct edge landing
+// between an anchor pair vetoes it (Definition 8 condition 2) even when the
+// contract edge that made the pair touches neither anchor — u and v below
+// are joined through z->y, and nothing about the new edge u->v is incident
+// to z or y.
+func TestMaintainVetoBetweenDistantAnchors(t *testing.T) {
+	h := newHarness(t, privilege.Public)
+	for _, id := range []graph.NodeID{"u", "z", "y", "v"} {
+		h.addNode(id, "", policy.Visible, graph.Features{"name": string(id), "kind": "data"})
+	}
+	h.addEdge("u", "z")
+	h.addEdge("z", "y")
+	h.addEdge("y", "v")
+	zy := graph.EdgeID{From: "z", To: "y"}
+	h.markIncidence("z", zy, "Protected", policy.Surrogate)
+	h.markIncidence("y", zy, "Protected", policy.Surrogate)
+	h.step(false)
+	if !h.acct.SurrogateEdges[graph.EdgeID{From: "u", To: "v"}] {
+		t.Fatalf("u->v not interposed: edges %v", h.acct.Graph.Edges())
+	}
+
+	h.addEdge("u", "v")
+	h.markIncidence("v", graph.EdgeID{From: "u", To: "v"}, "Protected", policy.Surrogate)
+	if st := h.step(true); st.Cause != CauseSweepVeto {
+		t.Fatalf("cause %q, want %q", st.Cause, CauseSweepVeto)
+	}
+	if h.acct.Graph.HasEdge("u", "v") {
+		t.Fatalf("maintained account still advertises u->v: edges %v", h.acct.Graph.Edges())
+	}
+}
+
+// TestMaintainRandomIncidenceParity is the corpus that reaches the anchor
+// walks: incidence-level marks on either side of an edge make an edge's
+// back, forward and through sets disagree, new nodes are wired in both
+// directions (cycles happen), and most nodes are restricted. Every step is
+// effect-additive, so a pass rebuilds only for a veto; maintained must
+// equal scratch at every step, and an incremental pass must never stand
+// where scratch needed the completion sweep. VerifyMaximal is not asserted:
+// under these marks scratch generation itself is not always maximal
+// (ROADMAP item 2, "found on the way").
+func TestMaintainRandomIncidenceParity(t *testing.T) {
+	var incremental, rebuilt int
+	for _, viewer := range []privilege.Predicate{privilege.Public, "Protected"} {
+		// Seed 1063 is one the parent of this corpus failed: as Public, at
+		// step 47, it kept a surrogate edge a new restricted edge vetoed.
+		for _, seed := range append(seeds(1, 19), 1063) {
+			rng := rand.New(rand.NewSource(seed))
+			h := newHarness(t, viewer)
+			label := fmt.Sprintf("%s/seed%d", viewer, seed)
+			restricted := []privilege.Predicate{"Protected", "Secret"}
+			below := []policy.Marking{policy.Surrogate, policy.Surrogate, policy.Surrogate, policy.Hide}
+			var ids []graph.NodeID
+			wire := func(from, to graph.NodeID) {
+				if from == to || h.spec.Graph.HasEdge(from, to) {
+					return
+				}
+				h.addEdge(from, to)
+				e := graph.EdgeID{From: from, To: to}
+				for _, n := range []graph.NodeID{from, to} {
+					if rng.Intn(10) == 0 {
+						h.markIncidence(n, e, restricted[rng.Intn(2)], below[rng.Intn(4)])
+					}
+				}
+			}
+			for step := 0; step < 80; step++ {
+				switch k := rng.Intn(10); {
+				case k < 6 || len(ids) < 2: // new node, wired 1–2 edges either way
+					id := graph.NodeID(fmt.Sprintf("n%d", len(ids)))
+					lw, mk := privilege.Predicate(""), policy.Visible
+					if rng.Intn(5) < 3 {
+						lw, mk = restricted[rng.Intn(2)], below[rng.Intn(4)]
+					}
+					h.addNode(id, lw, mk, graph.Features{"name": string(id), "kind": "data"})
+					if lw != "" && rng.Intn(3) < 2 {
+						h.addSurrogate(id, id+"'", privilege.Public, 0.5)
+					}
+					for n := 1 + rng.Intn(2); n > 0 && len(ids) > 0; n-- {
+						other := ids[rng.Intn(len(ids))]
+						if rng.Intn(2) == 0 {
+							wire(other, id)
+						} else {
+							wire(id, other)
+						}
+					}
+					ids = append(ids, id)
+				case k < 8: // new edge between existing nodes
+					wire(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))])
+				case k < 9: // direct edge onto an interposed anchor pair
+					var pairs []graph.EdgeID
+					for e := range h.acct.SurrogateEdges {
+						pairs = append(pairs, e)
+					}
+					sort.Slice(pairs, func(i, j int) bool { return pairs[i].String() < pairs[j].String() })
+					if len(pairs) > 0 {
+						e := pairs[rng.Intn(len(pairs))]
+						wire(h.acct.ToOriginal[e.From], h.acct.ToOriginal[e.To])
+					}
+				default: // benign feature update
+					id := ids[rng.Intn(len(ids))]
+					h.capture(id)
+					h.pending.UpdatedNodes = append(h.pending.UpdatedNodes, id)
+					n, _ := h.spec.Graph.NodeByID(id)
+					n.Features = n.Features.Clone()
+					n.Features["rev"] = fmt.Sprint(step)
+					h.spec.Graph.AddNode(n)
+				}
+				d, pre := h.pending, h.pre
+				h.pending, h.pre = Delta{}, &PreState{nodes: map[graph.NodeID]nodeProtection{}}
+				got, st, err := Maintain(h.acct, h.spec, d, pre)
+				if err != nil {
+					t.Fatalf("%s step %d: Maintain: %v", label, step, err)
+				}
+				want, err := Generate(h.spec, viewer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameAccount(t, fmt.Sprintf("%s step %d", label, step), got, want)
+				if err := VerifySound(h.spec, got); err != nil {
+					t.Fatalf("%s step %d: VerifySound: %v", label, step, err)
+				}
+				h.acct = got
+				switch {
+				case d.Empty():
+				case st.Rebuilt:
+					rebuilt++
+				case want.completed:
+					t.Fatalf("%s step %d: incremental pass, but scratch needed the completion sweep", label, step)
+				default:
+					incremental++
+				}
+			}
+		}
+	}
+	t.Logf("%d incremental passes, %d rebuilt", incremental, rebuilt)
+	if incremental < rebuilt/4 {
+		t.Errorf("only %d incremental passes beside %d rebuilt: the corpus no longer exercises the patch path", incremental, rebuilt)
+	}
+}
+
+func seeds(from, to int64) []int64 {
+	var out []int64
+	for s := from; s <= to; s++ {
+		out = append(out, s)
+	}
+	return out
 }
 
 // TestMaintainEmptyDelta returns the same account untouched.

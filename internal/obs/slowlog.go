@@ -37,6 +37,11 @@ type SlowEntry struct {
 	// before running: advanced, advance_rebuild or full_build (empty on a
 	// cache hit).
 	ViewRefresh string `json:"viewRefresh,omitempty"`
+	// ViewWalked and ViewPairs are an advanced view's account-maintenance
+	// cost in steps: anchor-walk (node, state) visits and candidate anchor
+	// pairs examined. They say why a view phase was slow.
+	ViewWalked int `json:"viewWalked,omitempty"`
+	ViewPairs  int `json:"viewPairs,omitempty"`
 	// Rows is the result row count (plusql queries).
 	Rows int `json:"rows,omitempty"`
 }

@@ -29,8 +29,9 @@ type AdvanceInfo struct {
 	// Cause classifies a rebuild or a refusal from a fixed vocabulary
 	// (see the cause constants) that never carries a node id.
 	Cause string
-	// Dirty is the size of the account's dirty region (original nodes).
-	Dirty int
+	// Walked and Pairs are the account pass's cost in steps: anchor-walk
+	// (node, state) visits and candidate anchor pairs examined.
+	Walked, Pairs int
 }
 
 // Refresh causes, the reason label of plus_plusql_view_refresh_total.
@@ -78,7 +79,7 @@ func (v *View) Advance(sn *plus.Snapshot) (*View, AdvanceInfo, bool) {
 		return v, AdvanceInfo{AccountRebuilt: true, Reason: st.Reason, Cause: string(st.Cause)}, true
 	}
 	v.patch(st)
-	return v, AdvanceInfo{Cause: causeDelta, Dirty: st.Dirty}, true
+	return v, AdvanceInfo{Cause: causeDelta, Walked: st.Walked, Pairs: st.Pairs}, true
 }
 
 // patch applies one maintenance pass's stats to the view's indexes.

@@ -30,13 +30,17 @@ var indexBenchQueries = []string{
 // in-memory backend.
 func largeBackend(tb testing.TB, nodes int) plus.Backend {
 	tb.Helper()
+	return largeBackendOf(tb, workload.LargeConfig{Nodes: nodes, Seed: 11})
+}
+
+func largeBackendOf(tb testing.TB, cfg workload.LargeConfig) plus.Backend {
+	tb.Helper()
 	b := plus.NewMemBackend(0)
 	tb.Cleanup(func() { b.Close() })
-	err := workload.GenerateLarge(workload.LargeConfig{Nodes: nodes, Seed: 11},
-		func(batch plus.Batch) error {
-			_, err := b.Apply(batch)
-			return err
-		})
+	err := workload.GenerateLarge(cfg, func(batch plus.Batch) error {
+		_, err := b.Apply(batch)
+		return err
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -80,9 +80,10 @@
 // first query to find the view behind takes the write side instead and
 // refreshes it once for everyone: it pulls the backend change feed
 // (Snapshot.DeltaSince) and View.Advance applies the delta IN PLACE — the
-// spec record-for-record, the protected account's dirty region
-// (account.Maintain), the posting lists and adjacency where the delta
-// lands — dropping only the reachability memos an added edge extends.
+// spec record-for-record, the protected account by the anchor pairs the
+// delta's new edges create (account.Maintain), the posting lists and
+// adjacency where the delta lands — dropping only the reachability memos
+// an added edge extends.
 // Queries of the same viewer that arrive during the refresh wait for it
 // and then read the advanced view; other viewers' slots are untouched.
 //
@@ -91,7 +92,7 @@
 // longer) and queries queue behind a waiting advance, where building a
 // successor view beside the readers would not wait — but would clone the
 // account and every index on every write: 35 ms per advance at 10 000
-// nodes against 0.09 ms in place. Queries never block writers: the store
+// nodes against 0.03 ms in place. Queries never block writers: the store
 // is read through immutable snapshots and the feed.
 //
 // A slot rebuilds from a snapshot only on first use, when the feed no

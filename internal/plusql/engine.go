@@ -88,8 +88,8 @@ type ViewCacheStats struct {
 	// for another query's refresh of the same revision is a hit.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// Advanced counts views refreshed by patching the delta's dirty
-	// region; AdvanceRebuilds counts advances where the spec moved
+	// Advanced counts views refreshed by patching in what the delta
+	// added; AdvanceRebuilds counts advances where the spec moved
 	// incrementally but the account had to be regenerated.
 	Advanced        uint64 `json:"advanced"`
 	AdvanceRebuilds uint64 `json:"advanceRebuilds"`
@@ -141,12 +141,12 @@ func (e *Engine) CacheStats() ViewCacheStats {
 
 // acquire returns the slot of (viewer, mode) READ-LOCKED with a view at or
 // past the store's current revision; the caller queries s.view and then
-// releases s.mu.RUnlock. refreshed names what this lookup had to do to get
-// there ("" for a hit).
-func (e *Engine) acquire(viewer privilege.Predicate, mode plus.Mode) (s *viewSlot, refreshed string, err error) {
+// releases s.mu.RUnlock. r says what this lookup had to do to get there
+// (the zero value for a hit).
+func (e *Engine) acquire(viewer privilege.Predicate, mode plus.Mode) (s *viewSlot, r viewRefresh, err error) {
 	sn, err := e.store.Snapshot()
 	if err != nil {
-		return nil, "", err
+		return nil, r, err
 	}
 	key := slotKey{viewer: viewer, mode: mode}
 	e.mu.Lock()
@@ -165,22 +165,22 @@ func (e *Engine) acquire(viewer privilege.Predicate, mode plus.Mode) (s *viewSlo
 		s.mu.RUnlock()
 		s.mu.Lock()
 		if s.view == nil || s.view.rev < sn.Revision() {
-			refreshed, err = e.refresh(s, sn, viewer, mode)
+			r, err = e.refresh(s, sn, viewer, mode)
 		}
 		s.mu.Unlock()
 		if err != nil {
-			return nil, "", err
+			return nil, r, err
 		}
 		s.mu.RLock()
 	}
 	e.mu.Lock()
-	if refreshed == "" {
+	if r.outcome == "" {
 		e.stats.Hits++
 	} else {
 		e.stats.Misses++
 	}
 	e.mu.Unlock()
-	return s, refreshed, nil
+	return s, r, nil
 }
 
 // Refresh outcomes, the outcome label of plus_plusql_view_refresh_total
@@ -192,10 +192,17 @@ const (
 	outcomeFallback       = "fallback"
 )
 
+// viewRefresh is what one view lookup did to its view: the outcome ("" for
+// a hit) and, for an advance, the account pass's cost in steps.
+type viewRefresh struct {
+	outcome       string
+	walked, pairs int
+}
+
 // refresh brings the slot's view to snapshot sn: by advancing it in place
 // when there is one, by a full build otherwise or when the advance is
-// refused. It returns the outcome; the caller holds s.mu's write side.
-func (e *Engine) refresh(s *viewSlot, sn *plus.Snapshot, viewer privilege.Predicate, mode plus.Mode) (string, error) {
+// refused. It returns what it did; the caller holds s.mu's write side.
+func (e *Engine) refresh(s *viewSlot, sn *plus.Snapshot, viewer privilege.Predicate, mode plus.Mode) (viewRefresh, error) {
 	e.mu.Lock()
 	incremental := e.incremental
 	e.mu.Unlock()
@@ -207,9 +214,11 @@ func (e *Engine) refresh(s *viewSlot, sn *plus.Snapshot, viewer privilege.Predic
 			outcome := outcomeAdvanced
 			if info.AccountRebuilt {
 				outcome = outcomeAdvanceRebuild
+			} else if h := e.obsHooks.Load(); h != nil {
+				h.walked.Observe(int64(info.Walked))
 			}
 			e.count(outcome, info.Cause)
-			return outcome, nil
+			return viewRefresh{outcome: outcome, walked: info.Walked, pairs: info.Pairs}, nil
 		}
 		cause = info.Cause
 		e.count(outcomeFallback, cause)
@@ -224,11 +233,11 @@ func (e *Engine) refresh(s *viewSlot, sn *plus.Snapshot, viewer privilege.Predic
 	}
 	v, err := NewView(sn, e.lattice, viewer, mode)
 	if err != nil {
-		return "", err
+		return viewRefresh{}, err
 	}
 	s.view = v
 	e.count(outcomeFullBuild, cause)
-	return outcomeFullBuild, nil
+	return viewRefresh{outcome: outcomeFullBuild}, nil
 }
 
 // count records one refresh outcome, in the stats and the metrics.
@@ -325,7 +334,7 @@ func (e *Engine) runTimed(ctx context.Context, q *Query, opts Options, src strin
 		plan:    planD,
 		exec:    time.Since(tExec),
 		total:   parseD + time.Since(t0),
-		viewHit: refreshed == "",
+		viewHit: refreshed.outcome == "",
 		refresh: refreshed,
 		rows:    rs.Stats.Rows,
 	}

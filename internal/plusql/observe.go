@@ -33,7 +33,7 @@ type PhaseTimings struct {
 type queryTiming struct {
 	parse, view, plan, exec, total time.Duration
 	viewHit                        bool
-	refresh                        string // refresh outcome this query performed, "" on a hit
+	refresh                        viewRefresh // what this query did to its view
 	rows                           int
 }
 
@@ -55,13 +55,15 @@ type queryObs struct {
 	o       *plus.Observability
 	phase   *obs.HistogramVec // parse / view / plan / exec / total
 	refresh *obs.CounterVec   // outcome, reason
+	walked  *obs.Histogram    // anchor-walk visits per localised advance
 }
 
 // SetObservability instruments the engine: per-phase latency histograms
 // (plus_plusql_seconds{phase}), view refreshes by outcome and cause
 // (plus_plusql_view_refresh_total{outcome,reason}; reason is one of a
-// fixed set of classes, never a node id) and slow-query capture through
-// o's ring.
+// fixed set of classes, never a node id), the anchor-walk visits of each
+// localised advance (plus_plusql_view_advance_walked) and slow-query
+// capture through o's ring.
 // Passing nil uninstruments. Attach wires this automatically; call it
 // directly only for engines serving without a plus server.
 func (e *Engine) SetObservability(o *plus.Observability) {
@@ -77,6 +79,8 @@ func (e *Engine) SetObservability(o *plus.Observability) {
 		refresh: o.Registry().CounterVec("plus_plusql_view_refresh_total",
 			"Protected-view refreshes by outcome (advanced/advance_rebuild/full_build/fallback) and cause.",
 			"outcome", "reason"),
+		walked: o.Registry().Histogram("plus_plusql_view_advance_walked",
+			"Anchor-walk (node, state) visits per localised view advance.", 1),
 	})
 }
 
@@ -105,7 +109,9 @@ func (e *Engine) observe(ctx context.Context, text string, viewer string, t quer
 				{Name: "exec", US: t.exec.Microseconds()},
 			},
 			CacheHit:    t.viewHit,
-			ViewRefresh: t.refresh,
+			ViewRefresh: t.refresh.outcome,
+			ViewWalked:  t.refresh.walked,
+			ViewPairs:   t.refresh.pairs,
 			Rows:        t.rows,
 		})
 	}

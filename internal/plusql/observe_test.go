@@ -174,7 +174,12 @@ func TestViewRefreshCountedByOutcomeAndCause(t *testing.T) {
 	secret := plus.Object{ID: "secret-node-id", Kind: plus.Data, Name: "s"}
 	put(secret)
 	query() // full_build / cold_start
-	put(plus.Object{ID: "w", Kind: plus.Data, Name: "w"})
+	if _, err := b.Apply(plus.Batch{
+		Objects: []plus.Object{{ID: "w", Kind: plus.Data, Name: "w"}},
+		Edges:   []plus.Edge{{From: secret.ID, To: "w", Label: "input-to"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	query() // advanced / delta
 	secret.Lowest, secret.Protect = "Protected", "hide"
 	put(secret)
@@ -219,11 +224,30 @@ func TestViewRefreshCountedByOutcomeAndCause(t *testing.T) {
 	}
 
 	var outcomes []string
+	var walked int
 	for _, en := range slow.Entries() {
 		outcomes = append(outcomes, en.ViewRefresh)
 		if (en.ViewRefresh == "") != en.CacheHit {
 			t.Errorf("slow-log entry %+v: a refresh outcome and a cache hit exclude each other", en)
 		}
+		// Only an advance walks: its entry says how far, so a slow view
+		// phase is attributable.
+		if advanced := en.ViewRefresh == outcomeAdvanced; (en.ViewWalked > 0) != advanced || (en.ViewPairs > 0) != advanced {
+			t.Errorf("slow-log entry %+v: walked/pairs set on an advance and only there", en)
+		}
+		walked += en.ViewWalked
+	}
+	for _, f := range reg.Gather() {
+		if f.Name != "plus_plusql_view_advance_walked" {
+			continue
+		}
+		if len(f.Series) != 1 || f.Series[0].Count != 1 || f.Series[0].Sum != float64(walked) {
+			t.Errorf("%s = %+v, want one observation of %d", f.Name, f.Series, walked)
+		}
+		walked = -1
+	}
+	if walked != -1 {
+		t.Error("plus_plusql_view_advance_walked not exported")
 	}
 	if got := strings.Join(outcomes, ","); got != "full_build,advanced,advance_rebuild,,full_build" {
 		t.Errorf("slow-log refresh outcomes = %q", got)
