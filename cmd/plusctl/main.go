@@ -9,14 +9,13 @@
 //	put-object -id ID -kind data|invocation -name NAME [-lowest P] [-protect surrogate|hide]
 //	put-edge -from ID -to ID [-label L] [-protect-at P] [-protect-mode surrogate|hide]
 //	put-surrogate -for ID -id ID -name NAME [-lowest P] [-score F]
-//	get ID
+//	get [-viewer P] ID
 //	lineage -start ID [-direction ancestors|descendants|both] [-depth N] [-viewer P] [-mode surrogate|hide] [-label L] [-kind data|invocation]
 //	query [-viewer P] [-mode surrogate|hide] [-limit N] [-format table|json] [-explain] 'PLUSQL'
 //	batch [-viewer P] [-token T] [-file batch.json]
 //	follow [-viewer P] [-token T] [-cursor C] [-tail] [-wait D] [-max N] [-no-resync]
 //	session mint -keys keyring -viewer P [-caps ingest,query] [-ttl 1h] [-key ID]
 //	session inspect [-keys keyring] TOKEN
-//	stats
 //	top [-interval 2s] [-n N] [-once]
 //	slowlog
 //	healthz
@@ -30,20 +29,22 @@
 // -slow-query). Both need the admin capability on an authenticated
 // server.
 //
-// batch and follow speak the v2 API through the Go SDK (pkg/plusclient):
-// batch ingests a {"objects": [...], "edges": [...], "surrogates": [...]}
-// document atomically and prints the resulting revision and change-feed
-// cursor; follow streams the change feed as JSON lines, resuming from
-// -cursor, and exits at the first catch-up unless -tail keeps it
-// attached. Any non-2xx server answer exits non-zero.
+// Every subcommand speaks the v2 API through the Go SDK (pkg/plusclient).
+// put-* ingest one record each; batch ingests a {"objects": [...],
+// "edges": [...], "surrogates": [...]} document atomically and prints the
+// resulting revision and change-feed cursor; follow streams the change
+// feed as JSON lines, resuming from -cursor, and exits at the first
+// catch-up unless -tail keeps it attached. Any non-2xx server answer
+// exits non-zero.
 //
 // session mint signs a stateless session token offline from a keyring
 // file (one "id:secret" line per key, first key signs) — the operator's
 // bootstrap for a plusd running with -auth-keys. session inspect decodes
 // a token's claims and, given the keyring, verifies its signature and
 // expiry. The global -token (before the subcommand) authenticates every
-// subcommand — v1 and v2 alike — as the X-Plus-Session header; the
-// batch/follow -token flag overrides it per call.
+// subcommand as the X-Plus-Session header; the batch/follow -token flag
+// overrides it per call. A token fixes the viewer, so -viewer beside a
+// token is refused: mint a token for that viewer instead.
 //
 // The global -tls-ca verifies an https server against a custom PEM CA
 // bundle — the cert.pem a plusd running with -tls-self-signed serves
@@ -62,12 +63,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"strings"
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/plus"
 	"repro/internal/plusql"
 	"repro/pkg/plusclient"
@@ -79,13 +80,12 @@ var commands = []struct{ name, synopsis string }{
 	{"put-object", `put-object -id ID -kind data|invocation -name NAME [-lowest P] [-protect surrogate|hide]`},
 	{"put-edge", `put-edge -from ID -to ID [-label L] [-protect-at P] [-protect-mode surrogate|hide]`},
 	{"put-surrogate", `put-surrogate -for ID -id ID -name NAME [-lowest P] [-score F]`},
-	{"get", `get ID`},
+	{"get", `get [-viewer P] ID`},
 	{"lineage", `lineage -start ID [-direction ancestors|descendants|both] [-depth N] [-viewer P] [-mode surrogate|hide] [-label L] [-kind data|invocation]`},
 	{"query", `query [-viewer P] [-mode surrogate|hide] [-limit N] [-format table|json] [-explain] 'PLUSQL query'`},
 	{"batch", `batch [-viewer P] [-token T] [-file batch.json]`},
 	{"follow", `follow [-viewer P] [-token T] [-cursor C] [-tail] [-wait D] [-max N] [-no-resync]`},
 	{"session", `session mint -keys keyring -viewer P [-caps ingest,replicate,query,admin] [-ttl 1h] [-key ID] | session inspect [-keys keyring] TOKEN`},
-	{"stats", `stats`},
 	{"status", `status [-max-lag D]`},
 	{"top", `top [-interval 2s] [-n N] [-once]`},
 	{"slowlog", `slowlog`},
@@ -220,24 +220,32 @@ func printJSON(v interface{}) error {
 	return enc.Encode(v)
 }
 
-// sdkClient builds the v2 SDK client for the same server the v1 client
-// targets, with an optional viewer and/or signed-token principal; an
-// empty token falls back to the global -token attached to c.
-func sdkClient(c *plus.Client, viewer, token string) *plusclient.Client {
-	var opts []plusclient.Option
-	if viewer != "" {
+// target is the server every subcommand talks to: the -server base URL,
+// the transport (carrying -tls-ca trust) and the global -token.
+type target struct {
+	base  string
+	http  *http.Client
+	token string
+}
+
+// sdkClient builds the SDK client for one subcommand call, with an
+// optional viewer or signed-token principal; an empty token falls back to
+// the global -token. A token fixes the viewer, so a viewer beside one is
+// an error rather than silently ignored.
+func sdkClient(t target, viewer, token string) (*plusclient.Client, error) {
+	if token == "" {
+		token = t.token
+	}
+	opts := []plusclient.Option{plusclient.WithHTTPClient(t.http)}
+	switch {
+	case token != "" && viewer != "":
+		return nil, fmt.Errorf("-viewer %s cannot override the session token's viewer; mint a token for it with: plusctl session mint -keys KEYRING -viewer %s", viewer, viewer)
+	case token != "":
+		opts = append(opts, plusclient.WithToken(token))
+	case viewer != "":
 		opts = append(opts, plusclient.WithViewer(viewer))
 	}
-	if token == "" {
-		token = c.Token()
-	}
-	if token != "" {
-		opts = append(opts, plusclient.WithToken(token))
-	}
-	// Inherit the v1 client's transport so -tls-ca trust applies to the
-	// SDK surface too.
-	opts = append(opts, plusclient.WithHTTPClient(c.HTTPClient()))
-	return plusclient.New(c.BaseURL(), opts...)
+	return plusclient.New(t.base, opts...), nil
 }
 
 // sessionMint signs a token offline from a keyring file.
@@ -347,21 +355,24 @@ func run() error {
 	if len(args) == 0 {
 		usage()
 	}
-	c := plus.NewClient(*server)
-	c.SetToken(*token)
+	t := target{base: *server, http: &http.Client{}, token: *token}
 	if *tlsCA != "" {
 		hc, err := plusclient.NewTLSHTTPClient(*tlsCA)
 		if err != nil {
 			return err
 		}
-		c.SetHTTPClient(hc)
+		t.http = hc
 	}
-	return execute(c, args[0], args[1:])
+	return execute(t, args[0], args[1:])
 }
 
-// execute dispatches one subcommand against the client; split from run so
+// execute dispatches one subcommand against the server; split from run so
 // tests can drive it without the process-global flag state.
-func execute(c *plus.Client, cmd string, rest []string) error {
+func execute(t target, cmd string, rest []string) error {
+	ctx := context.Background()
+	// Subcommands without a -viewer of their own act as the global -token
+	// (or anonymously): with no viewer there is no conflict to report.
+	c, _ := sdkClient(t, "", "")
 	switch cmd {
 	case "put-object":
 		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
@@ -371,7 +382,7 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 		lowest := fs.String("lowest", "", "lowest privilege-predicate")
 		protect := fs.String("protect", "", "incidence protection: surrogate or hide")
 		_ = fs.Parse(rest)
-		return c.PutObject(plus.Object{
+		return c.PutObject(ctx, plus.Object{
 			ID: *id, Kind: plus.ObjectKind(*kind), Name: *name, Lowest: *lowest, Protect: *protect,
 		})
 	case "put-edge":
@@ -387,7 +398,7 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 			e.Lowest = *at
 			e.Marking = *mode
 		}
-		return c.PutEdge(e)
+		return c.PutEdge(ctx, e)
 	case "put-surrogate":
 		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		forID := fs.String("for", "", "original object id")
@@ -396,14 +407,21 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 		lowest := fs.String("lowest", "", "lowest privilege-predicate")
 		score := fs.Float64("score", 0.5, "infoScore in [0,1]")
 		_ = fs.Parse(rest)
-		return c.PutSurrogate(plus.SurrogateSpec{
+		return c.PutSurrogate(ctx, plus.SurrogateSpec{
 			ForID: *forID, ID: *id, Name: *name, Lowest: *lowest, InfoScore: *score,
 		})
 	case "get":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: plusctl get <id>")
+		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+		viewer := fs.String("viewer", "", "consumer privilege-predicate")
+		_ = fs.Parse(rest)
+		if fs.NArg() != 1 {
+			return fmt.Errorf("usage: plusctl %s", synopsisOf("get"))
 		}
-		o, err := c.GetObject(rest[0])
+		c, err := sdkClient(t, *viewer, "")
+		if err != nil {
+			return err
+		}
+		o, err := c.GetObject(ctx, fs.Arg(0))
 		if err != nil {
 			return err
 		}
@@ -418,8 +436,12 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 		label := fs.String("label", "", "restrict traversal to this edge label")
 		kind := fs.String("kind", "", "restrict traversal to data or invocation objects")
 		_ = fs.Parse(rest)
-		resp, err := c.Lineage(plus.LineageQuery{
-			Start: *start, Direction: *direction, Depth: *depth, Viewer: *viewer, Mode: *mode,
+		c, err := sdkClient(t, *viewer, "")
+		if err != nil {
+			return err
+		}
+		resp, err := c.Lineage(ctx, plusclient.LineageRequest{
+			Start: *start, Direction: *direction, Depth: *depth, Mode: *mode,
 			Label: *label, Kind: *kind,
 		})
 		if err != nil {
@@ -440,8 +462,12 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 		if *format != "table" && *format != "json" {
 			return fmt.Errorf("unknown format %q (want table or json)", *format)
 		}
-		resp, err := plusql.ClientQuery(c, plusql.QueryRequest{
-			Query: fs.Arg(0), Viewer: *viewer, Mode: *mode, Limit: *limit, Explain: *explain,
+		c, err := sdkClient(t, *viewer, "")
+		if err != nil {
+			return err
+		}
+		resp, err := c.Query(ctx, fs.Arg(0), plusclient.QueryOptions{
+			Mode: *mode, Limit: *limit, Explain: *explain,
 		})
 		if err != nil {
 			return err
@@ -483,7 +509,11 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 		if err := dec.Decode(&b); err != nil {
 			return fmt.Errorf("batch document: %w", err)
 		}
-		resp, err := sdkClient(c, *viewer, *token).Batch(context.Background(), b)
+		c, err := sdkClient(t, *viewer, *token)
+		if err != nil {
+			return err
+		}
+		resp, err := c.Batch(ctx, b)
 		if err != nil {
 			return err
 		}
@@ -498,9 +528,13 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 		maxEvents := fs.Int("max", 0, "stop after this many change events (0 = unbounded)")
 		noResync := fs.Bool("no-resync", false, "fail with the 410 instead of auto-resyncing from a snapshot")
 		_ = fs.Parse(rest)
+		c, err := sdkClient(t, *viewer, *token)
+		if err != nil {
+			return err
+		}
 		enc := json.NewEncoder(os.Stdout)
 		changes := 0
-		err := sdkClient(c, *viewer, *token).Follow(context.Background(), *cursor,
+		return c.Follow(ctx, *cursor,
 			plusclient.FollowOptions{Wait: *wait, DisableResync: *noResync},
 			func(ev plusclient.Event) error {
 				if err := enc.Encode(ev); err != nil {
@@ -519,18 +553,11 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 				}
 				return nil
 			})
-		return err
-	case "stats":
-		s, err := c.Stats()
-		if err != nil {
-			return err
-		}
-		return printJSON(s)
 	case "top":
-		return topCommand(c, rest)
+		return topCommand(ctx, c, t.base, rest)
 	case "slowlog":
-		var entries []obs.SlowEntry
-		if err := c.GetJSON("/v2/slowlog", &entries); err != nil {
+		entries, err := c.Slowlog(ctx)
+		if err != nil {
 			return err
 		}
 		return printJSON(entries)
@@ -538,8 +565,9 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		maxLag := fs.Duration("max-lag", 0, "exit non-zero when a follower has been stalled longer than this (0 = off)")
 		_ = fs.Parse(rest)
-		h, err := c.Healthz()
-		if err != nil {
+		// A degraded probe still carries its payload: render it, then fail.
+		h, err := c.Healthz(ctx)
+		if err != nil && h.Status == "" {
 			return err
 		}
 		if err := printStatus(os.Stdout, h); err != nil {
@@ -550,8 +578,8 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 		}
 		return replicaExit(h, *maxLag)
 	case "healthz":
-		h, err := c.Healthz()
-		if err != nil {
+		h, err := c.Healthz(ctx)
+		if err != nil && h.Status == "" {
 			return err
 		}
 		if err := printJSON(h); err != nil {
@@ -559,7 +587,7 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 		}
 		return healthzExit(h)
 	case "export-opm":
-		return c.ExportOPM(os.Stdout)
+		return c.ExportOPM(ctx, os.Stdout)
 	case "import-opm":
 		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		file := fs.String("file", "", "OPM JSON document to import (default stdin)")
@@ -573,7 +601,7 @@ func execute(c *plus.Client, cmd string, rest []string) error {
 			defer f.Close()
 			in = f
 		}
-		return c.ImportOPM(in)
+		return c.ImportOPM(ctx, in)
 	default:
 		fmt.Fprint(os.Stderr, usageListing())
 		return fmt.Errorf("unknown command %q", cmd)

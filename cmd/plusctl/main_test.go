@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -10,14 +11,29 @@ import (
 	"repro/internal/plus"
 	"repro/internal/plusql"
 	"repro/internal/privilege"
+	"repro/pkg/plusclient"
 )
 
-func testClient(t *testing.T) *plus.Client {
+func testClient(t *testing.T) target {
 	c, _ := testClientStore(t)
 	return c
 }
 
-func testClientStore(t *testing.T) (*plus.Client, *plus.LogBackend) {
+// testTarget serves s and returns the plusctl target pointed at it.
+func testTarget(t *testing.T, s *plus.Server) target {
+	t.Helper()
+	srv := httptest.NewServer(s)
+	t.Cleanup(srv.Close)
+	return target{base: srv.URL, http: srv.Client()}
+}
+
+// sdk is the principal-free SDK client of a test target.
+func sdk(c target) *plusclient.Client {
+	cl, _ := sdkClient(c, "", "")
+	return cl
+}
+
+func testClientStore(t *testing.T) (target, *plus.LogBackend) {
 	t.Helper()
 	dir := t.TempDir()
 	store, err := plus.Open(dir+"/plus.log", plus.Options{})
@@ -28,9 +44,7 @@ func testClientStore(t *testing.T) (*plus.Client, *plus.LogBackend) {
 	lat := privilege.TwoLevel()
 	s := plus.NewServer(plus.NewEngine(store, lat))
 	plusql.Attach(s, plusql.NewEngine(store, lat))
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
-	return plus.NewClient(srv.URL), store
+	return testTarget(t, s), store
 }
 
 func TestExecuteWorkflow(t *testing.T) {
@@ -43,9 +57,9 @@ func TestExecuteWorkflow(t *testing.T) {
 		{"put-edge", "-from", "proc", "-to", "out", "-label", "generated"},
 		{"put-surrogate", "-for", "proc", "-id", "proc~", "-name", "a step", "-score", "0.4"},
 		{"get", "src"},
+		{"get", "-viewer", "Protected", "proc"},
 		{"lineage", "-start", "out", "-direction", "ancestors", "-viewer", "Public", "-mode", "surrogate"},
 		{"lineage", "-start", "out", "-depth", "1"},
-		{"stats"},
 		{"status"},
 		{"healthz"},
 	}
@@ -103,7 +117,7 @@ func TestExecuteEdgeProtection(t *testing.T) {
 			t.Fatalf("%v: %v", s, err)
 		}
 	}
-	resp, err := c.Lineage(plus.LineageQuery{Start: "b", Direction: "ancestors"})
+	resp, err := sdk(c).Lineage(context.Background(), plusclient.LineageRequest{Start: "b", Direction: "ancestors"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +195,7 @@ func TestExecuteBatchAndFollow(t *testing.T) {
 	if err := execute(c, "batch", []string{"-file", path}); err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	if o, err := c.GetObject("b"); err != nil || o.Name != "b" {
+	if o, err := sdk(c).GetObject(context.Background(), "b"); err != nil || o.Name != "b" {
 		t.Fatalf("batched object = %+v, %v", o, err)
 	}
 
@@ -193,7 +207,7 @@ func TestExecuteBatchAndFollow(t *testing.T) {
 	if err := execute(c, "batch", []string{"-file", path}); err == nil {
 		t.Error("invalid batch exited 0")
 	}
-	if _, err := c.GetObject("x"); err == nil {
+	if _, err := sdk(c).GetObject(context.Background(), "x"); err == nil {
 		t.Error("invalid batch left partial state")
 	}
 
@@ -224,6 +238,12 @@ func TestExecuteErrors(t *testing.T) {
 	}
 	if err := execute(c, "get", []string{"missing"}); err == nil {
 		t.Error("get of missing object accepted")
+	}
+	if err := execute(c, "put-object", []string{"-id", "p", "-kind", "data", "-lowest", "Protected"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := execute(c, "get", []string{"p"}); err == nil {
+		t.Error("Public get of a Protected object accepted")
 	}
 	if err := execute(c, "put-object", []string{"-id", "", "-kind", "data"}); err == nil {
 		t.Error("invalid object accepted")
@@ -408,10 +428,7 @@ func TestBatchAndFollowWithToken(t *testing.T) {
 	m := plus.NewMemBackend(2)
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
-	s := plus.NewServer(plus.NewEngine(m, lat), plus.WithAuth(plus.AuthConfig{Keyring: kr, Require: true}))
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
-	c := plus.NewClient(srv.URL)
+	c := testTarget(t, plus.NewServer(plus.NewEngine(m, lat), plus.WithAuth(plus.AuthConfig{Keyring: kr, Require: true})))
 
 	keys := t.TempDir() + "/keyring"
 	if err := osWriteFile(keys, "k1:ctl-test-secret-material\n"); err != nil {
@@ -446,10 +463,11 @@ func TestBatchAndFollowWithToken(t *testing.T) {
 	}
 }
 
-// TestGlobalTokenOnV1Subcommands: the global -token (plus.Client.SetToken)
-// authenticates the whole legacy surface — put/get/lineage/stats — against
-// an auth-required server, and the SDK subcommands inherit it.
-func TestGlobalTokenOnV1Subcommands(t *testing.T) {
+// authTarget serves a MemBackend (with PLUSQL) that requires tokens
+// signed by a one-key keyring, and returns the target plus a token minted
+// offline for viewer with every capability.
+func authTarget(t *testing.T, viewer string) (target, string) {
+	t.Helper()
 	kr, err := plus.NewKeyring(plus.Key{ID: "k1", Secret: []byte("ctl-global-secret-material")})
 	if err != nil {
 		t.Fatal(err)
@@ -459,37 +477,86 @@ func TestGlobalTokenOnV1Subcommands(t *testing.T) {
 	lat := privilege.TwoLevel()
 	s := plus.NewServer(plus.NewEngine(m, lat), plus.WithAuth(plus.AuthConfig{Keyring: kr, Require: true}))
 	plusql.Attach(s, plusql.NewEngine(m, lat))
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
-
-	c := plus.NewClient(srv.URL)
-	if err := execute(c, "put-object", []string{"-id", "a", "-kind", "data", "-name", "a"}); err == nil {
-		t.Fatal("tokenless v1 write against auth-required server exited 0")
-	}
+	c := testTarget(t, s)
 
 	keys := t.TempDir() + "/keyring"
 	if err := osWriteFile(keys, "k1:ctl-global-secret-material\n"); err != nil {
 		t.Fatal(err)
 	}
 	out, err := captureStdout(t, func() error {
-		return execute(c, "session", []string{"mint", "-keys", keys, "-viewer", "Protected"})
+		return execute(c, "session", []string{"mint", "-keys", keys, "-viewer", viewer})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetToken(strings.TrimSpace(out))
+	return c, strings.TrimSpace(out)
+}
+
+// TestGlobalTokenOnEverySubcommand: the global -token authenticates every
+// server-facing subcommand against an auth-required server.
+func TestGlobalTokenOnEverySubcommand(t *testing.T) {
+	c, token := authTarget(t, "Protected")
+	if err := execute(c, "put-object", []string{"-id", "a", "-kind", "data", "-name", "a"}); err == nil {
+		t.Fatal("tokenless write against auth-required server exited 0")
+	}
+	c.token = token
+	doc := t.TempDir() + "/doc.json"
+	if err := osWriteFile(doc, `{"artifacts":[{"id":"z","value":"zed"}],"processes":[],"used":[],"wasGeneratedBy":[]}`); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, args := range [][]string{
 		{"put-object", "-id", "a", "-kind", "data", "-name", "a"},
-		{"get", "a"},
-		{"lineage", "-start", "a"},
+		{"put-object", "-id", "p", "-kind", "invocation", "-name", "p", "-lowest", "Protected"},
+		{"put-edge", "-from", "a", "-to", "p"},
+		{"put-surrogate", "-for", "p", "-id", "p2", "-name", "a step"},
+		{"get", "p"}, // the token's viewer, Protected, may read it
+		{"lineage", "-start", "p"},
 		{"query", `node(X)`},
-		{"stats"},
 		{"export-opm"},
-		{"follow"}, // SDK subcommand inherits the global token
+		{"import-opm", "-file", doc},
+		{"follow"},
+		{"slowlog"},
+		{"top", "-once"},
+		{"status"},
 	} {
 		if _, err := captureStdout(t, func() error { return execute(c, args[0], args[1:]) }); err != nil {
 			t.Errorf("%v with global token: %v", args, err)
+		}
+	}
+}
+
+// TestViewerBesideTokenIsRefused: a token fixes the principal, so a
+// -viewer next to one (global or per-command) is an error naming the fix,
+// never silently dropped in favour of the token's viewer.
+func TestViewerBesideTokenIsRefused(t *testing.T) {
+	c, token := authTarget(t, "Protected")
+	path := t.TempDir() + "/batch.json"
+	if err := osWriteFile(path, `{"objects": [{"id": "a", "kind": "data", "name": "a"}]}`); err != nil {
+		t.Fatal(err)
+	}
+	perCommand := [][]string{
+		{"batch", "-viewer", "Public", "-token", token, "-file", path},
+		{"follow", "-viewer", "Public", "-token", token},
+	}
+	for _, args := range perCommand {
+		err := execute(c, args[0], args[1:])
+		if err == nil || !strings.Contains(err.Error(), "session mint") {
+			t.Errorf("%v: err = %v, want a -viewer conflict naming session mint", args, err)
+		}
+	}
+	c.token = token
+	global := [][]string{
+		{"get", "-viewer", "Public", "a"},
+		{"lineage", "-viewer", "Public", "-start", "a"},
+		{"query", "-viewer", "Public", `node(X)`},
+		{"batch", "-viewer", "Public", "-file", path},
+		{"follow", "-viewer", "Public"},
+	}
+	for _, args := range global {
+		err := execute(c, args[0], args[1:])
+		if err == nil || !strings.Contains(err.Error(), "session mint") {
+			t.Errorf("%v with global token: err = %v, want a -viewer conflict naming session mint", args, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -10,13 +11,13 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/plus"
+	"repro/pkg/plusclient"
 )
 
 // top polls GET /v2/metrics?format=json and renders a live operator
 // table: store gauges, cache efficiency, per-route HTTP traffic and
 // per-op backend latency. The principal needs the admin capability.
-func topCommand(c *plus.Client, rest []string) error {
+func topCommand(ctx context.Context, c *plusclient.Client, server string, rest []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	interval := fs.Duration("interval", 2*time.Second, "refresh period")
 	count := fs.Int("n", 0, "exit after this many refreshes (0 = until interrupted)")
@@ -26,15 +27,15 @@ func topCommand(c *plus.Client, rest []string) error {
 		*count = 1
 	}
 	for i := 0; ; i++ {
-		var fams []obs.Family
-		if err := c.GetJSON("/v2/metrics?format=json", &fams); err != nil {
+		fams, err := c.Metrics(ctx)
+		if err != nil {
 			return err
 		}
 		if *count != 1 {
 			// Home the cursor and wipe: a live table, not a scroll.
 			fmt.Print("\033[H\033[2J")
 		}
-		if err := renderTop(os.Stdout, c.BaseURL(), fams); err != nil {
+		if err := renderTop(os.Stdout, server, fams); err != nil {
 			return err
 		}
 		if *count > 0 && i+1 >= *count {

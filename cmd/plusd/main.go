@@ -21,13 +21,13 @@
 // PLUSQL views whose account region it touches; GET /v1/healthz reports
 // the cache and delta counters.
 //
-// Both API versions are served: /v1 (query-string viewer, one record per
-// write) and the principal-scoped /v2 (X-Plus-Viewer header or
+// The API is the principal-scoped /v2 (X-Plus-Viewer header or
 // POST /v2/sessions tokens, POST /v2/batch atomic ingest, the
 // GET /v2/changes durable-cursor change feed with GET /v2/snapshot
-// resync, and POST /v2/query). The Go SDK for /v2 is pkg/plusclient;
-// plusctl's batch and follow subcommands ride on it. The log backend
-// persists its change-feed epoch, so /v2 cursors survive restarts.
+// resync, POST /v2/query, GET|POST /v2/opm) beside the principal-free
+// GET /v1/healthz probe. The Go SDK is pkg/plusclient; every plusctl
+// subcommand rides on it. The log backend persists its change-feed epoch,
+// so cursors survive restarts.
 //
 // Authentication: -auth-keys loads an HMAC keyring (one "id:secret" line
 // per file line, first key signs; see plusctl session mint) and turns on
@@ -307,7 +307,7 @@ func run() error {
 	} else {
 		srv = plus.NewServer(engine, opts...)
 	}
-	// PLUSQL declarative queries: POST /v1/query and POST /v2/query.
+	// PLUSQL declarative queries: POST /v2/query.
 	plusql.Attach(srv, plusql.NewEngine(observed, lat))
 
 	// The apply loop runs for the life of the process: it keeps serving

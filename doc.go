@@ -18,7 +18,7 @@
 //	                    with a change feed (ChangesSince / DeltaSince /
 //	                    Notify) and epoch-stamped durable cursors,
 //	                    snapshot-isolated lineage engine, delta-scoped
-//	                    answer cache and the HTTP API (v1 and the
+//	                    answer cache and the HTTP API (the
 //	                    principal-scoped v2 with batch ingest, the
 //	                    resumable change-feed protocol, and the
 //	                    authenticated trust surface: HMAC-signed
@@ -43,8 +43,8 @@
 // SDK for the v2 wire API — signed session tokens with automatic
 // refresh before expiry (typed ErrUnauthorized/ErrForbidden), atomic
 // batch ingest, and a change-feed follower with durable cursors and
-// automatic snapshot resync. New integrations should consume the server
-// through it rather than hand-rolled /v1 calls.
+// automatic snapshot resync. Integrations should consume the server
+// through it rather than hand-rolled HTTP calls.
 //
 // See README.md for a tour, how to run the plusd server and plusctl
 // client, the v2 endpoint table and cursor semantics, and the

@@ -6,7 +6,7 @@
 // sensitive ancestor — with surrogates, the chain stays informative.
 //
 // The example drives the full PLUS substrate: a durable store on disk, the
-// lineage query engine, and the HTTP server/client pair.
+// lineage query engine, and the HTTP server with its Go SDK client.
 //
 // Run with:
 //
@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/plus"
 	"repro/internal/privilege"
+	"repro/pkg/plusclient"
 )
 
 func main() {
@@ -130,8 +132,8 @@ func main() {
 	// The same queries work over HTTP.
 	server := httptest.NewServer(plus.NewServer(engine))
 	defer server.Close()
-	client := plus.NewClient(server.URL)
-	resp, err := client.Lineage(plus.LineageQuery{Start: "treatment-plan", Viewer: "NationalSecurity"})
+	client := plusclient.New(server.URL, plusclient.WithViewer("NationalSecurity"))
+	resp, err := client.Lineage(context.Background(), plusclient.LineageRequest{Start: "treatment-plan"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -94,8 +94,9 @@ func (p *Provenance) Query(ctx context.Context, src string, opts plusql.Options)
 	return p.query.QueryContext(ctx, src, opts)
 }
 
-// Server wires an HTTP API around the service's engine, including the
-// PLUSQL query endpoint and the cache counters in /v1/healthz. Options
+// Server wires the HTTP API around the service's engine, including the
+// PLUSQL endpoint POST /v2/query and the cache counters in the
+// /v1/healthz probe. Options
 // pass through to the server — plus.WithObservability instruments both
 // engines and exposes GET /v2/metrics; plus.WithAuth turns on token
 // authentication.

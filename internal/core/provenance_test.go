@@ -12,6 +12,7 @@ import (
 	"repro/internal/plus"
 	"repro/internal/plusql"
 	"repro/internal/privilege"
+	"repro/pkg/plusclient"
 )
 
 func seedProvenance(t *testing.T, p *Provenance) {
@@ -234,9 +235,7 @@ func TestProvenanceServerServesQuery(t *testing.T) {
 	srv := httptest.NewServer(p.Server())
 	defer srv.Close()
 
-	resp, err := plusql.ClientQuery(plus.NewClient(srv.URL), plusql.QueryRequest{
-		Query: `ancestor*(X, "out")`,
-	})
+	resp, err := plusclient.New(srv.URL).Query(context.Background(), `ancestor*(X, "out")`, plusclient.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,24 +128,6 @@ func (s *Server) Authorize(r *http.Request, need Capability) (Principal, *APIErr
 	return p, nil
 }
 
-// AuthorizeAsserted is Authorize for the v1 endpoints that still carry a
-// client-asserted viewer (query parameter or request body): the caller
-// must hold need, and — when authenticated — may only assert viewers its
-// token's viewer dominates. It returns nil when the asserted viewer may
-// be served.
-func (s *Server) AuthorizeAsserted(r *http.Request, need Capability, asserted privilege.Predicate) *APIError {
-	p, apiErr := s.Authorize(r, need)
-	if apiErr != nil {
-		return apiErr
-	}
-	if asserted != "" && p.Token != nil && asserted != p.Viewer &&
-		!s.engine.lattice.Dominates(p.Viewer, asserted) {
-		return v2Errorf(http.StatusForbidden, CodeForbidden,
-			"plus: asserted viewer %q exceeds the token's viewer %q", asserted, p.Viewer)
-	}
-	return nil
-}
-
 // principal resolves who is asking, before any capability check.
 func (s *Server) principal(r *http.Request) (Principal, *APIError) {
 	token := r.Header.Get(HeaderSession)

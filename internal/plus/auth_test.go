@@ -123,9 +123,9 @@ func TestAuthCapabilitySplit(t *testing.T) {
 		{"replicate cannot lineage", http.MethodGet, "/v2/lineage?start=report", replicate, nil},
 		{"replicate cannot point-read", http.MethodGet, "/v2/objects/report", replicate, nil},
 		{"query cannot compact", http.MethodPost, "/v2/compact", query, nil},
-		{"query cannot stats", http.MethodGet, "/v1/stats", query, nil},
-		{"query cannot opm-export", http.MethodGet, "/v1/opm", query, nil},
-		{"replicate cannot v1-ingest", http.MethodPost, "/v1/objects", replicate, Object{ID: "x", Kind: Data}},
+		{"query cannot read metrics", http.MethodGet, "/v2/metrics", query, nil},
+		{"query cannot opm-export", http.MethodGet, "/v2/opm", query, nil},
+		{"replicate cannot opm-import", http.MethodPost, "/v2/opm", replicate, nil},
 	}
 	for _, d := range deny {
 		var apiErr APIError
@@ -258,10 +258,6 @@ func TestAuthAnonymousReadOnly(t *testing.T) {
 	if resp.Viewer != "Protected" {
 		t.Errorf("anonymous viewer = %q", resp.Viewer)
 	}
-	var v1 LineageResponse
-	if st := doJSON(t, http.MethodGet, srv.URL+"/v1/lineage?start=report&viewer=Public", nil, nil, &v1); st != http.StatusOK {
-		t.Errorf("anonymous v1 lineage status = %d", st)
-	}
 
 	// Tokenless writes/replication/admin stay shut.
 	for _, ep := range []struct {
@@ -272,8 +268,9 @@ func TestAuthAnonymousReadOnly(t *testing.T) {
 		{http.MethodGet, "/v2/changes", nil},
 		{http.MethodGet, "/v2/snapshot", nil},
 		{http.MethodPost, "/v2/compact", nil},
-		{http.MethodPost, "/v1/objects", Object{ID: "x", Kind: Data}},
-		{http.MethodGet, "/v1/stats", nil},
+		{http.MethodPost, "/v2/opm", nil},
+		{http.MethodGet, "/v2/opm", nil},
+		{http.MethodGet, "/v2/metrics", nil},
 		{http.MethodPost, "/v2/sessions", SessionRequest{}},
 	} {
 		var apiErr APIError
@@ -283,9 +280,9 @@ func TestAuthAnonymousReadOnly(t *testing.T) {
 	}
 }
 
-// TestAuthV1AssertedViewerBounded: under required auth, v1's
-// client-asserted viewers cannot exceed the token's viewer.
-func TestAuthV1AssertedViewerBounded(t *testing.T) {
+// TestAuthObjectReadBoundedByToken: under required auth a scoped token
+// cannot use the point read to fetch records above its viewer.
+func TestAuthObjectReadBoundedByToken(t *testing.T) {
 	kr := testKeyring(t)
 	srv, _ := authTestServer(t, kr, false)
 	ingest := operatorToken(t, kr, "Protected", CapIngest)
@@ -295,44 +292,15 @@ func TestAuthV1AssertedViewerBounded(t *testing.T) {
 
 	public := operatorToken(t, kr, "Public", CapQuery)
 	var apiErr APIError
-	st := doJSON(t, http.MethodGet, srv.URL+"/v1/lineage?start=report&viewer=Protected", sessionHeader(public), nil, &apiErr)
-	if st != http.StatusForbidden || apiErr.Code != CodeForbidden {
-		t.Errorf("viewer escalation through v1: status=%d code=%q", st, apiErr.Code)
-	}
-	// The token's own viewer (or below) is fine.
-	var resp LineageResponse
-	if st := doJSON(t, http.MethodGet, srv.URL+"/v1/lineage?start=report&viewer=Public", sessionHeader(public), nil, &resp); st != http.StatusOK {
-		t.Errorf("dominated viewer status = %d", st)
-	}
-
-	protected := operatorToken(t, kr, "Protected", CapQuery)
-	if st := doJSON(t, http.MethodGet, srv.URL+"/v1/lineage?start=report&viewer=Public", sessionHeader(protected), nil, &resp); st != http.StatusOK {
-		t.Errorf("attenuated asserted viewer status = %d", st)
-	}
-}
-
-// TestAuthV1ObjectReadBoundedByToken: a scoped token cannot use the
-// legacy v1 point read to fetch raw records above its viewer — the v2
-// dominance check applies to authenticated v1 reads too.
-func TestAuthV1ObjectReadBoundedByToken(t *testing.T) {
-	kr := testKeyring(t)
-	srv, _ := authTestServer(t, kr, false)
-	ingest := operatorToken(t, kr, "Protected", CapIngest)
-	if st := doJSON(t, http.MethodPost, srv.URL+"/v2/batch", sessionHeader(ingest), v2Fixture(), nil); st != http.StatusOK {
-		t.Fatalf("seed batch status = %d", st)
-	}
-
-	public := operatorToken(t, kr, "Public", CapQuery)
-	var apiErr APIError
-	if st := doJSON(t, http.MethodGet, srv.URL+"/v1/objects/proc", sessionHeader(public), nil, &apiErr); st != http.StatusForbidden {
+	if st := doJSON(t, http.MethodGet, srv.URL+"/v2/objects/proc", sessionHeader(public), nil, &apiErr); st != http.StatusForbidden {
 		t.Errorf("public token raw read of protected object: status = %d, want 403", st)
 	}
 	var o Object
-	if st := doJSON(t, http.MethodGet, srv.URL+"/v1/objects/src", sessionHeader(public), nil, &o); st != http.StatusOK || o.Name != "raw feed" {
+	if st := doJSON(t, http.MethodGet, srv.URL+"/v2/objects/src", sessionHeader(public), nil, &o); st != http.StatusOK || o.Name != "raw feed" {
 		t.Errorf("public token read of public object: status=%d o=%+v", st, o)
 	}
 	protected := operatorToken(t, kr, "Protected", CapQuery)
-	if st := doJSON(t, http.MethodGet, srv.URL+"/v1/objects/proc", sessionHeader(protected), nil, &o); st != http.StatusOK {
+	if st := doJSON(t, http.MethodGet, srv.URL+"/v2/objects/proc", sessionHeader(protected), nil, &o); st != http.StatusOK {
 		t.Errorf("protected token read: status = %d", st)
 	}
 }
@@ -453,39 +421,6 @@ func TestV2CompactEndpoint(t *testing.T) {
 	cur, err := DecodeCursor(cr.Cursor)
 	if err != nil || cur.Epoch != s.Epoch() {
 		t.Errorf("compact cursor = %+v (err %v)", cur, err)
-	}
-}
-
-// TestV1DeprecationHeaders: every /v1 answer (except the healthz probe)
-// carries machine-readable Deprecation and Sunset headers; /v2 does not.
-func TestV1DeprecationHeaders(t *testing.T) {
-	srv, _ := v2TestServer(t)
-	ingestV2Fixture(t, srv.URL)
-
-	for _, path := range []string{"/v1/lineage?start=report", "/v1/stats", "/v1/objects/report", "/v1/opm"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		dep := resp.Header.Get("Deprecation")
-		if dep == "" || dep[0] != '@' {
-			t.Errorf("%s: Deprecation = %q", path, dep)
-		}
-		sunset := resp.Header.Get("Sunset")
-		if _, err := time.Parse(http.TimeFormat, sunset); err != nil {
-			t.Errorf("%s: Sunset = %q: %v", path, sunset, err)
-		}
-	}
-	for _, path := range []string{"/v1/healthz", "/v2/snapshot", "/v2/lineage?start=report"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Sunset") != "" {
-			t.Errorf("%s unexpectedly deprecated", path)
-		}
 	}
 }
 

@@ -94,26 +94,23 @@ func TestHealthzHandler(t *testing.T) {
 	if h2.Status != "unavailable" {
 		t.Errorf("closed healthz = %+v", h2)
 	}
-	// The client surfaces the structured unavailable answer, not a bare
-	// status error.
-	h3, err := NewClient(srv.URL).Healthz()
-	if err != nil {
-		t.Fatalf("client healthz on closed backend: %v", err)
+}
+
+// healthz probes GET /v1/healthz, requiring a 200.
+func healthz(t *testing.T, base string) HealthzResponse {
+	t.Helper()
+	var h HealthzResponse
+	if st := doJSON(t, http.MethodGet, base+"/v1/healthz", nil, nil, &h); st != http.StatusOK {
+		t.Fatalf("healthz = %d", st)
 	}
-	if h3.Status != "unavailable" {
-		t.Errorf("client healthz = %+v, want unavailable", h3)
-	}
+	return h
 }
 
 func TestHealthzClient(t *testing.T) {
-	c, s := testServer(t)
-	loadFixture(t, c)
-	h, err := c.Healthz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" || h.Objects != s.NumObjects() || h.Edges != s.NumEdges() {
-		t.Errorf("client healthz = %+v", h)
+	base, s := testServer(t)
+	ingestV2Fixture(t, base)
+	if h := healthz(t, base); h.Status != "ok" || h.Objects != s.NumObjects() || h.Edges != s.NumEdges() {
+		t.Errorf("healthz = %+v", h)
 	}
 }
 
@@ -126,7 +123,6 @@ func TestHealthzCacheStats(t *testing.T) {
 	ce := NewCachedEngine(NewEngine(s, privilege.TwoLevel()))
 	srv := httptest.NewServer(NewCachedServer(ce))
 	t.Cleanup(srv.Close)
-	c := NewClient(srv.URL)
 
 	req := Request{Start: "c", Direction: graph.Backward}
 	if _, err := ce.Lineage(req); err != nil {
@@ -142,10 +138,7 @@ func TestHealthzCacheStats(t *testing.T) {
 	if _, err := ce.Lineage(req); err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.Healthz()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := healthz(t, srv.URL)
 	if h.LineageCache == nil {
 		t.Fatal("healthz missing lineageCache section on a cached server")
 	}
@@ -160,11 +153,7 @@ func TestHealthzCacheStats(t *testing.T) {
 	// An uncached server reports no cache section at all.
 	plain := httptest.NewServer(NewServer(NewEngine(s, privilege.TwoLevel())))
 	t.Cleanup(plain.Close)
-	h2, err := NewClient(plain.URL).Healthz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.LineageCache != nil {
+	if h2 := healthz(t, plain.URL); h2.LineageCache != nil {
 		t.Error("lineageCache present on an uncached server")
 	}
 }
@@ -176,15 +165,11 @@ func TestHealthzMemBackend(t *testing.T) {
 	t.Cleanup(func() { m.Close() })
 	srv := httptest.NewServer(NewServer(NewEngine(m, privilege.TwoLevel())))
 	t.Cleanup(srv.Close)
-	c := NewClient(srv.URL)
-	if err := c.PutObject(Object{ID: "x", Kind: Data, Name: "x"}); err != nil {
-		t.Fatal(err)
+	one := BatchRequest{Objects: []Object{{ID: "x", Kind: Data, Name: "x"}}}
+	if st := doJSON(t, http.MethodPost, srv.URL+"/v2/batch", nil, one, nil); st != http.StatusOK {
+		t.Fatalf("batch = %d", st)
 	}
-	h, err := c.Healthz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" || h.Objects != 1 || h.Revision != 1 {
+	if h := healthz(t, srv.URL); h.Status != "ok" || h.Objects != 1 || h.Revision != 1 {
 		t.Errorf("mem healthz = %+v", h)
 	}
 }

@@ -71,8 +71,8 @@ func (r indexRow) equal(s indexRow) bool {
 }
 
 // IndexStats is a point-in-time report of one backend's secondary-index
-// state, surfaced through /v1/healthz, plusctl status and the metrics
-// registry.
+// state, surfaced through the /v1/healthz probe, plusctl status and the
+// metrics registry.
 type IndexStats struct {
 	// Rev is the revision the index currently covers.
 	Rev uint64 `json:"rev"`

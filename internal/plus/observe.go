@@ -216,6 +216,10 @@ func (s *Server) serveObserved(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// processStart is when this process loaded the package: the zero point of
+// plus_uptime_seconds.
+var processStart = time.Now()
+
 // registerServerMetrics installs the render-time gauges over state that
 // already lives in the store and caches. Called from newServer once the
 // engine is bound; a nil registry makes every call a no-op.
@@ -234,7 +238,7 @@ func (s *Server) registerServerMetrics() {
 	reg.GaugeFunc("plus_store_log_bytes", "Durable footprint in bytes (0 for volatile backends).",
 		func() float64 { return float64(b.Size()) })
 	reg.GaugeFunc("plus_uptime_seconds", "Seconds since process start.",
-		func() float64 { return time.Since(serverStart).Seconds() })
+		func() float64 { return time.Since(processStart).Seconds() })
 	if _, ok := backendChangeWindow(b); ok {
 		reg.GaugeFunc("plus_changefeed_base_revision",
 			"Oldest change-feed position the backend can still serve.",

@@ -57,10 +57,9 @@ func get(t *testing.T, url string, headers map[string]string) (int, []byte, http
 
 func TestMetricsEndpointFormats(t *testing.T) {
 	ts, _, _ := obsServer(t)
-	c := NewClient(ts.URL)
-	loadFixture(t, c)
-	if _, err := c.Lineage(LineageQuery{Start: "report", Direction: "ancestors"}); err != nil {
-		t.Fatal(err)
+	ingestV2Fixture(t, ts.URL)
+	if st, _, _ := lineage(t, ts.URL, "start=report&direction=ancestors", nil); st != http.StatusOK {
+		t.Fatalf("lineage = %d", st)
 	}
 
 	st, body, hdr := get(t, ts.URL+"/v2/metrics", nil)
@@ -81,7 +80,7 @@ func TestMetricsEndpointFormats(t *testing.T) {
 		"plus_store_snapshots_built_total 1",
 		"plus_store_bucket_copies_total 0",
 		"plus_store_records_copied_total 0",
-		`plus_backend_op_seconds_count{op="put_object"}`,
+		`plus_backend_op_seconds_count{op="apply"}`,
 		`plus_lineage_seconds_count{phase="total"}`,
 		"plus_changefeed_ring_depth",
 		"plus_lineage_cache_entries 1",
@@ -155,11 +154,10 @@ func TestMetricsRequireAdminCapability(t *testing.T) {
 // records; absent one, the middleware mints a 16-hex-char ID.
 func TestRequestIDTracing(t *testing.T) {
 	ts, _, _ := obsServer(t)
-	c := NewClient(ts.URL)
-	loadFixture(t, c)
+	ingestV2Fixture(t, ts.URL)
 
 	const reqID = "deadbeef00001111"
-	st, body, hdr := get(t, ts.URL+"/v1/lineage?start=report&direction=ancestors",
+	st, body, hdr := get(t, ts.URL+"/v2/lineage?start=report&direction=ancestors",
 		map[string]string{HeaderRequestID: reqID})
 	if st != http.StatusOK {
 		t.Fatalf("lineage = %d: %s", st, body)
@@ -193,9 +191,9 @@ func TestRequestIDTracing(t *testing.T) {
 	}
 
 	// No header: the middleware mints one.
-	st, _, hdr = get(t, ts.URL+"/v1/stats", nil)
+	st, _, hdr = get(t, ts.URL+"/v1/healthz", nil)
 	if st != http.StatusOK {
-		t.Fatal("stats failed")
+		t.Fatal("healthz failed")
 	}
 	if got := hdr.Get(HeaderRequestID); len(got) != 16 {
 		t.Errorf("minted request id = %q, want 16 hex chars", got)
@@ -204,14 +202,11 @@ func TestRequestIDTracing(t *testing.T) {
 
 // TestHealthzAndStatsReportChangeFeed: the change-feed window (base,
 // depth, horizon, epoch) the follower protocol depends on is visible in
-// both health surfaces — it used to be unobservable.
+// the healthz probe — it used to be unobservable.
 func TestHealthzAndStatsReportChangeFeed(t *testing.T) {
-	run := func(t *testing.T, c *Client) {
-		loadFixture(t, c)
-		h, err := c.Healthz()
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(t *testing.T, base string) {
+		ingestV2Fixture(t, base)
+		h := healthz(t, base)
 		if h.ChangeFeed == nil {
 			t.Fatal("healthz missing changeFeed block")
 		}
@@ -221,24 +216,20 @@ func TestHealthzAndStatsReportChangeFeed(t *testing.T) {
 		if h.ChangeFeed.Revision != h.Revision {
 			t.Errorf("changeFeed revision %d != healthz revision %d", h.ChangeFeed.Revision, h.Revision)
 		}
-		s, err := c.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.ChangeFeed == nil || s.ChangeFeed.Depth <= 0 {
-			t.Errorf("stats changeFeed = %+v, want resident changes after ingest", s.ChangeFeed)
+		if h.ChangeFeed.Depth <= 0 {
+			t.Errorf("changeFeed = %+v, want resident changes after ingest", h.ChangeFeed)
 		}
 	}
 	t.Run("log", func(t *testing.T) {
-		c, _ := testServer(t)
-		run(t, c)
+		base, _ := testServer(t)
+		run(t, base)
 	})
 	t.Run("mem", func(t *testing.T) {
 		m := NewMemBackend(4)
 		t.Cleanup(func() { m.Close() })
 		ts := httptest.NewServer(NewServer(NewEngine(m, privilege.TwoLevel())))
 		t.Cleanup(ts.Close)
-		run(t, NewClient(ts.URL))
+		run(t, ts.URL)
 	})
 }
 
@@ -268,7 +259,7 @@ func TestKeyringReloadSwapsLiveKeyring(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	tok1 := operatorToken(t, kr1, "Protected")
-	if st, _, _ := get(t, ts.URL+"/v1/stats", sessionHeader(tok1)); st != http.StatusOK {
+	if st, _, _ := get(t, ts.URL+"/v2/metrics", sessionHeader(tok1)); st != http.StatusOK {
 		t.Fatalf("pre-reload token status = %d, want 200", st)
 	}
 
@@ -276,7 +267,7 @@ func TestKeyringReloadSwapsLiveKeyring(t *testing.T) {
 	if err := srv.ReloadKeyringFromFile(path); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
-	if st, _, _ := get(t, ts.URL+"/v1/stats", sessionHeader(tok1)); st != http.StatusUnauthorized {
+	if st, _, _ := get(t, ts.URL+"/v2/metrics", sessionHeader(tok1)); st != http.StatusUnauthorized {
 		t.Errorf("rotated-out token status = %d, want 401", st)
 	}
 	kr2, err := LoadKeyring(path)
@@ -284,7 +275,7 @@ func TestKeyringReloadSwapsLiveKeyring(t *testing.T) {
 		t.Fatal(err)
 	}
 	tok2 := operatorToken(t, kr2, "Protected")
-	if st, _, _ := get(t, ts.URL+"/v1/stats", sessionHeader(tok2)); st != http.StatusOK {
+	if st, _, _ := get(t, ts.URL+"/v2/metrics", sessionHeader(tok2)); st != http.StatusOK {
 		t.Errorf("new-key token status = %d, want 200", st)
 	}
 
@@ -293,7 +284,7 @@ func TestKeyringReloadSwapsLiveKeyring(t *testing.T) {
 	if err := srv.ReloadKeyringFromFile(path); err == nil {
 		t.Fatal("reload of corrupt file succeeded, want error")
 	}
-	if st, _, _ := get(t, ts.URL+"/v1/stats", sessionHeader(tok2)); st != http.StatusOK {
+	if st, _, _ := get(t, ts.URL+"/v2/metrics", sessionHeader(tok2)); st != http.StatusOK {
 		t.Errorf("token after failed reload status = %d, want 200 (keyring kept)", st)
 	}
 
@@ -340,8 +331,18 @@ func seriesCounts(fams []obs.Family) map[string]float64 {
 // summary quantiles are ordered.
 func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 	ts, _, reg := obsServer(t)
-	c := NewClient(ts.URL)
-	loadFixture(t, c)
+	ingestV2Fixture(t, ts.URL)
+	// Requests from the worker goroutines must not t.Fatal, so their
+	// failures are dropped here and surface in the request counts below.
+	send := func(method, path, body string) {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}
 
 	const (
 		workers = 4
@@ -353,15 +354,15 @@ func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = c.PutObject(Object{ID: fmt.Sprintf("obj-%d-%d", w, i), Kind: Data, Name: "x"})
-				_ = c.PutEdge(Edge{From: fmt.Sprintf("obj-%d-%d", w, i), To: "report", Label: "input-to"})
+				send(http.MethodPost, "/v2/batch", fmt.Sprintf(
+					`{"objects":[{"id":"obj-%d-%d","kind":"data","name":"x"}],"edges":[{"from":"obj-%[1]d-%[2]d","to":"report","label":"input-to"}]}`, w, i))
 			}
 		}(w)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_, _ = c.Lineage(LineageQuery{Start: "report", Direction: "ancestors"})
-				_, _ = c.Healthz()
+				send(http.MethodGet, "/v2/lineage?start=report&direction=ancestors", "")
+				send(http.MethodGet, "/v1/healthz", "")
 			}
 		}()
 		go func(w int) {
@@ -383,8 +384,8 @@ func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 
 	before := seriesCounts(reg.Gather())
 	for i := 0; i < 5; i++ {
-		if _, err := c.Lineage(LineageQuery{Start: "report", Direction: "ancestors"}); err != nil {
-			t.Fatal(err)
+		if st, _, _ := lineage(t, ts.URL, "start=report&direction=ancestors", nil); st != http.StatusOK {
+			t.Fatalf("lineage = %d", st)
 		}
 	}
 	after := seriesCounts(reg.Gather())
@@ -396,9 +397,9 @@ func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 			t.Errorf("series %s moved backwards: %v -> %v", key, b, a)
 		}
 	}
-	if after["plus_http_requests_total|route=/v1/lineage|method=GET|status=200"] < float64(workers*iters) {
+	if after["plus_http_requests_total|route=/v2/lineage|method=GET|status=200"] < float64(workers*iters) {
 		t.Errorf("lineage request count = %v, want >= %d",
-			after["plus_http_requests_total|route=/v1/lineage|method=GET|status=200"], workers*iters)
+			after["plus_http_requests_total|route=/v2/lineage|method=GET|status=200"], workers*iters)
 	}
 
 	for _, f := range reg.Gather() {

@@ -19,8 +19,7 @@ type readOnly struct {
 }
 
 // WithReadOnly puts the server in follower mode: every mutating endpoint
-// (/v1/objects, /v1/edges, /v1/surrogates, POST /v1/opm, /v2/batch,
-// /v2/compact) refuses with a structured 403 code "read_only" instead of
+// (/v2/batch, POST /v2/opm, /v2/compact) refuses with a structured 403 code "read_only" instead of
 // touching the local store, which only the replication apply loop may
 // write. A non-nil proxy reverses the refusal into a pass-through: the
 // original request — auth headers intact, so the primary authorizes the

@@ -37,10 +37,8 @@ func TestReadOnlyRefusesWrites(t *testing.T) {
 	ts, m := newReadOnlyServer(t)
 
 	writes := []struct{ path, body string }{
-		{"/v1/objects", `{"id":"a","kind":"data","name":"x"}`},
-		{"/v1/edges", `{"from":"a","to":"b","label":"input-to"}`},
-		{"/v1/surrogates", `{"for":"a","id":"a2","name":"y"}`},
 		{"/v2/batch", `{"objects":[{"id":"a","kind":"data","name":"x"}]}`},
+		{"/v2/opm", `{"artifacts":[{"id":"a","value":"x"}]}`},
 		{"/v2/compact", `{}`},
 	}
 	for _, wr := range writes {
@@ -70,9 +68,10 @@ func TestReadOnlyLeavesReadsAlone(t *testing.T) {
 
 	for _, path := range []string{
 		"/v1/healthz",
-		"/v1/objects/a",
-		"/v1/lineage?start=a",
+		"/v2/objects/a",
+		"/v2/lineage?start=a",
 		"/v2/snapshot",
+		"/v2/opm",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -3,17 +3,13 @@ package plus
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/intern"
-	"repro/internal/privilege"
 )
 
 // lineageAnswerer lets the server run against either a plain Engine or a
@@ -24,31 +20,23 @@ type lineageAnswerer interface {
 }
 
 // Server exposes a store and its query engine over HTTP with a small JSON
-// API:
+// API, the v2 wire API (v2.go documents it):
 //
-//	POST /v1/objects            store an Object
-//	POST /v1/edges              store an Edge
-//	POST /v1/surrogates         store a SurrogateSpec
-//	GET  /v1/objects/{id}       fetch an Object
-//	GET  /v1/lineage            lineage query (see LineageResponse)
-//	GET  /v1/stats              store statistics
-//	GET  /v1/healthz            readiness probe (store open, counts, revision)
-//	GET  /v1/opm                export the store as an OPM document
-//	POST /v1/opm                import an OPM document
+//	POST     /v2/sessions       mint a stateless signed session token
+//	POST     /v2/batch          atomic ingest of objects, edges, surrogates
+//	GET      /v2/changes        NDJSON change feed with durable cursors
+//	GET      /v2/snapshot       full store at one revision (resync payload)
+//	GET      /v2/lineage        protected lineage query (see LineageResponse)
+//	GET      /v2/objects/{id}   principal-scoped point read
+//	POST     /v2/compact        rewrite the durable log to live records
+//	GET|POST /v2/opm            export / import an OPM document
+//	GET      /v2/metrics        metrics registry (text or ?format=json)
+//	GET      /v2/slowlog        slow-query ring
+//	GET      /v1/healthz        readiness probe (store open, counts, revision)
 //
-// Lineage query parameters: start (required), direction
-// (ancestors|descendants|both, default ancestors), depth (int, default 0 =
-// unbounded), viewer (predicate nickname, default Public), mode
-// (hide|surrogate, default surrogate), label (edge-label filter), kind
-// (data|invocation traversal filter).
-//
-// The server also mounts the v2 surface (see v2.go): principal-scoped
-// requests, POST /v2/batch, the durable-cursor change feed GET /v2/changes
-// with its GET /v2/snapshot resync payload, POST /v2/sessions (stateless
-// signed tokens), POST /v2/compact, GET /v2/lineage and
-// GET /v2/objects/{id}. /v1 stays for compatibility, gated by the same
-// capability model and answering with Deprecation/Sunset headers
-// (auth.go documents the trust surface).
+// plusql.Attach adds POST /v2/query. Every route except the healthz probe
+// resolves its caller through the capability model (auth.go documents the
+// trust surface).
 type Server struct {
 	engine   *Engine
 	answerer lineageAnswerer
@@ -114,14 +102,7 @@ func newServer(engine *Engine, answerer lineageAnswerer, opts ...ServerOption) *
 		s.engine.SetObservability(s.obs)
 	}
 	s.registerServerMetrics()
-	s.Handle("/v1/objects", http.HandlerFunc(s.handleObjects))
-	s.Handle("/v1/objects/", http.HandlerFunc(s.handleObjectByID))
-	s.Handle("/v1/edges", http.HandlerFunc(s.handleEdges))
-	s.Handle("/v1/surrogates", http.HandlerFunc(s.handleSurrogates))
-	s.Handle("/v1/lineage", http.HandlerFunc(s.handleLineage))
-	s.Handle("/v1/stats", http.HandlerFunc(s.handleStats))
 	s.Handle("/v1/healthz", http.HandlerFunc(s.handleHealthz))
-	s.Handle("/v1/opm", http.HandlerFunc(s.handleOPM))
 	s.Handle("/v2/sessions", http.HandlerFunc(s.handleV2Sessions))
 	s.Handle("/v2/batch", http.HandlerFunc(s.handleV2Batch))
 	s.Handle("/v2/changes", http.HandlerFunc(s.handleV2Changes))
@@ -129,6 +110,7 @@ func newServer(engine *Engine, answerer lineageAnswerer, opts ...ServerOption) *
 	s.Handle("/v2/lineage", http.HandlerFunc(s.handleV2Lineage))
 	s.Handle("/v2/objects/", http.HandlerFunc(s.handleV2ObjectByID))
 	s.Handle("/v2/compact", http.HandlerFunc(s.handleV2Compact))
+	s.Handle("/v2/opm", http.HandlerFunc(s.handleV2OPM))
 	s.Handle("/v2/metrics", http.HandlerFunc(s.handleV2Metrics))
 	s.Handle("/v2/slowlog", http.HandlerFunc(s.handleV2Slowlog))
 	return s
@@ -164,46 +146,21 @@ func (s *Server) ReloadKeyringFromFile(path string) error {
 	return nil
 }
 
-// The v1 deprecation policy, announced in the README and carried on the
-// wire (RFC 9745 Deprecation + RFC 8594 Sunset headers) so clients can
-// detect the deprecated surface mechanically. /v1/healthz is exempt: it
-// is the shared readiness probe, not part of the deprecated surface.
-var (
-	v1DeprecatedAt = time.Date(2026, time.August, 1, 0, 0, 0, 0, time.UTC)
-	v1SunsetAt     = time.Date(2027, time.August, 1, 0, 0, 0, 0, time.UTC)
-)
-
-// deprecateV1 stamps every /v1 response with the deprecation headers.
-func deprecateV1(h http.Handler) http.Handler {
-	deprecation := fmt.Sprintf("@%d", v1DeprecatedAt.Unix())
-	sunset := v1SunsetAt.Format(http.TimeFormat)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", deprecation)
-		w.Header().Set("Sunset", sunset)
-		h.ServeHTTP(w, r)
-	})
-}
-
 // Handle registers an additional route on the server's mux, letting
 // higher layers (e.g. the PLUSQL query subsystem) extend the API without
-// this package importing them. Routes under /v1/ (except the healthz
-// probe) automatically carry the Deprecation/Sunset headers.
-func (s *Server) Handle(pattern string, h http.Handler) {
-	if strings.HasPrefix(pattern, "/v1/") && pattern != "/v1/healthz" {
-		h = deprecateV1(h)
-	}
-	s.mux.Handle(pattern, h)
-}
+// this package importing them.
+func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // SetQueryStats registers the provider of the query-subsystem view-cache
 // counters rendered in healthz (plusql.Attach wires it).
 func (s *Server) SetQueryStats(fn func() QueryCacheHealth) { s.queryStats = fn }
 
-// MethodNotAllowed writes the API's standard JSON method-not-allowed
-// response with an Allow header listing the admissible methods.
+// MethodNotAllowed writes the API's structured 405 (code
+// "method_not_allowed") with an Allow header listing the admissible
+// methods.
 func MethodNotAllowed(w http.ResponseWriter, allowed ...string) {
 	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "method not allowed"})
+	WriteAPIError(w, v2Errorf(http.StatusMethodNotAllowed, CodeMethodNotAllowed, "plus: method not allowed"))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -212,26 +169,8 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, ErrClosed):
-		status = http.StatusServiceUnavailable
-	default:
-		// Validation failures from the store/engine are client errors.
-		status = http.StatusBadRequest
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// maxBodyBytes bounds mutation request bodies; provenance records are
-// small, so anything near a megabyte is malformed or hostile.
+// maxBodyBytes bounds POST /v2/sessions bodies; a session request is a
+// few fields, so anything near a megabyte is malformed or hostile.
 const maxBodyBytes = 1 << 20
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
@@ -240,7 +179,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
 
 // DecodeJSONBody decodes a JSON request body under the API's shared
 // conventions: a hard size cap and unknown fields rejected. Extension
-// handlers (e.g. PLUSQL's /v1/query) use it so request parsing stays
+// handlers (e.g. PLUSQL's /v2/query) use it so request parsing stays
 // uniform across every endpoint.
 func DecodeJSONBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v interface{}) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
@@ -249,107 +188,6 @@ func DecodeJSONBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v in
 		return fmt.Errorf("plus: bad request body: %w", err)
 	}
 	return nil
-}
-
-func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	if s.gateWrite(w, r) {
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapIngest); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
-	var o Object
-	if err := decodeBody(w, r, &o); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := s.engine.store.PutObject(o); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, o)
-}
-
-func (s *Server) handleObjectByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	p, apiErr := s.Authorize(r, CapQuery)
-	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/objects/")
-	o, err := s.engine.store.GetObject(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Historically v1 served raw records and left protection to the
-	// lineage layer. That stays true for the legacy open/anonymous
-	// surfaces, but a scoped token means the caller opted into the
-	// capability model: query = protected reads only, so the v2 dominance
-	// check applies here too.
-	if p.Token != nil && o.Lowest != "" && !s.engine.lattice.Dominates(p.Viewer, privilege.Predicate(o.Lowest)) {
-		WriteAPIError(w, v2Errorf(http.StatusForbidden, CodeForbidden,
-			"plus: object %q requires privilege %q", id, o.Lowest))
-		return
-	}
-	writeJSON(w, http.StatusOK, o)
-}
-
-func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	if s.gateWrite(w, r) {
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapIngest); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
-	var e Edge
-	if err := decodeBody(w, r, &e); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := s.engine.store.PutEdge(e); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, e)
-}
-
-func (s *Server) handleSurrogates(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	if s.gateWrite(w, r) {
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapIngest); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
-	var sp SurrogateSpec
-	if err := decodeBody(w, r, &sp); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := s.engine.store.PutSurrogate(sp); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, sp)
 }
 
 // LineageNode is one node of a lineage answer.
@@ -402,75 +240,6 @@ func parseDirection(s string) (graph.Direction, error) {
 	}
 }
 
-func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	q := r.URL.Query()
-	asserted := privilege.Predicate(q.Get("viewer"))
-	// v1 carries a client-asserted viewer; under required auth the token
-	// must hold the query capability and dominate the asserted viewer.
-	if apiErr := s.AuthorizeAsserted(r, CapQuery, asserted); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
-	req, err := parseLineageParams(q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	req.Viewer = asserted
-	if req.Viewer != "" && !s.engine.lattice.Known(req.Viewer) {
-		// The engine rejects the request below; the warning gives operators
-		// a trail for clients sending viewers the lattice never declared
-		// (v2 additionally answers these with a structured 400).
-		log.Printf("plus: /v1/lineage: unknown viewer predicate %q from %s", req.Viewer, r.RemoteAddr)
-	}
-	res, err := s.answerer.LineageContext(r.Context(), req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// v1 echoes the viewer exactly as the query string spelled it (empty
-	// when absent), preserved for compatibility.
-	writeJSON(w, http.StatusOK, buildLineageResponse(req, res))
-}
-
-// handleOPM exports the store as an OPM document (GET) or imports one
-// (POST).
-func (s *Server) handleOPM(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		// The export carries raw records — the replication capability.
-		if _, apiErr := s.Authorize(r, CapReplicate); apiErr != nil {
-			WriteAPIError(w, apiErr)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := ExportOPM(s.engine.store, w); err != nil {
-			// Headers may already be out; best effort.
-			writeError(w, err)
-		}
-	case http.MethodPost:
-		if s.gateWrite(w, r) {
-			return
-		}
-		if _, apiErr := s.Authorize(r, CapIngest); apiErr != nil {
-			WriteAPIError(w, apiErr)
-			return
-		}
-		// OPM documents can be large but not unbounded; allow 64 MiB.
-		if err := ImportOPM(s.engine.store, http.MaxBytesReader(w, r.Body, 64<<20)); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"status": "imported"})
-	default:
-		MethodNotAllowed(w, http.MethodGet, http.MethodPost)
-	}
-}
-
 // ChangeFeedHealth reports the change feed's retention state: the
 // backend epoch and revision a cursor must match, and the resident
 // window (base/depth/horizon). A follower holding cursor rev r computes
@@ -502,19 +271,6 @@ func (s *Server) changeFeedHealth() *ChangeFeedHealth {
 		Horizon:  w.Horizon,
 	}
 }
-
-// StatsResponse summarises the store.
-type StatsResponse struct {
-	Objects   int   `json:"objects"`
-	Edges     int   `json:"edges"`
-	LogBytes  int64 `json:"logBytes"`
-	UptimeSec int64 `json:"uptimeSec"`
-	// ChangeFeed reports feed retention so followers can compute lag;
-	// absent when the backend has no window introspection.
-	ChangeFeed *ChangeFeedHealth `json:"changeFeed,omitempty"`
-}
-
-var serverStart = time.Now()
 
 // QueryCacheHealth mirrors the PLUSQL view-cache counters
 // (plusql.ViewCacheStats) in the healthz payload; it lives here so the
@@ -600,22 +356,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Replica = s.replicaHealth()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapAdmin); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Objects:    s.engine.store.NumObjects(),
-		Edges:      s.engine.store.NumEdges(),
-		LogBytes:   s.engine.store.Size(),
-		UptimeSec:  int64(time.Since(serverStart).Seconds()),
-		ChangeFeed: s.changeFeedHealth(),
-	})
 }

@@ -3,6 +3,7 @@ package plus
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,69 +12,76 @@ import (
 	"repro/internal/privilege"
 )
 
-func testServer(t *testing.T) (*Client, *Store) {
+// testServer serves a log-backed store over HTTP and returns its base URL.
+func testServer(t *testing.T) (string, *Store) {
 	t.Helper()
 	s, _ := openTemp(t)
 	srv := httptest.NewServer(NewServer(NewEngine(s, privilege.TwoLevel())))
 	t.Cleanup(srv.Close)
-	return NewClient(srv.URL), s
+	return srv.URL, s
 }
 
-func loadFixture(t *testing.T, c *Client) {
+// asViewer is the request header asserting viewer as the principal.
+func asViewer(viewer string) map[string]string {
+	return map[string]string{HeaderViewer: viewer}
+}
+
+// lineage runs GET /v2/lineage?query for headers' principal, decoding a
+// 200 into resp and anything else into apiErr.
+func lineage(t *testing.T, base, query string, headers map[string]string) (int, LineageResponse, APIError) {
 	t.Helper()
-	objs := []Object{
-		{ID: "src", Kind: Data, Name: "raw feed"},
-		{ID: "proc", Kind: Invocation, Name: "secret analytic", Lowest: "Protected", Protect: "surrogate"},
-		{ID: "out", Kind: Data, Name: "derived table"},
-		{ID: "report", Kind: Data, Name: "final report"},
-	}
-	for _, o := range objs {
-		if err := c.PutObject(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range []Edge{
-		{From: "src", To: "proc", Label: "input-to"},
-		{From: "proc", To: "out", Label: "generated"},
-		{From: "out", To: "report", Label: "input-to"},
-	} {
-		if err := c.PutEdge(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.PutSurrogate(SurrogateSpec{ForID: "proc", ID: "proc'", Name: "an analytic", InfoScore: 0.4}); err != nil {
+	req, err := http.NewRequest(http.MethodGet, base+"/v2/lineage?"+query, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	for k, v := range headers {
+		req.Header.Set(k, v)
+	}
+	hresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hresp.Body.Close()
+	var resp LineageResponse
+	var apiErr APIError
+	out := interface{}(&resp)
+	if hresp.StatusCode != http.StatusOK {
+		out = &apiErr
+	}
+	if err := json.NewDecoder(hresp.Body).Decode(out); err != nil {
+		t.Fatalf("lineage %s: decode: %v", query, err)
+	}
+	return hresp.StatusCode, resp, apiErr
 }
 
 func TestServerRoundTrip(t *testing.T) {
-	c, _ := testServer(t)
-	loadFixture(t, c)
+	base, s := testServer(t)
+	ingestV2Fixture(t, base)
 
-	o, err := c.GetObject("proc")
-	if err != nil {
-		t.Fatal(err)
+	var o Object
+	if st := doJSON(t, http.MethodGet, base+"/v2/objects/proc", asViewer("Protected"), nil, &o); st != http.StatusOK {
+		t.Fatalf("GET /v2/objects/proc = %d", st)
 	}
 	if o.Name != "secret analytic" || o.Lowest != "Protected" {
 		t.Errorf("GetObject = %+v", o)
 	}
 
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	var h HealthzResponse
+	if st := doJSON(t, http.MethodGet, base+"/v1/healthz", nil, nil, &h); st != http.StatusOK {
+		t.Fatalf("healthz = %d", st)
 	}
-	if stats.Objects != 4 || stats.Edges != 3 || stats.LogBytes == 0 {
-		t.Errorf("stats = %+v", stats)
+	if h.Objects != 4 || h.Edges != 3 || s.Size() == 0 {
+		t.Errorf("healthz = %+v, log bytes %d", h, s.Size())
 	}
 }
 
 func TestServerLineagePublicViewer(t *testing.T) {
-	c, _ := testServer(t)
-	loadFixture(t, c)
+	base, _ := testServer(t)
+	ingestV2Fixture(t, base)
 
-	resp, err := c.Lineage(LineageQuery{Start: "report", Direction: "ancestors"})
-	if err != nil {
-		t.Fatal(err)
+	st, resp, apiErr := lineage(t, base, "start=report&direction=ancestors", nil)
+	if st != http.StatusOK {
+		t.Fatalf("lineage = %d %+v", st, apiErr)
 	}
 	nodeIDs := map[string]bool{}
 	surrNodes := 0
@@ -113,12 +121,12 @@ func TestServerLineagePublicViewer(t *testing.T) {
 }
 
 func TestServerLineageModesAndViewers(t *testing.T) {
-	c, _ := testServer(t)
-	loadFixture(t, c)
+	base, _ := testServer(t)
+	ingestV2Fixture(t, base)
 
-	hide, err := c.Lineage(LineageQuery{Start: "report", Mode: "hide"})
-	if err != nil {
-		t.Fatal(err)
+	st, hide, _ := lineage(t, base, "start=report&mode=hide", nil)
+	if st != http.StatusOK {
+		t.Fatalf("hide lineage = %d", st)
 	}
 	for _, n := range hide.Nodes {
 		if n.ID == "proc'" || n.ID == "proc" {
@@ -126,9 +134,9 @@ func TestServerLineageModesAndViewers(t *testing.T) {
 		}
 	}
 
-	full, err := c.Lineage(LineageQuery{Start: "report", Viewer: "Protected"})
-	if err != nil {
-		t.Fatal(err)
+	st, full, _ := lineage(t, base, "start=report", asViewer("Protected"))
+	if st != http.StatusOK {
+		t.Fatalf("Protected lineage = %d", st)
 	}
 	found := false
 	for _, n := range full.Nodes {
@@ -142,47 +150,54 @@ func TestServerLineageModesAndViewers(t *testing.T) {
 }
 
 func TestServerErrorStatuses(t *testing.T) {
-	c, s := testServer(t)
-	loadFixture(t, c)
+	base, _ := testServer(t)
+	ingestV2Fixture(t, base)
 
-	if _, err := c.GetObject("nope"); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("missing object error = %v", err)
+	var apiErr APIError
+	if st := doJSON(t, http.MethodGet, base+"/v2/objects/nope", nil, nil, &apiErr); st != http.StatusNotFound || apiErr.Code != CodeNotFound {
+		t.Errorf("missing object = %d %+v", st, apiErr)
 	}
-	if _, err := c.Lineage(LineageQuery{Start: "nope"}); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("missing lineage start = %v", err)
+	for _, tc := range []struct {
+		query, viewer string
+		wantStatus    int
+		wantCode      string
+	}{
+		{"start=nope", "", http.StatusNotFound, CodeNotFound},
+		{"start=report&mode=banana", "", http.StatusBadRequest, CodeBadRequest},
+		{"start=report", "Bogus", http.StatusBadRequest, CodeUnknownViewer},
+		{"start=report&direction=sideways", "", http.StatusBadRequest, CodeBadRequest},
+	} {
+		var headers map[string]string
+		if tc.viewer != "" {
+			headers = asViewer(tc.viewer)
+		}
+		if st, _, apiErr := lineage(t, base, tc.query, headers); st != tc.wantStatus || apiErr.Code != tc.wantCode {
+			t.Errorf("lineage %s as %q = %d %+v, want %d %q", tc.query, tc.viewer, st, apiErr, tc.wantStatus, tc.wantCode)
+		}
 	}
-	if _, err := c.Lineage(LineageQuery{Start: "report", Mode: "banana"}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Errorf("bad mode error = %v", err)
+	for _, bad := range []BatchRequest{
+		{Objects: []Object{{ID: "", Kind: Data}}},
+		{Edges: []Edge{{From: "report", To: "ghost"}}},
+	} {
+		if st := doJSON(t, http.MethodPost, base+"/v2/batch", nil, bad, nil); st != http.StatusBadRequest {
+			t.Errorf("invalid batch %+v accepted over HTTP: %d", bad, st)
+		}
 	}
-	if _, err := c.Lineage(LineageQuery{Start: "report", Viewer: "Bogus"}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Errorf("bad viewer error = %v", err)
-	}
-	if _, err := c.Lineage(LineageQuery{Start: "report", Direction: "sideways"}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Errorf("bad direction error = %v", err)
-	}
-	if err := c.PutObject(Object{ID: "", Kind: Data}); err == nil {
-		t.Error("invalid object accepted over HTTP")
-	}
-	if err := c.PutEdge(Edge{From: "report", To: "ghost"}); err == nil {
-		t.Error("dangling edge accepted over HTTP")
-	}
-	_ = s
 }
 
+// TestServerRejectsWrongMethods: a 405 advertises the admissible methods.
 func TestServerRejectsWrongMethods(t *testing.T) {
-	s, _ := openTemp(t)
-	srv := httptest.NewServer(NewServer(NewEngine(s, privilege.TwoLevel())))
-	defer srv.Close()
-
+	base, _ := testServer(t)
 	for _, tc := range []struct {
-		method, path string
+		method, path, allow string
 	}{
-		{http.MethodGet, "/v1/objects"},
-		{http.MethodPost, "/v1/lineage"},
-		{http.MethodDelete, "/v1/stats"},
-		{http.MethodPost, "/v1/objects/xyz"},
+		{http.MethodGet, "/v2/batch", "POST"},
+		{http.MethodPost, "/v2/lineage", "GET"},
+		{http.MethodDelete, "/v2/snapshot", "GET"},
+		{http.MethodPost, "/v2/objects/xyz", "GET"},
+		{http.MethodPut, "/v2/opm", "GET, POST"},
 	} {
-		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+		req, err := http.NewRequest(tc.method, base+tc.path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,77 +205,81 @@ func TestServerRejectsWrongMethods(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("%s %s = %d, want 405", tc.method, tc.path, resp.StatusCode)
 		}
-		// 405s follow the API's JSON error convention and advertise the
-		// admissible methods.
-		if got := resp.Header.Get("Allow"); got == "" {
-			t.Errorf("%s %s: missing Allow header", tc.method, tc.path)
+		if got := resp.Header.Get("Allow"); got != tc.allow {
+			t.Errorf("%s %s: Allow = %q, want %q", tc.method, tc.path, got, tc.allow)
 		}
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s %s: Content-Type = %q, want application/json", tc.method, tc.path, ct)
 		}
-		var body struct {
-			Error string `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
-			t.Errorf("%s %s: body not a JSON error: %v %+v", tc.method, tc.path, err, body)
-		}
-		resp.Body.Close()
 	}
 }
 
 func TestServerOPMRoundTrip(t *testing.T) {
-	c, _ := testServer(t)
-	loadFixture(t, c)
+	base, _ := testServer(t)
+	ingestV2Fixture(t, base)
 
-	var buf bytes.Buffer
-	if err := c.ExportOPM(&buf); err != nil {
+	resp, err := http.Get(base + "/v2/opm")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"artifacts"`) {
-		t.Fatalf("export shape wrong: %s", buf.String())
+	doc, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(doc), `"artifacts"`) {
+		t.Fatalf("export = %d, shape wrong: %s", resp.StatusCode, doc)
 	}
 
 	// Import into a second, empty server.
-	c2, s2 := testServer(t)
-	if err := c2.ImportOPM(bytes.NewReader(buf.Bytes())); err != nil {
+	base2, s2 := testServer(t)
+	resp, err = http.Post(base2+"/v2/opm", "application/json", bytes.NewReader(doc))
+	if err != nil {
 		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("import = %d", resp.StatusCode)
 	}
 	if s2.NumObjects() != 4 || s2.NumEdges() != 3 {
 		t.Errorf("imported %d objects %d edges", s2.NumObjects(), s2.NumEdges())
 	}
-	o, err := c2.GetObject("proc")
-	if err != nil || o.Lowest != "Protected" || o.Protect != "surrogate" {
-		t.Errorf("sensitivity lost over HTTP OPM: %+v %v", o, err)
+	var o Object
+	st := doJSON(t, http.MethodGet, base2+"/v2/objects/proc", asViewer("Protected"), nil, &o)
+	if st != http.StatusOK || o.Lowest != "Protected" || o.Protect != "surrogate" {
+		t.Errorf("sensitivity lost over HTTP OPM: %d %+v", st, o)
 	}
-	if err := c2.ImportOPM(strings.NewReader("not json")); err == nil {
-		t.Error("garbage import accepted")
+	resp, err = http.Post(base2+"/v2/opm", "application/json", strings.NewReader("not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := decodeAPIError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest {
+		t.Errorf("garbage import = %d %+v", resp.StatusCode, e)
 	}
 }
 
 func TestServerLineageFilters(t *testing.T) {
-	c, _ := testServer(t)
-	loadFixture(t, c)
-	resp, err := c.Lineage(LineageQuery{Start: "report", Viewer: "Protected", Label: "input-to"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, _ := testServer(t)
+	ingestV2Fixture(t, base)
+	_, resp, _ := lineage(t, base, "start=report&label=input-to", asViewer("Protected"))
 	if len(resp.Nodes) != 2 {
 		t.Errorf("label filter over HTTP: %+v", resp.Nodes)
 	}
-	resp, err = c.Lineage(LineageQuery{Start: "report", Viewer: "Protected", Kind: "data"})
-	if err != nil {
-		t.Fatal(err)
+	_, resp, _ = lineage(t, base, "start=report&kind=data", asViewer("Protected"))
+	if len(resp.Nodes) == 0 {
+		t.Error("kind filter returned nothing")
 	}
 	for _, n := range resp.Nodes {
 		if n.ID == "proc" {
 			t.Error("kind filter leaked an invocation over HTTP")
 		}
 	}
-	if _, err := c.Lineage(LineageQuery{Start: "report", Kind: "banana"}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Errorf("bad kind = %v", err)
+	if st, _, _ := lineage(t, base, "start=report&kind=banana", nil); st != http.StatusBadRequest {
+		t.Errorf("bad kind = %d", st)
 	}
 }
 
@@ -269,65 +288,61 @@ func TestCachedServerServesAndInvalidates(t *testing.T) {
 	engine := NewCachedEngine(NewEngine(s, privilege.TwoLevel()))
 	srv := httptest.NewServer(NewCachedServer(engine))
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	loadFixture(t, c)
+	ingestV2Fixture(t, srv.URL)
 
-	r1, err := c.Lineage(LineageQuery{Start: "report"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Lineage(LineageQuery{Start: "report"}); err != nil {
-		t.Fatal(err)
+	_, r1, _ := lineage(t, srv.URL, "start=report", nil)
+	if st, _, _ := lineage(t, srv.URL, "start=report", nil); st != http.StatusOK {
+		t.Fatalf("second lineage = %d", st)
 	}
 	hits, _, _ := engine.CacheStats()
 	if hits == 0 {
 		t.Error("second HTTP query did not hit the cache")
 	}
 	// Mutation invalidates; the next answer reflects the new object.
-	if err := c.PutObject(Object{ID: "extra", Kind: Data, Name: "x"}); err != nil {
-		t.Fatal(err)
+	extra := BatchRequest{
+		Objects: []Object{{ID: "extra", Kind: Data, Name: "x"}},
+		Edges:   []Edge{{From: "extra", To: "report"}},
 	}
-	if err := c.PutEdge(Edge{From: "extra", To: "report"}); err != nil {
-		t.Fatal(err)
+	if st := doJSON(t, http.MethodPost, srv.URL+"/v2/batch", nil, extra, nil); st != http.StatusOK {
+		t.Fatalf("batch = %d", st)
 	}
-	r3, err := c.Lineage(LineageQuery{Start: "report"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, r3, _ := lineage(t, srv.URL, "start=report", nil)
 	if len(r3.Nodes) != len(r1.Nodes)+1 {
 		t.Errorf("stale cached answer: %d nodes vs %d+1", len(r3.Nodes), len(r1.Nodes))
 	}
 }
 
+// TestServerRejectsOversizedBody: small-request endpoints cap their body
+// at maxBodyBytes.
 func TestServerRejectsOversizedBody(t *testing.T) {
-	s, _ := openTemp(t)
-	srv := httptest.NewServer(NewServer(NewEngine(s, privilege.TwoLevel())))
-	defer srv.Close()
-	big := strings.NewReader(`{"id":"x","kind":"data","name":"` + strings.Repeat("a", maxBodyBytes+10) + `"}`)
-	resp, err := http.Post(srv.URL+"/v1/objects", "application/json", big)
+	base, _ := testServer(t)
+	big := strings.NewReader(`{"viewer":"` + strings.Repeat("a", maxBodyBytes+10) + `"}`)
+	resp, err := http.Post(base+"/v2/sessions", "application/json", big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized body = %d, want 400", resp.StatusCode)
-	}
-	if s.NumObjects() != 0 {
-		t.Error("oversized object stored")
+	// Uncapped, the body would decode and fail as an unknown viewer.
+	if e := decodeAPIError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest {
+		t.Errorf("oversized body = %d %+v, want 400 %q", resp.StatusCode, e, CodeBadRequest)
 	}
 }
 
 func TestServerRejectsUnknownFields(t *testing.T) {
-	s, _ := openTemp(t)
-	srv := httptest.NewServer(NewServer(NewEngine(s, privilege.TwoLevel())))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/objects", "application/json",
-		strings.NewReader(`{"id":"x","kind":"data","bogusField":1}`))
-	if err != nil {
-		t.Fatal(err)
+	base, s := testServer(t)
+	for _, tc := range []struct{ path, body string }{
+		{"/v2/batch", `{"objects":[{"id":"x","kind":"data","bogusField":1}]}`},
+		{"/v2/sessions", `{"viewer":"Public","bogusField":1}`},
+	} {
+		resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: unknown field accepted: %d", tc.path, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field accepted: %d", resp.StatusCode)
+	if s.NumObjects() != 0 {
+		t.Error("object with an unknown field stored")
 	}
 }

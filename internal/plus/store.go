@@ -392,8 +392,8 @@ func (s *LogBackend) ChangeHorizon() int {
 }
 
 // ChangeWindow reports the resident change-feed window; followers use it
-// (via /v1/stats and healthz) to compute their lag against the oldest
-// position the feed can still serve.
+// (via the healthz changeFeed block) to compute their lag against the
+// oldest position the feed can still serve.
 func (s *LogBackend) ChangeWindow() FeedWindow {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -42,8 +42,7 @@ import (
 type Capability string
 
 const (
-	// CapIngest authorises writes: POST /v2/batch, the v1 mutation
-	// endpoints and OPM import.
+	// CapIngest authorises writes: POST /v2/batch and OPM import.
 	CapIngest Capability = "ingest"
 	// CapReplicate authorises raw-record reads: GET /v2/changes,
 	// GET /v2/snapshot and OPM export — the replication surface, which
@@ -52,7 +51,8 @@ const (
 	// CapQuery authorises protected reads: lineage, PLUSQL and point
 	// fetches, always scoped to the token's viewer.
 	CapQuery Capability = "query"
-	// CapAdmin authorises operational endpoints: compaction and stats.
+	// CapAdmin authorises operational endpoints: compaction, metrics and
+	// the slow-query log.
 	CapAdmin Capability = "admin"
 )
 

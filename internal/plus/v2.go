@@ -13,8 +13,9 @@ import (
 	"repro/internal/privilege"
 )
 
-// This file is the v2 wire API: the principal-scoped redesign of the
-// HTTP surface. Three things distinguish it from /v1:
+// This file is the v2 wire API, the server's one HTTP surface (the
+// principal-free readiness probe GET /v1/healthz aside). Three things
+// shape it:
 //
 //   - Who is asking travels out-of-band. Every request resolves a
 //     principal — a validated privilege-predicate — from the
@@ -30,14 +31,14 @@ import (
 //     that fell past the retained window gets a typed 410 with a resync
 //     hint pointing at GET /v2/snapshot.
 //
-// Errors carry a machine-readable code alongside the human message:
+// Every error carries a machine-readable code alongside the human message:
 //
 //	{"error": "...", "code": "unknown_viewer", ...}
 //
 // Trust model: the surface splits into consumer endpoints — lineage,
 // query, object fetch — whose answers are protected for the resolved
 // principal, and provider/replication endpoints — batch, changes,
-// snapshot (and v1's OPM interchange) — which carry raw records, since a
+// snapshot, OPM interchange — which carry raw records, since a
 // replica must hold the full graph to serve its own viewers. The split
 // is enforced by the capability model (auth.go/token.go): with a keyring
 // configured (plusd -auth-keys), every request must carry an HMAC-signed
@@ -48,9 +49,6 @@ import (
 // Without a keyring the server runs in the legacy open mode: principals
 // are validated but client-asserted, and every caller holds every
 // capability.
-//
-// /v1 remains mounted for compatibility, gated by the same capabilities
-// and answering with Deprecation/Sunset headers.
 
 // v2 principal headers.
 const (
@@ -60,20 +58,21 @@ const (
 	HeaderSession = "X-Plus-Session"
 )
 
-// Error codes of the v2 structured error body.
+// Error codes of the structured error body.
 const (
-	CodeBadRequest     = "bad_request"
-	CodeUnknownViewer  = "unknown_viewer"
-	CodeUnauthorized   = "unauthorized"
-	CodeBadToken       = "bad_token"
-	CodeTokenExpired   = "token_expired"
-	CodeViewerConflict = "viewer_conflict"
-	CodeNotFound       = "not_found"
-	CodeForbidden      = "forbidden"
-	CodeBadCursor      = "bad_cursor"
-	CodeTooFarBehind   = "too_far_behind"
-	CodeUnavailable    = "unavailable"
-	CodeInternal       = "internal"
+	CodeBadRequest       = "bad_request"
+	CodeMethodNotAllowed = "method_not_allowed"
+	CodeUnknownViewer    = "unknown_viewer"
+	CodeUnauthorized     = "unauthorized"
+	CodeBadToken         = "bad_token"
+	CodeTokenExpired     = "token_expired"
+	CodeViewerConflict   = "viewer_conflict"
+	CodeNotFound         = "not_found"
+	CodeForbidden        = "forbidden"
+	CodeBadCursor        = "bad_cursor"
+	CodeTooFarBehind     = "too_far_behind"
+	CodeUnavailable      = "unavailable"
+	CodeInternal         = "internal"
 )
 
 // APIError is the v2 structured error body. Status is the HTTP status it
@@ -96,8 +95,8 @@ func v2Errorf(status int, code, format string, args ...interface{}) *APIError {
 	return &APIError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// WriteAPIError serves a v2 structured error. Extension subsystems
-// (PLUSQL's /v2/query) share it so every v2 endpoint fails identically.
+// WriteAPIError serves a structured error. Extension subsystems
+// (PLUSQL's /v2/query) share it so every endpoint fails identically.
 func WriteAPIError(w http.ResponseWriter, e *APIError) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(e.Status)
@@ -319,8 +318,7 @@ func (s *Server) handleV2ObjectByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Principal-scoped fetch: a record above the caller's privilege is
-	// refused, not served. (v1 leaves this to the lineage layer; the v2
-	// point read enforces it directly.)
+	// refused, not served.
 	if o.Lowest != "" && !s.engine.lattice.Dominates(viewer, privilege.Predicate(o.Lowest)) {
 		WriteAPIError(w, v2Errorf(http.StatusForbidden, CodeForbidden,
 			"plus: object %q requires privilege %q", id, o.Lowest))
@@ -645,10 +643,46 @@ func (s *Server) handleV2Compact(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseLineageParams decodes the shared lineage query parameters (start
-// or startName, direction, depth, mode, label, kind) used by both API
-// versions. The viewer is NOT parsed here: v1 reads it from the query
-// string, v2 from the request principal.
+// handleV2OPM exports the store as an OPM document (GET, the replicate
+// capability: the export carries raw records) or imports one (POST, the
+// ingest capability).
+func (s *Server) handleV2OPM(w http.ResponseWriter, r *http.Request) {
+	switch r.Method {
+	case http.MethodGet:
+		if _, apiErr := s.Authorize(r, CapReplicate); apiErr != nil {
+			WriteAPIError(w, apiErr)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if err := ExportOPM(s.engine.store, w); err != nil {
+			// Headers may already be out; best effort.
+			WriteAPIError(w, v2StoreError(err))
+		}
+	case http.MethodPost:
+		if s.gateWrite(w, r) {
+			return
+		}
+		if _, apiErr := s.Authorize(r, CapIngest); apiErr != nil {
+			WriteAPIError(w, apiErr)
+			return
+		}
+		// OPM documents can be large but not unbounded; allow 64 MiB.
+		if err := ImportOPM(s.engine.store, http.MaxBytesReader(w, r.Body, 64<<20)); err != nil {
+			WriteAPIError(w, v2StoreError(err))
+			return
+		}
+		writeJSON(w, http.StatusCreated, map[string]string{"status": "imported"})
+	default:
+		MethodNotAllowed(w, http.MethodGet, http.MethodPost)
+	}
+}
+
+// parseLineageParams decodes the lineage query parameters: start or
+// startName (exactly one), direction (ancestors|descendants|both, default
+// ancestors), depth (default 0 = unbounded), mode (surrogate|hide,
+// default surrogate), label (edge-label filter) and kind
+// (data|invocation traversal filter). The viewer is the request
+// principal, never a parameter.
 func parseLineageParams(q interface{ Get(string) string }) (Request, error) {
 	start := q.Get("start")
 	startName := q.Get("startName")
@@ -691,8 +725,8 @@ func parseLineageParams(q interface{ Get(string) string }) (Request, error) {
 	}, nil
 }
 
-// buildLineageResponse renders a protected lineage answer as the wire
-// response shared by both API versions.
+// buildLineageResponse renders a protected lineage answer as its wire
+// response.
 func buildLineageResponse(req Request, res *Result) LineageResponse {
 	pathUtil, nodeUtil := res.Utilities()
 	resp := LineageResponse{

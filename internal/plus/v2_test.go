@@ -163,7 +163,8 @@ func TestV2PrincipalResolution(t *testing.T) {
 		t.Errorf("unknown viewer code = %q", apiErr.Code)
 	}
 
-	// The viewer query parameter is a v1 idiom; v2 rejects it.
+	// The viewer is never a query parameter: one the handler would ignore
+	// is rejected instead.
 	apiErr = APIError{}
 	if st := doJSON(t, http.MethodGet, lineageURL+"&viewer=Protected", nil, nil, &apiErr); st != http.StatusBadRequest {
 		t.Fatalf("query-param viewer status = %d", st)
@@ -452,31 +453,6 @@ func TestV2SnapshotResync(t *testing.T) {
 	}
 }
 
-// TestV1V2LineageParity asks the same lineage question through both
-// surfaces and requires identical protected answers.
-func TestV1V2LineageParity(t *testing.T) {
-	srv, _ := v2TestServer(t)
-	ingestV2Fixture(t, srv.URL)
-
-	for _, viewer := range []string{"Public", "Protected"} {
-		var v1, v2 LineageResponse
-		if st := doJSON(t, http.MethodGet, srv.URL+"/v1/lineage?start=report&viewer="+viewer, nil, nil, &v1); st != http.StatusOK {
-			t.Fatalf("v1 status = %d", st)
-		}
-		if st := doJSON(t, http.MethodGet, srv.URL+"/v2/lineage?start=report",
-			map[string]string{HeaderViewer: viewer}, nil, &v2); st != http.StatusOK {
-			t.Fatalf("v2 status = %d", st)
-		}
-		// Timings differ run to run; everything semantic must agree.
-		v1.Timing, v2.Timing = LineageTiming{}, LineageTiming{}
-		a, _ := json.Marshal(v1)
-		b, _ := json.Marshal(v2)
-		if !bytes.Equal(a, b) {
-			t.Errorf("viewer %s: v1 %s != v2 %s", viewer, a, b)
-		}
-	}
-}
-
 // TestV2ChangesAcrossLogRestart is the durability conformance case: a
 // cursor taken before a LogBackend restart resumes after it with no gaps
 // and no duplicates.
@@ -536,8 +512,8 @@ func TestV2ChangesAcrossLogRestart(t *testing.T) {
 	}
 }
 
-// TestV2ErrorBodiesAreStructured spot-checks that every v2 failure mode
-// carries a machine-readable code.
+// TestV2ErrorBodiesAreStructured spot-checks that every failure mode
+// carries a machine-readable code, the 405 of every route included.
 func TestV2ErrorBodiesAreStructured(t *testing.T) {
 	srv, _ := v2TestServer(t)
 	ingestV2Fixture(t, srv.URL)
@@ -552,6 +528,17 @@ func TestV2ErrorBodiesAreStructured(t *testing.T) {
 		{http.MethodGet, "/v2/lineage?start=report&mode=banana", nil, http.StatusBadRequest, CodeBadRequest},
 		{http.MethodGet, "/v2/lineage", nil, http.StatusBadRequest, CodeBadRequest},
 		{http.MethodPost, "/v2/batch", "not an object", http.StatusBadRequest, CodeBadRequest},
+		{http.MethodGet, "/v2/sessions", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodGet, "/v2/batch", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodPost, "/v2/changes", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodPost, "/v2/snapshot", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodPost, "/v2/lineage", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodDelete, "/v2/objects/report", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodGet, "/v2/compact", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodPut, "/v2/opm", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodPost, "/v2/metrics", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodPost, "/v2/slowlog", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{http.MethodPost, "/v1/healthz", nil, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 	}
 	for _, tc := range cases {
 		var apiErr APIError
@@ -581,5 +568,32 @@ func TestV2ClosedBackend(t *testing.T) {
 	}
 	if st, _, apiErr := getChanges(t, srv.URL, "", ""); st != http.StatusServiceUnavailable || apiErr.Code != CodeUnavailable {
 		t.Errorf("changes on closed backend: status=%d err=%+v", st, apiErr)
+	}
+}
+
+// TestV1Retired: the only /v1 route left is the principal-free healthz
+// probe; every former v1 route answers 404 (plusql's tests cover the
+// former /v1/query).
+func TestV1Retired(t *testing.T) {
+	srv, _ := v2TestServer(t)
+	ingestV2Fixture(t, srv.URL)
+
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/objects"},
+		{http.MethodGet, "/v1/objects/report"},
+		{http.MethodPost, "/v1/edges"},
+		{http.MethodPost, "/v1/surrogates"},
+		{http.MethodGet, "/v1/lineage?start=report"},
+		{http.MethodGet, "/v1/stats"},
+		{http.MethodGet, "/v1/opm"},
+		{http.MethodPost, "/v1/opm"},
+	} {
+		if st := doJSON(t, tc.method, srv.URL+tc.path, nil, nil, nil); st != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", tc.method, tc.path, st)
+		}
+	}
+	var h HealthzResponse
+	if st := doJSON(t, http.MethodGet, srv.URL+"/v1/healthz", nil, nil, &h); st != http.StatusOK || h.Status != "ok" {
+		t.Errorf("GET /v1/healthz = %d %+v, want 200 ok", st, h)
 	}
 }

@@ -11,12 +11,11 @@ import (
 	"repro/internal/privilege"
 )
 
-// QueryRequest is the body of POST /v1/query.
+// QueryRequest is the body of POST /v2/query. The viewer is not a field:
+// it is the request principal.
 type QueryRequest struct {
 	// Query is the PLUSQL source text.
 	Query string `json:"query"`
-	// Viewer is the consumer's privilege-predicate (default Public).
-	Viewer string `json:"viewer,omitempty"`
 	// Mode is "surrogate" (default) or "hide".
 	Mode string `json:"mode,omitempty"`
 	// Limit caps result rows in addition to the query's own limit.
@@ -25,7 +24,7 @@ type QueryRequest struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
-// QueryResponse is the answer to POST /v1/query.
+// QueryResponse is the answer to POST /v2/query.
 type QueryResponse struct {
 	Query  string      `json:"query"`
 	Viewer string      `json:"viewer"`
@@ -47,45 +46,14 @@ type QueryResponse struct {
 // stores; clients page with explicit limits.
 const serverMaxRows = 10000
 
-// maxQueryBytes bounds POST /v1/query bodies; query text is tiny.
+// maxQueryBytes bounds POST /v2/query bodies; query text is tiny.
 const maxQueryBytes = 1 << 16
 
-// NewHandler serves PLUSQL over HTTP: POST /v1/query with a QueryRequest
-// body. Errors are the API's standard {"error": ...} JSON; parse errors
-// carry their line:column position in the message. The handler is
-// unauthorized on its own; Attach mounts it behind the plus server's
-// capability middleware.
-func NewHandler(e *Engine) http.Handler { return newV1Handler(e, nil) }
-
-// newV1Handler builds the v1 query handler with an optional authorizer
-// for the body's client-asserted viewer (Attach wires the plus server's
-// capability middleware through it).
-func newV1Handler(e *Engine, authorize func(*http.Request, privilege.Predicate) *plus.APIError) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			plus.MethodNotAllowed(w, http.MethodPost)
-			return
-		}
-		var req QueryRequest
-		if err := plus.DecodeJSONBody(w, r, maxQueryBytes, &req); err != nil {
-			writeQueryError(w, http.StatusBadRequest, err)
-			return
-		}
-		viewer := privilege.Predicate(req.Viewer)
-		if authorize != nil {
-			if apiErr := authorize(r, viewer); apiErr != nil {
-				plus.WriteAPIError(w, apiErr)
-				return
-			}
-		}
-		serveQuery(w, r, e, req, viewer, nil)
-	})
-}
-
-// NewV2Handler serves PLUSQL as POST /v2/query: the same request body
-// minus the viewer, which travels as the request principal (X-Plus-Viewer
-// header or session token) and is validated by the plus server. Errors
-// use the v2 structured body.
+// NewV2Handler serves PLUSQL as POST /v2/query. The viewer travels as the
+// request principal (X-Plus-Viewer header or session token) and is
+// validated by the plus server; a body naming one is rejected as an
+// unknown field. Errors use the structured body; parse errors carry their
+// line:column position in the message.
 func NewV2Handler(s *plus.Server, e *Engine) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -104,12 +72,6 @@ func NewV2Handler(s *plus.Server, e *Engine) http.Handler {
 				Status: http.StatusBadRequest, Code: plus.CodeBadRequest, Message: err.Error()})
 			return
 		}
-		if req.Viewer != "" {
-			plus.WriteAPIError(w, &plus.APIError{
-				Status: http.StatusBadRequest, Code: plus.CodeBadRequest,
-				Message: "plusql: v2 carries the viewer in the " + plus.HeaderViewer + " header or a session, not the request body"})
-			return
-		}
 		serveQuery(w, r, e, req, viewer, func(status int, err error) {
 			code := plus.CodeBadRequest
 			switch status {
@@ -124,12 +86,8 @@ func NewV2Handler(s *plus.Server, e *Engine) http.Handler {
 }
 
 // serveQuery runs one decoded query request for an already-resolved
-// viewer and writes the response; writeErr overrides the error rendering
-// (nil means the v1 {"error": ...} body).
+// viewer and writes the response; writeErr renders failures.
 func serveQuery(w http.ResponseWriter, r *http.Request, e *Engine, req QueryRequest, viewer privilege.Predicate, writeErr func(int, error)) {
-	if writeErr == nil {
-		writeErr = func(status int, err error) { writeQueryError(w, status, err) }
-	}
 	if req.Query == "" {
 		writeErr(http.StatusBadRequest, fmt.Errorf("plusql: empty query"))
 		return
@@ -191,21 +149,12 @@ func serveQuery(w http.ResponseWriter, r *http.Request, e *Engine, req QueryRequ
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-func writeQueryError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// Attach mounts the query endpoints (v1 and principal-scoped v2) on a
+// Attach mounts the principal-scoped query endpoint POST /v2/query on a
 // plus server, wires the view-cache counters into its healthz payload,
 // and — when the server is observable — instruments the engine
 // (plus_plusql_seconds{phase}, slow-query capture) and exposes the
 // view-cache counters as plus_query_view_* metrics.
 func Attach(s *plus.Server, e *Engine) {
-	s.Handle("/v1/query", newV1Handler(e, func(r *http.Request, asserted privilege.Predicate) *plus.APIError {
-		return s.AuthorizeAsserted(r, plus.CapQuery, asserted)
-	}))
 	s.Handle("/v2/query", NewV2Handler(s, e))
 	s.SetQueryStats(func() plus.QueryCacheHealth {
 		st := e.CacheStats()
@@ -241,14 +190,4 @@ func Attach(s *plus.Server, e *Engine) {
 			"Advance attempts abandoned for a full build.",
 			func() float64 { return float64(e.CacheStats().Fallbacks) })
 	}
-}
-
-// ClientQuery runs one PLUSQL query against a remote plusd server through
-// the standard plus client.
-func ClientQuery(c *plus.Client, req QueryRequest) (*QueryResponse, error) {
-	var resp QueryResponse
-	if err := c.PostJSON("/v1/query", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }

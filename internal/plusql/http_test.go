@@ -1,6 +1,7 @@
 package plusql
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,7 +12,7 @@ import (
 	"repro/internal/privilege"
 )
 
-func testServer(t *testing.T) (*httptest.Server, *plus.Client) {
+func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	be := exampleBackend(t)
 	lat := privilege.TwoLevel()
@@ -19,18 +20,64 @@ func testServer(t *testing.T) (*httptest.Server, *plus.Client) {
 	Attach(srv, NewEngine(be, lat))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return ts, plus.NewClient(ts.URL)
+	return ts
 }
 
-func TestHTTPQuery(t *testing.T) {
-	_, c := testServer(t)
-	resp, err := ClientQuery(c, QueryRequest{
-		Query:   `ancestor*(X, "b"), kind(X, data)`,
-		Explain: true,
-	})
+// asViewer is the request header asserting viewer as the principal.
+func asViewer(viewer string) map[string]string {
+	return map[string]string{plus.HeaderViewer: viewer}
+}
+
+// httpQuery posts body to url's POST /v2/query with headers, returning the
+// decoded answer on a 200 and the structured error otherwise.
+func httpQuery(t *testing.T, url string, headers map[string]string, body interface{}) (*QueryResponse, *plus.APIError) {
+	t.Helper()
+	data, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	req, err := http.NewRequest(http.MethodPost, url+"/v2/query", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for k, v := range headers {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		apiErr := &plus.APIError{Status: resp.StatusCode}
+		if err := json.NewDecoder(resp.Body).Decode(apiErr); err != nil {
+			t.Fatalf("error body: %v", err)
+		}
+		return nil, apiErr
+	}
+	var out QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return &out, nil
+}
+
+// postQuery is httpQuery for requests that must succeed.
+func postQuery(t *testing.T, url string, headers map[string]string, req QueryRequest) *QueryResponse {
+	t.Helper()
+	resp, apiErr := httpQuery(t, url, headers, req)
+	if apiErr != nil {
+		t.Fatalf("query %q: %d %s: %s", req.Query, apiErr.Status, apiErr.Code, apiErr.Message)
+	}
+	return resp
+}
+
+func TestHTTPQuery(t *testing.T) {
+	resp := postQuery(t, testServer(t).URL, nil, QueryRequest{
+		Query:   `ancestor*(X, "b"), kind(X, data)`,
+		Explain: true,
+	})
 	if resp.Viewer != "Public" || resp.Mode != "surrogate" {
 		t.Errorf("defaults: viewer=%q mode=%q", resp.Viewer, resp.Mode)
 	}
@@ -55,11 +102,7 @@ func TestHTTPQuery(t *testing.T) {
 }
 
 func TestHTTPQueryViewer(t *testing.T) {
-	_, c := testServer(t)
-	resp, err := ClientQuery(c, QueryRequest{Query: `ancestor*(X, "b")`, Viewer: "Protected"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postQuery(t, testServer(t).URL, asViewer("Protected"), QueryRequest{Query: `ancestor*(X, "b")`})
 	found := map[string]bool{}
 	for _, row := range resp.Rows {
 		found[row[0].ID] = true
@@ -72,44 +115,60 @@ func TestHTTPQueryViewer(t *testing.T) {
 }
 
 func TestHTTPQueryErrors(t *testing.T) {
-	ts, c := testServer(t)
+	ts := testServer(t)
 
-	// Parse errors surface as 400 with the position in the message.
-	_, err := ClientQuery(c, QueryRequest{Query: `bogus(X)`})
-	if err == nil || !strings.Contains(err.Error(), "1:1") {
-		t.Errorf("parse error lost position: %v", err)
-	}
-	if _, err := ClientQuery(c, QueryRequest{Query: ``}); err == nil {
-		t.Error("empty query accepted")
-	}
-	if _, err := ClientQuery(c, QueryRequest{Query: `node(X)`, Viewer: "Nobody"}); err == nil {
-		t.Error("unknown viewer accepted")
+	for _, tc := range []struct {
+		name        string
+		headers     map[string]string
+		body        interface{}
+		wantCode    string
+		wantMessage string
+	}{
+		// Parse errors surface as 400 with the position in the message.
+		{"parse error", nil, QueryRequest{Query: `bogus(X)`}, plus.CodeBadRequest, "1:1"},
+		{"empty query", nil, QueryRequest{Query: ``}, plus.CodeBadRequest, "empty query"},
+		{"unknown viewer", asViewer("Nobody"), QueryRequest{Query: `node(X)`}, plus.CodeUnknownViewer, "Nobody"},
+		// The viewer is the principal; a body naming one is an unknown field.
+		{"viewer in body", nil, map[string]string{"query": `node(X)`, "viewer": "Protected"}, plus.CodeBadRequest, "viewer"},
+	} {
+		_, apiErr := httpQuery(t, ts.URL, tc.headers, tc.body)
+		if apiErr == nil || apiErr.Status != http.StatusBadRequest || apiErr.Code != tc.wantCode ||
+			!strings.Contains(apiErr.Message, tc.wantMessage) {
+			t.Errorf("%s: error = %+v, want 400 %q mentioning %q", tc.name, apiErr, tc.wantCode, tc.wantMessage)
+		}
 	}
 
-	// Method not allowed is JSON with an Allow header.
-	resp, err := http.Get(ts.URL + "/v1/query")
+	// Method not allowed is the structured body with an Allow header.
+	resp, err := http.Get(ts.URL + "/v2/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/query = %d", resp.StatusCode)
+		t.Fatalf("GET /v2/query = %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("Allow"); got != http.MethodPost {
 		t.Errorf("Allow = %q, want POST", got)
 	}
-	var body map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body["error"] == "" {
-		t.Errorf("405 body not JSON error: %v %v", body, err)
+	var apiErr plus.APIError
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil || apiErr.Code != plus.CodeMethodNotAllowed {
+		t.Errorf("405 body = %+v, %v", apiErr, err)
+	}
+
+	// The v1 query route is retired.
+	gone, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"query":"node(X)"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Body.Close()
+	if gone.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/query = %d, want 404", gone.StatusCode)
 	}
 }
 
 func TestHTTPQueryLimit(t *testing.T) {
-	_, c := testServer(t)
-	resp, err := ClientQuery(c, QueryRequest{Query: `node(X)`, Viewer: "Protected", Limit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := testServer(t)
+	resp := postQuery(t, ts.URL, asViewer("Protected"), QueryRequest{Query: `node(X)`, Limit: 2})
 	if len(resp.Rows) != 2 {
 		t.Errorf("limit 2 returned %d rows", len(resp.Rows))
 	}
@@ -119,20 +178,14 @@ func TestHTTPQueryLimit(t *testing.T) {
 	}
 
 	// A limit wide enough for everything is not flagged.
-	resp, err = ClientQuery(c, QueryRequest{Query: `node(X)`, Viewer: "Protected", Limit: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postQuery(t, ts.URL, asViewer("Protected"), QueryRequest{Query: `node(X)`, Limit: 100})
 	if resp.Truncated {
 		t.Error("truncated flag set on a complete result")
 	}
 
 	// The query's own in-text limit is the client's choice, not
 	// truncation.
-	resp, err = ClientQuery(c, QueryRequest{Query: `node(X) limit 2`, Viewer: "Protected"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postQuery(t, ts.URL, asViewer("Protected"), QueryRequest{Query: `node(X) limit 2`})
 	if len(resp.Rows) != 2 || resp.Truncated {
 		t.Errorf("in-text limit: rows=%d truncated=%v, want 2/false", len(resp.Rows), resp.Truncated)
 	}

@@ -1,9 +1,7 @@
 package plusql
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,35 +28,6 @@ func obsQueryServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	return ts, reg
 }
 
-// postQuery posts one v2 query with a trace header and decodes the
-// response.
-func postQuery(t *testing.T, url, reqID string, req QueryRequest) QueryResponse {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	hreq, err := http.NewRequest(http.MethodPost, url+"/v2/query", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if reqID != "" {
-		hreq.Header.Set(plus.HeaderRequestID, reqID)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v2/query = %d: %s", resp.StatusCode, data)
-	}
-	var out QueryResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestQueryPhaseTimingsAndSlowLog: a query's per-phase decomposition
 // rides the response, the repeat hits the view cache, and the slow-query
 // ring ties both to the request's trace ID.
@@ -67,14 +36,14 @@ func TestQueryPhaseTimingsAndSlowLog(t *testing.T) {
 	const reqID = "feedface00002222"
 	src := `ancestor*(X, "b"), kind(X, data)`
 
-	first := postQuery(t, ts.URL, reqID, QueryRequest{Query: src})
+	first := postQuery(t, ts.URL, map[string]string{plus.HeaderRequestID: reqID}, QueryRequest{Query: src})
 	if first.Phases == nil {
 		t.Fatal("response missing phases block")
 	}
 	if first.Phases.ViewCacheHit {
 		t.Error("first query claims a view-cache hit")
 	}
-	second := postQuery(t, ts.URL, "", QueryRequest{Query: src})
+	second := postQuery(t, ts.URL, nil, QueryRequest{Query: src})
 	if second.Phases == nil || !second.Phases.ViewCacheHit {
 		t.Errorf("second query phases = %+v, want view-cache hit", second.Phases)
 	}

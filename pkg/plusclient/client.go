@@ -168,21 +168,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 		}
 		body = bytes.NewReader(data)
 	}
-	req, err := c.newRequest(ctx, method, path, body)
+	resp, err := c.send(ctx, method, path, body)
 	if err != nil {
 		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("plusclient: %w", err)
 	}
 	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
 	if out == nil {
 		return nil
 	}
@@ -190,6 +180,28 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 		return fmt.Errorf("plusclient: decode: %w", err)
 	}
 	return nil
+}
+
+// send runs one request with the client's principal headers; a non-nil
+// body is sent as JSON. Non-2xx answers come back as *APIError; on
+// success the caller owns the response body.
+func (c *Client) send(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
+	req, err := c.newRequest(ctx, method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("plusclient: %w", err)
+	}
+	if err := checkStatus(resp); err != nil {
+		resp.Body.Close()
+		return nil, err
+	}
+	return resp, nil
 }
 
 func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
@@ -303,13 +315,20 @@ func (c *Client) adoptSession(resp plus.SessionResponse) {
 }
 
 // checkStatus turns a non-2xx response into an *APIError, decoding the
-// structured v2 body when present.
+// structured body when present.
 func checkStatus(resp *http.Response) error {
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		return nil
 	}
-	apiErr := &APIError{Status: resp.StatusCode}
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	return apiError(resp, data)
+}
+
+// apiError builds the *APIError of a non-2xx response whose body is data.
+// An answer without a structured body (a proxy's, or the mux's plain-text
+// 404) gets the code "http_<status>".
+func apiError(resp *http.Response, data []byte) *APIError {
+	apiErr := &APIError{Status: resp.StatusCode}
 	var wire struct {
 		Error        string `json:"error"`
 		Code         string `json:"code"`
@@ -532,10 +551,57 @@ func (c *Client) Spec(ctx context.Context) (*account.Spec, *privilege.Lattice, e
 	return spec, lat, nil
 }
 
-// Healthz probes the server's readiness endpoint (shared with v1; the
-// probe is principal-free).
+// Healthz probes the server's principal-free readiness endpoint. A
+// degraded server answers 503 with a structured "unavailable" payload:
+// Healthz returns that payload together with the *APIError, so callers
+// see what the probe reported, not only that it failed.
 func (c *Client) Healthz(ctx context.Context) (plus.HealthzResponse, error) {
 	var h plus.HealthzResponse
-	err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &h)
-	return h, err
+	req, err := c.newRequest(ctx, http.MethodGet, "/v1/healthz", nil)
+	if err != nil {
+		return h, err
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return h, fmt.Errorf("plusclient: %w", err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if err != nil {
+		return h, fmt.Errorf("plusclient: %w", err)
+	}
+	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+		if err := json.Unmarshal(data, &h); err != nil {
+			return h, fmt.Errorf("plusclient: decode: %w", err)
+		}
+		return h, nil
+	}
+	if json.Unmarshal(data, &h) != nil || h.Status == "" {
+		h = plus.HealthzResponse{}
+	}
+	return h, apiError(resp, data)
+}
+
+// ExportOPM streams the server's store to w as an OPM document
+// (GET /v2/opm, the replicate capability).
+func (c *Client) ExportOPM(ctx context.Context, w io.Writer) error {
+	resp, err := c.send(ctx, http.MethodGet, "/v2/opm", nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		return fmt.Errorf("plusclient: export opm: %w", err)
+	}
+	return nil
+}
+
+// ImportOPM uploads the OPM document read from r (POST /v2/opm, the
+// ingest capability).
+func (c *Client) ImportOPM(ctx context.Context, r io.Reader) error {
+	resp, err := c.send(ctx, http.MethodPost, "/v2/opm", r)
+	if err != nil {
+		return err
+	}
+	return resp.Body.Close()
 }

@@ -26,6 +26,22 @@ func RequestIDFrom(ctx context.Context) string { return obs.RequestID(ctx) }
 // NewRequestID mints a fresh random trace ID.
 func NewRequestID() string { return obs.NewRequestID() }
 
+// Metrics fetches the server's metrics registry (GET /v2/metrics, the
+// admin capability) as gathered families.
+func (c *Client) Metrics(ctx context.Context) ([]obs.Family, error) {
+	var fams []obs.Family
+	err := c.do(ctx, http.MethodGet, "/v2/metrics?format=json", nil, &fams)
+	return fams, err
+}
+
+// Slowlog fetches the server's slow-query ring, newest first
+// (GET /v2/slowlog, the admin capability).
+func (c *Client) Slowlog(ctx context.Context) ([]obs.SlowEntry, error) {
+	var entries []obs.SlowEntry
+	err := c.do(ctx, http.MethodGet, "/v2/slowlog", nil, &entries)
+	return entries, err
+}
+
 // ClientMetrics instruments the SDK's transport: per-endpoint request
 // counts by status, latency histograms and a transport-failure counter,
 // registered on the caller's obs.Registry. Share one registry between
@@ -74,9 +90,6 @@ func WithClientMetrics(m *ClientMetrics) Option {
 func metricEndpoint(path string) string {
 	if strings.HasPrefix(path, "/v2/objects/") {
 		return "/v2/objects/"
-	}
-	if strings.HasPrefix(path, "/v1/objects/") {
-		return "/v1/objects/"
 	}
 	return path
 }
