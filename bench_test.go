@@ -254,7 +254,7 @@ func BenchmarkGenerateForSet(b *testing.B) {
 }
 
 // benchBackends enumerates the storage engines the substrate benches
-// compare: the durable log and the sharded in-memory backend.
+// compare: the durable log and the in-memory backend.
 func benchBackends(b *testing.B) map[string]func() plus.Backend {
 	b.Helper()
 	return map[string]func() plus.Backend{
@@ -308,7 +308,7 @@ func populateBackend(b *testing.B, store plus.Backend) string {
 
 // plusFixture populates a store with a 200-node provenance DAG for the
 // substrate micro-benches.
-func plusFixture(b *testing.B) (*plus.Store, string) {
+func plusFixture(b *testing.B) (*plus.LogBackend, string) {
 	b.Helper()
 	dir := b.TempDir()
 	store, err := plus.Open(dir+"/bench.log", plus.Options{})

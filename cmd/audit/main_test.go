@@ -97,7 +97,7 @@ func TestParseEdges(t *testing.T) {
 // TestRunAuditRemote pulls the graph from a live server through the v2
 // SDK and audits account composition exactly like the spec-file path.
 func TestRunAuditRemote(t *testing.T) {
-	backend := plus.NewMemBackend(2)
+	backend := plus.NewMemBackend(0)
 	t.Cleanup(func() { backend.Close() })
 	srv := httptest.NewServer(plus.NewServer(plus.NewEngine(backend, privilege.FigureOneLattice())))
 	t.Cleanup(srv.Close)

@@ -425,7 +425,7 @@ func TestBatchAndFollowWithToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := plus.NewMemBackend(2)
+	m := plus.NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
 	c := testTarget(t, plus.NewServer(plus.NewEngine(m, lat), plus.WithAuth(plus.AuthConfig{Keyring: kr, Require: true})))
@@ -472,7 +472,7 @@ func authTarget(t *testing.T, viewer string) (target, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := plus.NewMemBackend(2)
+	m := plus.NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
 	s := plus.NewServer(plus.NewEngine(m, lat), plus.WithAuth(plus.AuthConfig{Keyring: kr, Require: true}))

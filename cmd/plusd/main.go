@@ -11,11 +11,11 @@
 //	       [-follow-coalesce 100ms]]
 //
 // The -backend flag selects the storage engine: "log" (default) is the
-// durable CRC-guarded append-only log at -db; "mem" is the sharded
-// in-memory backend for read-heavy serving (contents die with the
-// process; -db and -sync are ignored, -shards sets the partition count,
-// -change-horizon bounds the per-shard change ring that feeds incremental
-// cache and view maintenance).
+// durable CRC-guarded append-only log at -db; "mem" is the same store
+// core without the log, for read-heavy serving (contents die with the
+// process; -db and -sync are ignored, and -change-horizon bounds how many
+// recent changes the change feed that drives incremental cache and view
+// maintenance retains).
 //
 // Caches are delta-scoped: a write evicts only the lineage answers and
 // PLUSQL views whose account region it touches; GET /v1/healthz reports
@@ -179,12 +179,12 @@ func listenAndServe(addr string, h http.Handler, tlsPair, tlsSelfDir string) err
 }
 
 // openBackend builds the storage engine the -backend flag selected.
-func openBackend(kind, db string, shards, horizon int, sync bool) (plus.Backend, error) {
+func openBackend(kind, db string, horizon int, sync bool) (plus.Backend, error) {
 	switch kind {
 	case "log":
 		return plus.Open(db, plus.Options{Sync: sync})
 	case "mem":
-		m := plus.NewMemBackend(shards)
+		m := plus.NewMemBackend(0)
 		if horizon > 0 {
 			m.SetChangeHorizon(horizon)
 		}
@@ -197,9 +197,8 @@ func openBackend(kind, db string, shards, horizon int, sync bool) (plus.Backend,
 func run() error {
 	addr := flag.String("addr", ":7337", "listen address")
 	db := flag.String("db", "plus.log", "path to the store log file (log backend)")
-	backendKind := flag.String("backend", "log", "storage backend: log (durable) or mem (sharded in-memory)")
-	shards := flag.Int("shards", 0, "mem backend shard count (0 = default)")
-	horizon := flag.Int("change-horizon", 0, "mem backend per-shard change-ring capacity (0 = default)")
+	backendKind := flag.String("backend", "log", "storage backend: log (durable) or mem (in-memory, no log)")
+	horizon := flag.Int("change-horizon", 0, "mem backend: recent changes the change feed retains (0 = default)")
 	latticePath := flag.String("lattice", "", "path to a JSON lattice spec (default: two-level)")
 	sync := flag.Bool("sync", false, "fsync every append (log backend)")
 	cache := flag.Bool("cache", true, "memoise lineage answers until the store changes")
@@ -225,7 +224,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	backend, err := openBackend(*backendKind, *db, *shards, *horizon, *sync)
+	backend, err := openBackend(*backendKind, *db, *horizon, *sync)
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ func TestLoadLatticeFromFile(t *testing.T) {
 }
 
 func TestOpenBackendKinds(t *testing.T) {
-	logB, err := openBackend("log", filepath.Join(t.TempDir(), "plus.log"), 0, 0, false)
+	logB, err := openBackend("log", filepath.Join(t.TempDir(), "plus.log"), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestOpenBackendKinds(t *testing.T) {
 		t.Errorf("log backend = %T", logB)
 	}
 
-	memB, err := openBackend("mem", "", 8, 128, false)
+	memB, err := openBackend("mem", "", 128, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,11 @@ func TestOpenBackendKinds(t *testing.T) {
 	if !ok {
 		t.Fatalf("mem backend = %T", memB)
 	}
-	if mb.NumShards() != 8 {
-		t.Errorf("shards = %d, want 8", mb.NumShards())
-	}
 	if mb.ChangeHorizon() != 128 {
 		t.Errorf("change horizon = %d, want 128", mb.ChangeHorizon())
 	}
 
-	if _, err := openBackend("banana", "", 0, 0, false); err == nil {
+	if _, err := openBackend("banana", "", 0, false); err == nil {
 		t.Error("unknown backend accepted")
 	}
 }

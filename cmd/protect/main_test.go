@@ -204,7 +204,7 @@ func TestBuildSpecDefaultSurrogateLowest(t *testing.T) {
 // server so the -server mode can be driven end to end through the SDK.
 func remoteFixtureServer(t *testing.T) string {
 	t.Helper()
-	backend := plus.NewMemBackend(2)
+	backend := plus.NewMemBackend(0)
 	t.Cleanup(func() { backend.Close() })
 	srv := httptest.NewServer(plus.NewServer(plus.NewEngine(backend, privilege.FigureOneLattice())))
 	t.Cleanup(srv.Close)

@@ -24,12 +24,9 @@ type Provenance struct {
 
 // ProvenanceOptions configure OpenProvenance.
 type ProvenanceOptions struct {
-	// Path is the durable log file. Empty selects the sharded in-memory
-	// backend instead (contents die with the process).
+	// Path is the durable log file. Empty selects the in-memory backend
+	// instead (contents die with the process).
 	Path string
-	// Shards sets the in-memory backend's partition count (0 = default);
-	// ignored for the durable backend.
-	Shards int
 	// Sync makes every durable append fsync before returning.
 	Sync bool
 	// Lattice is the privilege lattice the store's Lowest nicknames refer
@@ -54,7 +51,7 @@ func OpenProvenance(opts ProvenanceOptions) (*Provenance, error) {
 			return nil, fmt.Errorf("core: open provenance: %w", err)
 		}
 	} else {
-		backend = plus.NewMemBackend(opts.Shards)
+		backend = plus.NewMemBackend(0)
 	}
 	return NewProvenance(backend, lat), nil
 }

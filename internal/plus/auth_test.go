@@ -14,7 +14,7 @@ import (
 // by kr.
 func authTestServer(t *testing.T, kr *Keyring, anonymous bool) (*httptest.Server, *MemBackend) {
 	t.Helper()
-	m := NewMemBackend(4)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	srv := httptest.NewServer(NewServer(
 		NewEngine(m, privilege.TwoLevel()),

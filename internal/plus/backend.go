@@ -99,13 +99,9 @@ type Snapshot struct {
 	rev     uint64
 	objects int // live object count at rev
 
-	// source is the backend the snapshot was taken of; DeltaSince reads
-	// the change feed through it.
-	source Backend
-
-	// idx is the owning backend's live secondary index (shared by every
-	// snapshot of that backend). See index.go.
-	idx *backendIndex
+	// source is the store the snapshot was taken of: DeltaSince reads its
+	// change feed, and the Find* probes its secondary index (index.go).
+	source *storeCore
 }
 
 // Revision reports the backend revision this snapshot was taken at.

@@ -111,7 +111,7 @@ func TestApplyReturnsOwnRevision(t *testing.T) {
 		b    Backend
 	}{
 		{"log", func() Backend { s, _ := openTemp(t); return s }()},
-		{"mem", NewMemBackend(4)},
+		{"mem", NewMemBackend(0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const writers = 16

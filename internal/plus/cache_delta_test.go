@@ -22,7 +22,7 @@ import (
 // the closure is re-stored with the filtered kind. It is in no closure,
 // so only the kind itself can say the cached answer is stale.
 func TestCachedEngineKindFilterRestore(t *testing.T) {
-	m := NewMemBackend(4)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	if _, err := m.Apply(Batch{
 		Objects: []Object{{ID: "a", Kind: Invocation, Name: "a"}, {ID: "b", Kind: Data, Name: "b"}},
@@ -48,7 +48,7 @@ func TestCachedEngineKindFilterRestore(t *testing.T) {
 // TestCachedEngineStartNameNewSeed: a second object takes the name a
 // cached multi-seed answer was asked by. The new seed is in no closure.
 func TestCachedEngineStartNameNewSeed(t *testing.T) {
-	m := NewMemBackend(4)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	if err := m.PutObject(Object{ID: "r1", Kind: Data, Name: "report"}); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func assertCachedIsFresh(t *testing.T, ce *CachedEngine, en *Engine, req Request
 // each cached answer to equal a fresh Engine.Lineage.
 func TestCachedEngineEvictionDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	m := NewMemBackend(4)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 
 	names := []string{"report", "feed", "model", "table", "index", "digest"}

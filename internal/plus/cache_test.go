@@ -148,12 +148,12 @@ func TestCachedEngineConcurrent(t *testing.T) {
 	}
 }
 
-// chainCache loads the chain c000 -> c001 -> ... into a one-shard mem
+// chainCache loads the chain c000 -> c001 -> ... into a mem
 // backend and fronts it with a cache budgeted at budget closure nodes. A
 // backward depth-3 lineage from c<i> (i >= 3) is a 4-node closure.
 func chainCache(t *testing.T, length, budget int) (*MemBackend, *CachedEngine) {
 	t.Helper()
-	m := NewMemBackend(1)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	var b Batch
 	for i := 0; i < length; i++ {

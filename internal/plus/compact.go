@@ -1,10 +1,9 @@
 package plus
 
 import (
-	"encoding/binary"
-	"encoding/json"
+	"bufio"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"sort"
 )
@@ -28,26 +27,6 @@ func (s *LogBackend) Compact() error {
 	}
 	defer os.Remove(tmpPath) // no-op after a successful rename
 
-	var written int64
-	writeRec := func(kind byte, v interface{}) error {
-		body, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		payload := append([]byte{kind}, body...)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		if _, err := tmp.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			return err
-		}
-		written += int64(8 + len(payload))
-		return nil
-	}
-
 	ids := make([]string, 0, s.NumObjects())
 	s.tab.eachObject(func(o Object) { ids = append(ids, o.ID) })
 	sort.Strings(ids)
@@ -63,34 +42,49 @@ func (s *LogBackend) Compact() error {
 		live += uint64(len(s.tab.of(id).surrogates[id]))
 	}
 	nextEpoch := newEpoch()
-	if err := writeRec(recEpoch, epochRecord{Epoch: nextEpoch, Base: s.revision.Load() - live}); err != nil {
+
+	w := bufio.NewWriter(tmp)
+	var rec []byte
+	var written int64
+	put := func(kind byte, v any) error {
+		var err error
+		if rec, err = appendRecord(rec[:0], kind, v); err != nil {
+			return err
+		}
+		written += int64(len(rec))
+		_, err = w.Write(rec)
+		return err
+	}
+	writeAll := func() error {
+		if err := put(recEpoch, epochRecord{Epoch: nextEpoch, Base: s.revision.Load() - live}); err != nil {
+			return err
+		}
+		for _, id := range ids {
+			if err := put(recObject, s.tab.of(id).objects[id]); err != nil {
+				return err
+			}
+		}
+		for _, id := range ids {
+			b := s.tab.of(id)
+			for _, e := range b.out[id] {
+				if err := put(recEdge, e); err != nil {
+					return err
+				}
+			}
+			for _, sp := range b.surrogates[id] {
+				if err := put(recSurrogate, sp); err != nil {
+					return err
+				}
+			}
+		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		return tmp.Sync()
+	}
+	if err := writeAll(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("plus: compact: %w", err)
-	}
-	for _, id := range ids {
-		if err := writeRec(recObject, s.tab.of(id).objects[id]); err != nil {
-			tmp.Close()
-			return fmt.Errorf("plus: compact: %w", err)
-		}
-	}
-	for _, id := range ids {
-		b := s.tab.of(id)
-		for _, e := range b.out[id] {
-			if err := writeRec(recEdge, e); err != nil {
-				tmp.Close()
-				return fmt.Errorf("plus: compact: %w", err)
-			}
-		}
-		for _, sp := range b.surrogates[id] {
-			if err := writeRec(recSurrogate, sp); err != nil {
-				tmp.Close()
-				return fmt.Errorf("plus: compact: %w", err)
-			}
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("plus: compact sync: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("plus: compact close: %w", err)
@@ -107,7 +101,7 @@ func (s *LogBackend) Compact() error {
 	if err != nil {
 		return fmt.Errorf("plus: compact reopen: %w", err)
 	}
-	if _, err := f.Seek(written, 0); err != nil {
+	if _, err := f.Seek(written, io.SeekStart); err != nil {
 		f.Close()
 		return fmt.Errorf("plus: compact seek: %w", err)
 	}
@@ -124,32 +118,10 @@ func (s *LogBackend) Compact() error {
 	// to different records after a restart. With the window rebased to the
 	// current revision, readers behind it get ErrTooFarBehind (HTTP 410)
 	// and rebuild from a snapshot, which is always correct.
-	s.changes = nil
-	s.changesBase = s.revision.Load()
+	s.trimFeed(0)
 	// Wake parked change-feed followers: their streams are pinned to the
 	// old epoch, and the handler ends them when it notices the rotation
 	// (the client then reconnects and resyncs through the 410 path).
 	s.broadcast()
 	return nil
-}
-
-// EdgesFrom returns the outgoing edges of an object, in insertion order.
-func (s *LogBackend) EdgesFrom(id string) []Edge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Edge(nil), s.tab.of(id).out[id]...)
-}
-
-// EdgesTo returns the incoming edges of an object, in insertion order.
-func (s *LogBackend) EdgesTo(id string) []Edge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Edge(nil), s.tab.of(id).in[id]...)
-}
-
-// SurrogatesOf returns the stored surrogate specs for an object.
-func (s *LogBackend) SurrogatesOf(id string) []SurrogateSpec {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]SurrogateSpec(nil), s.tab.of(id).surrogates[id]...)
 }

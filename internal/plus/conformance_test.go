@@ -59,7 +59,7 @@ func conformanceHarnesses() []backendHarness {
 		{
 			name: "mem",
 			open: func(t *testing.T) (Backend, string) {
-				b := NewMemBackend(4)
+				b := NewMemBackend(0)
 				t.Cleanup(func() { b.Close() })
 				return b, ""
 			},
@@ -88,6 +88,7 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("ChangesMatchSnapshotDiff", func(t *testing.T) { conformChangesSnapshotDiff(t, h) })
 			t.Run("ChangesErrors", func(t *testing.T) { conformChangesErrors(t, h) })
 			t.Run("WalkMatchesChanges", func(t *testing.T) { conformWalkChanges(t, h) })
+			t.Run("ChangeHorizon", func(t *testing.T) { conformChangeHorizon(t, h) })
 			t.Run("LineageEngine", func(t *testing.T) { conformLineage(t, h) })
 			t.Run("OPMRoundTrip", func(t *testing.T) { conformOPM(t, h) })
 			if h.reopen != nil {
@@ -324,9 +325,11 @@ func conformChangesSnapshotDiff(t *testing.T, h backendHarness) {
 // as ErrTooFarBehind.
 func conformWalkChanges(t *testing.T, h backendHarness) {
 	b, _ := h.open(t)
-	w, ok := b.(changeWalker)
+	w, ok := b.(interface {
+		walkChangesSince(since, upTo uint64, visit func(*Change)) error
+	})
 	if !ok {
-		t.Fatalf("%T does not implement changeWalker", b)
+		t.Fatalf("%T does not implement walkChangesSince", b)
 	}
 	seedChain(t, b, "a", "b", "c") // 3 objects + 2 edges
 	if err := b.PutSurrogate(SurrogateSpec{ForID: "b", ID: "b'", Name: "anon", InfoScore: 0.5}); err != nil {
@@ -433,7 +436,7 @@ func TestLogBackendChangeHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	if b.ChangeHorizon() != DefaultLogChangeHorizon {
+	if b.ChangeHorizon() != DefaultChangeHorizon {
 		t.Fatalf("default horizon = %d", b.ChangeHorizon())
 	}
 	b.SetChangeHorizon(4)
@@ -475,76 +478,83 @@ func TestLogBackendChangeHorizon(t *testing.T) {
 	}
 }
 
-// TestMemBackendChangeHorizon exercises the bounded ring: requests inside
-// the retained window are served, requests past it fail with
-// ErrTooFarBehind (the full-rebuild escape hatch), and concurrent writers
-// keep the merged feed contiguous.
-func TestMemBackendChangeHorizon(t *testing.T) {
-	m := NewMemBackend(2)
-	t.Cleanup(func() { m.Close() })
-	m.SetChangeHorizon(4)
-
-	for i := 0; i < 20; i++ {
-		if err := m.PutObject(Object{ID: fmt.Sprintf("o%d", i), Kind: Data, Name: "o"}); err != nil {
+// conformChangeHorizon: the horizon counts changes over the whole store.
+// After SetChangeHorizon(n) and 3n writes the newest n are served, the
+// window's Base is the exact oldest resumable position, shrinking discards
+// the oldest entries, and concurrent writers still leave one contiguous
+// feed.
+func conformChangeHorizon(t *testing.T, h backendHarness) {
+	b, _ := h.open(t)
+	hb := b.(interface{ SetChangeHorizon(int) })
+	const n = 8
+	hb.SetChangeHorizon(n)
+	for i := 0; i < 3*n; i++ {
+		if err := b.PutObject(Object{ID: fmt.Sprintf("o%d", i), Kind: Data, Name: "o"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rev := m.Revision()
-	// The last few revisions are always retained (per-shard horizon 4 on
-	// 2 shards retains at least the 4 newest overall).
-	tail, err := m.ChangesSince(rev - 2)
-	if err != nil || len(tail) != 2 {
-		t.Fatalf("ChangesSince(rev-2) = %d changes, %v", len(tail), err)
+	rev := b.Revision()
+	if got, err := b.ChangesSince(rev - n); err != nil || len(got) != n {
+		t.Fatalf("ChangesSince(rev-%d) = %d changes, %v", n, len(got), err)
 	}
-	// Far past the ring: too far behind.
-	if _, err := m.ChangesSince(0); !errors.Is(err, ErrTooFarBehind) {
+	if _, err := b.ChangesSince(0); !errors.Is(err, ErrTooFarBehind) {
 		t.Errorf("ChangesSince(0) = %v, want ErrTooFarBehind", err)
 	}
-	// DeltaSince through a snapshot surfaces the same escape hatch.
-	sn, err := m.Snapshot()
+	sn, err := b.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sn.DeltaSince(0); !errors.Is(err, ErrTooFarBehind) {
 		t.Errorf("DeltaSince(0) = %v, want ErrTooFarBehind", err)
 	}
-
-	// Shrinking the horizon discards the oldest retained entries. With a
-	// per-shard capacity of 1 on 2 shards at most 2 changes survive, so a
-	// deep window is gone while the newest change is always retained.
-	m.SetChangeHorizon(1)
-	if _, err := m.ChangesSince(rev - 10); !errors.Is(err, ErrTooFarBehind) {
-		t.Errorf("after shrink, ChangesSince(rev-10) = %v, want ErrTooFarBehind", err)
+	w := b.(changeWindower).ChangeWindow()
+	if w.Base == 0 {
+		t.Fatalf("window base = 0 after %d writes under horizon %d", 3*n, n)
 	}
-	if got, err := m.ChangesSince(rev - 1); err != nil || len(got) != 1 {
+	if got, err := b.ChangesSince(w.Base); err != nil || uint64(len(got)) != rev-w.Base {
+		t.Errorf("ChangesSince(base %d) = %d changes, %v; want %d", w.Base, len(got), err, rev-w.Base)
+	}
+	if _, err := b.ChangesSince(w.Base - 1); !errors.Is(err, ErrTooFarBehind) {
+		t.Errorf("ChangesSince(base-1) = %v, want ErrTooFarBehind", err)
+	}
+	if uint64(w.Depth) != rev-w.Base || w.Horizon != n {
+		t.Errorf("window = %+v at revision %d, want depth %d and horizon %d", w, rev, rev-w.Base, n)
+	}
+
+	hb.SetChangeHorizon(1)
+	if _, err := b.ChangesSince(rev - 2); !errors.Is(err, ErrTooFarBehind) {
+		t.Errorf("after shrink, ChangesSince(rev-2) = %v, want ErrTooFarBehind", err)
+	}
+	if got, err := b.ChangesSince(rev - 1); err != nil || len(got) != 1 {
 		t.Errorf("after shrink, ChangesSince(rev-1) = %d changes, %v", len(got), err)
 	}
 
-	// Concurrent writers on different shards: merged feed stays contiguous
-	// within the retained window.
-	m2 := NewMemBackend(4)
-	t.Cleanup(func() { m2.Close() })
+	const writers, each = 4, 50
+	hb.SetChangeHorizon(writers * each)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_ = m2.PutObject(Object{ID: fmt.Sprintf("w%d-%d", w, i), Kind: Data, Name: "w"})
+			for i := 0; i < each; i++ {
+				if err := b.PutObject(Object{ID: fmt.Sprintf("w%d-%d", w, i), Kind: Data, Name: "w"}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	all, err := m2.ChangesSince(0)
+	all, err := b.ChangesSince(rev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 200 {
-		t.Fatalf("merged feed has %d changes, want 200", len(all))
+	if len(all) != writers*each {
+		t.Fatalf("feed has %d changes after concurrent writes, want %d", len(all), writers*each)
 	}
 	for i, c := range all {
-		if c.Rev != uint64(i)+1 {
-			t.Fatalf("merged feed gap at %d: rev %d", i, c.Rev)
+		if c.Rev != rev+uint64(i)+1 {
+			t.Fatalf("feed gap at %d: rev %d", i, c.Rev)
 		}
 	}
 }

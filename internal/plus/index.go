@@ -14,11 +14,11 @@ import (
 //
 // Each backend owns ONE live backendIndex, maintained lazily: queries go
 // through Snapshot.FindByKind/FindByName/FindByAttr, and the first probe
-// at a new revision advances the index by replaying the change feed
-// (Snapshot.DeltaSince) from the revision it last covered. When the feed
-// has aged out (ErrTooFarBehind) — or anything else goes wrong with the
-// delta — the index is rebuilt in full from the probing snapshot, the
-// same resync escape hatch every other change-feed consumer uses. Ingest
+// at a new revision advances the index by walking the store's change feed
+// from the revision it last covered. When the feed has aged out
+// (ErrTooFarBehind) — or anything else goes wrong with the delta — the
+// index is rebuilt in full from the probing snapshot, the same resync
+// escape hatch every other change-feed consumer uses. Ingest
 // itself never touches the index, so batch-load throughput is unchanged
 // and index upkeep is billed to the queries that benefit from it.
 //
@@ -83,7 +83,7 @@ type IndexStats struct {
 	NameEntries int `json:"nameEntries"`
 	AttrEntries int `json:"attrEntries"`
 	// Hits counts probes answered from the index; Misses counts probes
-	// that fell back to a linear scan (stale snapshot, or no index).
+	// that fell back to a linear scan (stale snapshot).
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Advances counts incremental catch-ups through the change feed;
@@ -175,20 +175,22 @@ func (ix *backendIndex) lookup(sn *Snapshot, read func() []string) (ids []string
 
 // advanceLocked brings the index up to sn's revision: incrementally via
 // the change feed when possible, by full rebuild from sn on the first
-// build or on any feed hazard (ErrTooFarBehind, epoch rewrite, missing
-// source). Caller holds the write lock.
+// build or on any feed hazard (ErrTooFarBehind, a closed store). Caller
+// holds the write lock.
 func (ix *backendIndex) advanceLocked(sn *Snapshot) {
 	if !ix.built {
 		ix.rebuildLocked(sn)
 		ix.builds.Add(1)
 		return
 	}
-	// The walk skips the []Change materialization and merge-sort of
-	// DeltaSince: edges and surrogates don't carry kind/name/attr
-	// postings, and applyObjectLocked only needs per-object revision
-	// order, which the walk guarantees. A failed walk may have applied a
-	// partial delta; the rebuild below discards it wholesale.
-	if err := sn.walkObjectChanges(ix.rev, ix.applyObjectLocked); err != nil {
+	// The walk copies no changes; edges and surrogates don't carry
+	// kind/name/attr postings. A failed walk has visited nothing.
+	err := sn.source.walkChangesSince(ix.rev, sn.rev, func(c *Change) {
+		if c.Kind == ChangeObject {
+			ix.applyObjectLocked(c.Object)
+		}
+	})
+	if err != nil {
 		ix.rebuildLocked(sn)
 		ix.rebuilds.Add(1)
 		return
@@ -263,25 +265,24 @@ func removeID(ids []string, id string) []string {
 
 // FindByKind returns the ids of the snapshot's objects with the given
 // kind, in unspecified order. Served from the backend's secondary index
-// when it covers this snapshot's revision; otherwise (stale snapshot,
-// index-less snapshot) a linear scan, counted as an index miss.
+// when it covers this snapshot's revision; otherwise (a stale snapshot) a
+// linear scan, counted as an index miss.
 func (sn *Snapshot) FindByKind(kind string) []string {
-	if ix := sn.idx; ix != nil {
-		sym, known := intern.Lookup(kind)
-		if !known {
-			// Never interned: no stored record anywhere carries this
-			// string, so no object in this snapshot can match.
-			ix.hits.Add(1)
-			return nil
-		}
-		if ids, ok := ix.lookup(sn, func() []string { return ix.byKind[sym] }); ok {
-			return ids
-		}
+	ix := sn.source.idx
+	sym, known := intern.Lookup(kind)
+	if !known {
+		// Never interned: no stored record anywhere carries this string,
+		// so no object in this snapshot can match.
+		ix.hits.Add(1)
+		return nil
+	}
+	if ids, ok := ix.lookup(sn, func() []string { return ix.byKind[sym] }); ok {
+		return ids
 	}
 	return sn.scan(func(o Object) bool { return string(o.Kind) == kind })
 }
 
-// scan is the index-less fallback: the ids of the objects match accepts.
+// scan is the linear fallback: the ids of the objects match accepts.
 func (sn *Snapshot) scan(match func(Object) bool) []string {
 	var out []string
 	sn.eachObject(func(o Object) {
@@ -300,15 +301,14 @@ func (sn *Snapshot) FindByName(name string) []string {
 		// Unnamed objects are not indexed; scan for them.
 		return sn.scan(func(o Object) bool { return o.Name == "" })
 	}
-	if ix := sn.idx; ix != nil {
-		sym, known := intern.Lookup(name)
-		if !known {
-			ix.hits.Add(1)
-			return nil
-		}
-		if ids, ok := ix.lookup(sn, func() []string { return ix.byName[sym] }); ok {
-			return ids
-		}
+	ix := sn.source.idx
+	sym, known := intern.Lookup(name)
+	if !known {
+		ix.hits.Add(1)
+		return nil
+	}
+	if ids, ok := ix.lookup(sn, func() []string { return ix.byName[sym] }); ok {
+		return ids
 	}
 	return sn.scan(func(o Object) bool { return o.Name == name })
 }
@@ -326,17 +326,16 @@ func (sn *Snapshot) FindByAttr(key, value string) []string {
 	case "name":
 		return sn.FindByName(value)
 	}
-	if ix := sn.idx; ix != nil {
-		ksym, kok := intern.Lookup(key)
-		vsym, vok := intern.Lookup(value)
-		if !kok || !vok {
-			ix.hits.Add(1)
-			return nil
-		}
-		pair := intern.Pair(ksym, vsym)
-		if ids, ok := ix.lookup(sn, func() []string { return ix.byAttr[pair] }); ok {
-			return ids
-		}
+	ix := sn.source.idx
+	ksym, kok := intern.Lookup(key)
+	vsym, vok := intern.Lookup(value)
+	if !kok || !vok {
+		ix.hits.Add(1)
+		return nil
+	}
+	pair := intern.Pair(ksym, vsym)
+	if ids, ok := ix.lookup(sn, func() []string { return ix.byAttr[pair] }); ok {
+		return ids
 	}
 	return sn.scan(func(o Object) bool {
 		v, ok := o.Features[key]

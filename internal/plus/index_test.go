@@ -65,7 +65,7 @@ func indexTestBackends(t *testing.T) map[string]Backend {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lb.Close() })
-	mb := NewMemBackend(4)
+	mb := NewMemBackend(0)
 	t.Cleanup(func() { mb.Close() })
 	return map[string]Backend{"log": lb, "mem": mb}
 }

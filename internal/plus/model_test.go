@@ -27,7 +27,7 @@ func newStoreModel() *storeModel {
 
 // applyRandomOps drives the same random operation sequence into the store
 // and the model, recording only operations the store accepted.
-func applyRandomOps(r *rand.Rand, s *Store, m *storeModel, n int) error {
+func applyRandomOps(r *rand.Rand, s *LogBackend, m *storeModel, n int) error {
 	ids := []string{"a", "b", "c", "d", "e", "f"}
 	for i := 0; i < n; i++ {
 		switch r.Intn(4) {
@@ -65,7 +65,7 @@ func applyRandomOps(r *rand.Rand, s *Store, m *storeModel, n int) error {
 }
 
 // agree checks that store and model describe the same contents.
-func agree(t *testing.T, s *Store, m *storeModel, stage string) {
+func agree(t *testing.T, s *LogBackend, m *storeModel, stage string) {
 	t.Helper()
 	if s.NumObjects() != len(m.objects) {
 		t.Fatalf("%s: objects %d vs model %d", stage, s.NumObjects(), len(m.objects))

@@ -21,7 +21,7 @@ import (
 // — the full observability stack plusd -slow-query 1ns would wire.
 func obsServer(t *testing.T) (*httptest.Server, *Server, *obs.Registry) {
 	t.Helper()
-	m := NewMemBackend(4)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	reg := obs.NewRegistry()
 	o := NewObservability(reg, obs.NewSlowLog(64, 0), nil)
@@ -125,7 +125,7 @@ func TestMetricsEndpointFormats(t *testing.T) {
 // registry (and slow-query ring) are operator surface, not public.
 func TestMetricsRequireAdminCapability(t *testing.T) {
 	kr := testKeyring(t)
-	m := NewMemBackend(2)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	reg := obs.NewRegistry()
 	srv := NewServer(NewEngine(m, privilege.TwoLevel()),
@@ -225,7 +225,7 @@ func TestHealthzAndStatsReportChangeFeed(t *testing.T) {
 		run(t, base)
 	})
 	t.Run("mem", func(t *testing.T) {
-		m := NewMemBackend(4)
+		m := NewMemBackend(0)
 		t.Cleanup(func() { m.Close() })
 		ts := httptest.NewServer(NewServer(NewEngine(m, privilege.TwoLevel())))
 		t.Cleanup(ts.Close)
@@ -249,7 +249,7 @@ func TestKeyringReloadSwapsLiveKeyring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMemBackend(2)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	reg := obs.NewRegistry()
 	srv := NewServer(NewEngine(m, privilege.TwoLevel()),

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func opmFixture(t *testing.T) *Store {
+func opmFixture(t *testing.T) *LogBackend {
 	t.Helper()
 	s, _ := openTemp(t)
 	objs := []Object{

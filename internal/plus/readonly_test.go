@@ -14,7 +14,7 @@ import (
 // writes, no proxy) and returns it plus the backend.
 func newReadOnlyServer(t *testing.T, opts ...ServerOption) (*httptest.Server, *MemBackend) {
 	t.Helper()
-	m := NewMemBackend(4)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	opts = append([]ServerOption{WithReadOnly(nil)}, opts...)
 	srv := NewServer(NewEngine(m, privilege.TwoLevel()), opts...)
@@ -92,7 +92,7 @@ func TestReadOnlyProxyForwardsWrites(t *testing.T) {
 		got.method, got.path, got.auth = r.Method, r.URL.Path, r.Header.Get("Authorization")
 		w.WriteHeader(http.StatusAccepted)
 	})
-	m := NewMemBackend(4)
+	m := NewMemBackend(0)
 	defer m.Close()
 	srv := NewServer(NewEngine(m, privilege.TwoLevel()), WithReadOnly(proxy))
 	ts := httptest.NewServer(srv)
@@ -146,7 +146,7 @@ func TestReplicaHealthInHealthz(t *testing.T) {
 // A primary (no WithReplicaHealth) must keep the block absent, so
 // followers of followers cannot be configured by accident.
 func TestHealthzOmitsReplicaOnPrimary(t *testing.T) {
-	m := NewMemBackend(4)
+	m := NewMemBackend(0)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(NewEngine(m, privilege.TwoLevel())))
 	defer ts.Close()

@@ -13,7 +13,7 @@ import (
 )
 
 // testServer serves a log-backed store over HTTP and returns its base URL.
-func testServer(t *testing.T) (string, *Store) {
+func testServer(t *testing.T) (string, *LogBackend) {
 	t.Helper()
 	s, _ := openTemp(t)
 	srv := httptest.NewServer(NewServer(NewEngine(s, privilege.TwoLevel())))

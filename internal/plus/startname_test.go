@@ -16,7 +16,7 @@ import (
 // "report" (a1 -> a2 -> a3, b1 -> b2 -> b3) plus an unrelated object.
 func startNameFixture(t *testing.T) *MemBackend {
 	t.Helper()
-	b := NewMemBackend(4)
+	b := NewMemBackend(0)
 	t.Cleanup(func() { b.Close() })
 	for _, chain := range []string{"a", "b"} {
 		for i := 1; i <= 3; i++ {

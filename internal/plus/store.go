@@ -6,21 +6,21 @@
 // query engine that answers path-traversal queries ("what contributed to
 // this data?") with protected accounts, and an HTTP server/client pair.
 //
-// Storage is pluggable behind the Backend interface. LogBackend is the
-// durable engine: a single append-only log file where each record is
-// length-prefixed, type-tagged and CRC-guarded; the in-memory record table
-// is rebuilt by scanning the log on open, and a torn tail from a crashed
-// writer is detected and truncated. This is deliberately the classical
-// minimal write-ahead design: the paper's Figure 10 experiment decomposes
-// query cost into DB access, graph build and protection, and this engine
-// reproduces that decomposition honestly. MemBackend (membackend.go) is
-// the volatile, lock-striped engine for read-heavy serving. Both keep
-// their records in the one copy-on-write table of table.go and hand
-// queries immutable revision-stamped snapshots that share its buckets, so
-// lineage traversal never blocks writers and the first read after a write
-// copies no records; both expose the change feed (ChangesSince /
-// Snapshot.DeltaSince) that the account, view and cache layers consume for
-// incremental maintenance.
+// Storage is pluggable behind the Backend interface, and both built-in
+// backends are one store core (core.go): the copy-on-write record table of
+// table.go, one revision-ordered change feed and one write path under one
+// lock. MemBackend is that core alone, for volatile serving. LogBackend is
+// the core plus a single append-only log file where each record is
+// length-prefixed, type-tagged and CRC-guarded; the core is rebuilt by
+// replaying the log on open, and a torn tail from a crashed writer is
+// detected and truncated. This is deliberately the classical minimal
+// write-ahead design: the paper's Figure 10 experiment decomposes query
+// cost into DB access, graph build and protection, and this engine
+// reproduces that decomposition honestly. Queries run over immutable
+// revision-stamped snapshots that share the table's buckets, so lineage
+// traversal never blocks writers and the first read after a write copies
+// no records; the change feed (ChangesSince / Snapshot.DeltaSince) is what
+// the account, view and cache layers consume for incremental maintenance.
 package plus
 
 import (
@@ -31,8 +31,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
 )
 
 // ObjectKind distinguishes provenance node types (Open Provenance Model
@@ -117,69 +115,24 @@ var ErrNotFound = errors.New("plus: object not found")
 // ErrClosed is returned on use after Close.
 var ErrClosed = errors.New("plus: store closed")
 
-// LogBackend is the durable provenance store: a CRC-guarded append-only
-// log with every live record resident in the record table. All methods
-// are safe for concurrent use. It implements Backend.
+// LogBackend is the durable provenance store: the store core (core.go)
+// with every batch appended to a CRC-guarded log before it is stored, so
+// the log replays to the same records. All methods are safe for
+// concurrent use. It implements Backend.
 type LogBackend struct {
-	mu   sync.RWMutex
+	storeCore
 	f    *os.File
 	path string
-	size int64
 	sync bool
 
-	// tab holds the live records, guarded by mu; history (superseded
-	// versions, oldest first) is never part of a snapshot and stays
-	// outside it.
-	tab     *table
-	history map[string][]Object
-
-	// revision increments on every applied record; engines use it to
-	// invalidate cached protected accounts and snapshots when the store
-	// changes. Atomic so the snapshot fast path never takes mu.
-	revision atomic.Uint64
-
-	// snap caches the last snapshot; valid while its revision matches the
-	// store's. Readers hitting the cache never touch mu.
-	snap atomic.Pointer[Snapshot]
-	// snapMu serialises the slow path of Snapshot, so readers arriving
-	// together after a write share one snapshot instead of freezing one
-	// each. Acquired before mu.
-	snapMu sync.Mutex
-
-	// changes is the bounded in-memory change feed: changes[i] was
-	// applied at revision changesBase+i+1. The append-only log is the
-	// full history on disk, but only a recent window is kept resident —
-	// long-lived update-heavy stores would otherwise duplicate their
-	// whole write history in memory. Requests past the window fail with
-	// ErrTooFarBehind and callers rebuild from a snapshot.
-	changes       []Change
-	changesBase   uint64
-	changeHorizon int
-
-	// epoch identifies this log's revision numbering (Backend.Epoch).
-	// Persisted as a recEpoch record, so it survives restarts; rotated by
-	// Compact. Guarded by mu.
-	epoch string
-
-	// notifier wakes change-feed followers on every applied mutation
-	// (Backend.Notify); it has its own lock and never touches mu.
-	notifier
-
-	// idx is the lazily-maintained secondary index (kind/name/attr ->
-	// ids); see index.go. It has its own lock and is advanced by query
-	// probes, never by the write path.
-	idx *backendIndex
-
-	closed atomic.Bool
+	// size is the length of the log's acknowledged prefix, where the next
+	// record is written. Guarded by mu.
+	size int64
+	// broken is set when a failed write could not be cut back off the
+	// log: later writes would land behind the fragment and make the log
+	// unreadable, so they are refused with ErrClosed. Guarded by mu.
+	broken bool
 }
-
-// DefaultLogChangeHorizon is how many recent changes the durable backend
-// keeps resident for ChangesSince.
-const DefaultLogChangeHorizon = 1 << 16
-
-// Store is the historical name of the durable engine, kept as an alias so
-// existing callers and tests keep compiling.
-type Store = LogBackend
 
 var _ Backend = (*LogBackend)(nil)
 
@@ -191,22 +144,16 @@ type Options struct {
 }
 
 // Open opens (or creates) a store at path, replaying the log to rebuild
-// the in-memory index. A torn final record — a crash mid-append — is
-// truncated away; any earlier corruption is reported as an error.
+// the store core. A torn final record — a crash mid-append — is truncated
+// away; any earlier corruption is reported as an error.
 func Open(path string, opts Options) (*LogBackend, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("plus: open %s: %w", path, err)
 	}
-	s := &LogBackend{
-		f:             f,
-		path:          path,
-		sync:          opts.Sync,
-		tab:           newTable(),
-		history:       map[string][]Object{},
-		changeHorizon: DefaultLogChangeHorizon,
-		idx:           newBackendIndex(),
-	}
+	s := &LogBackend{f: f, path: path, sync: opts.Sync}
+	s.init("")
+	s.persist = s.persistBatch
 	if err := s.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -215,16 +162,22 @@ func Open(path string, opts Options) (*LogBackend, error) {
 		// A new log (or one created before epochs existed): mint and
 		// persist an identity. For a legacy log the record lands at the
 		// tail, which is fine — replay applies it wherever it sits.
-		if err := s.append(recEpoch, epochRecord{Epoch: newEpoch()}); err != nil {
+		epoch := newEpoch()
+		rec, err := appendRecord(nil, recEpoch, epochRecord{Epoch: epoch})
+		if err == nil {
+			err = s.writeLog(rec)
+		}
+		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("plus: stamp epoch: %w", err)
 		}
+		s.epoch = epoch
 	}
 	return s, nil
 }
 
-// replay scans the log, applying every intact record and truncating a
-// torn tail.
+// replay scans the log, storing every intact record and truncating a torn
+// tail.
 func (s *LogBackend) replay() error {
 	info, err := s.f.Stat()
 	if err != nil {
@@ -247,7 +200,7 @@ func (s *LogBackend) replay() error {
 			}
 			return fmt.Errorf("plus: replay at offset %d: %w", off, err)
 		}
-		if err := s.apply(payload[0], payload[1:]); err != nil {
+		if err := s.replayRecord(payload[0], payload[1:]); err != nil {
 			return fmt.Errorf("plus: replay at offset %d: %w", off, err)
 		}
 		off += n
@@ -255,6 +208,50 @@ func (s *LogBackend) replay() error {
 	s.size = off
 	if _, err := s.f.Seek(s.size, io.SeekStart); err != nil {
 		return fmt.Errorf("plus: seek: %w", err)
+	}
+	return nil
+}
+
+// replayRecord decodes one record body and stores it. Replay is the only
+// place the log is decoded: live writes store the typed records they
+// encoded.
+func (s *LogBackend) replayRecord(kind byte, body []byte) error {
+	switch kind {
+	case recEpoch:
+		var er epochRecord
+		if err := json.Unmarshal(body, &er); err != nil {
+			return err
+		}
+		if er.Epoch == "" {
+			return fmt.Errorf("plus: epoch record with empty epoch")
+		}
+		s.epoch = er.Epoch
+		// Base only applies at the head of the log (a compacted rewrite);
+		// an epoch record appended mid-history never rewinds the counter.
+		if s.revision.Load() == 0 && er.Base > 0 {
+			s.revision.Store(er.Base)
+			s.base = er.Base
+		}
+	case recObject:
+		var o Object
+		if err := json.Unmarshal(body, &o); err != nil {
+			return err
+		}
+		s.storeObject(o)
+	case recEdge:
+		var e Edge
+		if err := json.Unmarshal(body, &e); err != nil {
+			return err
+		}
+		s.storeEdge(e)
+	case recSurrogate:
+		var sp SurrogateSpec
+		if err := json.Unmarshal(body, &sp); err != nil {
+			return err
+		}
+		s.storeSurrogate(sp)
+	default:
+		return fmt.Errorf("plus: unknown record type %d", kind)
 	}
 	return nil
 }
@@ -298,330 +295,77 @@ func readRecord(r io.Reader) ([]byte, int64, error) {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func (s *LogBackend) apply(kind byte, body []byte) error {
-	if kind == recEpoch {
-		var er epochRecord
-		if err := json.Unmarshal(body, &er); err != nil {
-			return err
-		}
-		if er.Epoch == "" {
-			return fmt.Errorf("plus: epoch record with empty epoch")
-		}
-		s.epoch = er.Epoch
-		// Base only applies at the head of the log (a compacted rewrite);
-		// an epoch record appended mid-history never rewinds the counter.
-		if s.revision.Load() == 0 && er.Base > 0 {
-			s.revision.Store(er.Base)
-			s.changesBase = er.Base
-		}
-		return nil
-	}
-	c := Change{}
-	switch kind {
-	case recObject:
-		var o Object
-		if err := json.Unmarshal(body, &o); err != nil {
-			return err
-		}
-		o = internObject(o)
-		if prev, replaced := s.tab.putObject(s.tab.slot(o.ID), o); replaced {
-			s.history[o.ID] = append(s.history[o.ID], prev)
-		}
-		c.Kind, c.Object = ChangeObject, o
-	case recEdge:
-		var e Edge
-		if err := json.Unmarshal(body, &e); err != nil {
-			return err
-		}
-		e = internEdge(e)
-		s.tab.putEdge(s.tab.slot(e.From), s.tab.slot(e.To), e)
-		c.Kind, c.Edge = ChangeEdge, e
-	case recSurrogate:
-		var sp SurrogateSpec
-		if err := json.Unmarshal(body, &sp); err != nil {
-			return err
-		}
-		sp = internSurrogate(sp)
-		s.tab.putSurrogate(s.tab.slot(sp.ForID), sp)
-		c.Kind, c.Surrogate = ChangeSurrogate, sp
-	default:
-		return fmt.Errorf("plus: unknown record type %d", kind)
-	}
-	c.Rev = s.revision.Add(1)
-	s.changes = append(s.changes, c)
-	s.trimChanges()
-	return nil
-}
-
-// trimChanges drops the oldest retained changes once the window exceeds
-// the horizon by half (slack keeps the copy amortised O(1) per write).
-func (s *LogBackend) trimChanges() {
-	h := s.changeHorizon
-	if h < 0 {
-		h = 0
-	}
-	if len(s.changes) <= h+h/2 {
-		return
-	}
-	drop := len(s.changes) - h
-	s.changesBase += uint64(drop)
-	s.changes = append(s.changes[:0:0], s.changes[drop:]...)
-}
-
-// SetChangeHorizon resizes the resident change window (minimum 0, which
-// retains nothing). Shrinking discards the oldest retained changes.
-func (s *LogBackend) SetChangeHorizon(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.changeHorizon = n
-	if len(s.changes) > n {
-		drop := len(s.changes) - n
-		s.changesBase += uint64(drop)
-		s.changes = append(s.changes[:0:0], s.changes[drop:]...)
-	}
-}
-
-// ChangeHorizon reports the resident change-window capacity.
-func (s *LogBackend) ChangeHorizon() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.changeHorizon
-}
-
-// ChangeWindow reports the resident change-feed window; followers use it
-// (via the healthz changeFeed block) to compute their lag against the
-// oldest position the feed can still serve.
-func (s *LogBackend) ChangeWindow() FeedWindow {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return FeedWindow{
-		Base:    s.changesBase,
-		Depth:   len(s.changes),
-		Horizon: s.changeHorizon,
-	}
-}
-
-// Revision returns a counter that increases with every stored record;
-// equal revisions imply identical store contents (within one process).
-func (s *LogBackend) Revision() uint64 {
-	return s.revision.Load()
-}
-
-// Epoch identifies this log's revision numbering; stable across restarts,
-// rotated by Compact.
-func (s *LogBackend) Epoch() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
-}
-
-// ChangesSince returns the records applied after revision since, in
-// order. Only the recent window (ChangeHorizon) is resident; a request
-// past it fails with ErrTooFarBehind and the caller rebuilds from a
-// snapshot.
-func (s *LogBackend) ChangesSince(since uint64) ([]Change, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	rev := s.revision.Load()
-	if since > rev {
-		return nil, errFutureRevision(since, rev)
-	}
-	if since < s.changesBase {
-		return nil, ErrTooFarBehind
-	}
-	return append([]Change(nil), s.changes[since-s.changesBase:rev-s.changesBase]...), nil
-}
-
-// walkChangesSince streams the retained changes with revision in
-// (since, upTo] to visit straight out of the resident window, copying
-// nothing. The window is a single revision-ordered slice, so unlike
-// MemBackend's shard-by-shard walk the visits here are globally ordered.
-// See changeWalker for the contract.
-func (s *LogBackend) walkChangesSince(since, upTo uint64, visit func(*Change)) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	rev := s.revision.Load()
-	if since > rev {
-		return errFutureRevision(since, rev)
-	}
-	if since < s.changesBase {
-		return ErrTooFarBehind
-	}
-	if upTo > rev {
-		upTo = rev
-	}
-	for i := since - s.changesBase; i < upTo-s.changesBase; i++ {
-		visit(&s.changes[i])
-	}
-	return nil
-}
-
-// Snapshot returns an immutable view of the store at its current
-// revision. It is cached: consecutive snapshots with no intervening write
-// return the same *Snapshot without taking the store lock, so concurrent
-// lineage readers scale with cores instead of serializing on mu. The
-// first one after a write freezes the table's bucket pointers under the
-// read lock; no record is copied.
-func (s *LogBackend) Snapshot() (*Snapshot, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if sn := s.snap.Load(); sn != nil && sn.rev == s.revision.Load() {
-		return sn, nil
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	// Re-check under the locks: another reader may have built it already.
-	rev := s.revision.Load()
-	if sn := s.snap.Load(); sn != nil && sn.rev == rev {
-		return sn, nil
-	}
-	sn := s.tab.freeze(s, s.idx, rev)
-	s.snap.Store(sn)
-	return sn, nil
-}
-
-// IndexStats reports the secondary index's current state.
-func (s *LogBackend) IndexStats() IndexStats { return s.idx.stats() }
-
-// StoreStats reports the record table's snapshot and copy counters.
-func (s *LogBackend) StoreStats() StoreStats { return s.tab.stats() }
-
-// Ping reports whether the store is open.
-func (s *LogBackend) Ping() error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return nil
-}
-
-// append writes one record and updates the index via apply.
-func (s *LogBackend) append(kind byte, v interface{}) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
+// appendRecord appends one record of the layout readRecord reads to buf.
+// It is the log's one encoder: writes, the epoch stamp and Compact all go
+// through it.
+func appendRecord(buf []byte, kind byte, v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("plus: encode: %w", err)
+		return nil, fmt.Errorf("plus: encode: %w", err)
 	}
-	payload := append([]byte{kind}, body...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := s.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("plus: write: %w", err)
-	}
-	if _, err := s.f.Write(payload); err != nil {
-		return fmt.Errorf("plus: write: %w", err)
-	}
-	if s.sync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("plus: sync: %w", err)
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, kind)
+	buf = append(buf, body...)
+	payload := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	return buf, nil
+}
+
+func appendRecords[T any](buf []byte, kind byte, recs []T) ([]byte, error) {
+	var err error
+	for _, r := range recs {
+		if buf, err = appendRecord(buf, kind, r); err != nil {
+			return nil, err
 		}
 	}
-	s.size += int64(8 + len(payload))
-	if err := s.apply(kind, body); err != nil {
+	return buf, nil
+}
+
+// persistBatch is the core's persist step: it encodes the batch's records
+// into one buffer and appends it with one write (and, with Options.Sync,
+// one fsync). A crash mid-write leaves a torn tail that replay truncates,
+// so a batch is atomic-on-recovery only up to the records that fully made
+// it to disk.
+func (s *LogBackend) persistBatch(b *Batch) error {
+	buf, err := appendRecords(nil, recObject, b.Objects)
+	if err == nil {
+		buf, err = appendRecords(buf, recEdge, b.Edges)
+	}
+	if err == nil {
+		buf, err = appendRecords(buf, recSurrogate, b.Surrogates)
+	}
+	if err != nil {
 		return err
 	}
-	s.broadcast()
-	return nil
+	return s.writeLog(buf)
 }
 
-// PutObject stores (or replaces) a provenance object.
-func (s *LogBackend) PutObject(o Object) error {
-	if err := validateObject(o); err != nil {
-		return err
+// writeLog appends whole records to the log. A failed write or fsync may
+// have left a fragment behind the acknowledged prefix; it is cut off, so
+// the next acknowledged write lands right after the last one. If the cut
+// fails too, the log refuses further writes. Callers hold the write lock.
+func (s *LogBackend) writeLog(buf []byte) error {
+	if s.broken {
+		return ErrClosed
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.append(recObject, o)
-}
-
-// PutEdge stores a provenance edge; both endpoints must exist.
-func (s *LogBackend) PutEdge(e Edge) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.tab.has(e.From) {
-		return fmt.Errorf("plus: edge %s->%s: %w (from)", e.From, e.To, ErrNotFound)
+	_, err := s.f.Write(buf)
+	if err == nil && s.sync {
+		err = s.f.Sync()
 	}
-	if !s.tab.has(e.To) {
-		return fmt.Errorf("plus: edge %s->%s: %w (to)", e.From, e.To, ErrNotFound)
+	if err == nil {
+		s.size += int64(len(buf))
+		return nil
 	}
-	if e.From == e.To {
-		return fmt.Errorf("plus: self edge %s rejected", e.From)
+	rerr := s.f.Truncate(s.size)
+	if rerr == nil {
+		_, rerr = s.f.Seek(s.size, io.SeekStart)
 	}
-	if s.tab.hasEdge(e.From, e.To) {
-		return fmt.Errorf("plus: duplicate edge %s->%s", e.From, e.To)
+	if rerr != nil {
+		s.broken = true
+		return fmt.Errorf("plus: write: %w (rollback: %v; log refuses further writes)", err, rerr)
 	}
-	return s.append(recEdge, e)
-}
-
-// PutSurrogate stores a surrogate version of an object.
-func (s *LogBackend) PutSurrogate(sp SurrogateSpec) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.tab.has(sp.ForID) {
-		return fmt.Errorf("plus: surrogate for %s: %w", sp.ForID, ErrNotFound)
-	}
-	if err := validateSurrogate(sp); err != nil {
-		return err
-	}
-	return s.append(recSurrogate, sp)
-}
-
-// GetObject fetches one object by id.
-func (s *LogBackend) GetObject(id string) (Object, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed.Load() {
-		return Object{}, ErrClosed
-	}
-	o, ok := s.tab.of(id).objects[id]
-	if !ok {
-		return Object{}, fmt.Errorf("plus: %q: %w", id, ErrNotFound)
-	}
-	return o, nil
-}
-
-// NumObjects / NumEdges report the table's own counts.
-func (s *LogBackend) NumObjects() int { return int(s.tab.objects.Load()) }
-func (s *LogBackend) NumEdges() int   { return int(s.tab.edges.Load()) }
-
-// History returns the superseded versions of an object, oldest first; the
-// live version is not included. Because the log is append-only the full
-// history replays on open; Compact drops it (only live state is
-// rewritten), which callers trade off against space.
-func (s *LogBackend) History(id string) []Object {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Object(nil), s.history[id]...)
-}
-
-// Objects returns every object (unspecified order).
-func (s *LogBackend) Objects() []Object {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tab.objectList(s.NumObjects())
+	return fmt.Errorf("plus: write: %w", err)
 }
 
 // Close flushes and closes the log file.
@@ -631,9 +375,7 @@ func (s *LogBackend) Close() error {
 	if s.closed.Load() {
 		return nil
 	}
-	s.closed.Store(true)
-	s.snap.Store(nil)
-	s.broadcast() // wake parked followers so they observe the close
+	s.shut()
 	if err := s.f.Sync(); err != nil {
 		s.f.Close()
 		return fmt.Errorf("plus: close sync: %w", err)

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func openTemp(t *testing.T) (*Store, string) {
+func openTemp(t *testing.T) (*LogBackend, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "plus.log")
 	s, err := Open(path, Options{})
@@ -19,7 +19,7 @@ func openTemp(t *testing.T) (*Store, string) {
 	return s, path
 }
 
-func putChain(t *testing.T, s *Store, ids ...string) {
+func putChain(t *testing.T, s *LogBackend, ids ...string) {
 	t.Helper()
 	for _, id := range ids {
 		if err := s.PutObject(Object{ID: id, Kind: Data, Name: "obj " + id}); err != nil {

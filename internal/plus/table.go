@@ -12,11 +12,10 @@ import (
 // shared, so the first read after a write costs a pointer copy instead of
 // a copy of the store.
 //
-// The table takes no locks. The owning backend serialises writers to a
-// bucket against each other, against readers of that bucket, and against
-// freeze (LogBackend with its one mutex, MemBackend with a stripe of
-// mutexes over the buckets). Only the counters are atomic: stripes bump
-// them concurrently and metric scrapes read them without a lock.
+// The table takes no locks. The store core (core.go) serialises writers
+// against each other, against readers and against freeze with its one
+// mutex. Only the counters are atomic: metric scrapes and the O(1) counts
+// read them without a lock.
 
 // tableBuckets is fixed rather than grown. A snapshot copies one pointer
 // per bucket — 4 096 × 8 B = 32 KB, flat in the store's size — and a write
@@ -167,9 +166,9 @@ func (t *table) hasEdge(from, to string) bool { return t.of(from).hasEdge(from, 
 // freeze returns the table's contents as an immutable snapshot and starts
 // a new generation, so the next write to any bucket copies it first. No
 // writer may run beside it.
-func (t *table) freeze(source Backend, idx *backendIndex, rev uint64) *Snapshot {
+func (t *table) freeze(source *storeCore, rev uint64) *Snapshot {
 	at := *t.at
-	sn := &Snapshot{bucketSet: bucketSet{t.seed, &at}, rev: rev, objects: int(t.objects.Load()), source: source, idx: idx}
+	sn := &Snapshot{bucketSet: bucketSet{t.seed, &at}, rev: rev, objects: int(t.objects.Load()), source: source}
 	t.gen++
 	t.snapshots.Add(1)
 	return sn

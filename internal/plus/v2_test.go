@@ -19,7 +19,7 @@ import (
 // manipulation.
 func v2TestServer(t *testing.T) (*httptest.Server, *MemBackend) {
 	t.Helper()
-	m := NewMemBackend(4)
+	m := NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	srv := httptest.NewServer(NewServer(NewEngine(m, privilege.TwoLevel())))
 	t.Cleanup(srv.Close)

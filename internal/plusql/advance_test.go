@@ -366,10 +366,10 @@ func TestEngineAdvanceConcurrent(t *testing.T) {
 }
 
 // TestEngineAdvanceTooFarBehind drives more writes than the mem backend's
-// change ring retains: that viewer's slot — and nothing else — falls back
+// change feed retains: that viewer's slot — and nothing else — falls back
 // to one full build, and answers stay correct.
 func TestEngineAdvanceTooFarBehind(t *testing.T) {
-	b := plus.NewMemBackend(2)
+	b := plus.NewMemBackend(0)
 	t.Cleanup(func() { b.Close() })
 	b.SetChangeHorizon(4)
 	put := func(id string) {
@@ -393,7 +393,7 @@ func TestEngineAdvanceTooFarBehind(t *testing.T) {
 	if n := rows(privilege.Public) + rows("Protected"); n != 6 {
 		t.Fatalf("rows = %d, want 3 per viewer", n)
 	}
-	// Burst far past the per-shard horizon; only Public asks afterwards.
+	// Burst far past the horizon; only Public asks afterwards.
 	for i := 0; i < 50; i++ {
 		put(fmt.Sprintf("t%d", i))
 	}
@@ -429,7 +429,7 @@ func TestViewAdvanceRandomParity(t *testing.T) {
 				mode, viewer, seed := mode, viewer, seed
 				t.Run(fmt.Sprintf("%s/%s/seed%d", mode, viewer, seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
-					b := plus.NewMemBackend(4)
+					b := plus.NewMemBackend(0)
 					t.Cleanup(func() { b.Close() })
 					sn, _ := b.Snapshot()
 					v, err := NewView(sn, lat, viewer, mode)

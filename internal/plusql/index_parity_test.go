@@ -104,7 +104,7 @@ func TestPlanIndexedGolden(t *testing.T) {
 // index maintenance is exercised, not just fresh builds. Runs under
 // -race in CI.
 func TestIndexNaiveParityRandomized(t *testing.T) {
-	b := plus.NewMemBackend(4)
+	b := plus.NewMemBackend(0)
 	t.Cleanup(func() { b.Close() })
 	e := NewEngine(b, privilege.TwoLevel())
 	rng := rand.New(rand.NewSource(7))

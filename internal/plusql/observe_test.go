@@ -122,7 +122,7 @@ func TestUninstrumentedEngineStaysQuiet(t *testing.T) {
 // log: the cause is a class from a fixed set, never the id of the node
 // that triggered it.
 func TestViewRefreshCountedByOutcomeAndCause(t *testing.T) {
-	b := plus.NewMemBackend(1)
+	b := plus.NewMemBackend(0)
 	t.Cleanup(func() { b.Close() })
 	reg := obs.NewRegistry()
 	slow := obs.NewSlowLog(32, 0)

@@ -94,7 +94,7 @@ func TestFollowerScalingReport(t *testing.T) {
 	)
 
 	// Primary: cache-fronted, like plusd serves by default.
-	pm := plus.NewMemBackend(4)
+	pm := plus.NewMemBackend(0)
 	defer pm.Close()
 	lat := privilege.TwoLevel()
 	psrv := plus.NewCachedServer(plus.NewCachedEngine(plus.NewEngine(pm, lat)))
@@ -234,7 +234,7 @@ func TestFollowerScalingReport(t *testing.T) {
 		url string
 	}
 	startFollower := func(i int) follower {
-		fm := plus.NewMemBackend(4)
+		fm := plus.NewMemBackend(0)
 		t.Cleanup(func() { fm.Close() })
 		r, err := New(Config{
 			Primary:      pts.URL,

@@ -21,7 +21,7 @@ import (
 // returns the backend, the server, and an SDK client for ingest.
 func newPrimary(t *testing.T) (*plus.MemBackend, *httptest.Server, *plusclient.Client) {
 	t.Helper()
-	m := plus.NewMemBackend(4)
+	m := plus.NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
 	srv := plus.NewServer(plus.NewEngine(m, lat))
@@ -35,7 +35,7 @@ func newPrimary(t *testing.T) (*plus.MemBackend, *httptest.Server, *plusclient.C
 // primary, with test-friendly pacing (fast flushes, no healthz polling).
 func newFollower(t *testing.T, primary string, mutate ...func(*Config)) (*Replica, *plus.MemBackend) {
 	t.Helper()
-	m := plus.NewMemBackend(4)
+	m := plus.NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	cfg := Config{
 		Primary:      primary,
@@ -175,7 +175,7 @@ func TestRunStopsCleanly(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Backend: plus.NewMemBackend(1)}); err == nil {
+	if _, err := New(Config{Backend: plus.NewMemBackend(0)}); err == nil {
 		t.Error("missing primary accepted")
 	}
 	if _, err := New(Config{Primary: "http://x"}); err == nil {
@@ -289,7 +289,7 @@ func TestWriteProxyPrimaryDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsrv := plus.NewServer(plus.NewEngine(plus.NewMemBackend(1), privilege.TwoLevel()), plus.WithReadOnly(proxy))
+	fsrv := plus.NewServer(plus.NewEngine(plus.NewMemBackend(0), privilege.TwoLevel()), plus.WithReadOnly(proxy))
 	fts := httptest.NewServer(fsrv)
 	defer fts.Close()
 

@@ -23,7 +23,7 @@ import (
 // re-bootstrapping.
 func newCountingPrimary(t *testing.T) (*plus.MemBackend, *httptest.Server, *plusclient.Client, *atomic.Int64) {
 	t.Helper()
-	m := plus.NewMemBackend(4)
+	m := plus.NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
 	srv := plus.NewServer(plus.NewEngine(m, lat))

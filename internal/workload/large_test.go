@@ -68,7 +68,7 @@ func TestGenerateLarge(t *testing.T) {
 
 	// The stream must ingest cleanly (edges only reference emitted ranks,
 	// surrogates ride with their originals).
-	b := plus.NewMemBackend(4)
+	b := plus.NewMemBackend(0)
 	t.Cleanup(func() { b.Close() })
 	for _, batch := range batches {
 		if _, err := b.Apply(batch); err != nil {

@@ -20,7 +20,7 @@ func newAuthServer(t *testing.T) (*plus.Keyring, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := plus.NewMemBackend(4)
+	m := plus.NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
 	srv := plus.NewServer(plus.NewEngine(m, lat), plus.WithAuth(plus.AuthConfig{Keyring: kr, Require: true}))
@@ -170,7 +170,7 @@ func TestSDKCrossInstanceSession(t *testing.T) {
 	kr, tsA := newAuthServer(t)
 
 	// Second node, same keyring, its own backend.
-	m2 := plus.NewMemBackend(4)
+	m2 := plus.NewMemBackend(0)
 	t.Cleanup(func() { m2.Close() })
 	srv2 := plus.NewServer(plus.NewEngine(m2, privilege.TwoLevel()),
 		plus.WithAuth(plus.AuthConfig{Keyring: kr, Require: true}))

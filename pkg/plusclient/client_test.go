@@ -21,7 +21,7 @@ import (
 // included) and returns the SDK client pointed at it.
 func newTestServer(t *testing.T, opts ...Option) (*Client, *plus.MemBackend, *httptest.Server) {
 	t.Helper()
-	m := plus.NewMemBackend(4)
+	m := plus.NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
 	srv := plus.NewServer(plus.NewEngine(m, lat))
@@ -384,7 +384,7 @@ func TestSDKContextCancellation(t *testing.T) {
 func TestSDKFollowSurvivesTransportBlips(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	m := plus.NewMemBackend(2)
+	m := plus.NewMemBackend(0)
 	defer m.Close()
 	srv := plus.NewServer(plus.NewEngine(m, privilege.TwoLevel()))
 

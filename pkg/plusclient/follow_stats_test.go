@@ -17,7 +17,7 @@ import (
 // the HTTP layer and checks Follow retries through them, counting each
 // backoff on the shared stats.
 func TestFollowCountsReconnects(t *testing.T) {
-	m := plus.NewMemBackend(4)
+	m := plus.NewMemBackend(0)
 	defer m.Close()
 	lat := privilege.TwoLevel()
 	srv := plus.NewServer(plus.NewEngine(m, lat))
@@ -78,7 +78,7 @@ func TestFollowCountsReconnects(t *testing.T) {
 // TestFollowCountsResyncs shrinks the change horizon so a stale cursor
 // 410s, and checks Follow resyncs exactly once and counts it.
 func TestFollowCountsResyncs(t *testing.T) {
-	m := plus.NewMemBackend(1)
+	m := plus.NewMemBackend(0)
 	defer m.Close()
 	lat := privilege.TwoLevel()
 	srv := plus.NewServer(plus.NewEngine(m, lat))

@@ -27,7 +27,7 @@ func newTLSTestServer(t *testing.T) (*httptest.Server, string, *plus.MemBackend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := plus.NewMemBackend(4)
+	m := plus.NewMemBackend(0)
 	t.Cleanup(func() { m.Close() })
 	ts := httptest.NewUnstartedServer(plus.NewServer(plus.NewEngine(m, privilege.TwoLevel())))
 	ts.TLS = &tls.Config{Certificates: []tls.Certificate{pair}}
