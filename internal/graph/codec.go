@@ -39,24 +39,31 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jg)
 }
 
-// UnmarshalJSON decodes a graph previously encoded by MarshalJSON.
+// UnmarshalJSON decodes a graph previously encoded by MarshalJSON. It
+// decodes into a fresh graph and replaces the receiver's contents only on
+// success; a duplicate node id is an error.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var jg jsonGraph
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return fmt.Errorf("graph: decode: %w", err)
 	}
-	*g = *New()
+	fresh := New()
 	for _, jn := range jg.Nodes {
 		if jn.ID == "" {
 			return fmt.Errorf("graph: decode: node with empty id")
 		}
-		g.AddNode(Node{ID: NodeID(jn.ID), Features: jn.Features})
+		if fresh.HasNode(NodeID(jn.ID)) {
+			return fmt.Errorf("graph: decode: duplicate node %s", jn.ID)
+		}
+		fresh.AddNode(Node{ID: NodeID(jn.ID), Features: jn.Features})
 	}
 	for _, je := range jg.Edges {
-		if err := g.AddEdge(Edge{From: NodeID(je.From), To: NodeID(je.To), Label: je.Label}); err != nil {
+		if err := fresh.AddEdge(Edge{From: NodeID(je.From), To: NodeID(je.To), Label: je.Label}); err != nil {
 			return err
 		}
 	}
+	g.slot, g.nodes, g.out, g.in, g.edges, g.free = fresh.slot, fresh.nodes, fresh.out, fresh.in, fresh.edges, fresh.free
+	g.order.Store(nil)
 	return nil
 }
 

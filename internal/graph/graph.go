@@ -7,11 +7,23 @@
 // The model follows §2 of the paper: a graph G = (N, E) of nodes and
 // directed edges; bi-directional relationships are modelled as two
 // directed edges; node features are attribute-value pairs.
+//
+// A Graph keeps one map from node id to a dense int32 slot; nodes,
+// adjacency and edges are held by slot, and the sorted node order that
+// every accessor returns is memoised until a node is added or removed.
+// The slots are also the id space of the all-nodes reachability kernel
+// (ConnectedPairsAll). A Graph is not safe for concurrent mutation;
+// concurrent readers are safe once mutation stops, the first of them
+// building the order memo.
 package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
+	"sync/atomic"
 
 	"repro/internal/intern"
 )
@@ -113,29 +125,54 @@ type Edge struct {
 // ID returns the edge's identifier.
 func (e Edge) ID() EdgeID { return EdgeID{From: e.From, To: e.To} }
 
-// Graph is a mutable directed graph. It maintains forward and reverse
-// adjacency indexes so that both traversal directions are O(out-degree) /
-// O(in-degree). Graph is not safe for concurrent mutation; concurrent
-// readers are safe once mutation has stopped.
+// Graph is a mutable directed graph held on dense int32 slots. One map
+// gives each node id its slot; the nodes and their forward and reverse
+// adjacency are slices indexed by slot, and the edge set is keyed by the
+// packed (from, to) slot pair, so an edge costs two int32 list entries and
+// one map entry, never a string key. RemoveNode returns its slot to a free
+// list that the next new node reuses.
+//
+// The sorted node order every accessor promises is computed once and
+// memoised: the live slots in id order plus each slot's rank in it. Any
+// node insert or removal drops the memo; edge changes and feature
+// replacement keep it. With the memo, Nodes copies it, Edges orders each
+// successor list by integer rank, and Successors / Predecessors /
+// Neighbors sort by rank instead of comparing strings.
+//
+// Graph is not safe for concurrent mutation. Concurrent readers are safe
+// once mutation has stopped: the first reader after a mutation builds the
+// order memo and publishes it atomically, and readers that race to build
+// it build the same order.
 type Graph struct {
-	nodes map[NodeID]Node
-	edges map[EdgeID]Edge
-	out   map[NodeID][]NodeID // successors, sorted lazily on demand
-	in    map[NodeID][]NodeID // predecessors
+	slot  map[NodeID]int32  // node id -> slot
+	nodes []Node            // by slot; a free slot holds the zero Node
+	out   [][]int32         // successor slots, in insertion order
+	in    [][]int32         // predecessor slots, in insertion order
+	edges map[uint64]string // edgeKey(from, to) -> label
+	free  []int32           // slots of removed nodes, reused first
+	order atomic.Pointer[sortOrder]
 }
+
+// sortOrder is the memoised node order: slots lists the live slots in
+// ascending id order and rank[s] is slot s's position in it. It is never
+// mutated once published.
+type sortOrder struct {
+	slots []int32
+	rank  []int32
+}
+
+// byRank orders slots as their ids sort.
+func (o *sortOrder) byRank(a, b int32) int { return int(o.rank[a]) - int(o.rank[b]) }
+
+func edgeKey(from, to int32) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		nodes: make(map[NodeID]Node),
-		edges: make(map[EdgeID]Edge),
-		out:   make(map[NodeID][]NodeID),
-		in:    make(map[NodeID][]NodeID),
-	}
+	return &Graph{slot: make(map[NodeID]int32), edges: make(map[uint64]string)}
 }
 
 // NumNodes returns |N|.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return len(g.slot) }
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
@@ -146,30 +183,45 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // distinct attribute or value.
 func (g *Graph) AddNode(n Node) {
 	n.Features = n.Features.Interned()
-	g.nodes[n.ID] = n
-	if _, ok := g.out[n.ID]; !ok {
-		g.out[n.ID] = nil
-		g.in[n.ID] = nil
+	if s, ok := g.slot[n.ID]; ok {
+		g.nodes[s] = n
+		return
 	}
+	var s int32
+	if k := len(g.free); k > 0 {
+		s = g.free[k-1]
+		g.free = g.free[:k-1]
+		g.nodes[s] = n
+	} else {
+		s = int32(len(g.nodes))
+		g.nodes = append(g.nodes, n)
+		g.out = append(g.out, nil)
+		g.in = append(g.in, nil)
+	}
+	g.slot[n.ID] = s
+	g.order.Store(nil)
 }
 
 // AddNodeID inserts a featureless node with the given id if not present.
 func (g *Graph) AddNodeID(id NodeID) {
-	if _, ok := g.nodes[id]; !ok {
+	if _, ok := g.slot[id]; !ok {
 		g.AddNode(Node{ID: id})
 	}
 }
 
 // HasNode reports whether id names a node of the graph.
 func (g *Graph) HasNode(id NodeID) bool {
-	_, ok := g.nodes[id]
+	_, ok := g.slot[id]
 	return ok
 }
 
 // NodeByID returns the node with the given id.
 func (g *Graph) NodeByID(id NodeID) (Node, bool) {
-	n, ok := g.nodes[id]
-	return n, ok
+	s, ok := g.slot[id]
+	if !ok {
+		return Node{}, false
+	}
+	return g.nodes[s], true
 }
 
 // AddEdge inserts a directed edge. Both endpoints must already exist and a
@@ -178,19 +230,21 @@ func (g *Graph) AddEdge(e Edge) error {
 	if e.From == e.To {
 		return fmt.Errorf("graph: self loop %s rejected", e.From)
 	}
-	if !g.HasNode(e.From) {
+	from, ok := g.slot[e.From]
+	if !ok {
 		return fmt.Errorf("graph: edge %s: unknown source node", e.ID())
 	}
-	if !g.HasNode(e.To) {
+	to, ok := g.slot[e.To]
+	if !ok {
 		return fmt.Errorf("graph: edge %s: unknown destination node", e.ID())
 	}
-	id := e.ID()
-	if _, dup := g.edges[id]; dup {
-		return fmt.Errorf("graph: duplicate edge %s", id)
+	k := edgeKey(from, to)
+	if _, dup := g.edges[k]; dup {
+		return fmt.Errorf("graph: duplicate edge %s", e.ID())
 	}
-	g.edges[id] = e
-	g.out[e.From] = append(g.out[e.From], e.To)
-	g.in[e.To] = append(g.in[e.To], e.From)
+	g.edges[k] = e.Label
+	g.out[from] = append(g.out[from], to)
+	g.in[to] = append(g.in[to], from)
 	return nil
 }
 
@@ -201,137 +255,238 @@ func (g *Graph) MustAddEdge(from, to NodeID) {
 	}
 }
 
+// edgeSlots returns the slots of the edge's endpoints if both are nodes.
+func (g *Graph) edgeSlots(from, to NodeID) (int32, int32, bool) {
+	f, ok := g.slot[from]
+	if !ok {
+		return 0, 0, false
+	}
+	t, ok := g.slot[to]
+	return f, t, ok
+}
+
 // HasEdge reports whether the directed edge from->to exists.
 func (g *Graph) HasEdge(from, to NodeID) bool {
-	_, ok := g.edges[EdgeID{From: from, To: to}]
+	f, t, ok := g.edgeSlots(from, to)
+	if !ok {
+		return false
+	}
+	_, ok = g.edges[edgeKey(f, t)]
 	return ok
 }
 
 // EdgeByID returns the edge with the given endpoints.
 func (g *Graph) EdgeByID(id EdgeID) (Edge, bool) {
-	e, ok := g.edges[id]
-	return e, ok
+	f, t, ok := g.edgeSlots(id.From, id.To)
+	if !ok {
+		return Edge{}, false
+	}
+	label, ok := g.edges[edgeKey(f, t)]
+	if !ok {
+		return Edge{}, false
+	}
+	return Edge{From: g.nodes[f].ID, To: g.nodes[t].ID, Label: label}, true
 }
 
 // RemoveEdge deletes the directed edge from->to if present and reports
 // whether an edge was removed.
 func (g *Graph) RemoveEdge(from, to NodeID) bool {
-	id := EdgeID{From: from, To: to}
-	if _, ok := g.edges[id]; !ok {
+	f, t, ok := g.edgeSlots(from, to)
+	if !ok {
 		return false
 	}
-	delete(g.edges, id)
-	g.out[from] = removeFirst(g.out[from], to)
-	g.in[to] = removeFirst(g.in[to], from)
+	k := edgeKey(f, t)
+	if _, ok := g.edges[k]; !ok {
+		return false
+	}
+	delete(g.edges, k)
+	g.out[f] = removeFirst(g.out[f], t)
+	g.in[t] = removeFirst(g.in[t], f)
 	return true
 }
 
 // RemoveNode deletes a node and every edge incident to it, reporting
-// whether the node existed.
+// whether the node existed. Its slot goes to the free list.
 func (g *Graph) RemoveNode(id NodeID) bool {
-	if !g.HasNode(id) {
+	s, ok := g.slot[id]
+	if !ok {
 		return false
 	}
-	for _, to := range append([]NodeID(nil), g.out[id]...) {
-		g.RemoveEdge(id, to)
+	for _, t := range g.out[s] {
+		delete(g.edges, edgeKey(s, t))
+		g.in[t] = removeFirst(g.in[t], s)
 	}
-	for _, from := range append([]NodeID(nil), g.in[id]...) {
-		g.RemoveEdge(from, id)
+	for _, f := range g.in[s] {
+		delete(g.edges, edgeKey(f, s))
+		g.out[f] = removeFirst(g.out[f], s)
 	}
-	delete(g.nodes, id)
-	delete(g.out, id)
-	delete(g.in, id)
+	g.out[s] = g.out[s][:0]
+	g.in[s] = g.in[s][:0]
+	g.nodes[s] = Node{}
+	delete(g.slot, id)
+	g.free = append(g.free, s)
+	g.order.Store(nil)
 	return true
 }
 
-func removeFirst(s []NodeID, v NodeID) []NodeID {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
+func removeFirst(s []int32, v int32) []int32 {
+	if i := slices.Index(s, v); i >= 0 {
+		return slices.Delete(s, i, i+1)
 	}
 	return s
+}
+
+// sorted returns the node order memo, building and publishing it if a
+// mutation dropped it.
+func (g *Graph) sorted() *sortOrder {
+	if o := g.order.Load(); o != nil {
+		return o
+	}
+	o := &sortOrder{slots: make([]int32, 0, len(g.slot)), rank: make([]int32, len(g.nodes))}
+	for _, s := range g.slot {
+		o.slots = append(o.slots, s)
+	}
+	slices.SortFunc(o.slots, func(a, b int32) int {
+		return strings.Compare(string(g.nodes[a].ID), string(g.nodes[b].ID))
+	})
+	for r, s := range o.slots {
+		o.rank[s] = int32(r)
+	}
+	g.order.Store(o)
+	return o
 }
 
 // Nodes returns all node IDs in sorted order. Sorting keeps every consumer
 // of the library deterministic, which matters for reproducible experiments.
 func (g *Graph) Nodes() []NodeID {
-	ids := make([]NodeID, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
+	o := g.sorted()
+	ids := make([]NodeID, len(o.slots))
+	for i, s := range o.slots {
+		ids[i] = g.nodes[s].ID
 	}
-	sortNodeIDs(ids)
 	return ids
 }
 
 // Edges returns all edges sorted by (From, To).
 func (g *Graph) Edges() []Edge {
+	o := g.sorted()
 	es := make([]Edge, 0, len(g.edges))
-	for _, e := range g.edges {
-		es = append(es, e)
+	widest := 0
+	for _, succ := range g.out {
+		widest = max(widest, len(succ))
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
+	buf := make([]int32, 0, widest)
+	for _, f := range o.slots {
+		buf = append(buf[:0], g.out[f]...)
+		slices.SortFunc(buf, o.byRank)
+		from := g.nodes[f].ID
+		for _, t := range buf {
+			es = append(es, Edge{From: from, To: g.nodes[t].ID, Label: g.edges[edgeKey(f, t)]})
 		}
-		return es[i].To < es[j].To
-	})
+	}
 	return es
 }
 
 // Successors returns the targets of the node's outgoing edges, sorted.
 func (g *Graph) Successors(id NodeID) []NodeID {
-	return sortedCopy(g.out[id])
+	s, ok := g.slot[id]
+	if !ok {
+		return nil
+	}
+	return g.sortedIDs(g.out[s], nil)
 }
 
 // Predecessors returns the sources of the node's incoming edges, sorted.
 func (g *Graph) Predecessors(id NodeID) []NodeID {
-	return sortedCopy(g.in[id])
+	s, ok := g.slot[id]
+	if !ok {
+		return nil
+	}
+	return g.sortedIDs(g.in[s], nil)
 }
 
 // Neighbors returns the union of successors and predecessors, sorted and
 // de-duplicated. This is the undirected adjacency used by weak-connectivity
 // computations.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
-	seen := make(map[NodeID]bool, len(g.out[id])+len(g.in[id]))
-	var ns []NodeID
-	for _, v := range g.out[id] {
-		if !seen[v] {
-			seen[v] = true
-			ns = append(ns, v)
-		}
+	s, ok := g.slot[id]
+	if !ok {
+		return nil
 	}
-	for _, v := range g.in[id] {
-		if !seen[v] {
-			seen[v] = true
-			ns = append(ns, v)
-		}
+	return slices.Compact(g.sortedIDs(g.out[s], g.in[s]))
+}
+
+// sortedIDs returns the ids of the slots in a and b, sorted: by memoised
+// rank when the memo is present, by id otherwise. It returns nil for no
+// slots.
+func (g *Graph) sortedIDs(a, b []int32) []NodeID {
+	if len(a)+len(b) == 0 {
+		return nil
 	}
-	sortNodeIDs(ns)
-	return ns
+	ids := make([]NodeID, 0, len(a)+len(b))
+	o := g.order.Load()
+	if o == nil {
+		for _, list := range [2][]int32{a, b} {
+			for _, s := range list {
+				ids = append(ids, g.nodes[s].ID)
+			}
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	slots := slices.Concat(a, b)
+	slices.SortFunc(slots, o.byRank)
+	for _, s := range slots {
+		ids = append(ids, g.nodes[s].ID)
+	}
+	return ids
+}
+
+// degree returns the lengths of the node's successor and predecessor
+// lists.
+func (g *Graph) degree(id NodeID) (out, in int) {
+	s, ok := g.slot[id]
+	if !ok {
+		return 0, 0
+	}
+	return len(g.out[s]), len(g.in[s])
 }
 
 // OutDegree returns the number of outgoing edges of id.
-func (g *Graph) OutDegree(id NodeID) int { return len(g.out[id]) }
+func (g *Graph) OutDegree(id NodeID) int {
+	out, _ := g.degree(id)
+	return out
+}
 
 // InDegree returns the number of incoming edges of id.
-func (g *Graph) InDegree(id NodeID) int { return len(g.in[id]) }
+func (g *Graph) InDegree(id NodeID) int {
+	_, in := g.degree(id)
+	return in
+}
 
 // Degree returns the total number of incident edges (in + out).
-func (g *Graph) Degree(id NodeID) int { return len(g.out[id]) + len(g.in[id]) }
+func (g *Graph) Degree(id NodeID) int {
+	out, in := g.degree(id)
+	return out + in
+}
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. It keeps the source's slots, so
+// the order memo, if built, is shared.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, n := range g.nodes {
-		c.AddNode(n)
+	c := &Graph{
+		slot:  maps.Clone(g.slot),
+		nodes: make([]Node, len(g.nodes)),
+		out:   make([][]int32, len(g.out)),
+		in:    make([][]int32, len(g.in)),
+		edges: maps.Clone(g.edges),
+		free:  slices.Clone(g.free),
 	}
-	for _, e := range g.edges {
-		if err := c.AddEdge(e); err != nil {
-			// Unreachable: the source graph is well formed by construction.
-			panic(err)
-		}
+	for s, n := range g.nodes {
+		c.nodes[s] = Node{ID: n.ID, Features: n.Features.Clone()}
+		c.out[s] = slices.Clone(g.out[s])
+		c.in[s] = slices.Clone(g.in[s])
 	}
+	c.order.Store(g.order.Load())
 	return c
 }
 
@@ -341,27 +496,20 @@ func (g *Graph) Equal(h *Graph) bool {
 	if g.NumNodes() != h.NumNodes() || g.NumEdges() != h.NumEdges() {
 		return false
 	}
-	for id, n := range g.nodes {
-		hn, ok := h.nodes[id]
-		if !ok || !n.Features.Equal(hn.Features) {
+	for id, s := range g.slot {
+		hn, ok := h.NodeByID(id)
+		if !ok || !g.nodes[s].Features.Equal(hn.Features) {
 			return false
 		}
 	}
-	for id, e := range g.edges {
-		he, ok := h.edges[id]
-		if !ok || he.Label != e.Label {
+	for k, label := range g.edges {
+		f, t, ok := h.edgeSlots(g.nodes[k>>32].ID, g.nodes[uint32(k)].ID)
+		if !ok {
+			return false
+		}
+		if hl, ok := h.edges[edgeKey(f, t)]; !ok || hl != label {
 			return false
 		}
 	}
 	return true
-}
-
-func sortedCopy(s []NodeID) []NodeID {
-	out := append([]NodeID(nil), s...)
-	sortNodeIDs(out)
-	return out
-}
-
-func sortNodeIDs(s []NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

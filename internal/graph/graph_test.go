@@ -305,6 +305,25 @@ func TestJSONRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestJSONRejectsDuplicateNodeAndKeepsReceiver: a repeated node id is an
+// error, not a silent merge, and a decode that fails part-way leaves the
+// receiver as it was.
+func TestJSONRejectsDuplicateNodeAndKeepsReceiver(t *testing.T) {
+	for name, in := range map[string]string{
+		"duplicate id":     `{"nodes":[{"id":"a","features":{"name":"x"}},{"id":"a","features":{"name":"y"}}],"edges":[]}`,
+		"unknown endpoint": `{"nodes":[{"id":"p"},{"id":"q"}],"edges":[{"from":"p","to":"q"},{"from":"q","to":"zzz"}]}`,
+	} {
+		g := chain(t)
+		want := g.Clone()
+		if err := json.Unmarshal([]byte(in), g); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !g.Equal(want) {
+			t.Errorf("%s: failed decode changed the receiver to %v", name, g.Nodes())
+		}
+	}
+}
+
 func TestDOTOutput(t *testing.T) {
 	g := New()
 	g.AddNode(Node{ID: "a", Features: Features{"label": "Alpha"}})

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Ancestors returns all nodes with a directed path to id, sorted.
 func (g *Graph) Ancestors(id NodeID) []NodeID {
@@ -17,7 +20,7 @@ func setToSorted(set map[NodeID]bool) []NodeID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -78,16 +81,21 @@ func (g *Graph) RedundantEdges() []EdgeID {
 // hasPathAvoiding reports a directed path src -> dst that never traverses
 // the excluded edge.
 func (g *Graph) hasPathAvoiding(src, dst NodeID, excluded EdgeID) bool {
-	seen := map[NodeID]bool{src: true}
-	queue := []NodeID{src}
+	s, t, ok := g.edgeSlots(src, dst)
+	if !ok {
+		return false
+	}
+	xf, xt, _ := g.edgeSlots(excluded.From, excluded.To)
+	seen := map[int32]bool{s: true}
+	queue := []int32{s}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, next := range g.out[cur] {
-			if cur == excluded.From && next == excluded.To {
+			if cur == xf && next == xt {
 				continue
 			}
-			if next == dst {
+			if next == t {
 				return true
 			}
 			if !seen[next] {

@@ -12,7 +12,7 @@ const reachBlockWords = 8
 // count (see ConnectedPairs, which stays as the single-node form and is
 // the oracle the tests compare against).
 //
-// The graph is copied into dense int32 ids with CSR adjacency, condensed
+// The kernel runs on the graph's own slots and slot adjacency, condensed
 // into strongly connected components (every component a singleton on a
 // DAG, so cyclic and acyclic graphs take the same path), and the
 // descendant and ancestor sets of every component are then built by
@@ -20,31 +20,19 @@ const reachBlockWords = 8
 // rows — one row per component, one column per node, processed
 // reachBlockWords words of columns at a time. Work is O((n+e)·n/64) word
 // operations; scratch is one 64-byte block row per component (plus the
-// O(n+e) index arrays), never the n²/8 bytes of a full closure matrix.
+// O(n) index arrays), never the n²/8 bytes of a full closure matrix.
 func (g *Graph) ConnectedPairsAll() map[NodeID]int {
-	n := len(g.nodes)
-	counts := make(map[NodeID]int, n)
-	if n == 0 {
+	counts := make(map[NodeID]int, len(g.slot))
+	if len(g.slot) == 0 {
 		return counts
 	}
 
-	// Dense ids and forward CSR adjacency.
-	ids := make([]NodeID, 0, n)
-	dense := make(map[NodeID]int32, n)
-	for id := range g.nodes {
-		dense[id] = int32(len(ids))
-		ids = append(ids, id)
-	}
-	off := make([]int32, n+1)
-	adj := make([]int32, 0, len(g.edges))
-	for u, id := range ids {
-		for _, to := range g.out[id] {
-			adj = append(adj, dense[to])
-		}
-		off[u+1] = int32(len(adj))
-	}
-
-	comp, members, start := condense(off, adj)
+	// The graph's slots are the dense ids and its slot adjacency the
+	// forward lists; a free slot is an isolated node whose count is never
+	// read.
+	adj := g.out
+	n := len(adj)
+	comp, members, start := condense(adj)
 	k := len(start) - 1
 
 	// Row c holds, for the current column block, the columns (positions
@@ -73,7 +61,7 @@ func (g *Graph) ConnectedPairsAll() map[NodeID]int {
 		for c := int32(0); int(c) < k; c++ {
 			r := row(c)
 			for _, u := range members[start[c]:start[c+1]] {
-				for _, v := range adj[off[u]:off[u+1]] {
+				for _, v := range adj[u] {
 					if cv := comp[v]; cv != c {
 						orInto(r, row(cv))
 					}
@@ -88,7 +76,7 @@ func (g *Graph) ConnectedPairsAll() map[NodeID]int {
 			r := row(c)
 			reach[c] += popcount(r)
 			for _, u := range members[start[c]:start[c+1]] {
-				for _, v := range adj[off[u]:off[u+1]] {
+				for _, v := range adj[u] {
 					if cv := comp[v]; cv != c {
 						orInto(row(cv), r)
 					}
@@ -99,7 +87,7 @@ func (g *Graph) ConnectedPairsAll() map[NodeID]int {
 
 	// Both sides counted the component itself; the node is connected to
 	// its size-1 fellow members and to neither side's copy of itself.
-	for u, id := range ids {
+	for id, u := range g.slot {
 		c := comp[u]
 		counts[id] = reach[c] - int(start[c+1]-start[c]) - 1
 	}
@@ -120,15 +108,16 @@ func popcount(r []uint64) int {
 	return c
 }
 
-// condense partitions the CSR graph into strongly connected components
-// with an iterative Tarjan walk (no recursion: lineage chains can be as
-// deep as the graph). comp maps a node to its component; members lists the
-// nodes grouped by component, component c occupying
-// members[start[c]:start[c+1]]. Components come out in reverse topological
-// order of the condensation: an edge between two components always runs
-// from the higher-numbered to the lower-numbered one.
-func condense(off, adj []int32) (comp, members, start []int32) {
-	n := len(off) - 1
+// condense partitions the graph given by its forward slot lists into
+// strongly connected components with an iterative Tarjan walk (no
+// recursion: lineage chains can be as deep as the graph). comp maps a
+// node to its component; members lists the nodes grouped by component,
+// component c occupying members[start[c]:start[c+1]]. Components come
+// out in reverse topological order of the condensation: an edge between
+// two components always runs from the higher-numbered to the
+// lower-numbered one.
+func condense(adj [][]int32) (comp, members, start []int32) {
+	n := len(adj)
 	const unvisited = 0
 	index := make([]int32, n) // visit number, 1-based
 	low := make([]int32, n)
@@ -152,19 +141,19 @@ func condense(off, adj []int32) (comp, members, start []int32) {
 		visit++
 		index[root], low[root] = visit, visit
 		stack = append(stack, root)
-		calls = append(calls, frame{v: root, next: off[root]})
+		calls = append(calls, frame{v: root})
 		for len(calls) > 0 {
 			f := &calls[len(calls)-1]
 			v := f.v
-			if f.next < off[v+1] {
-				w := adj[f.next]
+			if int(f.next) < len(adj[v]) {
+				w := adj[v][f.next]
 				f.next++
 				switch {
 				case index[w] == unvisited:
 					visit++
 					index[w], low[w] = visit, visit
 					stack = append(stack, w)
-					calls = append(calls, frame{v: w, next: off[w]})
+					calls = append(calls, frame{v: w})
 				case comp[w] < 0 && index[w] < low[v]:
 					low[v] = index[w]
 				}

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Direction selects which adjacency a traversal follows.
 type Direction int
 
@@ -25,14 +27,16 @@ func (d Direction) String() string {
 	}
 }
 
-func (g *Graph) step(id NodeID, d Direction) []NodeID {
+// step returns the slot lists a traversal in direction d follows from
+// slot s: the successors, the predecessors, or both.
+func (g *Graph) step(s int32, d Direction) [2][]int32 {
 	switch d {
 	case Forward:
-		return g.out[id]
+		return [2][]int32{g.out[s]}
 	case Backward:
-		return g.in[id]
+		return [2][]int32{g.in[s]}
 	default:
-		return append(append([]NodeID(nil), g.out[id]...), g.in[id]...)
+		return [2][]int32{g.out[s], g.in[s]}
 	}
 }
 
@@ -40,18 +44,21 @@ func (g *Graph) step(id NodeID, d Direction) []NodeID {
 // direction, excluding start itself. BFS order; the result set is keyed by
 // node id.
 func (g *Graph) Reachable(start NodeID, d Direction) map[NodeID]bool {
-	if !g.HasNode(start) {
+	s, ok := g.slot[start]
+	if !ok {
 		return nil
 	}
 	seen := map[NodeID]bool{start: true}
-	queue := []NodeID{start}
+	queue := []int32{s}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range g.step(cur, d) {
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
+		for _, list := range g.step(cur, d) {
+			for _, next := range list {
+				if id := g.nodes[next].ID; !seen[id] {
+					seen[id] = true
+					queue = append(queue, next)
+				}
 			}
 		}
 	}
@@ -87,28 +94,31 @@ func (g *Graph) ConnectedPairs(id NodeID) int {
 // Components are returned sorted by their smallest member, and members are
 // sorted within each component.
 func (g *Graph) WeakComponents() [][]NodeID {
-	seen := make(map[NodeID]bool, len(g.nodes))
+	o := g.sorted()
+	seen := make([]bool, len(g.nodes))
 	var comps [][]NodeID
-	for _, start := range g.Nodes() {
+	for _, start := range o.slots {
 		if seen[start] {
 			continue
 		}
-		comp := []NodeID{start}
 		seen[start] = true
-		queue := []NodeID{start}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, next := range g.step(cur, Undirected) {
-				if !seen[next] {
-					seen[next] = true
-					comp = append(comp, next)
-					queue = append(queue, next)
+		comp := []int32{start}
+		for i := 0; i < len(comp); i++ {
+			for _, list := range g.step(comp[i], Undirected) {
+				for _, next := range list {
+					if !seen[next] {
+						seen[next] = true
+						comp = append(comp, next)
+					}
 				}
 			}
 		}
-		sortNodeIDs(comp)
-		comps = append(comps, comp)
+		slices.SortFunc(comp, o.byRank)
+		ids := make([]NodeID, len(comp))
+		for i, s := range comp {
+			ids[i] = g.nodes[s].ID
+		}
+		comps = append(comps, ids)
 	}
 	return comps
 }
@@ -167,18 +177,23 @@ func rebuildPath(prev map[NodeID]NodeID, src, dst NodeID) []NodeID {
 // Distances returns the BFS hop count from start to every reachable node in
 // the given direction (start maps to 0).
 func (g *Graph) Distances(start NodeID, d Direction) map[NodeID]int {
-	if !g.HasNode(start) {
+	s, ok := g.slot[start]
+	if !ok {
 		return nil
 	}
 	dist := map[NodeID]int{start: 0}
-	queue := []NodeID{start}
+	queue := []int32{s}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range g.step(cur, d) {
-			if _, ok := dist[next]; !ok {
-				dist[next] = dist[cur] + 1
-				queue = append(queue, next)
+		next := dist[g.nodes[cur].ID] + 1
+		for _, list := range g.step(cur, d) {
+			for _, v := range list {
+				id := g.nodes[v].ID
+				if _, ok := dist[id]; !ok {
+					dist[id] = next
+					queue = append(queue, v)
+				}
 			}
 		}
 	}
@@ -189,34 +204,30 @@ func (g *Graph) Distances(start NodeID, d Direction) map[NodeID]int {
 // false if the graph contains a directed cycle. Kahn's algorithm with a
 // sorted frontier for determinism.
 func (g *Graph) TopoSort() ([]NodeID, bool) {
-	indeg := make(map[NodeID]int, len(g.nodes))
-	for id := range g.nodes {
-		indeg[id] = len(g.in[id])
-	}
-	var frontier []NodeID
-	for id, d := range indeg {
-		if d == 0 {
-			frontier = append(frontier, id)
+	o := g.sorted()
+	indeg := make([]int, len(g.nodes))
+	var frontier []int32
+	for _, s := range o.slots { // ascending id: the frontier starts sorted
+		indeg[s] = len(g.in[s])
+		if indeg[s] == 0 {
+			frontier = append(frontier, s)
 		}
 	}
-	sortNodeIDs(frontier)
 	var order []NodeID
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		order = append(order, cur)
-		next := make([]NodeID, 0, 2)
-		for _, v := range g.Successors(cur) {
+		order = append(order, g.nodes[cur].ID)
+		for _, v := range g.out[cur] {
 			indeg[v]--
 			if indeg[v] == 0 {
-				next = append(next, v)
+				frontier = append(frontier, v)
 			}
 		}
 		// Keep the frontier sorted after appending the newly freed nodes.
-		frontier = append(frontier, next...)
-		sortNodeIDs(frontier)
+		slices.SortFunc(frontier, o.byRank)
 	}
-	if len(order) != len(g.nodes) {
+	if len(order) != len(g.slot) {
 		return nil, false
 	}
 	return order, true

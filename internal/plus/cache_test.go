@@ -2,6 +2,7 @@ package plus
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -338,5 +339,36 @@ func TestCachedEngineBoundedConcurrent(t *testing.T) {
 	writer.Wait()
 	if st := ce.Stats(); st.Hits+st.Misses != 900 {
 		t.Errorf("hits+misses = %d, want 900", st.Hits+st.Misses)
+	}
+}
+
+// TestLineageResponseConcurrentRender renders one cached answer from two
+// goroutines at once, as concurrent clients of a hot lineage do: the
+// account graph's order memo and the utility memo are built by whichever
+// render gets there first, and both renders must produce the same body.
+func TestLineageResponseConcurrentRender(t *testing.T) {
+	ce := NewCachedEngine(lineageFixture(t))
+	for _, viewer := range []privilege.Predicate{privilege.Public, "Protected"} {
+		req := Request{Start: "report", Direction: graph.Backward, Viewer: viewer}
+		res, err := ce.Lineage(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit, err := ce.Lineage(req); err != nil || hit != res {
+			t.Fatalf("%s: second ask not served from cache (%v)", viewer, err)
+		}
+		var resps [2]LineageResponse
+		var wg sync.WaitGroup
+		for i := range resps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resps[i] = buildLineageResponse(req, res)
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(resps[0], resps[1]) || !reflect.DeepEqual(resps[0], buildLineageResponse(req, res)) {
+			t.Errorf("%s: concurrent renders of one cached answer differ", viewer)
+		}
 	}
 }
