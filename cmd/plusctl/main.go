@@ -177,8 +177,7 @@ func printStatus(w *os.File, h plus.HealthzResponse) error {
 			qc.Advanced, qc.AdvanceRebuilds, qc.FullBuilds, qc.Fallbacks)
 	}
 	if ix := h.Index; ix != nil {
-		fmt.Fprintf(tw, "indexes\t%d kind, %d name, %d attr entries (rev %d)\n",
-			ix.KindEntries, ix.NameEntries, ix.AttrEntries, ix.Rev)
+		fmt.Fprintf(tw, "index\t%d name entries (rev %d)\n", ix.NameEntries, ix.Rev)
 		fmt.Fprintf(tw, "  probes\t%d hits, %d misses, %d advances, %d rebuilds\n",
 			ix.Hits, ix.Misses, ix.Advances, ix.Rebuilds)
 	}

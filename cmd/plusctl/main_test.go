@@ -75,7 +75,7 @@ func TestExecuteWorkflow(t *testing.T) {
 func TestPrintStatus(t *testing.T) {
 	lc := plus.LineageCacheStats{Entries: 2, ClosureNodes: 31, Hits: 7, Misses: 3, DeltaEvictions: 1, CapacityEvictions: 6}
 	qc := plus.QueryCacheHealth{Views: 1, Hits: 4, Misses: 2, Advanced: 5, FullBuilds: 1}
-	ix := plus.IndexStats{Rev: 13, KindEntries: 9, NameEntries: 8, AttrEntries: 17, Hits: 21, Misses: 2}
+	ix := plus.IndexStats{Rev: 13, NameEntries: 8, Hits: 21, Misses: 2}
 	in := plus.InternHealth{Strings: 42, Bytes: 311}
 	h := plus.HealthzResponse{
 		Status: "ok", Objects: 9, Edges: 4, Revision: 13,
@@ -96,7 +96,7 @@ func TestPrintStatus(t *testing.T) {
 		"status", "ok", "revision", "13",
 		"2 entries (31 closure nodes)", "7 hits", "1 evicted", "6 evicted for capacity",
 		"1 cached", "5 advanced", "1 full builds",
-		"9 kind, 8 name, 17 attr entries (rev 13)",
+		"8 name entries (rev 13)",
 		"21 hits, 2 misses",
 		"42 strings, 311 bytes",
 	} {

@@ -29,7 +29,7 @@ func TestLoadLatticeFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lat.Dominates("High-1", "Low-2") || !lat.Incomparable("High-1", "High-2") {
+	if !lat.Dominates("High-1", "Low-2") || lat.Dominates("High-1", "High-2") || lat.Dominates("High-2", "High-1") {
 		t.Error("lattice file not honoured")
 	}
 }
@@ -53,8 +53,8 @@ func TestOpenBackendKinds(t *testing.T) {
 	if !ok {
 		t.Fatalf("mem backend = %T", memB)
 	}
-	if mb.ChangeHorizon() != 128 {
-		t.Errorf("change horizon = %d, want 128", mb.ChangeHorizon())
+	if h := mb.ChangeWindow().Horizon; h != 128 {
+		t.Errorf("change horizon = %d, want 128", h)
 	}
 
 	if _, err := openBackend("banana", "", 0, false); err == nil {

@@ -36,8 +36,8 @@
 //	                    slow-query ring buffer
 //	internal/workload   evaluation motifs and synthetic graph generator
 //	internal/eval       regeneration of every table and figure
-//	internal/core       high-level facade (builder, Protect, Compare,
-//	                    Provenance)
+//	internal/core       builder and one-call Protect / Compare, and the
+//	                    spec-file format of cmd/protect and cmd/audit
 //
 // The one public package is pkg/plusclient: the typed, context-first Go
 // SDK for the v2 wire API — signed session tokens with automatic
@@ -51,6 +51,5 @@
 // storage-backend options. Its "Operations" section catalogues the
 // /v2/metrics families, the slow-query log and request-tracing
 // headers, pprof, SIGHUP keyring rotation, and the plusctl top /
-// slowlog commands. The benchmarks in bench_test.go regenerate
-// the workload behind each table and figure.
+// slowlog commands.
 package repro

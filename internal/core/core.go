@@ -106,12 +106,6 @@ func (b *Builder) WithSurrogate(forID graph.NodeID, s surrogate.Surrogate) *Buil
 	return b
 }
 
-// WithNullDefaults enables the implicit <null> surrogate fallback.
-func (b *Builder) WithNullDefaults() *Builder {
-	b.reg.EnableNullDefault()
-	return b
-}
-
 // Spec finalises the builder. It fails if any accumulated step failed.
 func (b *Builder) Spec() (*account.Spec, error) {
 	if len(b.errs) > 0 {

@@ -130,12 +130,12 @@ func TestWithNullDefaults(t *testing.T) {
 		Node("a", "", nil).
 		Node("secret", "Protected", nil).
 		Node("b", "", nil).
-		Edge("a", "secret", "").Edge("secret", "b", "").
-		WithNullDefaults()
+		Edge("a", "secret", "").Edge("secret", "b", "")
 	spec, err := b.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.Surrogates.EnableNullDefault()
 	res, err := Protect(spec, privilege.Public, Surrogate)
 	if err != nil {
 		t.Fatal(err)

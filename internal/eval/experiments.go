@@ -181,7 +181,7 @@ type SyntheticRow struct {
 	OpacityHide      float64
 	OpacitySurrogate float64
 	// OpacityRawHide/OpacityRawSurrogate are the same averages under the
-	// scale-free reading (measure.EdgeOpacityScaleFree), which keeps the
+	// scale-free reading (measure.AverageOpacityScaleFree), which keeps the
 	// dynamic range visible at 200 nodes.
 	OpacityRawHide      float64
 	OpacityRawSurrogate float64

@@ -3,7 +3,6 @@ package graph
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -89,62 +88,4 @@ func (g *Graph) DOT(name string) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// Stats summarises a graph for reporting: size, degree distribution and the
-// reachability density used by the synthetic workload ("connected pairs").
-type Stats struct {
-	Nodes           int
-	Edges           int
-	WeakComponents  int
-	MaxDegree       int
-	MeanDegree      float64
-	MeanReachable   float64 // avg |descendants| per node (directed)
-	MeanConnected   float64 // avg |weak-component mates| per node
-	IsDAG           bool
-	IsolatedNodes   int
-	DegreeHistogram map[int]int
-}
-
-// ComputeStats walks the whole graph once per metric; intended for offline
-// reporting, not hot paths.
-func (g *Graph) ComputeStats() Stats {
-	s := Stats{
-		Nodes:           g.NumNodes(),
-		Edges:           g.NumEdges(),
-		DegreeHistogram: make(map[int]int),
-	}
-	s.WeakComponents = len(g.WeakComponents())
-	s.IsDAG = g.IsDAG()
-	var degSum, reachSum, connSum int
-	for _, id := range g.Nodes() {
-		d := g.Degree(id)
-		degSum += d
-		s.DegreeHistogram[d]++
-		if d > s.MaxDegree {
-			s.MaxDegree = d
-		}
-		if d == 0 {
-			s.IsolatedNodes++
-		}
-		reachSum += g.ConnectedCount(id, Forward)
-		connSum += g.ConnectedCount(id, Undirected)
-	}
-	if s.Nodes > 0 {
-		s.MeanDegree = float64(degSum) / float64(s.Nodes)
-		s.MeanReachable = float64(reachSum) / float64(s.Nodes)
-		s.MeanConnected = float64(connSum) / float64(s.Nodes)
-	}
-	return s
-}
-
-// String renders the stats on one line for logs and experiment tables.
-func (s Stats) String() string {
-	degrees := make([]int, 0, len(s.DegreeHistogram))
-	for d := range s.DegreeHistogram {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	return fmt.Sprintf("nodes=%d edges=%d components=%d dag=%v meanDegree=%.2f meanReachable=%.2f",
-		s.Nodes, s.Edges, s.WeakComponents, s.IsDAG, s.MeanDegree, s.MeanReachable)
 }

@@ -1,7 +1,7 @@
 // Package graph implements the directed, attributed graph model that the
 // rest of the library is built on: nodes carrying feature (attribute,
 // value) pairs, directed edges, adjacency indexes and the traversal
-// primitives (reachability, weak components, shortest paths) that the
+// primitives (reachability, connected pairs, redundant edges) that the
 // protected-account algorithms and the utility/opacity measures need.
 //
 // The model follows §2 of the paper: a graph G = (N, E) of nodes and
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -89,16 +88,6 @@ func (f Features) Interned() Features {
 		out[intern.Canon(k)] = intern.Canon(v)
 	}
 	return out
-}
-
-// Keys returns the attribute names in sorted order.
-func (f Features) Keys() []string {
-	keys := make([]string, 0, len(f))
-	for k := range f {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Node is a graph node: an identifier plus its feature set. Nodes are value
@@ -393,7 +382,7 @@ func (g *Graph) Successors(id NodeID) []NodeID {
 	if !ok {
 		return nil
 	}
-	return g.sortedIDs(g.out[s], nil)
+	return g.sortedIDs(g.out[s])
 }
 
 // Predecessors returns the sources of the node's incoming edges, sorted.
@@ -402,39 +391,25 @@ func (g *Graph) Predecessors(id NodeID) []NodeID {
 	if !ok {
 		return nil
 	}
-	return g.sortedIDs(g.in[s], nil)
+	return g.sortedIDs(g.in[s])
 }
 
-// Neighbors returns the union of successors and predecessors, sorted and
-// de-duplicated. This is the undirected adjacency used by weak-connectivity
-// computations.
-func (g *Graph) Neighbors(id NodeID) []NodeID {
-	s, ok := g.slot[id]
-	if !ok {
+// sortedIDs returns the ids of the slots, sorted: by memoised rank when
+// the memo is present, by id otherwise. It returns nil for no slots.
+func (g *Graph) sortedIDs(slots []int32) []NodeID {
+	if len(slots) == 0 {
 		return nil
 	}
-	return slices.Compact(g.sortedIDs(g.out[s], g.in[s]))
-}
-
-// sortedIDs returns the ids of the slots in a and b, sorted: by memoised
-// rank when the memo is present, by id otherwise. It returns nil for no
-// slots.
-func (g *Graph) sortedIDs(a, b []int32) []NodeID {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	ids := make([]NodeID, 0, len(a)+len(b))
+	ids := make([]NodeID, 0, len(slots))
 	o := g.order.Load()
 	if o == nil {
-		for _, list := range [2][]int32{a, b} {
-			for _, s := range list {
-				ids = append(ids, g.nodes[s].ID)
-			}
+		for _, s := range slots {
+			ids = append(ids, g.nodes[s].ID)
 		}
 		slices.Sort(ids)
 		return ids
 	}
-	slots := slices.Concat(a, b)
+	slots = slices.Clone(slots)
 	slices.SortFunc(slots, o.byRank)
 	for _, s := range slots {
 		ids = append(ids, g.nodes[s].ID)
@@ -456,12 +431,6 @@ func (g *Graph) degree(id NodeID) (out, in int) {
 func (g *Graph) OutDegree(id NodeID) int {
 	out, _ := g.degree(id)
 	return out
-}
-
-// InDegree returns the number of incoming edges of id.
-func (g *Graph) InDegree(id NodeID) int {
-	_, in := g.degree(id)
-	return in
 }
 
 // Degree returns the total number of incident edges (in + out).

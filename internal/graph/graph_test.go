@@ -2,8 +2,10 @@ package graph
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func mustEdge(t *testing.T, g *Graph, from, to NodeID) {
@@ -25,6 +27,29 @@ func chain(t *testing.T) *Graph {
 		mustEdge(t, g, ids[i], ids[i+1])
 	}
 	return g
+}
+
+// diamond builds a->b, a->c, b->d, c->d, a->d (a redundant shortcut).
+func diamond(t *testing.T) *Graph {
+	t.Helper()
+	g := New()
+	for _, id := range []NodeID{"a", "b", "c", "d"} {
+		g.AddNodeID(id)
+	}
+	for _, e := range []EdgeID{{"a", "b"}, {"a", "c"}, {"b", "d"}, {"c", "d"}, {"a", "d"}} {
+		mustEdge(t, g, e.From, e.To)
+	}
+	return g
+}
+
+// reduce returns a copy of g without its redundant edges: its transitive
+// reduction when g is a DAG.
+func reduce(g *Graph) *Graph {
+	red := g.Clone()
+	for _, e := range g.RedundantEdges() {
+		red.RemoveEdge(e.From, e.To)
+	}
+	return red
 }
 
 func TestAddNodeReplacesAndCopiesFeatures(t *testing.T) {
@@ -84,7 +109,7 @@ func TestRemoveEdgeAndNode(t *testing.T) {
 	if g.HasEdge("a", "b") {
 		t.Error("edge still present after removal")
 	}
-	if g.OutDegree("a") != 0 || g.InDegree("b") != 0 {
+	if g.OutDegree("a") != 0 || len(g.Predecessors("b")) != 0 {
 		t.Error("adjacency not updated after edge removal")
 	}
 
@@ -117,11 +142,8 @@ func TestAdjacencyAccessors(t *testing.T) {
 	if got := g.Predecessors("x"); len(got) != 1 || got[0] != "c" {
 		t.Errorf("Predecessors(x) = %v, want [c]", got)
 	}
-	if got := g.Neighbors("x"); len(got) != 3 {
-		t.Errorf("Neighbors(x) = %v, want 3 nodes", got)
-	}
-	if g.Degree("x") != 3 || g.OutDegree("x") != 2 || g.InDegree("x") != 1 {
-		t.Errorf("degrees wrong: %d/%d/%d", g.Degree("x"), g.OutDegree("x"), g.InDegree("x"))
+	if g.Degree("x") != 3 || g.OutDegree("x") != 2 {
+		t.Errorf("degrees wrong: %d/%d", g.Degree("x"), g.OutDegree("x"))
 	}
 }
 
@@ -141,85 +163,6 @@ func TestReachableDirections(t *testing.T) {
 	}
 	if g.Reachable("missing", Forward) != nil {
 		t.Error("Reachable on missing node should be nil")
-	}
-}
-
-func TestWeakComponents(t *testing.T) {
-	g := chain(t)
-	g.AddNodeID("z1")
-	g.AddNodeID("z2")
-	mustEdge(t, g, "z1", "z2")
-	comps := g.WeakComponents()
-	if len(comps) != 2 {
-		t.Fatalf("components = %d, want 2", len(comps))
-	}
-	if len(comps[0]) != 5 || len(comps[1]) != 2 {
-		t.Errorf("component sizes = %d,%d want 5,2", len(comps[0]), len(comps[1]))
-	}
-	if g.IsWeaklyConnected() {
-		t.Error("disconnected graph reported connected")
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := chain(t)
-	// Add a shortcut a->c; shortest a->e is then a,c,d,e.
-	mustEdge(t, g, "a", "c")
-	p := g.ShortestPath("a", "e")
-	want := []NodeID{"a", "c", "d", "e"}
-	if len(p) != len(want) {
-		t.Fatalf("path = %v, want %v", p, want)
-	}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("path = %v, want %v", p, want)
-		}
-	}
-	if p := g.ShortestPath("e", "a"); p != nil {
-		t.Errorf("path e->a = %v, want nil", p)
-	}
-	if p := g.ShortestPath("a", "a"); len(p) != 1 || p[0] != "a" {
-		t.Errorf("path a->a = %v, want [a]", p)
-	}
-}
-
-func TestDistances(t *testing.T) {
-	g := chain(t)
-	d := g.Distances("a", Forward)
-	for i, id := range []NodeID{"a", "b", "c", "d", "e"} {
-		if d[id] != i {
-			t.Errorf("dist(a,%s) = %d, want %d", id, d[id], i)
-		}
-	}
-	if len(g.Distances("e", Forward)) != 1 {
-		t.Error("e should reach only itself forward")
-	}
-}
-
-func TestTopoSortAndDAG(t *testing.T) {
-	g := chain(t)
-	order, ok := g.TopoSort()
-	if !ok {
-		t.Fatal("chain reported cyclic")
-	}
-	pos := map[NodeID]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
-	for _, e := range g.Edges() {
-		if pos[e.From] >= pos[e.To] {
-			t.Errorf("topo order violates edge %s", e.ID())
-		}
-	}
-	if !g.IsDAG() {
-		t.Error("chain not a DAG")
-	}
-	mustEdge(t, g, "e", "a") // close the cycle
-	if _, ok := g.TopoSort(); ok {
-		t.Error("cyclic graph topo-sorted")
-	}
-	if g.IsDAG() {
-		t.Error("cyclic graph reported acyclic")
 	}
 }
 
@@ -337,30 +280,8 @@ func TestDOTOutput(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	g := chain(t)
-	g.AddNodeID("lone")
-	s := g.ComputeStats()
-	if s.Nodes != 6 || s.Edges != 4 {
-		t.Errorf("stats size wrong: %+v", s)
-	}
-	if s.WeakComponents != 2 || s.IsolatedNodes != 1 || !s.IsDAG {
-		t.Errorf("stats structure wrong: %+v", s)
-	}
-	// Chain reachability: 4+3+2+1+0 for a..e plus 0 for lone = 10/6.
-	if got, want := s.MeanReachable, 10.0/6.0; got < want-1e-9 || got > want+1e-9 {
-		t.Errorf("MeanReachable = %v, want %v", got, want)
-	}
-	if s.String() == "" {
-		t.Error("empty stats string")
-	}
-}
-
 func TestFeaturesHelpers(t *testing.T) {
 	f := Features{"b": "2", "a": "1"}
-	if got := f.Keys(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Keys = %v", got)
-	}
 	c := f.Clone()
 	c["a"] = "mut"
 	if f["a"] != "1" {
@@ -388,5 +309,74 @@ func TestEdgeIDHelpers(t *testing.T) {
 	}
 	if r := e.Reverse(); r.From != "b" || r.To != "a" {
 		t.Errorf("Reverse = %v", r)
+	}
+}
+
+func TestAncestorsDescendants(t *testing.T) {
+	g := diamond(t)
+	if got := g.Reachable("d", Backward); len(got) != 3 {
+		t.Errorf("ancestors of d = %v", got)
+	}
+	if got := g.Reachable("a", Forward); len(got) != 3 {
+		t.Errorf("descendants of a = %v", got)
+	}
+	if got := g.Reachable("a", Backward); len(got) != 0 {
+		t.Errorf("ancestors of a = %v", got)
+	}
+	if got := g.ConnectedPairsAll()["b"]; got != 2 {
+		t.Errorf("connected pairs of b = %d, want 2 (a and d)", got)
+	}
+}
+
+func TestRedundantEdgesAndReduction(t *testing.T) {
+	g := diamond(t)
+	red := g.RedundantEdges()
+	if len(red) != 1 || red[0] != (EdgeID{From: "a", To: "d"}) {
+		t.Errorf("RedundantEdges = %v, want [a->d]", red)
+	}
+	tr := reduce(g)
+	if tr.HasEdge("a", "d") || tr.NumEdges() != 4 {
+		t.Errorf("reduction edges = %v, want the diamond without a->d", tr.Edges())
+	}
+	for _, u := range g.Nodes() {
+		for _, v := range g.Nodes() {
+			if g.HasPath(u, v) != tr.HasPath(u, v) {
+				t.Errorf("reduction changed reachability %s->%s", u, v)
+			}
+		}
+	}
+}
+
+// Property: removing the redundant edges of a random DAG preserves
+// reachability and leaves no edge redundant.
+func TestTransitiveReductionProperty(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 3 + r.Intn(8)
+		g := New()
+		ids := make([]NodeID, n)
+		for i := range ids {
+			ids[i] = NodeID(string(rune('a' + i)))
+			g.AddNodeID(ids[i])
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if r.Float64() < 0.4 {
+					g.MustAddEdge(ids[i], ids[j])
+				}
+			}
+		}
+		tr := reduce(g)
+		for _, u := range ids {
+			for _, v := range ids {
+				if g.HasPath(u, v) != tr.HasPath(u, v) {
+					return false
+				}
+			}
+		}
+		return len(tr.RedundantEdges()) == 0
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }

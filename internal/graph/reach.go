@@ -7,10 +7,11 @@ import "math/bits"
 // block is exactly one cache line.
 const reachBlockWords = 8
 
-// ConnectedPairsAll returns ConnectedPairs(id) for every node of the
-// graph in one pass: |ancestors ∪ descendants|, the §4.1 connectivity
-// count (see ConnectedPairs, which stays as the single-node form and is
-// the oracle the tests compare against).
+// ConnectedPairsAll returns, for every node id of the graph in one pass,
+// |ancestors(id) ∪ descendants(id)|: the number of nodes connected to id
+// by a directed path to or from it. This is the connectivity notion behind
+// the Path Utility Measure's %P and the "connected pairs" density of
+// §6.1.2. The tests check it against a per-node walk.
 //
 // The kernel runs on the graph's own slots and slot adjacency, condensed
 // into strongly connected components (every component a singleton on a

@@ -6,7 +6,7 @@
 // Every measure that needs the §4.1 connectivity counts takes them for the
 // whole graph at once from graph.ConnectedPairsAll: O((n+e)·n/64) word
 // operations over 64 bytes of scratch per node, against the
-// O(n·(n+e)) map-BFS walks of asking ConnectedPairs node by node. The
+// O(n·(n+e)) map-BFS walks of a count per node. The
 // counts are integers, so the measures are bit-identical either way.
 package measure
 
@@ -209,7 +209,7 @@ func inferability(a *account.Account, n1, n2 graph.NodeID, conn map[graph.NodeID
 	return (term1 + term2) / 2
 }
 
-// EdgeOpacityScaleFree computes opacity under the alternative scale-free
+// edgeOpacityScaleFree computes opacity under the alternative scale-free
 // reading of Figure 4, in which IE is an absolute likelihood rather than a
 // share of a candidate pool:
 //
@@ -220,11 +220,9 @@ func inferability(a *account.Account, n1, n2 graph.NodeID, conn map[graph.NodeID
 // (every candidate share is ~1/n); this variant keeps the dynamic range
 // the paper's Figure 9a bars display at scale. EXPERIMENTS.md reports
 // both. Fixed points (edge present -> 0, endpoint absent -> 1) are shared.
-func EdgeOpacityScaleFree(spec *account.Spec, a *account.Account, e graph.EdgeID, adv Adversary) float64 {
-	return edgeOpacityScaleFreeCached(a, e, a.Graph.ConnectedPairsAll(), adv)
-}
-
-func edgeOpacityScaleFreeCached(a *account.Account, e graph.EdgeID, conn map[graph.NodeID]int, adv Adversary) float64 {
+//
+// conn is a.Graph.ConnectedPairsAll(), shared across the edges of a.
+func edgeOpacityScaleFree(a *account.Account, e graph.EdgeID, conn map[graph.NodeID]int, adv Adversary) float64 {
 	n1, ok1 := a.Corresponding(e.From)
 	n2, ok2 := a.Corresponding(e.To)
 	if !ok1 || !ok2 {
@@ -253,7 +251,7 @@ func AverageOpacityScaleFree(spec *account.Spec, a *account.Account, edges []gra
 	conn := a.Graph.ConnectedPairsAll()
 	var sum float64
 	for _, e := range edges {
-		sum += edgeOpacityScaleFreeCached(a, e, conn, adv)
+		sum += edgeOpacityScaleFree(a, e, conn, adv)
 	}
 	return sum / float64(len(edges))
 }

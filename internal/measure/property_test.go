@@ -126,7 +126,7 @@ func TestOpacityInvariantsProperty(t *testing.T) {
 			for _, adv := range advs {
 				for _, op := range []float64{
 					EdgeOpacity(spec, a, id, adv),
-					EdgeOpacityScaleFree(spec, a, id, adv),
+					edgeOpacityScaleFree(a, id, a.Graph.ConnectedPairsAll(), adv),
 				} {
 					if op < 0 || op > 1 {
 						t.Logf("seed %d: opacity %v out of range for %s", seed, op, id)
@@ -150,9 +150,19 @@ func TestOpacityInvariantsProperty(t *testing.T) {
 	}
 }
 
+// connectedPairs is |ancestors ∪ descendants| of one node, walked on its
+// own: the per-node count graph.ConnectedPairsAll replaces.
+func connectedPairs(g *graph.Graph, id graph.NodeID) int {
+	union := g.Reachable(id, graph.Forward)
+	for n := range g.Reachable(id, graph.Backward) {
+		union[n] = true
+	}
+	return len(union)
+}
+
 // referencePathUtility is Figure 3a computed the slow way: %P(n) from the
-// single-node graph.ConnectedPairs on both graphs, summed in sorted node
-// order like PathUtility.
+// single-node connectedPairs on both graphs, summed in sorted node order
+// like PathUtility.
 func referencePathUtility(spec *account.Spec, a *account.Account) float64 {
 	if spec.Graph.NumNodes() == 0 {
 		return 0
@@ -160,12 +170,12 @@ func referencePathUtility(spec *account.Spec, a *account.Account) float64 {
 	var sum float64
 	for _, n := range spec.Graph.Nodes() {
 		id, ok := a.Corresponding(n)
-		switch denom := spec.Graph.ConnectedPairs(n); {
+		switch denom := connectedPairs(spec.Graph, n); {
 		case !ok:
 		case denom == 0:
 			sum++
 		default:
-			sum += float64(a.Graph.ConnectedPairs(id)) / float64(denom)
+			sum += float64(connectedPairs(a.Graph, id)) / float64(denom)
 		}
 	}
 	return sum / float64(spec.Graph.NumNodes())
@@ -196,10 +206,10 @@ func referenceOpacity(a *account.Account, e graph.EdgeID, adv Adversary) float64
 	}
 	var r float64
 	if s := pool(n1); s > 0 {
-		r += adv.FocusProbability(a.Graph.ConnectedPairs(n1)) * adv.InferenceLikelihood(a.Graph.Degree(n2)) / s
+		r += adv.FocusProbability(connectedPairs(a.Graph, n1)) * adv.InferenceLikelihood(a.Graph.Degree(n2)) / s
 	}
 	if s := pool(n2); s > 0 {
-		r += adv.FocusProbability(a.Graph.ConnectedPairs(n2)) * adv.InferenceLikelihood(a.Graph.Degree(n1)) / s
+		r += adv.FocusProbability(connectedPairs(a.Graph, n2)) * adv.InferenceLikelihood(a.Graph.Degree(n1)) / s
 	}
 	return 1 - r/2
 }

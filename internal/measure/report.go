@@ -68,7 +68,7 @@ func EdgeReports(spec *account.Spec, a *account.Account, adv Adversary) []EdgeRe
 		r := EdgeReport{
 			Edge:             id,
 			Opacity:          edgeOpacityCached(a, id, conn, ieTotal, adv),
-			OpacityScaleFree: edgeOpacityScaleFreeCached(a, id, conn, adv),
+			OpacityScaleFree: edgeOpacityScaleFree(a, id, conn, adv),
 		}
 		n1, ok1 := a.Corresponding(id.From)
 		n2, ok2 := a.Corresponding(id.To)

@@ -271,8 +271,7 @@ func TestSlowLog(t *testing.T) {
 		}
 	}
 	// Threshold 0 records everything.
-	l.SetThreshold(0)
-	if !l.Record(SlowEntry{Kind: "lineage", TotalUS: 0}) {
+	if !NewSlowLog(1, 0).Record(SlowEntry{Kind: "lineage", TotalUS: 0}) {
 		t.Fatal("zero-threshold log rejected an entry")
 	}
 }

@@ -51,11 +51,12 @@ type SlowEntry struct {
 // tests); a nil *SlowLog records nothing, so handing an unconfigured
 // slow log through the engines is free. Safe for concurrent use.
 type SlowLog struct {
-	mu        sync.Mutex
-	threshold time.Duration
-	entries   []SlowEntry
-	next      int
-	total     uint64
+	threshold time.Duration // fixed at construction
+
+	mu      sync.Mutex
+	entries []SlowEntry
+	next    int
+	total   uint64
 }
 
 // NewSlowLog builds a ring keeping the last capacity entries at or above
@@ -67,26 +68,10 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 	return &SlowLog{threshold: threshold, entries: make([]SlowEntry, 0, capacity)}
 }
 
-// SetThreshold replaces the recording threshold.
-func (l *SlowLog) SetThreshold(d time.Duration) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.threshold = d
-	l.mu.Unlock()
-}
-
 // Eligible reports whether a query of this duration would be recorded —
 // engines use it to skip building the entry on the fast path.
 func (l *SlowLog) Eligible(d time.Duration) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	t := l.threshold
-	l.mu.Unlock()
-	return d >= t
+	return l != nil && d >= l.threshold
 }
 
 // Record appends an entry if it clears the threshold, evicting the
@@ -95,11 +80,11 @@ func (l *SlowLog) Record(e SlowEntry) bool {
 	if l == nil {
 		return false
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if time.Duration(e.TotalUS)*time.Microsecond < l.threshold {
 		return false
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}

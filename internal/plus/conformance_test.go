@@ -436,8 +436,8 @@ func TestLogBackendChangeHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	if b.ChangeHorizon() != DefaultChangeHorizon {
-		t.Fatalf("default horizon = %d", b.ChangeHorizon())
+	if h := b.ChangeWindow().Horizon; h != DefaultChangeHorizon {
+		t.Fatalf("default horizon = %d", h)
 	}
 	b.SetChangeHorizon(4)
 	for i := 0; i < 20; i++ {

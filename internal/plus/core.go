@@ -278,13 +278,6 @@ func (c *storeCore) SetChangeHorizon(n int) {
 	c.trimFeed(c.horizon)
 }
 
-// ChangeHorizon reports how many changes the feed is sized to retain.
-func (c *storeCore) ChangeHorizon() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.horizon
-}
-
 // ChangeWindow reports the resident change-feed window; followers use it
 // (via the healthz changeFeed block) to compute their lag against the
 // oldest position the feed can still serve.

@@ -55,8 +55,8 @@ func TestHealthzHandler(t *testing.T) {
 	if hIdx.Index == nil {
 		t.Fatal("healthz missing index section on an indexing backend")
 	}
-	if ix := hIdx.Index; ix.KindEntries != 3 || ix.NameEntries != 3 || ix.Rev != s.Revision() {
-		t.Errorf("healthz index = %+v, want 3 kind / 3 name entries at rev %d", ix, s.Revision())
+	if ix := hIdx.Index; ix.NameEntries != 3 || ix.Rev != s.Revision() {
+		t.Errorf("healthz index = %+v, want 3 name entries at rev %d", ix, s.Revision())
 	}
 	if hIdx.Index.Hits == 0 {
 		t.Error("healthz index reports no hits after an indexed probe")

@@ -7,20 +7,21 @@ import (
 	"repro/internal/intern"
 )
 
-// This file implements the persistent secondary indexes of the storage
-// layer: kind -> object ids, name -> object ids and (attr key, attr
-// value) -> object ids, all keyed by interned symbols so a probe is one
+// This file implements the persistent secondary index of the storage
+// layer: name -> object ids, keyed by interned symbols so a probe is one
 // map lookup on an integer instead of a linear scan comparing strings.
+// Lineage requests that name their start (Request.StartName) resolve it
+// here.
 //
 // Each backend owns ONE live backendIndex, maintained lazily: queries go
-// through Snapshot.FindByKind/FindByName/FindByAttr, and the first probe
-// at a new revision advances the index by walking the store's change feed
-// from the revision it last covered. When the feed has aged out
-// (ErrTooFarBehind) — or anything else goes wrong with the delta — the
-// index is rebuilt in full from the probing snapshot, the same resync
-// escape hatch every other change-feed consumer uses. Ingest
-// itself never touches the index, so batch-load throughput is unchanged
-// and index upkeep is billed to the queries that benefit from it.
+// through Snapshot.FindByName, and the first probe at a new revision
+// advances the index by walking the store's change feed from the revision
+// it last covered. When the feed has aged out (ErrTooFarBehind) — or
+// anything else goes wrong with the delta — the index is rebuilt in full
+// from the probing snapshot, the same resync escape hatch every other
+// change-feed consumer uses. Ingest itself never touches the index, so
+// batch-load throughput is unchanged and index upkeep is billed to the
+// queries that benefit from it.
 //
 // A probe from a snapshot OLDER than the index (a reader holding a stale
 // snapshot while newer queries advanced the index) cannot be answered
@@ -28,60 +29,14 @@ import (
 // Those probes fall back to a linear scan of the probing snapshot and are
 // counted as index misses.
 
-// indexRow is what the index remembers about one live object: enough to
-// unpublish its old postings when a replacement arrives on the feed.
-type indexRow struct {
-	kind  intern.Sym
-	name  intern.Sym
-	attrs []uint64 // intern.Pair(key, value) per feature
-}
-
-func rowFor(o Object) indexRow {
-	row := indexRow{
-		kind: intern.S(string(o.Kind)),
-		name: intern.S(o.Name),
-	}
-	if len(o.Features) > 0 {
-		row.attrs = make([]uint64, 0, len(o.Features))
-		for k, v := range o.Features {
-			row.attrs = append(row.attrs, intern.Pair(intern.S(k), intern.S(v)))
-		}
-	}
-	return row
-}
-
-func (r indexRow) equal(s indexRow) bool {
-	if r.kind != s.kind || r.name != s.name || len(r.attrs) != len(s.attrs) {
-		return false
-	}
-	// Feature maps are tiny; quadratic membership is cheaper than sorting.
-	for _, p := range r.attrs {
-		found := false
-		for _, q := range s.attrs {
-			if p == q {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
 // IndexStats is a point-in-time report of one backend's secondary-index
 // state, surfaced through the /v1/healthz probe, plusctl status and the
 // metrics registry.
 type IndexStats struct {
 	// Rev is the revision the index currently covers.
 	Rev uint64 `json:"rev"`
-	// KindEntries/NameEntries/AttrEntries count postings per index (an
-	// object contributes one kind entry, one name entry when named, and
-	// one attr entry per feature pair).
-	KindEntries int `json:"kindEntries"`
+	// NameEntries counts postings: one per named object.
 	NameEntries int `json:"nameEntries"`
-	AttrEntries int `json:"attrEntries"`
 	// Hits counts probes answered from the index; Misses counts probes
 	// that fell back to a linear scan (stale snapshot).
 	Hits   uint64 `json:"hits"`
@@ -94,7 +49,7 @@ type IndexStats struct {
 	Rebuilds uint64 `json:"rebuilds"`
 }
 
-// backendIndex is the live secondary index of one backend. Probes take
+// backendIndex is the live name index of one backend. Probes take
 // the read lock when the index already covers the probing snapshot's
 // revision; the first probe at a newer revision takes the write lock and
 // advances. Postings are unordered (consumers needing determinism sort).
@@ -102,12 +57,8 @@ type backendIndex struct {
 	mu     sync.RWMutex
 	built  bool
 	rev    uint64
-	byKind map[intern.Sym][]string
 	byName map[intern.Sym][]string
-	byAttr map[uint64][]string
-	rows   map[string]indexRow
-
-	attrEntries int // total feature pairs indexed
+	names  map[string]intern.Sym // the posted name of each named object
 
 	hits     atomic.Uint64
 	misses   atomic.Uint64
@@ -120,15 +71,7 @@ func newBackendIndex() *backendIndex { return &backendIndex{} }
 
 func (ix *backendIndex) stats() IndexStats {
 	ix.mu.RLock()
-	st := IndexStats{
-		Rev:         ix.rev,
-		KindEntries: len(ix.rows),
-		NameEntries: 0,
-		AttrEntries: ix.attrEntries,
-	}
-	for _, ids := range ix.byName {
-		st.NameEntries += len(ids)
-	}
+	st := IndexStats{Rev: ix.rev, NameEntries: len(ix.names)}
 	ix.mu.RUnlock()
 	st.Hits = ix.hits.Load()
 	st.Misses = ix.misses.Load()
@@ -184,7 +127,7 @@ func (ix *backendIndex) advanceLocked(sn *Snapshot) {
 		return
 	}
 	// The walk copies no changes; edges and surrogates don't carry
-	// kind/name/attr postings. A failed walk has visited nothing.
+	// names. A failed walk has visited nothing.
 	err := sn.source.walkChangesSince(ix.rev, sn.rev, func(c *Change) {
 		if c.Kind == ChangeObject {
 			ix.applyObjectLocked(c.Object)
@@ -201,16 +144,9 @@ func (ix *backendIndex) advanceLocked(sn *Snapshot) {
 
 func (ix *backendIndex) rebuildLocked(sn *Snapshot) {
 	n := sn.NumObjects()
-	ix.byKind = make(map[intern.Sym][]string, 8)
 	ix.byName = make(map[intern.Sym][]string, n)
-	ix.byAttr = make(map[uint64][]string, n)
-	ix.rows = make(map[string]indexRow, n)
-	ix.attrEntries = 0
-	sn.eachObject(func(o Object) {
-		row := rowFor(o)
-		ix.rows[o.ID] = row
-		ix.publishLocked(o.ID, row)
-	})
+	ix.names = make(map[string]intern.Sym, n)
+	sn.eachObject(ix.applyObjectLocked)
 	ix.rev = sn.rev
 	ix.built = true
 }
@@ -218,37 +154,20 @@ func (ix *backendIndex) rebuildLocked(sn *Snapshot) {
 // applyObjectLocked folds one object store/replace from the change feed
 // into the postings.
 func (ix *backendIndex) applyObjectLocked(o Object) {
-	row := rowFor(o)
-	if old, existed := ix.rows[o.ID]; existed {
-		if old.equal(row) {
-			return
-		}
-		ix.unpublishLocked(o.ID, old)
+	name := intern.S(o.Name)
+	old := ix.names[o.ID] // intern.None when unnamed or new
+	if name == old {
+		return
 	}
-	ix.rows[o.ID] = row
-	ix.publishLocked(o.ID, row)
-}
-
-func (ix *backendIndex) publishLocked(id string, row indexRow) {
-	ix.byKind[row.kind] = append(ix.byKind[row.kind], id)
-	if row.name != intern.None {
-		ix.byName[row.name] = append(ix.byName[row.name], id)
+	if old != intern.None {
+		ix.byName[old] = removeID(ix.byName[old], o.ID)
 	}
-	for _, p := range row.attrs {
-		ix.byAttr[p] = append(ix.byAttr[p], id)
+	if name == intern.None {
+		delete(ix.names, o.ID)
+		return
 	}
-	ix.attrEntries += len(row.attrs)
-}
-
-func (ix *backendIndex) unpublishLocked(id string, row indexRow) {
-	ix.byKind[row.kind] = removeID(ix.byKind[row.kind], id)
-	if row.name != intern.None {
-		ix.byName[row.name] = removeID(ix.byName[row.name], id)
-	}
-	for _, p := range row.attrs {
-		ix.byAttr[p] = removeID(ix.byAttr[p], id)
-	}
-	ix.attrEntries -= len(row.attrs)
+	ix.names[o.ID] = name
+	ix.byName[name] = append(ix.byName[name], o.ID)
 }
 
 // removeID swap-deletes the first occurrence of id (postings are
@@ -263,25 +182,6 @@ func removeID(ids []string, id string) []string {
 	return ids
 }
 
-// FindByKind returns the ids of the snapshot's objects with the given
-// kind, in unspecified order. Served from the backend's secondary index
-// when it covers this snapshot's revision; otherwise (a stale snapshot) a
-// linear scan, counted as an index miss.
-func (sn *Snapshot) FindByKind(kind string) []string {
-	ix := sn.source.idx
-	sym, known := intern.Lookup(kind)
-	if !known {
-		// Never interned: no stored record anywhere carries this string,
-		// so no object in this snapshot can match.
-		ix.hits.Add(1)
-		return nil
-	}
-	if ids, ok := ix.lookup(sn, func() []string { return ix.byKind[sym] }); ok {
-		return ids
-	}
-	return sn.scan(func(o Object) bool { return string(o.Kind) == kind })
-}
-
 // scan is the linear fallback: the ids of the objects match accepts.
 func (sn *Snapshot) scan(match func(Object) bool) []string {
 	var out []string
@@ -294,8 +194,9 @@ func (sn *Snapshot) scan(match func(Object) bool) []string {
 }
 
 // FindByName returns the ids of the snapshot's objects with the given
-// (non-empty) name, in unspecified order; see FindByKind for the serving
-// strategy.
+// (non-empty) name, in unspecified order. Served from the backend's name
+// index when it covers this snapshot's revision; otherwise (a stale
+// snapshot) a linear scan, counted as an index miss.
 func (sn *Snapshot) FindByName(name string) []string {
 	if name == "" {
 		// Unnamed objects are not indexed; scan for them.
@@ -304,6 +205,8 @@ func (sn *Snapshot) FindByName(name string) []string {
 	ix := sn.source.idx
 	sym, known := intern.Lookup(name)
 	if !known {
+		// Never interned: no stored record anywhere carries this string,
+		// so no object in this snapshot can match.
 		ix.hits.Add(1)
 		return nil
 	}
@@ -311,36 +214,6 @@ func (sn *Snapshot) FindByName(name string) []string {
 		return ids
 	}
 	return sn.scan(func(o Object) bool { return o.Name == name })
-}
-
-// FindByAttr returns the ids of the snapshot's objects whose feature map
-// contains exactly the pair (key, value), in unspecified order. The
-// reserved keys "kind" and "name" are routed to the kind and name
-// indexes (the view layer exposes both as features). Note the contract
-// is contains-pair: an object LACKING key entirely does not match even
-// when value is empty — callers wanting missing-key semantics must scan.
-func (sn *Snapshot) FindByAttr(key, value string) []string {
-	switch key {
-	case "kind":
-		return sn.FindByKind(value)
-	case "name":
-		return sn.FindByName(value)
-	}
-	ix := sn.source.idx
-	ksym, kok := intern.Lookup(key)
-	vsym, vok := intern.Lookup(value)
-	if !kok || !vok {
-		ix.hits.Add(1)
-		return nil
-	}
-	pair := intern.Pair(ksym, vsym)
-	if ids, ok := ix.lookup(sn, func() []string { return ix.byAttr[pair] }); ok {
-		return ids
-	}
-	return sn.scan(func(o Object) bool {
-		v, ok := o.Features[key]
-		return ok && v == value
-	})
 }
 
 // indexStatsProvider is implemented by backends that own a secondary

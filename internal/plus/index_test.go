@@ -15,44 +15,12 @@ func sortedIDs(ids []string) []string {
 	return out
 }
 
-// scanByKind / scanByName / scanByAttr are the linear-scan reference the
-// index is checked against.
-func scanByKind(sn *Snapshot, kind string) []string {
-	var out []string
-	for _, o := range sn.Objects() {
-		if string(o.Kind) == kind {
-			out = append(out, o.ID)
-		}
-	}
-	return sortedIDs(out)
-}
-
+// scanByName is the linear-scan reference the index is checked against.
 func scanByName(sn *Snapshot, name string) []string {
 	var out []string
 	for _, o := range sn.Objects() {
 		if o.Name == name {
 			out = append(out, o.ID)
-		}
-	}
-	return sortedIDs(out)
-}
-
-func scanByAttr(sn *Snapshot, key, value string) []string {
-	var out []string
-	for _, o := range sn.Objects() {
-		switch key {
-		case "kind":
-			if string(o.Kind) == value {
-				out = append(out, o.ID)
-			}
-		case "name":
-			if o.Name == value {
-				out = append(out, o.ID)
-			}
-		default:
-			if v, ok := o.Features[key]; ok && v == value {
-				out = append(out, o.ID)
-			}
 		}
 	}
 	return sortedIDs(out)
@@ -94,21 +62,12 @@ func TestFindByIndexBasics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := sortedIDs(sn.FindByKind("invocation")), scanByKind(sn, "invocation"); !equalStrings(got, want) {
-				t.Fatalf("FindByKind = %v, want %v", got, want)
-			}
 			if got, want := sortedIDs(sn.FindByName("n2")), scanByName(sn, "n2"); !equalStrings(got, want) {
 				t.Fatalf("FindByName = %v, want %v", got, want)
 			}
-			if got, want := sortedIDs(sn.FindByAttr("owner", "u1")), scanByAttr(sn, "owner", "u1"); !equalStrings(got, want) {
-				t.Fatalf("FindByAttr = %v, want %v", got, want)
-			}
-			// Reserved keys route to the kind/name indexes.
-			if got, want := sortedIDs(sn.FindByAttr("kind", "data")), scanByKind(sn, "data"); !equalStrings(got, want) {
-				t.Fatalf("FindByAttr(kind) = %v, want %v", got, want)
-			}
-			if got, want := sortedIDs(sn.FindByAttr("name", "n0")), scanByName(sn, "n0"); !equalStrings(got, want) {
-				t.Fatalf("FindByAttr(name) = %v, want %v", got, want)
+			// Unnamed objects are not posted; asking for them scans.
+			if got, want := sortedIDs(sn.FindByName("")), scanByName(sn, ""); !equalStrings(got, want) {
+				t.Fatalf("FindByName(\"\") = %v, want %v", got, want)
 			}
 			// Constants never stored anywhere answer empty without scanning.
 			if got := sn.FindByName("never-stored-name-xyzzy"); len(got) != 0 {
@@ -121,8 +80,8 @@ func TestFindByIndexBasics(t *testing.T) {
 			if st.Builds != 1 {
 				t.Fatalf("builds = %d, want 1", st.Builds)
 			}
-			if st.KindEntries != 20 {
-				t.Fatalf("kind entries = %d, want 20", st.KindEntries)
+			if st.NameEntries != 20 {
+				t.Fatalf("name entries = %d, want 20", st.NameEntries)
 			}
 		})
 	}
@@ -155,19 +114,19 @@ func TestIndexAdvancesIncrementally(t *testing.T) {
 	for label, b := range indexTestBackends(t) {
 		t.Run(label, func(t *testing.T) {
 			put := func(i int) {
-				o := Object{ID: fmt.Sprintf("o%03d", i), Kind: Data, Name: fmt.Sprintf("n%d", i)}
+				o := Object{ID: fmt.Sprintf("o%03d", i), Kind: Data, Name: fmt.Sprintf("n%d", i%2)}
 				if err := b.PutObject(o); err != nil {
 					t.Fatal(err)
 				}
 			}
 			put(0)
 			sn, _ := b.Snapshot()
-			sn.FindByKind("data") // first probe: initial build
+			sn.FindByName("n0") // first probe: initial build
 			for i := 1; i <= 5; i++ {
 				put(i)
 				sn, _ = b.Snapshot()
-				if got := sortedIDs(sn.FindByKind("data")); len(got) != i+1 {
-					t.Fatalf("after %d writes FindByKind returned %d ids", i, len(got))
+				if got := sortedIDs(sn.FindByName(fmt.Sprintf("n%d", i%2))); len(got) != i/2+1 {
+					t.Fatalf("after %d writes FindByName returned %d ids", i, len(got))
 				}
 			}
 			st := mustIndexStats(t, b)
@@ -214,8 +173,8 @@ func TestIndexRebuildOnTooFarBehind(t *testing.T) {
 			if _, err := sn.DeltaSince(sn.Revision() - 1); err != ErrTooFarBehind {
 				t.Fatalf("DeltaSince = %v, want ErrTooFarBehind", err)
 			}
-			if got := sortedIDs(sn.FindByKind("data")); len(got) != 11 {
-				t.Fatalf("post-hazard probe returned %d ids, want 11", len(got))
+			if got := sn.FindByName("bulk7"); !equalStrings(got, []string{"o007"}) {
+				t.Fatalf("post-hazard probe returned %v, want [o007]", got)
 			}
 			st := mustIndexStats(t, b)
 			if st.Rebuilds == 0 {
@@ -234,21 +193,21 @@ func TestIndexRebuildOnTooFarBehind(t *testing.T) {
 func TestIndexStaleSnapshotFallsBack(t *testing.T) {
 	for label, b := range indexTestBackends(t) {
 		t.Run(label, func(t *testing.T) {
-			if err := b.PutObject(Object{ID: "a", Kind: Data, Name: "old"}); err != nil {
+			if err := b.PutObject(Object{ID: "a", Kind: Data, Name: "same"}); err != nil {
 				t.Fatal(err)
 			}
 			old, _ := b.Snapshot()
-			if err := b.PutObject(Object{ID: "b", Kind: Data, Name: "new"}); err != nil {
+			if err := b.PutObject(Object{ID: "b", Kind: Data, Name: "same"}); err != nil {
 				t.Fatal(err)
 			}
 			cur, _ := b.Snapshot()
 			// Advance the index to the current revision.
-			if got := sortedIDs(cur.FindByKind("data")); !equalStrings(got, []string{"a", "b"}) {
+			if got := sortedIDs(cur.FindByName("same")); !equalStrings(got, []string{"a", "b"}) {
 				t.Fatalf("current probe = %v", got)
 			}
 			before := mustIndexStats(t, b)
 			// The stale snapshot must not see "b".
-			if got := sortedIDs(old.FindByKind("data")); !equalStrings(got, []string{"a"}) {
+			if got := sortedIDs(old.FindByName("same")); !equalStrings(got, []string{"a"}) {
 				t.Fatalf("stale probe = %v, want [a]", got)
 			}
 			after := mustIndexStats(t, b)
@@ -259,8 +218,8 @@ func TestIndexStaleSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-// TestIndexReplacementMovesPostings replaces an object with new
-// kind/name/attrs and checks the old postings are unpublished.
+// TestIndexReplacementMovesPostings replaces an object with a new name,
+// then clears it, and checks the old postings are unpublished.
 func TestIndexReplacementMovesPostings(t *testing.T) {
 	for label, b := range indexTestBackends(t) {
 		t.Run(label, func(t *testing.T) {
@@ -269,7 +228,7 @@ func TestIndexReplacementMovesPostings(t *testing.T) {
 				t.Fatal(err)
 			}
 			sn, _ := b.Snapshot()
-			sn.FindByKind("data") // build
+			sn.FindByName("before") // build
 			o2 := Object{ID: "x", Kind: Invocation, Name: "after", Features: map[string]string{"stage": "cooked"}}
 			if err := b.PutObject(o2); err != nil {
 				t.Fatal(err)
@@ -280,17 +239,23 @@ func TestIndexReplacementMovesPostings(t *testing.T) {
 				want []string
 				what string
 			}{
-				{sn.FindByKind("data"), nil, "kind data"},
-				{sn.FindByKind("invocation"), []string{"x"}, "kind invocation"},
 				{sn.FindByName("before"), nil, "name before"},
 				{sn.FindByName("after"), []string{"x"}, "name after"},
-				{sn.FindByAttr("stage", "raw"), nil, "attr raw"},
-				{sn.FindByAttr("stage", "cooked"), []string{"x"}, "attr cooked"},
 			}
 			for _, c := range checks {
 				if !equalStrings(sortedIDs(c.got), c.want) {
 					t.Fatalf("%s = %v, want %v", c.what, c.got, c.want)
 				}
+			}
+			if err := b.PutObject(Object{ID: "x", Kind: Data}); err != nil {
+				t.Fatal(err)
+			}
+			sn, _ = b.Snapshot()
+			if got := sn.FindByName("after"); len(got) != 0 {
+				t.Fatalf("name after = %v once x is unnamed, want none", got)
+			}
+			if st := mustIndexStats(t, b); st.NameEntries != 0 {
+				t.Fatalf("name entries = %d once x is unnamed, want 0", st.NameEntries)
 			}
 		})
 	}
@@ -330,19 +295,9 @@ func TestIndexRandomizedParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, k := range kinds {
-					if got, want := sortedIDs(sn.FindByKind(string(k))), scanByKind(sn, string(k)); !equalStrings(got, want) {
-						t.Fatalf("step %d: FindByKind(%s) = %v, want %v", step, k, got, want)
-					}
-				}
 				for _, n := range names[:3] {
 					if got, want := sortedIDs(sn.FindByName(n)), scanByName(sn, n); !equalStrings(got, want) {
 						t.Fatalf("step %d: FindByName(%s) = %v, want %v", step, n, got, want)
-					}
-				}
-				for _, u := range owners {
-					if got, want := sortedIDs(sn.FindByAttr("owner", u)), scanByAttr(sn, "owner", u); !equalStrings(got, want) {
-						t.Fatalf("step %d: FindByAttr(owner,%s) = %v, want %v", step, u, got, want)
 					}
 				}
 			}

@@ -267,11 +267,9 @@ func (s *Server) registerServerMetrics() {
 			func() float64 { return float64(sp.StoreStats().RecordsCopied) })
 	}
 	if ip, ok := unwrapBackend(b).(indexStatsProvider); ok {
-		entries := reg.GaugeFuncVec("plus_index_entries",
-			"Secondary-index postings by index (kind/name/attr).", "index")
-		entries.Register(func() float64 { return float64(ip.IndexStats().KindEntries) }, "kind")
-		entries.Register(func() float64 { return float64(ip.IndexStats().NameEntries) }, "name")
-		entries.Register(func() float64 { return float64(ip.IndexStats().AttrEntries) }, "attr")
+		reg.GaugeFuncVec("plus_index_entries",
+			"Secondary-index postings by index (name).", "index").
+			Register(func() float64 { return float64(ip.IndexStats().NameEntries) }, "name")
 		reg.GaugeFunc("plus_index_revision",
 			"Backend revision the secondary indexes currently cover.",
 			func() float64 { return float64(ip.IndexStats().Rev) })

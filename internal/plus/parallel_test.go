@@ -53,9 +53,9 @@ func TestParallelFetchMatchesSequential(t *testing.T) {
 			sink := wideDAG(t, b, 200)
 
 			seq := NewEngine(b, privilege.TwoLevel())
-			seq.SetFetchWorkers(1)
+			seq.fetchWorkers = 1
 			par := NewEngine(b, privilege.TwoLevel())
-			par.SetFetchWorkers(8)
+			par.fetchWorkers = 8
 
 			for _, req := range []Request{
 				{Start: sink, Direction: graph.Backward},

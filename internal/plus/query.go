@@ -109,10 +109,9 @@ type Engine struct {
 	store   Backend
 	lattice *privilege.Lattice
 
-	// fetchWorkers bounds the frontier-BFS worker pool; defaults to
-	// GOMAXPROCS. Atomic so SetFetchWorkers is safe while queries are in
-	// flight.
-	fetchWorkers atomic.Int32
+	// fetchWorkers bounds the frontier-BFS worker pool: GOMAXPROCS at
+	// construction.
+	fetchWorkers int
 
 	// obsHooks holds the engine's telemetry handles (SetObservability);
 	// nil means uninstrumented. Atomic so wiring it after construction is
@@ -209,9 +208,7 @@ func describeLineage(req Request) string {
 
 // NewEngine binds a backend to the lattice its Lowest nicknames refer to.
 func NewEngine(store Backend, lattice *privilege.Lattice) *Engine {
-	en := &Engine{store: store, lattice: lattice}
-	en.fetchWorkers.Store(int32(runtime.GOMAXPROCS(0)))
-	return en
+	return &Engine{store: store, lattice: lattice, fetchWorkers: runtime.GOMAXPROCS(0)}
 }
 
 // Lattice returns the engine's privilege lattice.
@@ -219,15 +216,6 @@ func (en *Engine) Lattice() *privilege.Lattice { return en.lattice }
 
 // Backend returns the storage backend the engine queries.
 func (en *Engine) Backend() Backend { return en.store }
-
-// SetFetchWorkers overrides the worker-pool width of the parallel fetch
-// phase (minimum 1); useful for benchmarks and tests.
-func (en *Engine) SetFetchWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	en.fetchWorkers.Store(int32(n))
-}
 
 // fetched is the raw lineage closure pulled from the store.
 type fetched struct {
@@ -334,7 +322,7 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 			return nil, fmt.Errorf("plus: lineage of %q: %w", startRef(req), err)
 		}
 		expansions := make([]expansion, len(frontier))
-		if workers := int(en.fetchWorkers.Load()); workers > 1 && len(frontier) >= parallelFrontier {
+		if workers := en.fetchWorkers; workers > 1 && len(frontier) >= parallelFrontier {
 			// Worker pool over contiguous chunks of the frontier.
 			if workers > len(frontier) {
 				workers = len(frontier)

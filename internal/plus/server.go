@@ -124,13 +124,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.serveObse
 // Keyring returns the live token keyring.
 func (s *Server) Keyring() *Keyring { return s.keyring.Load() }
 
-// SetKeyring atomically replaces the live token keyring; nil is ignored.
-func (s *Server) SetKeyring(kr *Keyring) {
-	if kr != nil {
-		s.keyring.Store(kr)
-	}
-}
-
 // ReloadKeyringFromFile re-reads an "id:secret"-per-line keyring file and
 // swaps it in without restarting — plusd's SIGHUP handler. A parse
 // failure leaves the current keyring serving and is reported (and

@@ -64,12 +64,11 @@
 // "kind(X, k), ancestor*(X, \"t\")" costs one backward walk from t however
 // many X the scan offers.
 //
-// Point predicates additionally lower into the storage layer's interned
-// secondary indexes (Snapshot.FindByKind/FindByName/FindByAttr, see
-// internal/plus/index.go and the "Storage: interning and secondary
-// indexes" section of the README): a kind/name/attr probe is a hash
-// lookup on an interned symbol instead of a scan, which is what keeps
-// point queries sublinear on million-node graphs (BENCH_index.json).
+// Point predicates additionally lower into the view's own postings
+// (kind, interned name and interned (attr key, value) -> nodes, built with
+// the view and kept current by Advance; see view.go): a kind/name/attr
+// probe is a hash lookup instead of a scan, which is what keeps point
+// queries sublinear on million-node graphs (BENCH_index.json).
 //
 // # Views, slots and refresh
 //

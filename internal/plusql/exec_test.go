@@ -2,6 +2,7 @@ package plusql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -118,6 +119,32 @@ func TestQueryPublicViewerTraversesSurrogates(t *testing.T) {
 				t.Errorf("surrogate name = %q, want provider-released", row[0].Name)
 			}
 		}
+	}
+}
+
+// TestContextCancellation proves deadlines and cancellation reach both
+// query paths: a pre-cancelled context fails the lineage walk and the
+// PLUSQL executor instead of running to completion, a live one still
+// answers, and lineage over a closed store fails with ErrClosed.
+func TestContextCancellation(t *testing.T) {
+	b := exampleBackend(t)
+	lineage := plus.NewCachedEngine(plus.NewEngine(b, privilege.TwoLevel()))
+	query := NewEngine(b, privilege.TwoLevel())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := lineage.LineageContext(ctx, plus.Request{Start: "b"}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled lineage = %v, want context.Canceled", err)
+	}
+	if _, err := query.QueryContext(ctx, `node(X)`, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled query = %v, want context.Canceled", err)
+	}
+	if _, err := lineage.LineageContext(context.Background(), plus.Request{Start: "b"}); err != nil {
+		t.Errorf("live context lineage: %v", err)
+	}
+	b.Close()
+	if _, err := lineage.LineageContext(context.Background(), plus.Request{Start: "b"}); !errors.Is(err, plus.ErrClosed) {
+		t.Errorf("lineage after close = %v, want ErrClosed", err)
 	}
 }
 

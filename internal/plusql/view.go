@@ -155,9 +155,6 @@ func (v *View) NumNodes() int { return len(v.nodes) }
 // NumEdges reports how many edges the viewer may see.
 func (v *View) NumEdges() int { return v.edges }
 
-// KindCount reports how many visible nodes carry the kind feature k.
-func (v *View) KindCount(k string) int { return len(v.byKind[k]) }
-
 // Nodes returns all visible nodes in sorted order. Callers must not
 // mutate the returned slice.
 func (v *View) Nodes() []graph.NodeID { return v.nodes }

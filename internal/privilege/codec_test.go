@@ -20,7 +20,7 @@ func TestFromPairs(t *testing.T) {
 	if !lat.Dominates("High-1", Public) {
 		t.Error("transitive dominance missing")
 	}
-	if !lat.Incomparable("High-1", "High-2") {
+	if !incomparable(lat, "High-1", "High-2") {
 		t.Error("High-1/High-2 should be incomparable")
 	}
 }

@@ -2,14 +2,14 @@ package privilege
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
 
-// Labeling assigns every graph object its lowest() predicate (Definition
-// 3): the least privilege via which the object is visible. Objects with no
-// explicit assignment default to Public.
+// Labeling assigns every graph node its lowest() predicate (Definition 3):
+// the least privilege via which the node is visible. Nodes with no
+// explicit assignment default to Public. Edge release is per incidence,
+// in package policy.
 //
 // The paper treats authorized(c, o) as an oracle evaluated by the object's
 // cognizant authority; this library's concrete model is the standard one
@@ -17,7 +17,6 @@ import (
 type Labeling struct {
 	lattice *Lattice
 	nodes   map[graph.NodeID]Predicate
-	edges   map[graph.EdgeID]Predicate
 }
 
 // NewLabeling returns an empty labeling over the given lattice.
@@ -25,7 +24,6 @@ func NewLabeling(l *Lattice) *Labeling {
 	return &Labeling{
 		lattice: l,
 		nodes:   map[graph.NodeID]Predicate{},
-		edges:   map[graph.EdgeID]Predicate{},
 	}
 }
 
@@ -47,28 +45,9 @@ func (lb *Labeling) ClearNode(n graph.NodeID) {
 	delete(lb.nodes, n)
 }
 
-// SetEdge assigns lowest(e) = p for a whole edge (independent of the
-// per-incidence release markings in package policy; this is the edge's own
-// sensitivity).
-func (lb *Labeling) SetEdge(e graph.EdgeID, p Predicate) error {
-	if !lb.lattice.Known(p) {
-		return fmt.Errorf("privilege: unknown predicate %q for edge %s", p, e)
-	}
-	lb.edges[e] = p
-	return nil
-}
-
 // LowestNode returns lowest(n), defaulting to Public.
 func (lb *Labeling) LowestNode(n graph.NodeID) Predicate {
 	if p, ok := lb.nodes[n]; ok {
-		return p
-	}
-	return Public
-}
-
-// LowestEdge returns lowest(e), defaulting to Public.
-func (lb *Labeling) LowestEdge(e graph.EdgeID) Predicate {
-	if p, ok := lb.edges[e]; ok {
 		return p
 	}
 	return Public
@@ -78,11 +57,6 @@ func (lb *Labeling) LowestEdge(e graph.EdgeID) Predicate {
 // (Definition 1).
 func (lb *Labeling) NodeVisible(n graph.NodeID, p Predicate) bool {
 	return lb.lattice.Dominates(p, lb.LowestNode(n))
-}
-
-// EdgeVisible reports whether edge e is visible via consumer predicate p.
-func (lb *Labeling) EdgeVisible(e graph.EdgeID, p Predicate) bool {
-	return lb.lattice.Dominates(p, lb.LowestEdge(e))
 }
 
 // HighWater computes the high-water set of a graph under this labeling
@@ -97,27 +71,12 @@ func (lb *Labeling) HighWater(g *graph.Graph) []Predicate {
 	return lb.lattice.Maximal(lows)
 }
 
-// VisibleNodes returns the ids of nodes visible via p, sorted.
-func (lb *Labeling) VisibleNodes(g *graph.Graph, p Predicate) []graph.NodeID {
-	var out []graph.NodeID
-	for _, id := range g.Nodes() {
-		if lb.NodeVisible(id, p) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Clone returns an independent copy of the labeling (sharing the immutable
 // lattice).
 func (lb *Labeling) Clone() *Labeling {
 	c := NewLabeling(lb.lattice)
 	for n, p := range lb.nodes {
 		c.nodes[n] = p
-	}
-	for e, p := range lb.edges {
-		c.edges[e] = p
 	}
 	return c
 }

@@ -185,51 +185,6 @@ func (l *Lattice) Dominates(p, q Predicate) bool {
 	return ok && reach[q]
 }
 
-// Incomparable reports whether neither predicate dominates the other.
-func (l *Lattice) Incomparable(p, q Predicate) bool {
-	return !l.Dominates(p, q) && !l.Dominates(q, p)
-}
-
-// DominatedBy returns every predicate that p dominates (including p itself
-// and Public), sorted.
-func (l *Lattice) DominatedBy(p Predicate) []Predicate {
-	l.ensureFrozen()
-	reach := l.closure[p]
-	out := make([]Predicate, 0, len(reach))
-	for q := range reach {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Dominators returns every predicate that dominates p (including p),
-// sorted.
-func (l *Lattice) Dominators(p Predicate) []Predicate {
-	l.ensureFrozen()
-	var out []Predicate
-	for q := range l.declared {
-		if l.Dominates(q, p) {
-			out = append(out, q)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// IsAntichain reports whether no member of the set dominates another
-// distinct member (the shape required of a high-water set, Definition 6).
-func (l *Lattice) IsAntichain(ps []Predicate) bool {
-	for i, p := range ps {
-		for j, q := range ps {
-			if i != j && l.Dominates(p, q) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Maximal reduces a predicate set to its maximal elements under dominance:
 // the unique minimal antichain that dominates every input. Duplicates are
 // removed; the result is sorted.
@@ -253,19 +208,6 @@ func (l *Lattice) Maximal(ps []Predicate) []Predicate {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// DominatesAll reports whether p dominates every member of the set. A
-// consumer whose credentials dominate the conjunction of a high-water set
-// can see the complete graph (§3.1); with nickname predicates that is
-// exactly "p dominates every member".
-func (l *Lattice) DominatesAll(p Predicate, ps []Predicate) bool {
-	for _, q := range ps {
-		if !l.Dominates(p, q) {
-			return false
-		}
-	}
-	return true
 }
 
 // SomeMemberDominates reports whether some member of the set dominates q.

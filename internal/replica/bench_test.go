@@ -318,7 +318,7 @@ func chainID(chain, i int) string {
 }
 
 // waitBenchCaughtUp waits until the follower has fully caught up with
-// the (still-moving) primary — WaitCaughtUp alone would return before
+// the (still-moving) primary — waitCaughtUp alone would return before
 // the follower has observed fresh ingest.
 func waitBenchCaughtUp(t *testing.T, r *Replica) {
 	t.Helper()

@@ -53,9 +53,7 @@ func TestCoalesceDrainsWithoutFurtherEvents(t *testing.T) {
 	ingestChain(t, c, "only", 3)
 	// No more writes: only the AfterFunc can flush this.
 	waitForRev(t, r, pm.Revision())
-	if err := r.WaitCaughtUp(contextWithTimeout(t)); err != nil {
-		t.Fatal(err)
-	}
+	waitCaughtUp(t, r)
 }
 
 func chainName(i int) string {

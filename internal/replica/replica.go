@@ -598,26 +598,6 @@ func (r *Replica) Health() *plus.ReplicaHealth {
 	}
 }
 
-// WaitCaughtUp blocks until the follower has applied everything the
-// primary reports (lag 0 with a known primary revision) or ctx ends —
-// the readiness gate tests and smoke probes use.
-func (r *Replica) WaitCaughtUp(ctx context.Context) error {
-	for {
-		h := r.Health()
-		if h.PrimaryRev > 0 && h.LagRevisions == 0 && h.State == string(StateFollowing) {
-			return nil
-		}
-		if h.State == string(StateFailed) {
-			return fmt.Errorf("replica: failed while waiting to catch up")
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-}
-
 // DefaultStatePath places the cursor sidecar next to a durable store
 // file (plusd derives it from -db when -follow-state is not given).
 func DefaultStatePath(dbPath string) string {

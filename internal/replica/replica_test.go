@@ -77,17 +77,25 @@ func runFollower(t *testing.T, r *Replica) (context.CancelFunc, chan error) {
 	return cancel, done
 }
 
+// waitCaughtUp blocks until the follower has applied everything the
+// primary reports: lag 0 with a known primary revision.
 func waitCaughtUp(t *testing.T, r *Replica) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := r.WaitCaughtUp(ctx); err != nil {
-		t.Fatalf("follower never caught up: %v (health %+v)", err, r.Health())
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		h := r.Health()
+		if h.PrimaryRev > 0 && h.LagRevisions == 0 && h.State == string(StateFollowing) {
+			return
+		}
+		if h.State == string(StateFailed) || time.Now().After(deadline) {
+			t.Fatalf("follower never caught up (health %+v)", h)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // waitForRev blocks until the follower has applied at least rev —
-// unlike WaitCaughtUp it cannot be fooled by calling it before the
+// unlike waitCaughtUp it cannot be fooled by calling it before the
 // follower has observed a fresh primary write.
 func waitForRev(t *testing.T, r *Replica, rev uint64) {
 	t.Helper()

@@ -54,7 +54,7 @@ type Registry struct {
 	labeling *privilege.Labeling
 	byNode   map[graph.NodeID][]Surrogate
 	ids      map[graph.NodeID]graph.NodeID // surrogate id -> original
-	// nullDefault, when true, makes Select fall back to a synthesised
+	// nullDefault, when true, makes SelectForSet fall back to a synthesised
 	// <null> surrogate (visible via Public) for nodes with no applicable
 	// provider surrogate.
 	nullDefault bool
@@ -74,9 +74,6 @@ func NewRegistry(lb *privilege.Labeling) *Registry {
 // surrogate used when no provider surrogate applies. The paper allows but
 // does not require this ("<null> can be used as a default surrogate").
 func (r *Registry) EnableNullDefault() { r.nullDefault = true }
-
-// NullDefaultEnabled reports whether the implicit <null> fallback is on.
-func (r *Registry) NullDefaultEnabled() bool { return r.nullDefault }
 
 // Add registers a surrogate for an original node, validating the paper's
 // constraints against the labeling and previously registered siblings.
@@ -121,16 +118,6 @@ func (r *Registry) Add(original graph.NodeID, s Surrogate) error {
 	return nil
 }
 
-// AddNull registers an explicit <null> surrogate for the node, visible via
-// the given predicate with infoScore 0.
-func (r *Registry) AddNull(original graph.NodeID, lowest privilege.Predicate) error {
-	return r.Add(original, Surrogate{
-		ID:     NullID(original),
-		Lowest: lowest,
-		IsNull: true,
-	})
-}
-
 // Surrogates returns the registered surrogates for a node, sorted by ID.
 func (r *Registry) Surrogates(original graph.NodeID) []Surrogate {
 	out := append([]Surrogate(nil), r.byNode[original]...)
@@ -138,30 +125,18 @@ func (r *Registry) Surrogates(original graph.NodeID) []Surrogate {
 	return out
 }
 
-// OriginalOf resolves a surrogate id back to its original node.
-func (r *Registry) OriginalOf(id graph.NodeID) (graph.NodeID, bool) {
-	orig, ok := r.ids[id]
-	return orig, ok
-}
-
-// Select returns the surrogate to stand in for the original node in a
-// protected account with high-water predicate p, implementing the dominant
-// surrogacy property (Definition 9 part 2): among surrogates visible via p
-// (p dominates lowest(s)), choose one whose lowest predicate is maximal;
-// ties are broken by higher infoScore, then by id, keeping selection
-// deterministic. If incomparable candidates remain, the infoScore/id
-// tie-break plays the role of the paper's "domain-dependent function".
+// SelectForSet returns the surrogate to stand in for the original node in
+// a protected account with high-water set hw, implementing the dominant
+// surrogacy property (Definition 9 part 2, generalised to a high-water set
+// by Appendix B): a surrogate is applicable when some member of the set
+// dominates its lowest predicate; among applicable surrogates one whose
+// lowest predicate is maximal is chosen, ties broken by higher infoScore,
+// then by id, keeping selection deterministic. If incomparable candidates
+// remain, the infoScore/id tie-break plays the role of the paper's
+// "domain-dependent function".
 //
 // The boolean result is false when no surrogate applies (and the null
 // default is disabled): the node is simply omitted from the account.
-func (r *Registry) Select(original graph.NodeID, p privilege.Predicate) (Surrogate, bool) {
-	return r.SelectForSet(original, []privilege.Predicate{p})
-}
-
-// SelectForSet generalises Select to a high-water set (Appendix B): a
-// surrogate is applicable when some member of the set dominates its lowest
-// predicate; among applicable surrogates the dominance-maximal ones are
-// preferred, with infoScore and id as deterministic tie-breaks.
 func (r *Registry) SelectForSet(original graph.NodeID, hw []privilege.Predicate) (Surrogate, bool) {
 	lat := r.labeling.Lattice()
 	var candidates []Surrogate

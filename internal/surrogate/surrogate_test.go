@@ -29,8 +29,8 @@ func TestAddValidSurrogate(t *testing.T) {
 	if len(got) != 1 || got[0].ID != "f'" {
 		t.Fatalf("Surrogates(f) = %v", got)
 	}
-	if orig, ok := r.OriginalOf("f'"); !ok || orig != "f" {
-		t.Errorf("OriginalOf(f') = %v,%v", orig, ok)
+	if orig := r.ids["f'"]; orig != "f" {
+		t.Errorf("f' registered for %q, want f", orig)
 	}
 }
 
@@ -114,24 +114,24 @@ func TestSelectPrefersMostDominant(t *testing.T) {
 	if err := r.Add("f", Surrogate{ID: "f-low", Lowest: "Low-2", InfoScore: 0.7}); err != nil {
 		t.Fatal(err)
 	}
-	s, ok := r.Select("f", "Low-2")
+	s, ok := r.SelectForSet("f", []privilege.Predicate{"Low-2"})
 	if !ok || s.ID != "f-low" {
-		t.Errorf("Select(Low-2) = %v,%v; want f-low", s.ID, ok)
+		t.Errorf("SelectForSet(Low-2) = %v,%v; want f-low", s.ID, ok)
 	}
 	// A Public consumer can only see the Public surrogate.
-	s, ok = r.Select("f", privilege.Public)
+	s, ok = r.SelectForSet("f", []privilege.Predicate{privilege.Public})
 	if !ok || s.ID != "f-pub" {
-		t.Errorf("Select(Public) = %v,%v; want f-pub", s.ID, ok)
+		t.Errorf("SelectForSet(Public) = %v,%v; want f-pub", s.ID, ok)
 	}
 }
 
 func TestSelectNoCandidate(t *testing.T) {
 	_, r := fixture(t)
-	if _, ok := r.Select("f", privilege.Public); ok {
-		t.Error("Select returned a surrogate with empty registry")
+	if _, ok := r.SelectForSet("f", []privilege.Predicate{privilege.Public}); ok {
+		t.Error("SelectForSet returned a surrogate with empty registry")
 	}
 	r.EnableNullDefault()
-	s, ok := r.Select("f", privilege.Public)
+	s, ok := r.SelectForSet("f", []privilege.Predicate{privilege.Public})
 	if !ok || !s.IsNull || s.ID != NullID("f") {
 		t.Errorf("null default not applied: %+v ok=%v", s, ok)
 	}
@@ -159,14 +159,14 @@ func TestSelectIncomparableTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	// High-2 consumer: both visible; High-2 surrogate dominates Low-2 one.
-	s, ok := r.Select("x", "High-2")
+	s, ok := r.SelectForSet("x", []privilege.Predicate{"High-2"})
 	if !ok || s.ID != "x-b" {
-		t.Errorf("Select(High-2) = %v, want x-b", s.ID)
+		t.Errorf("SelectForSet(High-2) = %v, want x-b", s.ID)
 	}
 	// Low-2 consumer: only x-a visible.
-	s, ok = r.Select("x", "Low-2")
+	s, ok = r.SelectForSet("x", []privilege.Predicate{"Low-2"})
 	if !ok || s.ID != "x-a" {
-		t.Errorf("Select(Low-2) = %v, want x-a", s.ID)
+		t.Errorf("SelectForSet(Low-2) = %v, want x-a", s.ID)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestSelectTieBreakByScoreThenID(t *testing.T) {
 	if err := r.Add("x", Surrogate{ID: "x-1", Lowest: "Low-2", InfoScore: 0.6}); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := r.Select("x", "Low-2"); s.ID != "x-1" {
+	if s, _ := r.SelectForSet("x", []privilege.Predicate{"Low-2"}); s.ID != "x-1" {
 		t.Errorf("score tie-break failed: %v", s.ID)
 	}
 	// Equal scores: lexicographically smaller id wins.
@@ -194,17 +194,17 @@ func TestSelectTieBreakByScoreThenID(t *testing.T) {
 	if err := r2.Add("x", Surrogate{ID: "x-a", Lowest: "Low-2", InfoScore: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := r2.Select("x", "Low-2"); s.ID != "x-a" {
+	if s, _ := r2.SelectForSet("x", []privilege.Predicate{"Low-2"}); s.ID != "x-a" {
 		t.Errorf("id tie-break failed: %v", s.ID)
 	}
 }
 
 func TestAddNull(t *testing.T) {
 	_, r := fixture(t)
-	if err := r.AddNull("f", privilege.Public); err != nil {
+	if err := r.Add("f", Surrogate{ID: NullID("f"), Lowest: privilege.Public, IsNull: true}); err != nil {
 		t.Fatal(err)
 	}
-	s, ok := r.Select("f", privilege.Public)
+	s, ok := r.SelectForSet("f", []privilege.Predicate{privilege.Public})
 	if !ok || !s.IsNull || s.InfoScore != 0 {
 		t.Errorf("explicit null not selected: %+v ok=%v", s, ok)
 	}
@@ -222,7 +222,7 @@ func TestCloneIndependence(t *testing.T) {
 	if len(r.Surrogates("f")) != 1 {
 		t.Error("clone mutation leaked")
 	}
-	if !c.NullDefaultEnabled() && c.Labeling() != r.Labeling() {
+	if c.Labeling() != r.Labeling() {
 		t.Error("clone should share labeling")
 	}
 }

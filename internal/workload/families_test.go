@@ -20,10 +20,10 @@ func TestGenerateFamilyInvariants(t *testing.T) {
 		if g.NumNodes() != 100 {
 			t.Errorf("%s: nodes = %d", fam, g.NumNodes())
 		}
-		if !g.IsDAG() {
+		if _, acyclic := longestPath(g); !acyclic {
 			t.Errorf("%s: cyclic", fam)
 		}
-		if !g.IsWeaklyConnected() {
+		if !weaklyConnected(g) {
 			t.Errorf("%s: disconnected", fam)
 		}
 		wantProt := int(0.3*float64(g.NumEdges()) + 0.5)
@@ -80,7 +80,7 @@ func TestFamilyShapesDiffer(t *testing.T) {
 			maxDeg(scaleFree.Graph), maxDeg(layered.Graph))
 	}
 	// Layered graphs have a long directed diameter relative to layers.
-	l, _, ok := layered.Graph.LongestPathDAG()
+	l, ok := longestPath(layered.Graph)
 	if !ok || l < 5 {
 		t.Errorf("layered longest path = %d, want >= 5", l)
 	}

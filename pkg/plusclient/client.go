@@ -6,7 +6,7 @@
 // into the server's lineage and query engines. The caller's identity
 // travels as the client's principal: a signed session token attached
 // with WithToken (e.g. minted offline by `plusctl session mint`), a
-// session established with Mint/NewSession — which the client then
+// session established with Mint — which the client then
 // transparently re-mints before expiry — or, against servers in the
 // legacy open mode, a bare viewer predicate attached with WithViewer.
 // 401 and 403 answers match the ErrUnauthorized and ErrForbidden
@@ -29,6 +29,8 @@ package plusclient
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
+	"crypto/x509"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,6 +58,9 @@ type Client struct {
 	// unreadable bundle): New stays infallible, and the first request
 	// surfaces the problem instead of silently skipping verification.
 	initErr error
+	// caPool is WithCAFile's bundle; New rewraps the final transport
+	// with it.
+	caPool *x509.CertPool
 
 	// mu guards the session fields below.
 	mu sync.Mutex
@@ -91,18 +96,18 @@ func WithViewer(viewer string) Option { return func(c *Client) { c.viewer = view
 
 // WithToken attaches a signed session token to every request (the
 // X-Plus-Session header) — e.g. one minted offline with `plusctl session
-// mint`. The client sends it as-is; call Mint or NewSession instead to
-// get auto-refresh before expiry.
+// mint`. The client sends it as-is; call Mint instead to get
+// auto-refresh before expiry.
 func WithToken(token string) Option { return func(c *Client) { c.session = token } }
-
-// WithSessionToken is the historical name of WithToken.
-func WithSessionToken(token string) Option { return WithToken(token) }
 
 // New targets a server base URL such as "http://localhost:7337".
 func New(base string, opts ...Option) *Client {
 	c := &Client{base: base, http: &http.Client{}}
 	for _, o := range opts {
 		o(c)
+	}
+	if c.caPool != nil {
+		c.http = httpClientWithTLS(c.http, &tls.Config{RootCAs: c.caPool})
 	}
 	return c
 }
@@ -372,18 +377,6 @@ func (c *Client) Mint(ctx context.Context, req SessionRequest) (SessionResponse,
 	}
 	c.adoptSession(resp)
 	return resp, nil
-}
-
-// NewSession mints a server session bound to the viewer predicate and
-// switches the client onto it: subsequent requests authenticate with the
-// auto-refreshed session token instead of the viewer header. It returns
-// the token so callers can persist or share it.
-func (c *Client) NewSession(ctx context.Context, viewer string) (string, error) {
-	resp, err := c.Mint(ctx, SessionRequest{Viewer: viewer})
-	if err != nil {
-		return "", err
-	}
-	return resp.Token, nil
 }
 
 // Session reports the client's current token and its expiry (zero when

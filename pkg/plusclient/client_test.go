@@ -128,10 +128,11 @@ func TestSDKSession(t *testing.T) {
 	if _, err := c.Batch(ctx, fixtureBatch()); err != nil {
 		t.Fatal(err)
 	}
-	token, err := c.NewSession(ctx, "Protected")
+	sess, err := c.Mint(ctx, SessionRequest{Viewer: "Protected"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	token := sess.Token
 	if token == "" {
 		t.Fatal("empty session token")
 	}
@@ -143,7 +144,7 @@ func TestSDKSession(t *testing.T) {
 		t.Errorf("session principal = %q", res.Viewer)
 	}
 	// A second client reusing the token gets the same principal.
-	c2 := New(c.base, WithSessionToken(token), WithHTTPClient(c.http))
+	c2 := New(c.base, WithToken(token), WithHTTPClient(c.http))
 	res, err = c2.Lineage(ctx, LineageRequest{Start: "report"})
 	if err != nil || res.Viewer != "Protected" {
 		t.Errorf("shared token lineage = %+v, %v", res, err)

@@ -11,18 +11,26 @@ import (
 // NewTLSHTTPClient builds an *http.Client whose transport verifies
 // servers against the PEM CA bundle at caFile — how tools talk to an
 // https plusd serving a self-signed chain (plusd -tls-self-signed writes
-// the cert.pem to hand here). plusctl's -tls-ca and the SDK's WithCAFile
-// ride on it.
+// the cert.pem to hand here). plusctl's -tls-ca rides on it.
 func NewTLSHTTPClient(caFile string) (*http.Client, error) {
-	pemBytes, err := os.ReadFile(caFile)
+	pool, err := loadCAPool(caFile)
+	if err != nil {
+		return nil, err
+	}
+	return httpClientWithTLS(nil, &tls.Config{RootCAs: pool}), nil
+}
+
+// loadCAPool reads the PEM CA bundle at path into a certificate pool.
+func loadCAPool(path string) (*x509.CertPool, error) {
+	pemBytes, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("plusclient: tls ca: %w", err)
 	}
 	pool := x509.NewCertPool()
 	if !pool.AppendCertsFromPEM(pemBytes) {
-		return nil, fmt.Errorf("plusclient: tls ca: no certificates in %s", caFile)
+		return nil, fmt.Errorf("plusclient: tls ca: no certificates in %s", path)
 	}
-	return httpClientWithTLS(nil, &tls.Config{RootCAs: pool}), nil
+	return pool, nil
 }
 
 // httpClientWithTLS derives a client from base (nil = fresh) whose
@@ -53,29 +61,14 @@ func httpClientWithTLS(base *http.Client, tc *tls.Config) *http.Client {
 	return out
 }
 
-// WithTLSConfig rewraps the client's transport (compose after
-// WithHTTPClient when both are given) with tc — e.g. a RootCAs pool for
-// a self-signed primary, or client certificates.
-func WithTLSConfig(tc *tls.Config) Option {
-	return func(c *Client) { c.http = httpClientWithTLS(c.http, tc) }
-}
-
 // WithCAFile points the client's TLS verification at the PEM CA bundle
 // at path, for https servers whose chain the system roots do not cover.
-// A read or parse failure is deferred: it surfaces as the error of the
-// first request, so New stays infallible.
+// New applies it after every other option, so it also covers a client
+// given by WithHTTPClient in either order. A read or parse failure is
+// deferred: it surfaces as the error of the first request, so New stays
+// infallible.
 func WithCAFile(path string) Option {
 	return func(c *Client) {
-		pemBytes, err := os.ReadFile(path)
-		if err != nil {
-			c.initErr = fmt.Errorf("plusclient: tls ca: %w", err)
-			return
-		}
-		pool := x509.NewCertPool()
-		if !pool.AppendCertsFromPEM(pemBytes) {
-			c.initErr = fmt.Errorf("plusclient: tls ca: no certificates in %s", path)
-			return
-		}
-		c.http = httpClientWithTLS(c.http, &tls.Config{RootCAs: pool})
+		c.caPool, c.initErr = loadCAPool(path)
 	}
 }

@@ -99,3 +99,14 @@ func TestWithCAFileDoesNotMutateBaseClient(t *testing.T) {
 		t.Error("base client gained the custom CA trust")
 	}
 }
+
+// WithCAFile must hold whatever the option order: a WithHTTPClient
+// given after it still verifies against the CA bundle.
+func TestWithCAFileSurvivesLaterWithHTTPClient(t *testing.T) {
+	ts, caFile, _ := newTLSTestServer(t)
+
+	c := New(ts.URL, WithCAFile(caFile), WithHTTPClient(&http.Client{}))
+	if _, err := c.Healthz(context.Background()); err != nil {
+		t.Fatalf("healthz with WithCAFile before WithHTTPClient: %v", err)
+	}
+}
