@@ -181,26 +181,28 @@ func GenerateHideForSet(spec *Spec, hw []privilege.Predicate) (*Account, error) 
 	if err != nil {
 		return nil, err
 	}
-	a := newAccount(hw)
+	// G' starts as a slot-preserving copy of G (see GenerateForSet) and
+	// loses what the viewer may not see.
+	g := spec.Graph
+	ids := g.Nodes()
+	edges := g.Edges()
+	a := newAccount(g.Clone(), hw)
 	v := hwView{spec: spec, hw: hw}
-	for _, id := range spec.Graph.Nodes() {
-		if v.nodeVisible(id) {
-			n, _ := spec.Graph.NodeByID(id)
-			a.Graph.AddNode(n)
-			a.ToOriginal[id] = id
-			a.FromOriginal[id] = id
-			a.InfoScore[id] = 1
-		}
-	}
-	for _, e := range spec.Graph.Edges() {
-		if !a.Present(e.From) || !a.Present(e.To) {
+	for _, id := range ids {
+		if !v.nodeVisible(id) {
+			a.Graph.RemoveNode(id)
 			continue
+		}
+		a.ToOriginal[id] = id
+		a.FromOriginal[id] = id
+		a.InfoScore[id] = 1
+	}
+	for _, e := range edges {
+		if !a.Present(e.From) || !a.Present(e.To) {
+			continue // went with its endpoint
 		}
 		if v.mark(e.From, e.ID()) != policy.Visible || v.mark(e.To, e.ID()) != policy.Visible {
-			continue
-		}
-		if err := a.Graph.AddEdge(e); err != nil {
-			return nil, err
+			a.Graph.RemoveEdge(e.From, e.To)
 		}
 	}
 	return a, nil
@@ -237,45 +239,58 @@ func GenerateForSet(spec *Spec, hw []privilege.Predicate) (*Account, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := newAccount(hw)
+	// G' starts as a slot-preserving copy of G, sharing its order memo and
+	// feature maps, and is cut down to the account in place below instead
+	// of being rebuilt one node and edge at a time.
+	g := spec.Graph
+	ids := g.Nodes()
+	a := newAccount(g.Clone(), hw)
 	v := hwView{spec: spec, hw: hw}
 
 	// Algorithm 1 lines 4–10: node selection.
-	for _, id := range spec.Graph.Nodes() {
+	var omitted, replaced []graph.NodeID
+	for _, id := range ids {
 		if v.nodeVisible(id) {
-			n, _ := spec.Graph.NodeByID(id)
-			a.Graph.AddNode(n)
 			a.ToOriginal[id] = id
 			a.FromOriginal[id] = id
 			a.InfoScore[id] = 1
 			continue
 		}
-		s, ok := spec.Surrogates.SelectForSet(id, hw)
+		s, ok := selectSurrogate(spec, id, hw)
 		if !ok {
-			continue // omitted: no releasable version exists
+			omitted = append(omitted, id) // no releasable version exists
+			continue
 		}
-		a.Graph.AddNode(graph.Node{ID: s.ID, Features: s.Features})
 		a.ToOriginal[s.ID] = id
 		a.FromOriginal[id] = s.ID
 		a.InfoScore[s.ID] = s.InfoScore
 		a.SurrogateNodes[s.ID] = s
+		replaced = append(replaced, id)
 	}
 
+	// Algorithm 3: classify edges by effective disposition. Show edges
+	// (both incidences effectively Visible, hence both endpoints present)
+	// stay where they are; every other edge goes. Then omitted nodes are
+	// freed and each surrogate takes its original's slot, inheriting its
+	// Show edges.
 	w := &walker{view: v, acct: a}
-
-	// Algorithm 3: classify edges by effective disposition.
 	var contract []graph.EdgeID
-	for _, e := range spec.Graph.Edges() {
+	for _, e := range g.Edges() {
 		switch w.disposition(e.ID()) {
 		case policy.ShowEdge:
-			// Both incidences effectively Visible, hence both endpoints
-			// present: copy the edge onto the corresponding nodes.
-			ge := graph.Edge{From: a.FromOriginal[e.From], To: a.FromOriginal[e.To], Label: e.Label}
-			if err := a.Graph.AddEdge(ge); err != nil {
-				return nil, err
-			}
+			continue
 		case policy.ContractEdge:
 			contract = append(contract, e.ID())
+		}
+		a.Graph.RemoveEdge(e.From, e.To)
+	}
+	for _, id := range omitted {
+		a.Graph.RemoveNode(id)
+	}
+	for _, id := range replaced {
+		s := a.SurrogateNodes[a.FromOriginal[id]]
+		if err := a.Graph.ReplaceNode(id, graph.Node{ID: s.ID, Features: s.Features}); err != nil {
+			return nil, err
 		}
 	}
 
@@ -410,9 +425,18 @@ func (w *walker) completionSweep() error {
 	return nil
 }
 
-func newAccount(hw []privilege.Predicate) *Account {
+// selectSurrogate is the surrogate selection of Algorithm 1 for one hidden
+// node of the spec graph, shared by generation and maintenance: the most
+// dominant applicable surrogate under hw, where a surrogate whose id names
+// a node of G is not applicable. In G' such a surrogate would stand where
+// that node stands, merging the two.
+func selectSurrogate(spec *Spec, id graph.NodeID, hw []privilege.Predicate) (surrogate.Surrogate, bool) {
+	return spec.Surrogates.SelectForSet(id, hw, spec.Graph.HasNode)
+}
+
+func newAccount(g *graph.Graph, hw []privilege.Predicate) *Account {
 	a := &Account{
-		Graph:          graph.New(),
+		Graph:          g,
 		HighWater:      hw,
 		ToOriginal:     map[graph.NodeID]graph.NodeID{},
 		FromOriginal:   map[graph.NodeID]graph.NodeID{},

@@ -76,7 +76,7 @@ func (a *Account) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &ja); err != nil {
 		return fmt.Errorf("account: decode: %w", err)
 	}
-	fresh := newAccount(nil)
+	fresh := newAccount(graph.New(), nil)
 	for _, p := range ja.HighWater {
 		fresh.HighWater = append(fresh.HighWater, privilege.Predicate(p))
 	}
@@ -95,14 +95,15 @@ func (a *Account) UnmarshalJSON(data []byte) error {
 		if _, dup := fresh.FromOriginal[orig]; dup {
 			return fmt.Errorf("account: decode: original %s mapped twice", orig)
 		}
-		fresh.Graph.AddNode(graph.Node{ID: id, Features: jn.Features})
+		feats := graph.Features(jn.Features).Interned()
+		fresh.Graph.AddNode(graph.Node{ID: id, Features: feats})
 		fresh.ToOriginal[id] = orig
 		fresh.FromOriginal[orig] = id
 		fresh.InfoScore[id] = jn.InfoScore
 		if jn.Surrogate {
 			fresh.SurrogateNodes[id] = surrogate.Surrogate{
 				ID:        id,
-				Features:  graph.Features(jn.Features).Clone(),
+				Features:  feats,
 				Lowest:    privilege.Predicate(jn.Lowest),
 				InfoScore: jn.InfoScore,
 				IsNull:    jn.Null,

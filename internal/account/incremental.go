@@ -183,6 +183,13 @@ func Maintain(a *Account, spec *Spec, d Delta, pre *PreState) (*Account, Maintai
 			return rebuild(CauseThresholdChange, fmt.Sprintf("node %s changed its protection threshold", u))
 		}
 	}
+	for _, u := range d.NewNodes {
+		if orig, ok := a.ToOriginal[u]; ok && orig != u {
+			// u is the id of orig's surrogate, which is not applicable
+			// once u names a node of G (selectSurrogate).
+			return rebuild(CauseSurrogateChange, fmt.Sprintf("new node %s is the id of %s's surrogate", u, orig))
+		}
+	}
 	for _, u := range d.SurrogateFor {
 		if newSet[u] {
 			continue // handled by node addition below
@@ -191,7 +198,7 @@ func Maintain(a *Account, spec *Spec, d Delta, pre *PreState) (*Account, Maintai
 		if present && mapped == u {
 			continue // visible as itself; surrogates are irrelevant
 		}
-		s, ok := spec.Surrogates.SelectForSet(u, v.hw)
+		s, ok := selectSurrogate(spec, u, v.hw)
 		switch {
 		case !present && ok:
 			return rebuild(CauseSurrogateChange, fmt.Sprintf("hidden node %s gained a releasable surrogate", u))
@@ -223,7 +230,7 @@ func Maintain(a *Account, spec *Spec, d Delta, pre *PreState) (*Account, Maintai
 			st.AddedNodes = append(st.AddedNodes, u)
 			continue
 		}
-		if s, ok := spec.Surrogates.SelectForSet(u, v.hw); ok {
+		if s, ok := selectSurrogate(spec, u, v.hw); ok {
 			a.Graph.AddNode(graph.Node{ID: s.ID, Features: s.Features})
 			a.ToOriginal[s.ID] = u
 			a.FromOriginal[u] = s.ID

@@ -605,3 +605,32 @@ func TestMaintainEmptyDelta(t *testing.T) {
 		t.Fatalf("empty delta: got %p (acct %p), st %+v, err %v", got, h.acct, st, err)
 	}
 }
+
+// TestMaintainSurrogateIDTakenByNewNode: a surrogate whose id later comes
+// to name a node of G stops being applicable (selectSurrogate), in
+// generation and in maintenance alike. The delta that adds that node
+// regenerates, and the hidden original falls back to its next surrogate.
+func TestMaintainSurrogateIDTakenByNewNode(t *testing.T) {
+	h := newHarness(t, privilege.Public)
+	h.addNode("a", "", policy.Visible, graph.Features{"name": "a"})
+	h.addNode("y", "Protected", policy.Surrogate, graph.Features{"name": "y"})
+	h.addEdge("y", "a")
+	h.addSurrogate("y", "x", privilege.Public, 0.5)
+	h.addSurrogate("y", "y2", privilege.Public, 0.4)
+	h.step(false)
+	if got := h.acct.FromOriginal["y"]; got != "x" {
+		t.Fatalf("y stands as %q, want its best surrogate x", got)
+	}
+
+	h.addNode("x", "", policy.Visible, graph.Features{"name": "x"})
+	h.addEdge("x", "a")
+	if st := h.step(true); st.Cause != CauseSurrogateChange {
+		t.Fatalf("rebuild cause %q, want %q", st.Cause, CauseSurrogateChange)
+	}
+	if got := h.acct.FromOriginal["y"]; got != "y2" {
+		t.Fatalf("y stands as %q once x is a node, want y2", got)
+	}
+	if n, _ := h.acct.Graph.NodeByID("x"); n.Features["name"] != "x" || h.acct.ToOriginal["x"] != "x" {
+		t.Fatalf("x is not the original x: %v -> %s", n.Features, h.acct.ToOriginal["x"])
+	}
+}

@@ -66,9 +66,10 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// Node adds a node with optional features; lowest "" means Public.
+// Node adds a node with optional features; lowest "" means Public. The
+// features are copied (interned), so the caller keeps its map.
 func (b *Builder) Node(id graph.NodeID, lowest privilege.Predicate, features graph.Features) *Builder {
-	b.graph.AddNode(graph.Node{ID: id, Features: features})
+	b.graph.AddNode(graph.Node{ID: id, Features: features.Interned()})
 	if lowest != "" && lowest != privilege.Public {
 		b.fail(b.labeling.SetNode(id, lowest))
 	}

@@ -194,12 +194,17 @@ func checkAgainstModel(t *testing.T, step int, g *Graph, m *opsModel) {
 // duplicate, self-loop and unknown-endpoint errors), edge and node
 // removals, and re-adds of removed ids that reuse freed slots — and checks
 // every accessor against opsModel after each step. At the end it checks
-// Equal, Clone, the JSON round trip and ConnectedPairsAll.
+// Equal, Clone, the JSON round trip and ConnectedPairsAll, and that no
+// operation wrote into a feature map the graph was handed: AddNode takes
+// ownership without a copy, so each handed map must still hold exactly
+// what it held when it was handed over.
 func FuzzGraphOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 0, 1, 3, 1, 0, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := New()
 		m := &opsModel{nodes: map[NodeID]Features{}, edges: map[EdgeID]string{}}
+		type handed struct{ m, was Features }
+		var given []handed
 		for i := 0; i+2 < len(data) && i < 3*64; i += 3 {
 			a, b := opsIDs[int(data[i+1])%len(opsIDs)], opsIDs[int(data[i+2])%len(opsIDs)]
 			switch data[i] % 5 {
@@ -207,6 +212,7 @@ func FuzzGraphOps(f *testing.F) {
 				feats := Features{"v": fmt.Sprint(data[i+2] % 3)}
 				g.AddNode(Node{ID: a, Features: feats})
 				m.nodes[a] = feats.Clone()
+				given = append(given, handed{feats, feats.Clone()})
 			case 1:
 				e := Edge{From: a, To: b, Label: fmt.Sprint("l", data[i+2]%2)}
 				var got string
@@ -271,6 +277,11 @@ func FuzzGraphOps(f *testing.F) {
 		for _, id := range g.Nodes() {
 			if want := m.connectedPairs(id); all[id] != want {
 				t.Fatalf("ConnectedPairsAll[%s] = %d, want %d", id, all[id], want)
+			}
+		}
+		for i, h := range given {
+			if !h.m.Equal(h.was) {
+				t.Fatalf("feature map %d handed to AddNode was written into: %v, handed as %v", i, h.m, h.was)
 			}
 		}
 	})

@@ -19,6 +19,7 @@ package graph
 
 import (
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 	"strings"
@@ -78,7 +79,9 @@ func (f Features) Equal(g Features) bool {
 // values are the canonical interned strings (intern.Canon): value-equal to
 // the originals, but every graph holding the same attribute or value
 // shares one backing array, and each carries a symbol for integer
-// comparison in the secondary indexes.
+// comparison in the secondary indexes. AddNode does not intern; decoders
+// that bring strings in from outside the store call this before handing
+// the map over (the store interns at its own ingest).
 func (f Features) Interned() Features {
 	if f == nil {
 		return nil
@@ -90,9 +93,12 @@ func (f Features) Interned() Features {
 	return out
 }
 
-// Node is a graph node: an identifier plus its feature set. Nodes are value
-// types; Graph stores copies, so mutating a Node after insertion does not
-// change the graph.
+// Node is a graph node: an identifier plus its feature set. A feature map
+// is immutable once it is handed to a Graph: AddNode takes ownership of it
+// without a copy, and NodeByID, Clone and graphs derived from this one
+// share it. A caller that wants different features builds a new map (or
+// Features.Clone) and adds the node again; no graph operation ever writes
+// into a feature map.
 type Node struct {
 	ID       NodeID
 	Features Features
@@ -166,12 +172,10 @@ func (g *Graph) NumNodes() int { return len(g.slot) }
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// AddNode inserts a node, replacing any node with the same ID. The node's
-// feature map is copied, with keys and values canonicalised through the
-// global intern table so every graph shares one backing string per
-// distinct attribute or value.
+// AddNode inserts a node, replacing any node with the same ID. The graph
+// takes ownership of the node's feature map: it is neither copied nor
+// interned, and the caller must not write into it afterwards (see Node).
 func (g *Graph) AddNode(n Node) {
-	n.Features = n.Features.Interned()
 	if s, ok := g.slot[n.ID]; ok {
 		g.nodes[s] = n
 		return
@@ -189,6 +193,26 @@ func (g *Graph) AddNode(n Node) {
 	}
 	g.slot[n.ID] = s
 	g.order.Store(nil)
+}
+
+// ReplaceNode writes n into the slot of node old, which keeps its incident
+// edges: a rename when n.ID differs from old. It fails when old is not a
+// node or n.ID names another node.
+func (g *Graph) ReplaceNode(old NodeID, n Node) error {
+	s, ok := g.slot[old]
+	if !ok {
+		return fmt.Errorf("graph: replace %s: unknown node", old)
+	}
+	if n.ID != old {
+		if _, taken := g.slot[n.ID]; taken {
+			return fmt.Errorf("graph: replace %s: node %s exists", old, n.ID)
+		}
+		delete(g.slot, old)
+		g.slot[n.ID] = s
+		g.order.Store(nil)
+	}
+	g.nodes[s] = n
+	return nil
 }
 
 // AddNodeID inserts a featureless node with the given id if not present.
@@ -356,6 +380,18 @@ func (g *Graph) Nodes() []NodeID {
 	return ids
 }
 
+// SortedNodes yields every node in the order Nodes returns their ids,
+// reading the memoised order in place instead of copying it.
+func (g *Graph) SortedNodes() iter.Seq[Node] {
+	return func(yield func(Node) bool) {
+		for _, s := range g.sorted().slots {
+			if !yield(g.nodes[s]) {
+				return
+			}
+		}
+	}
+}
+
 // Edges returns all edges sorted by (From, To).
 func (g *Graph) Edges() []Edge {
 	o := g.sorted()
@@ -439,21 +475,29 @@ func (g *Graph) Degree(id NodeID) int {
 	return out + in
 }
 
-// Clone returns a deep copy of the graph. It keeps the source's slots, so
-// the order memo, if built, is shared.
+// Clone returns a copy of the graph that mutates independently of it. It
+// keeps the source's slots, so the order memo, if built, is shared, and it
+// shares the nodes' feature maps, which no graph writes into (see Node).
+// Every adjacency list is a capacity-bounded window of one backing array:
+// an append moves that list out, a removal stays inside its window.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		slot:  maps.Clone(g.slot),
-		nodes: make([]Node, len(g.nodes)),
+		nodes: slices.Clone(g.nodes),
 		out:   make([][]int32, len(g.out)),
 		in:    make([][]int32, len(g.in)),
 		edges: maps.Clone(g.edges),
 		free:  slices.Clone(g.free),
 	}
-	for s, n := range g.nodes {
-		c.nodes[s] = Node{ID: n.ID, Features: n.Features.Clone()}
-		c.out[s] = slices.Clone(g.out[s])
-		c.in[s] = slices.Clone(g.in[s])
+	buf := make([]int32, 0, 2*len(g.edges))
+	window := func(adj []int32) []int32 {
+		lo := len(buf)
+		buf = append(buf, adj...)
+		return buf[lo:len(buf):len(buf)]
+	}
+	for s := range g.nodes {
+		c.out[s] = window(g.out[s])
+		c.in[s] = window(g.in[s])
 	}
 	c.order.Store(g.order.Load())
 	return c

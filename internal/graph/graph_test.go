@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -52,22 +53,37 @@ func reduce(g *Graph) *Graph {
 	return red
 }
 
-func TestAddNodeReplacesAndCopiesFeatures(t *testing.T) {
+// TestAddNodeReplacesAndOwnsFeatures pins the ownership contract of Node:
+// AddNode keeps the caller's feature map itself, Clone shares it, and
+// replacing a node hands over a new map without writing into the old one.
+func TestAddNodeReplacesAndOwnsFeatures(t *testing.T) {
+	same := func(a, b Features) bool {
+		return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+	}
 	g := New()
 	feats := Features{"name": "Joe"}
 	g.AddNode(Node{ID: "n", Features: feats})
-	feats["name"] = "mutated"
 	n, ok := g.NodeByID("n")
 	if !ok {
 		t.Fatal("node missing")
 	}
-	if n.Features["name"] != "Joe" {
-		t.Errorf("feature mutated through caller map: got %q", n.Features["name"])
+	if !same(n.Features, feats) {
+		t.Error("AddNode copied the feature map it was handed")
+	}
+	c := g.Clone()
+	if cn, _ := c.NodeByID("n"); !same(cn.Features, feats) {
+		t.Error("Clone copied a feature map")
 	}
 	g.AddNode(Node{ID: "n", Features: Features{"name": "Jane"}})
 	n, _ = g.NodeByID("n")
 	if n.Features["name"] != "Jane" {
 		t.Errorf("AddNode did not replace: got %q", n.Features["name"])
+	}
+	if feats["name"] != "Joe" || len(feats) != 1 {
+		t.Errorf("replacing the node wrote into its old map: %v", feats)
+	}
+	if cn, _ := c.NodeByID("n"); cn.Features["name"] != "Joe" {
+		t.Errorf("replacing a node changed the clone's: got %q", cn.Features["name"])
 	}
 	if g.NumNodes() != 1 {
 		t.Errorf("NumNodes = %d, want 1", g.NumNodes())
@@ -378,5 +394,37 @@ func TestTransitiveReductionProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestReplaceNodeKeepsEdges(t *testing.T) {
+	g := chain(t) // a->b->c->d->e
+	memo := g.Nodes()
+	if err := g.ReplaceNode("c", Node{ID: "z", Features: Features{"k": "v"}}); err != nil {
+		t.Fatal(err)
+	}
+	if g.HasNode("c") || !g.HasNode("z") || g.NumNodes() != len(memo) {
+		t.Fatalf("nodes after rename: %v", g.Nodes())
+	}
+	if got := g.Nodes(); got[len(got)-1] != "z" {
+		t.Errorf("order memo not rebuilt after rename: %v", got)
+	}
+	if !g.HasEdge("b", "z") || !g.HasEdge("z", "d") || g.NumEdges() != 4 {
+		t.Errorf("edges after rename: %v", g.Edges())
+	}
+	if n, _ := g.NodeByID("z"); n.Features["k"] != "v" {
+		t.Errorf("features after rename: %v", n.Features)
+	}
+	if err := g.ReplaceNode("z", Node{ID: "z", Features: Features{"k": "w"}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := g.NodeByID("z"); n.Features["k"] != "w" {
+		t.Errorf("features after in-place replace: %v", n.Features)
+	}
+	if err := g.ReplaceNode("z", Node{ID: "a"}); err == nil {
+		t.Error("rename onto an existing node accepted")
+	}
+	if err := g.ReplaceNode("nope", Node{ID: "q"}); err == nil {
+		t.Error("replace of an unknown node accepted")
 	}
 }

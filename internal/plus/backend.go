@@ -156,3 +156,10 @@ func validateSurrogate(sp SurrogateSpec) error {
 	}
 	return nil
 }
+
+// errSurrogateNamesObject refuses a surrogate whose id is an object's: in
+// a protected account it would stand where that object stands, and the
+// two would merge into one node.
+func errSurrogateNamesObject(sp SurrogateSpec) error {
+	return fmt.Errorf("plus: surrogate %s for %s names an object", sp.ID, sp.ForID)
+}

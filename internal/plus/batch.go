@@ -61,3 +61,27 @@ func (b *Batch) validate(stored func(id string) bool, hasEdge func(from, to stri
 	}
 	return nil
 }
+
+// checkSurrogateIDs refuses a surrogate whose id names an object, stored
+// or in the batch itself. Only client ingest runs it: Apply must not,
+// because followers apply a primary's records through Apply, and a primary
+// may hold such a surrogate — stored before its object, which no check
+// can refuse, or by a log written before this one existed. The engine
+// never applies such a surrogate either way (account's selectSurrogate),
+// so a concurrent write of the object between this check and the apply is
+// harmless.
+func (b *Batch) checkSurrogateIDs(stored func(id string) bool) error {
+	if len(b.Surrogates) == 0 {
+		return nil
+	}
+	inBatch := make(map[string]struct{}, len(b.Objects))
+	for _, o := range b.Objects {
+		inBatch[o.ID] = struct{}{}
+	}
+	for _, sp := range b.Surrogates {
+		if _, ok := inBatch[sp.ID]; ok || stored(sp.ID) {
+			return errSurrogateNamesObject(sp)
+		}
+	}
+	return nil
+}

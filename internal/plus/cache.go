@@ -47,7 +47,8 @@ type CachedEngine struct {
 }
 
 // lineageCacheBudget is the number of closure nodes the lineage cache may
-// hold (each pins on the order of 7 KB of Spec and Account).
+// hold (each pins about 1.2 KB of live Spec and Account; README, "The
+// lineage cache is bounded").
 const lineageCacheBudget = 1 << 17
 
 // LineageCacheStats reports the lineage cache counters.

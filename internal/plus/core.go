@@ -190,6 +190,9 @@ func (c *storeCore) PutSurrogate(sp SurrogateSpec) error {
 		if !c.tab.has(sp.ForID) {
 			return fmt.Errorf("plus: surrogate for %s: %w", sp.ForID, ErrNotFound)
 		}
+		if c.tab.has(sp.ID) {
+			return errSurrogateNamesObject(sp)
+		}
 		return nil
 	})
 	return err

@@ -3,6 +3,7 @@ package plus
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -151,5 +152,109 @@ func TestSnapshotQueriesDoNotBlockWriters(t *testing.T) {
 			close(stop)
 			<-writerDone
 		})
+	}
+}
+
+// dedupedWalk is the reference closure fetch: a sequential level BFS that
+// copies the adjacency lists a direction asks for and dedupes every edge
+// by its endpoints, whatever the direction.
+func dedupedWalk(sn *Snapshot, req Request) *fetched {
+	f := &fetched{}
+	seen := map[string]bool{req.Start: true}
+	edgeSeen := map[[2]string]bool{}
+	o, _ := sn.Object(req.Start)
+	f.objects = append(f.objects, o)
+	frontier := []string{req.Start}
+	depth := 0
+	for ; len(frontier) > 0 && (req.Depth == 0 || depth < req.Depth); depth++ {
+		var next []string
+		for _, cur := range frontier {
+			var steps []Edge
+			if req.Direction != graph.Backward {
+				steps = append(steps, sn.Out(cur)...)
+			}
+			if req.Direction != graph.Forward {
+				steps = append(steps, sn.In(cur)...)
+			}
+			for _, e := range steps {
+				n := e.To
+				if n == cur {
+					n = e.From
+				}
+				if req.LabelFilter != "" && e.Label != req.LabelFilter {
+					continue
+				}
+				if o, _ := sn.Object(n); req.KindFilter != "" && o.Kind != req.KindFilter {
+					continue
+				}
+				if key := [2]string{e.From, e.To}; !edgeSeen[key] {
+					edgeSeen[key] = true
+					f.edges = append(f.edges, e)
+				}
+				if !seen[n] {
+					seen[n] = true
+					o, _ := sn.Object(n)
+					f.objects = append(f.objects, o)
+					next = append(next, n)
+				}
+			}
+		}
+		frontier = next
+	}
+	f.levels = depth
+	for _, o := range f.objects {
+		f.surrogates = append(f.surrogates, sn.Surrogates(o.ID)...)
+	}
+	return f
+}
+
+// TestFetchMatchesDedupedWalk: reading one-way adjacency in place and
+// deduping edges only on undirected walks fetches exactly the closure of
+// the walk that dedupes everything, in the same order — on all three
+// directions, with and without a depth bound and a filter, over a graph
+// with cycles and a frontier wide enough for the worker pool.
+func TestFetchMatchesDedupedWalk(t *testing.T) {
+	b := NewMemBackend(0)
+	t.Cleanup(func() { b.Close() })
+	sink := wideDAG(t, b, 100)
+	var cyc Batch
+	for i := 0; i < 40; i++ {
+		cyc.Objects = append(cyc.Objects, Object{ID: fmt.Sprintf("c%02d", i), Kind: ObjectKind([]string{"data", "invocation"}[i%2]), Name: "c"})
+	}
+	for i := 0; i < 40; i++ {
+		for _, d := range []int{1, 7, 13} {
+			cyc.Edges = append(cyc.Edges, Edge{From: fmt.Sprintf("c%02d", i), To: fmt.Sprintf("c%02d", (i+d)%40), Label: []string{"input-to", "generated"}[d%2]})
+		}
+	}
+	cyc.Edges = append(cyc.Edges, Edge{From: "c00", To: sink, Label: "generated"})
+	cyc.Surrogates = append(cyc.Surrogates, SurrogateSpec{ForID: "c05", ID: "c05'", InfoScore: 0.5})
+	if _, err := b.Apply(cyc); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		en := NewEngine(b, privilege.TwoLevel())
+		en.fetchWorkers = workers
+		for _, start := range []string{sink, "leaf003", "c10"} {
+			for _, dir := range []graph.Direction{graph.Backward, graph.Forward, graph.Undirected} {
+				for _, depth := range []int{0, 1, 3} {
+					for _, filt := range []Request{{}, {LabelFilter: "generated"}, {KindFilter: Invocation}} {
+						req := Request{Start: start, Direction: dir, Depth: depth, LabelFilter: filt.LabelFilter, KindFilter: filt.KindFilter}
+						got, err := en.fetch(context.Background(), req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := dedupedWalk(sn, req); !reflect.DeepEqual(got, want) {
+							t.Fatalf("workers %d, %+v: fetched %d objects/%d edges/%d surrogates in %d levels, want %d/%d/%d in %d",
+								workers, req, len(got.objects), len(got.edges), len(got.surrogates), got.levels,
+								len(want.objects), len(want.edges), len(want.surrogates), want.levels)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -231,13 +232,6 @@ type fetched struct {
 // coordination overhead outweighs the map lookups being parallelised.
 const parallelFrontier = 64
 
-// expansion is what expanding one frontier node yields: the edges seen
-// at that node and the neighbour ids they lead to (parallel slices).
-type expansion struct {
-	edges []Edge
-	next  []string
-}
-
 // fetch walks a snapshot's adjacency from the start object, honouring the
 // requested direction and depth, and returns every object, edge and
 // surrogate in the closure. This is the "DB access" phase of Figure 10.
@@ -274,38 +268,46 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 		sort.Strings(seeds)
 	}
 
-	// expand collects the admissible edges and neighbours of one node.
-	expand := func(cur string) expansion {
-		var ex expansion
+	// expand returns the admissible edges of one node. A one-way walk
+	// without filters reads the snapshot's adjacency in place; only
+	// Undirected concatenates, and only a filter copies.
+	expand := func(cur string) []Edge {
 		var steps []Edge
-		if req.Direction == graph.Forward || req.Direction == graph.Undirected {
-			steps = append(steps, sn.Out(cur)...)
+		switch req.Direction {
+		case graph.Forward:
+			steps = sn.Out(cur)
+		case graph.Backward:
+			steps = sn.In(cur)
+		default:
+			steps = append(slices.Clip(sn.Out(cur)), sn.In(cur)...)
 		}
-		if req.Direction == graph.Backward || req.Direction == graph.Undirected {
-			steps = append(steps, sn.In(cur)...)
+		if req.LabelFilter == "" && req.KindFilter == "" {
+			return steps
 		}
+		var kept []Edge
 		for _, e := range steps {
 			if req.LabelFilter != "" && e.Label != req.LabelFilter {
 				continue
 			}
-			next := e.To
-			if next == cur {
-				next = e.From
-			}
 			if req.KindFilter != "" {
-				if o, ok := sn.Object(next); !ok || o.Kind != req.KindFilter {
+				if o, ok := sn.Object(other(e, cur)); !ok || o.Kind != req.KindFilter {
 					continue
 				}
 			}
-			ex.edges = append(ex.edges, e)
-			ex.next = append(ex.next, next)
+			kept = append(kept, e)
 		}
-		return ex
+		return kept
 	}
 
 	f := &fetched{}
 	seen := map[string]bool{}
-	edgeSeen := map[[2]string]bool{}
+	// A one-way walk meets each edge once, at the endpoint it expands
+	// (each node is expanded at most once); an undirected walk meets it at
+	// both, so only that one dedupes edges.
+	var edgeSeen map[[2]string]bool
+	if req.Direction == graph.Undirected {
+		edgeSeen = map[[2]string]bool{}
+	}
 	var frontier []string
 	for _, id := range seeds {
 		if seen[id] {
@@ -321,7 +323,7 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("plus: lineage of %q: %w", startRef(req), err)
 		}
-		expansions := make([]expansion, len(frontier))
+		expansions := make([][]Edge, len(frontier))
 		if workers := en.fetchWorkers; workers > 1 && len(frontier) >= parallelFrontier {
 			// Worker pool over contiguous chunks of the frontier.
 			if workers > len(frontier) {
@@ -356,15 +358,17 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 		// Merge in frontier order: dedupe is sequential, so the closure
 		// is deterministic regardless of worker scheduling.
 		var next []string
-		for _, ex := range expansions {
-			for i, e := range ex.edges {
-				key := [2]string{e.From, e.To}
-				if !edgeSeen[key] {
+		for i, steps := range expansions {
+			for _, e := range steps {
+				if edgeSeen != nil {
+					key := [2]string{e.From, e.To}
+					if edgeSeen[key] {
+						continue
+					}
 					edgeSeen[key] = true
-					f.edges = append(f.edges, e)
 				}
-				n := ex.next[i]
-				if !seen[n] {
+				f.edges = append(f.edges, e)
+				if n := other(e, frontier[i]); !seen[n] {
 					seen[n] = true
 					o, _ := sn.Object(n)
 					f.objects = append(f.objects, o)
@@ -379,6 +383,14 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 		f.surrogates = append(f.surrogates, sn.Surrogates(o.ID)...)
 	}
 	return f, nil
+}
+
+// other returns the endpoint of e that is not cur.
+func other(e Edge, cur string) string {
+	if e.To == cur {
+		return e.From
+	}
+	return e.To
 }
 
 // build assembles the account.Spec from a fetched closure: the "build

@@ -282,6 +282,13 @@ func (s *Server) handleV2Batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b := Batch{Objects: req.Objects, Edges: req.Edges, Surrogates: req.Surrogates}
+	if err := b.checkSurrogateIDs(func(id string) bool {
+		_, err := s.engine.store.GetObject(id)
+		return err == nil
+	}); err != nil {
+		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err))
+		return
+	}
 	// Apply reports the revision of the batch's own last record (read
 	// under its locks), so the returned cursor never skips a concurrent
 	// writer's records.
@@ -354,7 +361,7 @@ func (s *Server) handleV2Lineage(w http.ResponseWriter, r *http.Request) {
 		WriteAPIError(w, v2StoreError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, buildLineageResponse(req, res))
+	writeLineageBody(w, req, res)
 }
 
 // SnapshotResponse is the answer to GET /v2/snapshot: the full store at
@@ -723,38 +730,4 @@ func parseLineageParams(q interface{ Get(string) string }) (Request, error) {
 		LabelFilter: q.Get("label"),
 		KindFilter:  kind,
 	}, nil
-}
-
-// buildLineageResponse renders a protected lineage answer as its wire
-// response.
-func buildLineageResponse(req Request, res *Result) LineageResponse {
-	pathUtil, nodeUtil := res.Utilities()
-	resp := LineageResponse{
-		Start:       req.Start,
-		StartName:   req.StartName,
-		Viewer:      string(req.Viewer),
-		Mode:        string(req.Mode),
-		PathUtility: pathUtil,
-		NodeUtility: nodeUtil,
-		Timing: LineageTiming{
-			DBAccessUS: res.Timing.DBAccess.Microseconds(),
-			BuildUS:    res.Timing.Build.Microseconds(),
-			ProtectUS:  res.Timing.Protect.Microseconds(),
-			TotalUS:    res.Timing.Total.Microseconds(),
-		},
-	}
-	for _, id := range res.Account.Graph.Nodes() {
-		n, _ := res.Account.Graph.NodeByID(id)
-		_, isSurr := res.Account.SurrogateNodes[id]
-		resp.Nodes = append(resp.Nodes, LineageNode{ID: string(id), Features: n.Features, Surrogate: isSurr})
-	}
-	for _, e := range res.Account.Graph.Edges() {
-		resp.Edges = append(resp.Edges, LineageEdge{
-			From:      string(e.From),
-			To:        string(e.To),
-			Label:     e.Label,
-			Surrogate: res.Account.SurrogateEdges[e.ID()],
-		})
-	}
-	return resp
 }

@@ -135,18 +135,23 @@ func (r *Registry) Surrogates(original graph.NodeID) []Surrogate {
 // remain, the infoScore/id tie-break plays the role of the paper's
 // "domain-dependent function".
 //
+// A surrogate whose id taken reports true is not applicable either (a nil
+// taken excludes nothing): protected accounts pass "names a node of the
+// original graph", since such a surrogate would stand where that node
+// stands.
+//
 // The boolean result is false when no surrogate applies (and the null
 // default is disabled): the node is simply omitted from the account.
-func (r *Registry) SelectForSet(original graph.NodeID, hw []privilege.Predicate) (Surrogate, bool) {
+func (r *Registry) SelectForSet(original graph.NodeID, hw []privilege.Predicate, taken func(graph.NodeID) bool) (Surrogate, bool) {
 	lat := r.labeling.Lattice()
 	var candidates []Surrogate
 	for _, s := range r.byNode[original] {
-		if lat.SomeMemberDominates(hw, s.Lowest) {
+		if lat.SomeMemberDominates(hw, s.Lowest) && (taken == nil || !taken(s.ID)) {
 			candidates = append(candidates, s)
 		}
 	}
 	if len(candidates) == 0 {
-		if r.nullDefault {
+		if r.nullDefault && (taken == nil || !taken(NullID(original))) {
 			return Surrogate{ID: NullID(original), Lowest: privilege.Public, IsNull: true}, true
 		}
 		return Surrogate{}, false

@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -114,12 +115,12 @@ func TestSelectPrefersMostDominant(t *testing.T) {
 	if err := r.Add("f", Surrogate{ID: "f-low", Lowest: "Low-2", InfoScore: 0.7}); err != nil {
 		t.Fatal(err)
 	}
-	s, ok := r.SelectForSet("f", []privilege.Predicate{"Low-2"})
+	s, ok := r.SelectForSet("f", []privilege.Predicate{"Low-2"}, nil)
 	if !ok || s.ID != "f-low" {
 		t.Errorf("SelectForSet(Low-2) = %v,%v; want f-low", s.ID, ok)
 	}
 	// A Public consumer can only see the Public surrogate.
-	s, ok = r.SelectForSet("f", []privilege.Predicate{privilege.Public})
+	s, ok = r.SelectForSet("f", []privilege.Predicate{privilege.Public}, nil)
 	if !ok || s.ID != "f-pub" {
 		t.Errorf("SelectForSet(Public) = %v,%v; want f-pub", s.ID, ok)
 	}
@@ -127,11 +128,11 @@ func TestSelectPrefersMostDominant(t *testing.T) {
 
 func TestSelectNoCandidate(t *testing.T) {
 	_, r := fixture(t)
-	if _, ok := r.SelectForSet("f", []privilege.Predicate{privilege.Public}); ok {
+	if _, ok := r.SelectForSet("f", []privilege.Predicate{privilege.Public}, nil); ok {
 		t.Error("SelectForSet returned a surrogate with empty registry")
 	}
 	r.EnableNullDefault()
-	s, ok := r.SelectForSet("f", []privilege.Predicate{privilege.Public})
+	s, ok := r.SelectForSet("f", []privilege.Predicate{privilege.Public}, nil)
 	if !ok || !s.IsNull || s.ID != NullID("f") {
 		t.Errorf("null default not applied: %+v ok=%v", s, ok)
 	}
@@ -159,12 +160,12 @@ func TestSelectIncomparableTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	// High-2 consumer: both visible; High-2 surrogate dominates Low-2 one.
-	s, ok := r.SelectForSet("x", []privilege.Predicate{"High-2"})
+	s, ok := r.SelectForSet("x", []privilege.Predicate{"High-2"}, nil)
 	if !ok || s.ID != "x-b" {
 		t.Errorf("SelectForSet(High-2) = %v, want x-b", s.ID)
 	}
 	// Low-2 consumer: only x-a visible.
-	s, ok = r.SelectForSet("x", []privilege.Predicate{"Low-2"})
+	s, ok = r.SelectForSet("x", []privilege.Predicate{"Low-2"}, nil)
 	if !ok || s.ID != "x-a" {
 		t.Errorf("SelectForSet(Low-2) = %v, want x-a", s.ID)
 	}
@@ -183,7 +184,7 @@ func TestSelectTieBreakByScoreThenID(t *testing.T) {
 	if err := r.Add("x", Surrogate{ID: "x-1", Lowest: "Low-2", InfoScore: 0.6}); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := r.SelectForSet("x", []privilege.Predicate{"Low-2"}); s.ID != "x-1" {
+	if s, _ := r.SelectForSet("x", []privilege.Predicate{"Low-2"}, nil); s.ID != "x-1" {
 		t.Errorf("score tie-break failed: %v", s.ID)
 	}
 	// Equal scores: lexicographically smaller id wins.
@@ -194,7 +195,7 @@ func TestSelectTieBreakByScoreThenID(t *testing.T) {
 	if err := r2.Add("x", Surrogate{ID: "x-a", Lowest: "Low-2", InfoScore: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := r2.SelectForSet("x", []privilege.Predicate{"Low-2"}); s.ID != "x-a" {
+	if s, _ := r2.SelectForSet("x", []privilege.Predicate{"Low-2"}, nil); s.ID != "x-a" {
 		t.Errorf("id tie-break failed: %v", s.ID)
 	}
 }
@@ -204,7 +205,7 @@ func TestAddNull(t *testing.T) {
 	if err := r.Add("f", Surrogate{ID: NullID("f"), Lowest: privilege.Public, IsNull: true}); err != nil {
 		t.Fatal(err)
 	}
-	s, ok := r.SelectForSet("f", []privilege.Predicate{privilege.Public})
+	s, ok := r.SelectForSet("f", []privilege.Predicate{privilege.Public}, nil)
 	if !ok || !s.IsNull || s.InfoScore != 0 {
 		t.Errorf("explicit null not selected: %+v ok=%v", s, ok)
 	}
@@ -230,5 +231,39 @@ func TestCloneIndependence(t *testing.T) {
 func TestNullID(t *testing.T) {
 	if NullID("f") != "f∅" {
 		t.Errorf("NullID = %s", NullID("f"))
+	}
+}
+
+// TestSelectForSetSkipsTakenIDs: a surrogate whose id is taken is not
+// applicable, so selection falls to the next one (and the null default,
+// when its id is taken too, to none).
+func TestSelectForSetSkipsTakenIDs(t *testing.T) {
+	lat := privilege.TwoLevel()
+	lb := privilege.NewLabeling(lat)
+	if err := lb.SetNode("f", "Protected"); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(lb)
+	for _, s := range []Surrogate{{ID: "f1", Lowest: privilege.Public, InfoScore: 0.6}, {ID: "f2", Lowest: privilege.Public, InfoScore: 0.3}} {
+		if err := r.Add("f", s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub := []privilege.Predicate{privilege.Public}
+	taken := func(ids ...graph.NodeID) func(graph.NodeID) bool {
+		return func(id graph.NodeID) bool { return slices.Contains(ids, id) }
+	}
+	if s, ok := r.SelectForSet("f", pub, taken("f1")); !ok || s.ID != "f2" {
+		t.Errorf("f1 taken: got %v,%v, want f2", s.ID, ok)
+	}
+	if _, ok := r.SelectForSet("f", pub, taken("f1", "f2")); ok {
+		t.Error("both taken: a surrogate was still selected")
+	}
+	r.EnableNullDefault()
+	if s, ok := r.SelectForSet("f", pub, taken("f1", "f2")); !ok || !s.IsNull {
+		t.Errorf("both taken, null default: got %v,%v", s.ID, ok)
+	}
+	if _, ok := r.SelectForSet("f", pub, taken("f1", "f2", NullID("f"))); ok {
+		t.Error("null default selected though its id is taken")
 	}
 }
