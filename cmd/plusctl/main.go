@@ -177,9 +177,7 @@ func printStatus(w *os.File, h plus.HealthzResponse) error {
 			qc.Advanced, qc.AdvanceRebuilds, qc.FullBuilds, qc.Fallbacks)
 	}
 	if ix := h.Index; ix != nil {
-		fmt.Fprintf(tw, "index\t%d name entries (rev %d)\n", ix.NameEntries, ix.Rev)
-		fmt.Fprintf(tw, "  probes\t%d hits, %d misses, %d advances, %d rebuilds\n",
-			ix.Hits, ix.Misses, ix.Advances, ix.Rebuilds)
+		fmt.Fprintf(tw, "index\t%d name entries, %d probes\n", ix.NameEntries, ix.Hits)
 	}
 	if in := h.Intern; in != nil {
 		fmt.Fprintf(tw, "intern table\t%d strings, %d bytes\n", in.Strings, in.Bytes)

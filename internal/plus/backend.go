@@ -32,8 +32,6 @@ type Backend interface {
 
 	// GetObject fetches one object by id (ErrNotFound if unknown).
 	GetObject(id string) (Object, error)
-	// History returns the superseded versions of an object, oldest first.
-	History(id string) []Object
 	// Objects returns every live object (unspecified order).
 	Objects() []Object
 	// EdgesFrom / EdgesTo return an object's adjacency in insertion order.
@@ -100,7 +98,7 @@ type Snapshot struct {
 	objects int // live object count at rev
 
 	// source is the store the snapshot was taken of: DeltaSince reads its
-	// change feed, and the Find* probes its secondary index (index.go).
+	// change feed, and FindByName counts its probes in its table.
 	source *storeCore
 }
 

@@ -18,7 +18,7 @@ type ChangeKind byte
 
 const (
 	// ChangeObject is an object stored (new) or replaced (the previous
-	// version moved to history).
+	// version is dropped; the log keeps it until Compact).
 	ChangeObject ChangeKind = 1
 	// ChangeEdge is an edge stored. Edges are never replaced or removed.
 	ChangeEdge ChangeKind = 2

@@ -107,9 +107,6 @@ func (s *LogBackend) Compact() error {
 	}
 	s.f = f
 	s.size = written
-	// The compacted log holds only live state; drop the in-memory history
-	// so it matches what a reopen would reconstruct.
-	s.history = map[string][]Object{}
 	s.epoch = nextEpoch
 	// Drop the resident change window too: its entries carry pre-compact
 	// revision numbers, which the rewritten log no longer reproduces — a

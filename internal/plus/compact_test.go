@@ -52,50 +52,6 @@ func TestCompactShrinksAndPreservesState(t *testing.T) {
 	}
 }
 
-func TestObjectHistory(t *testing.T) {
-	s, path := openTemp(t)
-	for i, name := range []string{"v1", "v2", "v3"} {
-		if err := s.PutObject(Object{ID: "doc", Kind: Data, Name: name}); err != nil {
-			t.Fatal(err)
-		}
-		if got := len(s.History("doc")); got != i {
-			t.Errorf("after %s: history = %d, want %d", name, got, i)
-		}
-	}
-	h := s.History("doc")
-	if len(h) != 2 || h[0].Name != "v1" || h[1].Name != "v2" {
-		t.Errorf("history = %+v", h)
-	}
-	if o, _ := s.GetObject("doc"); o.Name != "v3" {
-		t.Errorf("live = %+v", o)
-	}
-	// History survives reopen (replayed from the log) ...
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if len(s2.History("doc")) != 2 {
-		t.Errorf("history lost on reopen: %d", len(s2.History("doc")))
-	}
-	// ... and is dropped by compaction.
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if len(s2.History("doc")) != 0 {
-		t.Error("compaction should drop history")
-	}
-	if o, _ := s2.GetObject("doc"); o.Name != "v3" {
-		t.Error("compaction lost the live version")
-	}
-	if got := s2.History("never-existed"); len(got) != 0 {
-		t.Errorf("history of unknown id = %v", got)
-	}
-}
-
 func TestCompactOnClosedStore(t *testing.T) {
 	s, _ := openTemp(t)
 	if err := s.Close(); err != nil {

@@ -73,7 +73,6 @@ func TestBackendConformance(t *testing.T) {
 		t.Run(h.name, func(t *testing.T) {
 			t.Run("PutGetValidate", func(t *testing.T) { conformPutGetValidate(t, h) })
 			t.Run("AdjacencyAndSurrogates", func(t *testing.T) { conformAdjacency(t, h) })
-			t.Run("HistoryAndReplace", func(t *testing.T) { conformHistory(t, h) })
 			t.Run("BatchApply", func(t *testing.T) { conformBatch(t, h) })
 			t.Run("RevisionMonotonic", func(t *testing.T) { conformRevision(t, h) })
 			t.Run("SnapshotIsolation", func(t *testing.T) { conformSnapshotIsolation(t, h) })
@@ -625,30 +624,6 @@ func conformAdjacency(t *testing.T, h backendHarness) {
 	}
 	if got := b.Objects(); len(got) != 3 {
 		t.Errorf("Objects() = %d items", len(got))
-	}
-}
-
-func conformHistory(t *testing.T, h backendHarness) {
-	b, _ := h.open(t)
-	if err := b.PutObject(Object{ID: "v", Kind: Data, Name: "v1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.PutObject(Object{ID: "v", Kind: Data, Name: "v2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.PutObject(Object{ID: "v", Kind: Data, Name: "v3"}); err != nil {
-		t.Fatal(err)
-	}
-	hist := b.History("v")
-	if len(hist) != 2 || hist[0].Name != "v1" || hist[1].Name != "v2" {
-		t.Errorf("History = %+v", hist)
-	}
-	live, err := b.GetObject("v")
-	if err != nil || live.Name != "v3" {
-		t.Errorf("live = %+v, %v", live, err)
-	}
-	if b.NumObjects() != 1 {
-		t.Errorf("NumObjects = %d, want 1 (replace, not insert)", b.NumObjects())
 	}
 }
 

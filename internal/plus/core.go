@@ -8,11 +8,10 @@ import (
 )
 
 // storeCore is the one storage engine under both backends: the record
-// table (table.go), the superseded object versions, the change feed, the
-// revision counter, the per-revision snapshot cache, the secondary index
-// and the notifier, all under one RWMutex. MemBackend is the core alone;
-// LogBackend is the core plus a log that persist writes every batch to
-// before the batch is stored.
+// table (table.go, name postings included), the change feed, the revision
+// counter, the per-revision snapshot cache and the notifier, all under one
+// RWMutex. MemBackend is the core alone; LogBackend is the core plus a log
+// that persist writes every batch to before the batch is stored.
 //
 // Every mutation takes one path, write: check against the stored state,
 // persist, store the typed records, broadcast. PutObject, PutEdge and
@@ -22,9 +21,6 @@ import (
 type storeCore struct {
 	mu  sync.RWMutex
 	tab *table
-	// history holds superseded object versions, oldest first; snapshots
-	// never carry it, so it stays outside the table.
-	history map[string][]Object
 
 	// changes is the resident change feed, one ordered slice: changes[i]
 	// was applied at revision base+i+1. It keeps at least the newest
@@ -46,11 +42,6 @@ type storeCore struct {
 	// (Backend.Notify); it has its own lock.
 	notifier
 
-	// idx is the lazily-maintained secondary index (kind/name/attr ->
-	// ids); see index.go. It has its own lock and is advanced by query
-	// probes, never by the write path.
-	idx *backendIndex
-
 	// revision is atomic so Revision and the Snapshot fast path never take
 	// mu; it only moves under the write lock.
 	revision atomic.Uint64
@@ -68,10 +59,8 @@ const DefaultChangeHorizon = 1 << 16
 
 func (c *storeCore) init(epoch string) {
 	c.tab = newTable()
-	c.history = map[string][]Object{}
 	c.horizon = DefaultChangeHorizon
 	c.epoch = epoch
-	c.idx = newBackendIndex()
 }
 
 // write is the one write path. Under the write lock it runs check against
@@ -114,9 +103,7 @@ func (c *storeCore) write(b *Batch, check func() error) (uint64, error) {
 // replay does).
 func (c *storeCore) storeObject(o Object) {
 	o = internObject(o)
-	if prev, replaced := c.tab.putObject(c.tab.slot(o.ID), o); replaced {
-		c.history[o.ID] = append(c.history[o.ID], prev)
-	}
+	c.tab.putObject(c.tab.slot(o.ID), o)
 	c.record(Change{Kind: ChangeObject, Object: o})
 }
 
@@ -218,14 +205,6 @@ func (c *storeCore) GetObject(id string) (Object, error) {
 		return Object{}, fmt.Errorf("plus: %q: %w", id, ErrNotFound)
 	}
 	return o, nil
-}
-
-// History returns the superseded versions of an object, oldest first; the
-// live version is not included.
-func (c *storeCore) History(id string) []Object {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]Object(nil), c.history[id]...)
 }
 
 // Objects returns every object (unspecified order).
@@ -351,8 +330,8 @@ func (c *storeCore) Snapshot() (*Snapshot, error) {
 	return sn, nil
 }
 
-// IndexStats reports the secondary index's current state.
-func (c *storeCore) IndexStats() IndexStats { return c.idx.stats() }
+// IndexStats reports the table's name postings and probes.
+func (c *storeCore) IndexStats() IndexStats { return c.tab.indexStats() }
 
 // StoreStats reports the record table's snapshot and copy counters.
 func (c *storeCore) StoreStats() StoreStats { return c.tab.stats() }

@@ -34,8 +34,8 @@ func TestHealthzHandler(t *testing.T) {
 	if h.Revision != s.Revision() {
 		t.Errorf("healthz revision = %d, want %d", h.Revision, s.Revision())
 	}
-	// The probe reports the secondary indexes and the intern table. The
-	// index is built lazily, so probe it first.
+	// The probe reports the name postings, with the probe below counted,
+	// and the intern table.
 	sn, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +53,10 @@ func TestHealthzHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hIdx.Index == nil {
-		t.Fatal("healthz missing index section on an indexing backend")
+		t.Fatal("healthz missing index section on a table backend")
 	}
-	if ix := hIdx.Index; ix.NameEntries != 3 || ix.Rev != s.Revision() {
-		t.Errorf("healthz index = %+v, want 3 name entries at rev %d", ix, s.Revision())
+	if ix := hIdx.Index; ix.NameEntries != 3 {
+		t.Errorf("healthz index = %+v, want 3 name entries", ix)
 	}
 	if hIdx.Index.Hits == 0 {
 		t.Error("healthz index reports no hits after an indexed probe")

@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// These are the name postings' own tests, over both backends. The
+// postings live in the record table's buckets (table.go), so a snapshot's
+// FindByName is exact by construction: the table tests check it against a
+// model on every held snapshot, and these check it against a scan of the
+// same snapshot.
+
 // sortedIDs normalises an unordered posting list for comparison.
 func sortedIDs(ids []string) []string {
 	out := append([]string(nil), ids...)
@@ -15,7 +21,8 @@ func sortedIDs(ids []string) []string {
 	return out
 }
 
-// scanByName is the linear-scan reference the index is checked against.
+// scanByName is the linear-scan reference the postings are checked
+// against.
 func scanByName(sn *Snapshot, name string) []string {
 	var out []string
 	for _, o := range sn.Objects() {
@@ -65,20 +72,16 @@ func TestFindByIndexBasics(t *testing.T) {
 			if got, want := sortedIDs(sn.FindByName("n2")), scanByName(sn, "n2"); !equalStrings(got, want) {
 				t.Fatalf("FindByName = %v, want %v", got, want)
 			}
-			// Unnamed objects are not posted; asking for them scans.
-			if got, want := sortedIDs(sn.FindByName("")), scanByName(sn, ""); !equalStrings(got, want) {
-				t.Fatalf("FindByName(\"\") = %v, want %v", got, want)
+			// Unnamed objects are not posted.
+			if got := sn.FindByName(""); got != nil {
+				t.Fatalf("FindByName(\"\") = %v, want nil", got)
 			}
-			// Constants never stored anywhere answer empty without scanning.
 			if got := sn.FindByName("never-stored-name-xyzzy"); len(got) != 0 {
 				t.Fatalf("unknown name matched %v", got)
 			}
 			st := mustIndexStats(t, b)
-			if st.Hits == 0 {
-				t.Fatalf("no index hits recorded: %+v", st)
-			}
-			if st.Builds != 1 {
-				t.Fatalf("builds = %d, want 1", st.Builds)
+			if st.Hits != 3 {
+				t.Fatalf("hits = %d, want one per probe (3)", st.Hits)
 			}
 			if st.NameEntries != 20 {
 				t.Fatalf("name entries = %d, want 20", st.NameEntries)
@@ -89,7 +92,7 @@ func TestFindByIndexBasics(t *testing.T) {
 
 func mustIndexStats(t *testing.T, b Backend) IndexStats {
 	t.Helper()
-	p, ok := b.(indexStatsProvider)
+	p, ok := b.(storeStatsProvider)
 	if !ok {
 		t.Fatalf("backend %T has no index stats", b)
 	}
@@ -108,42 +111,35 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestIndexAdvancesIncrementally proves later probes catch up through the
-// change feed instead of rebuilding.
+// TestIndexAdvancesIncrementally: every write is in the next snapshot's
+// postings, with no probe in between to catch them up.
 func TestIndexAdvancesIncrementally(t *testing.T) {
 	for label, b := range indexTestBackends(t) {
 		t.Run(label, func(t *testing.T) {
-			put := func(i int) {
+			for i := 0; i <= 5; i++ {
 				o := Object{ID: fmt.Sprintf("o%03d", i), Kind: Data, Name: fmt.Sprintf("n%d", i%2)}
 				if err := b.PutObject(o); err != nil {
 					t.Fatal(err)
 				}
-			}
-			put(0)
-			sn, _ := b.Snapshot()
-			sn.FindByName("n0") // first probe: initial build
-			for i := 1; i <= 5; i++ {
-				put(i)
-				sn, _ = b.Snapshot()
-				if got := sortedIDs(sn.FindByName(fmt.Sprintf("n%d", i%2))); len(got) != i/2+1 {
-					t.Fatalf("after %d writes FindByName returned %d ids", i, len(got))
+				if i%2 == 0 {
+					continue // two writes between some probes
+				}
+				sn, _ := b.Snapshot()
+				for _, n := range []string{"n0", "n1"} {
+					if got, want := sortedIDs(sn.FindByName(n)), scanByName(sn, n); !equalStrings(got, want) || len(got) != (i+1)/2 {
+						t.Fatalf("after %d writes FindByName(%s) = %v, want %v", i+1, n, got, want)
+					}
 				}
 			}
-			st := mustIndexStats(t, b)
-			if st.Builds != 1 || st.Rebuilds != 0 {
-				t.Fatalf("builds=%d rebuilds=%d, want 1/0", st.Builds, st.Rebuilds)
-			}
-			if st.Advances != 5 {
-				t.Fatalf("advances = %d, want 5", st.Advances)
+			if st := mustIndexStats(t, b); st.Misses != 0 || st.Advances != 0 || st.Rebuilds != 0 {
+				t.Fatalf("index stats = %+v, want no misses, advances or rebuilds", st)
 			}
 		})
 	}
 }
 
-// TestIndexRebuildOnTooFarBehind is the regression test for the hazard
-// path: with a tiny change horizon the feed ages out between probes and
-// the index must rebuild from the probing snapshot instead of serving a
-// stale answer.
+// TestIndexRebuildOnTooFarBehind: the postings do not read the change
+// feed, so a feed that retains nothing leaves every probe exact.
 func TestIndexRebuildOnTooFarBehind(t *testing.T) {
 	type horizoned interface {
 		Backend
@@ -151,8 +147,7 @@ func TestIndexRebuildOnTooFarBehind(t *testing.T) {
 	}
 	for label, b := range indexTestBackends(t) {
 		t.Run(label, func(t *testing.T) {
-			hb := b.(horizoned)
-			hb.SetChangeHorizon(0) // retain nothing: every delta request fails
+			b.(horizoned).SetChangeHorizon(0) // retain nothing: every delta request fails
 			put := func(i int, name string) {
 				o := Object{ID: fmt.Sprintf("o%03d", i), Kind: Data, Name: name}
 				if err := b.PutObject(o); err != nil {
@@ -164,55 +159,52 @@ func TestIndexRebuildOnTooFarBehind(t *testing.T) {
 			if got := sn.FindByName("first"); len(got) != 1 {
 				t.Fatalf("initial probe found %v", got)
 			}
-			// Age the feed past the index: with horizon 0, DeltaSince from
-			// the index's revision must fail with ErrTooFarBehind.
 			for i := 1; i <= 10; i++ {
 				put(i, fmt.Sprintf("bulk%d", i))
 			}
+			put(0, "bulk7")
 			sn, _ = b.Snapshot()
 			if _, err := sn.DeltaSince(sn.Revision() - 1); err != ErrTooFarBehind {
 				t.Fatalf("DeltaSince = %v, want ErrTooFarBehind", err)
 			}
-			if got := sn.FindByName("bulk7"); !equalStrings(got, []string{"o007"}) {
-				t.Fatalf("post-hazard probe returned %v, want [o007]", got)
+			if got := sortedIDs(sn.FindByName("bulk7")); !equalStrings(got, []string{"o000", "o007"}) {
+				t.Fatalf("probe past the feed returned %v, want [o000 o007]", got)
 			}
-			st := mustIndexStats(t, b)
-			if st.Rebuilds == 0 {
-				t.Fatalf("no rebuild recorded after feed aged out: %+v", st)
-			}
-			if st.Rev != sn.Revision() {
-				t.Fatalf("index rev %d, snapshot rev %d", st.Rev, sn.Revision())
+			if got := sn.FindByName("first"); len(got) != 0 {
+				t.Fatalf("renamed object still posted under its old name: %v", got)
 			}
 		})
 	}
 }
 
 // TestIndexStaleSnapshotFallsBack holds an old snapshot while newer
-// probes advance the index, then checks the old snapshot still answers
-// correctly (by scan) and the fallback is counted as a miss.
+// writes move postings, and checks the old snapshot still answers from
+// its own postings, as of its revision.
 func TestIndexStaleSnapshotFallsBack(t *testing.T) {
 	for label, b := range indexTestBackends(t) {
 		t.Run(label, func(t *testing.T) {
-			if err := b.PutObject(Object{ID: "a", Kind: Data, Name: "same"}); err != nil {
-				t.Fatal(err)
+			for _, id := range []string{"a", "c"} {
+				if err := b.PutObject(Object{ID: id, Kind: Data, Name: "same"}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			old, _ := b.Snapshot()
 			if err := b.PutObject(Object{ID: "b", Kind: Data, Name: "same"}); err != nil {
 				t.Fatal(err)
 			}
+			if err := b.PutObject(Object{ID: "a", Kind: Data, Name: "other"}); err != nil {
+				t.Fatal(err)
+			}
 			cur, _ := b.Snapshot()
-			// Advance the index to the current revision.
-			if got := sortedIDs(cur.FindByName("same")); !equalStrings(got, []string{"a", "b"}) {
-				t.Fatalf("current probe = %v", got)
+			if got := sortedIDs(cur.FindByName("same")); !equalStrings(got, []string{"b", "c"}) {
+				t.Fatalf("current probe = %v, want [b c]", got)
 			}
-			before := mustIndexStats(t, b)
-			// The stale snapshot must not see "b".
-			if got := sortedIDs(old.FindByName("same")); !equalStrings(got, []string{"a"}) {
-				t.Fatalf("stale probe = %v, want [a]", got)
+			// The stale snapshot sees neither "b" nor a's rename.
+			if got := sortedIDs(old.FindByName("same")); !equalStrings(got, []string{"a", "c"}) {
+				t.Fatalf("stale probe = %v, want [a c]", got)
 			}
-			after := mustIndexStats(t, b)
-			if after.Misses != before.Misses+1 {
-				t.Fatalf("stale probe not counted as miss: %+v -> %+v", before, after)
+			if got := old.FindByName("other"); len(got) != 0 {
+				t.Fatalf("stale probe of a later name = %v, want none", got)
 			}
 		})
 	}
@@ -227,13 +219,11 @@ func TestIndexReplacementMovesPostings(t *testing.T) {
 			if err := b.PutObject(o); err != nil {
 				t.Fatal(err)
 			}
-			sn, _ := b.Snapshot()
-			sn.FindByName("before") // build
 			o2 := Object{ID: "x", Kind: Invocation, Name: "after", Features: map[string]string{"stage": "cooked"}}
 			if err := b.PutObject(o2); err != nil {
 				t.Fatal(err)
 			}
-			sn, _ = b.Snapshot()
+			sn, _ := b.Snapshot()
 			checks := []struct {
 				got  []string
 				want []string
@@ -261,10 +251,11 @@ func TestIndexReplacementMovesPostings(t *testing.T) {
 	}
 }
 
-// TestIndexRandomizedParity drives a random mutation sequence and checks
-// after every step that the index-served answers are identical to linear
-// scans for a panel of probes — the storage half of the parity
-// guarantee (the PLUSQL half lives in internal/plusql).
+// TestIndexRandomizedParity drives a random mutation sequence — renames,
+// clears to "" and re-stores — keeps every snapshot it takes with a scan
+// of it, and after every write checks each held snapshot's answers
+// against that scan: a posting changed in place under a snapshot that
+// shares it shows here.
 func TestIndexRandomizedParity(t *testing.T) {
 	for label, b := range indexTestBackends(t) {
 		t.Run(label, func(t *testing.T) {
@@ -272,6 +263,11 @@ func TestIndexRandomizedParity(t *testing.T) {
 			kinds := []ObjectKind{Data, Invocation}
 			names := []string{"alpha", "beta", "gamma", ""}
 			owners := []string{"alice", "bob", "carol"}
+			type heldScan struct {
+				sn   *Snapshot
+				scan map[string][]string
+			}
+			var held []heldScan
 			for step := 0; step < 200; step++ {
 				id := fmt.Sprintf("o%02d", rng.Intn(40)) // collisions force replacements
 				o := Object{
@@ -288,22 +284,27 @@ func TestIndexRandomizedParity(t *testing.T) {
 				if err := b.PutObject(o); err != nil {
 					t.Fatal(err)
 				}
-				if step%7 != 0 {
-					continue // probe every few steps, not after every write
+				if step%7 == 0 {
+					sn, err := b.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					h := heldScan{sn, map[string][]string{}}
+					for _, n := range names[:3] {
+						h.scan[n] = scanByName(sn, n)
+					}
+					held = append(held, h)
 				}
-				sn, err := b.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, n := range names[:3] {
-					if got, want := sortedIDs(sn.FindByName(n)), scanByName(sn, n); !equalStrings(got, want) {
-						t.Fatalf("step %d: FindByName(%s) = %v, want %v", step, n, got, want)
+				for _, h := range held {
+					for _, n := range names[:3] {
+						if got, want := sortedIDs(h.sn.FindByName(n)), h.scan[n]; !equalStrings(got, want) {
+							t.Fatalf("step %d: snapshot@%d FindByName(%s) = %v, want %v", step, h.sn.Revision(), n, got, want)
+						}
 					}
 				}
 			}
-			st := mustIndexStats(t, b)
-			if st.Hits == 0 {
-				t.Fatalf("parity run never hit the index: %+v", st)
+			if len(held) < 20 {
+				t.Fatalf("only %d snapshots held", len(held))
 			}
 		})
 	}

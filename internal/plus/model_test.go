@@ -25,6 +25,10 @@ func newStoreModel() *storeModel {
 	}
 }
 
+// modelNames is the name pool of applyRandomOps: ids share names, and a
+// replace renames, clears or keeps its object's name.
+var modelNames = []string{"", "v1", "v2", "v3"}
+
 // applyRandomOps drives the same random operation sequence into the store
 // and the model, recording only operations the store accepted.
 func applyRandomOps(r *rand.Rand, s *LogBackend, m *storeModel, n int) error {
@@ -35,7 +39,7 @@ func applyRandomOps(r *rand.Rand, s *LogBackend, m *storeModel, n int) error {
 			o := Object{
 				ID:   ids[r.Intn(len(ids))],
 				Kind: Data,
-				Name: fmt.Sprintf("v%d", i),
+				Name: modelNames[r.Intn(len(modelNames))],
 			}
 			if r.Intn(2) == 0 {
 				o.Kind = Invocation
@@ -93,6 +97,21 @@ func agree(t *testing.T, s *LogBackend, m *storeModel, stage string) {
 	}
 	if edgeCount != len(m.edges) {
 		t.Fatalf("%s: edges %d vs model %d", stage, edgeCount, len(m.edges))
+	}
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range modelNames[1:] {
+		var want []string
+		for id, o := range m.objects {
+			if o.Name == name {
+				want = append(want, id)
+			}
+		}
+		if got := sortedIDs(sn.FindByName(name)); !equalStrings(got, sortedIDs(want)) {
+			t.Fatalf("%s: FindByName(%q) = %v, model %v", stage, name, got, sortedIDs(want))
+		}
 	}
 }
 

@@ -263,31 +263,14 @@ func (s *Server) registerServerMetrics() {
 			"Record-table buckets a write copied because a snapshot still shared them.",
 			func() float64 { return float64(sp.StoreStats().BucketCopies) })
 		reg.CounterFunc("plus_store_records_copied_total",
-			"Records (objects, per-id adjacency and surrogate lists) in those copied buckets.",
+			"Records (objects, per-id adjacency and surrogate lists, name postings) in those copied buckets.",
 			func() float64 { return float64(sp.StoreStats().RecordsCopied) })
-	}
-	if ip, ok := unwrapBackend(b).(indexStatsProvider); ok {
 		reg.GaugeFuncVec("plus_index_entries",
-			"Secondary-index postings by index (name).", "index").
-			Register(func() float64 { return float64(ip.IndexStats().NameEntries) }, "name")
-		reg.GaugeFunc("plus_index_revision",
-			"Backend revision the secondary indexes currently cover.",
-			func() float64 { return float64(ip.IndexStats().Rev) })
+			"Record-table postings by index (name: one per named object).", "index").
+			Register(func() float64 { return float64(sp.IndexStats().NameEntries) }, "name")
 		reg.CounterFunc("plus_index_hits_total",
-			"Lookup probes answered from the secondary indexes.",
-			func() float64 { return float64(ip.IndexStats().Hits) })
-		reg.CounterFunc("plus_index_misses_total",
-			"Lookup probes that fell back to a linear scan.",
-			func() float64 { return float64(ip.IndexStats().Misses) })
-		reg.CounterFunc("plus_index_advances_total",
-			"Incremental index catch-ups through the change feed.",
-			func() float64 { return float64(ip.IndexStats().Advances) })
-		reg.CounterFunc("plus_index_builds_total",
-			"Initial secondary-index constructions.",
-			func() float64 { return float64(ip.IndexStats().Builds) })
-		reg.CounterFunc("plus_index_rebuilds_total",
-			"Hazard rebuilds after change-feed truncation (ErrTooFarBehind).",
-			func() float64 { return float64(ip.IndexStats().Rebuilds) })
+			"Name lookups (Snapshot.FindByName) answered from the postings.",
+			func() float64 { return float64(sp.IndexStats().Hits) })
 	}
 	reg.GaugeFunc("plus_intern_strings",
 		"Distinct strings resident in the global intern table.",

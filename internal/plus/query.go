@@ -251,7 +251,7 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 	}
 	// Resolve the seed set: an explicit start object, or — when Start is
 	// empty — every object whose name matches StartName, answered by the
-	// storage name index.
+	// snapshot's name postings.
 	var seeds []string
 	if req.Start != "" || req.StartName == "" {
 		if _, ok := sn.Object(req.Start); !ok {
@@ -259,7 +259,7 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 		}
 		seeds = []string{req.Start}
 	} else {
-		seeds = append(seeds, sn.FindByName(req.StartName)...)
+		seeds = sn.FindByName(req.StartName)
 		if len(seeds) == 0 {
 			return nil, fmt.Errorf("plus: lineage of %q: %w", startRef(req), ErrNotFound)
 		}

@@ -294,8 +294,8 @@ type HealthzResponse struct {
 	Objects  int    `json:"objects"`
 	Edges    int    `json:"edges"`
 	Revision uint64 `json:"revision"`
-	// Index reports the storage secondary indexes (present when the
-	// backend maintains them).
+	// Index reports the record table's name postings (present when the
+	// backend is built on the table).
 	Index *IndexStats `json:"index,omitempty"`
 	// Intern reports the global string-intern table.
 	Intern *InternHealth `json:"intern,omitempty"`
@@ -331,7 +331,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Edges:    b.NumEdges(),
 		Revision: b.Revision(),
 	}
-	if ip, ok := unwrapBackend(b).(indexStatsProvider); ok {
+	if ip, ok := unwrapBackend(b).(storeStatsProvider); ok {
 		st := ip.IndexStats()
 		resp.Index = &st
 	}

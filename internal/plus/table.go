@@ -3,6 +3,7 @@ package plus
 import (
 	"hash/maphash"
 	"maps"
+	"slices"
 	"sync/atomic"
 )
 
@@ -26,9 +27,11 @@ import (
 const tableBuckets = 1 << 12
 
 // bucket is one hash slice of the store: the records of the ids that hash
-// to it. Adjacency and surrogate slices are append-only, so a copied
-// bucket shares their backing arrays with its original: the copy appends
-// past the original's length, which the original's readers never look at.
+// to it, and the name postings of the names that hash to it. Adjacency,
+// surrogate and posting slices are append-only, so a copied bucket shares
+// their backing arrays with its original: the copy appends past the
+// original's length, which the original's readers never look at. An id
+// leaves a posting only by the posting being replaced with a new slice.
 type bucket struct {
 	// gen is the table generation the bucket was made in. Every snapshot
 	// moves the table to a new generation, so a bucket of an older one may
@@ -38,13 +41,14 @@ type bucket struct {
 	out        map[string][]Edge // keyed by From
 	in         map[string][]Edge // keyed by To
 	surrogates map[string][]SurrogateSpec
+	names      map[string][]string // name -> ids of the objects carrying it, unordered
 }
 
 // emptyBucket stands in every slot nothing has been stored in; its
 // generation 0 is older than any table's, so the first write copies it.
 var emptyBucket = bucket{
 	objects: map[string]Object{}, out: map[string][]Edge{}, in: map[string][]Edge{},
-	surrogates: map[string][]SurrogateSpec{},
+	surrogates: map[string][]SurrogateSpec{}, names: map[string][]string{},
 }
 
 func (b *bucket) hasEdge(from, to string) bool {
@@ -65,8 +69,8 @@ type bucketSet struct {
 	at   *[tableBuckets]*bucket
 }
 
-// slot hashes an id to its bucket index. Callers that both read and
-// write a bucket hash once and index at themselves.
+// slot hashes an id, or a name, to its bucket index. Callers that both
+// read and write a bucket hash once and index at themselves.
 func (bs *bucketSet) slot(id string) int {
 	return int(maphash.String(bs.seed, id) & (tableBuckets - 1))
 }
@@ -94,9 +98,9 @@ type table struct {
 	bucketSet
 	gen uint64
 
-	objects, edges atomic.Int64
+	objects, edges, named atomic.Int64
 
-	snapshots, bucketCopies, recordsCopied atomic.Uint64
+	snapshots, bucketCopies, recordsCopied, nameProbes atomic.Uint64
 }
 
 func newTable() *table {
@@ -116,28 +120,49 @@ func (t *table) own(i int) *bucket {
 	if b.gen == t.gen {
 		return b
 	}
-	if n := len(b.objects) + len(b.out) + len(b.in) + len(b.surrogates); n > 0 {
+	if n := len(b.objects) + len(b.out) + len(b.in) + len(b.surrogates) + len(b.names); n > 0 {
 		t.bucketCopies.Add(1)
 		t.recordsCopied.Add(uint64(n))
 	}
 	b = &bucket{
 		gen: t.gen, objects: maps.Clone(b.objects), out: maps.Clone(b.out), in: maps.Clone(b.in),
-		surrogates: maps.Clone(b.surrogates),
+		surrogates: maps.Clone(b.surrogates), names: maps.Clone(b.names),
 	}
 	t.at[i] = b
 	return b
 }
 
-// putObject stores o in slot i (its id's) and returns the version it
-// replaced, which is the backend's to keep as history.
-func (t *table) putObject(i int, o Object) (prev Object, replaced bool) {
+// putObject stores o in slot i (its id's) and moves its id from the
+// posting of the name it replaced to the posting of its own name, each in
+// that name's slot.
+func (t *table) putObject(i int, o Object) {
 	b := t.own(i)
-	prev, replaced = b.objects[o.ID]
+	prev, replaced := b.objects[o.ID]
 	b.objects[o.ID] = o
 	if !replaced {
 		t.objects.Add(1)
 	}
-	return prev, replaced
+	if prev.Name == o.Name {
+		return
+	}
+	if prev.Name != "" {
+		pb := t.own(t.slot(prev.Name))
+		ids := pb.names[prev.Name]
+		if len(ids) == 1 {
+			delete(pb.names, prev.Name)
+		} else {
+			// A new slice, never a delete in place: a snapshot may share
+			// the old one's backing array.
+			k := slices.Index(ids, o.ID)
+			pb.names[prev.Name] = slices.Concat(ids[:k], ids[k+1:])
+		}
+		t.named.Add(-1)
+	}
+	if o.Name != "" {
+		nb := t.own(t.slot(o.Name))
+		nb.names[o.Name] = append(nb.names[o.Name], o.ID)
+		t.named.Add(1)
+	}
 }
 
 // putEdge stores e under its From in slot fi and under its To in slot ti.
@@ -174,10 +199,21 @@ func (t *table) freeze(source *storeCore, rev uint64) *Snapshot {
 	return sn
 }
 
+// FindByName returns the ids of the snapshot's objects named name, in
+// unspecified order; an empty name (unnamed objects are not posted)
+// returns nil. The slice is the caller's.
+func (sn *Snapshot) FindByName(name string) []string {
+	sn.source.tab.nameProbes.Add(1)
+	if name == "" {
+		return nil
+	}
+	return slices.Clone(sn.of(name).names[name])
+}
+
 // StoreStats counts what snapshots cost the record table: how many were
 // built, and how many buckets — holding how many records (map entries:
-// an object, or one id's adjacency or surrogate list) — writes had to copy
-// because a snapshot still shared them.
+// an object, one id's adjacency or surrogate list, or one name's posting)
+// — writes had to copy because a snapshot still shared them.
 type StoreStats struct {
 	SnapshotsBuilt uint64 `json:"snapshotsBuilt"`
 	BucketCopies   uint64 `json:"bucketCopies"`
@@ -192,9 +228,29 @@ func (t *table) stats() StoreStats {
 	}
 }
 
+// IndexStats reports the table's name postings, surfaced through the
+// healthz probe, plusctl status and the metrics registry.
+type IndexStats struct {
+	// NameEntries counts postings: one per named object.
+	NameEntries int `json:"nameEntries"`
+	// Hits counts FindByName probes.
+	Hits uint64 `json:"hits"`
+	// Misses, Advances and Rebuilds are always 0: the postings are
+	// versioned with the table, so no probe falls back to a scan, catches
+	// up or rebuilds. They remain only because the benchmark reads them.
+	Misses   uint64 `json:"misses"`
+	Advances uint64 `json:"advances"`
+	Rebuilds uint64 `json:"rebuilds"`
+}
+
+func (t *table) indexStats() IndexStats {
+	return IndexStats{NameEntries: int(t.named.Load()), Hits: t.nameProbes.Load()}
+}
+
 // storeStatsProvider is implemented by backends built on the record
-// table; the metrics registry discovers it by assertion (through
-// unwrapBackend for decorated stores).
+// table; healthz and the metrics registry discover it by assertion
+// (through unwrapBackend for decorated stores).
 type storeStatsProvider interface {
 	StoreStats() StoreStats
+	IndexStats() IndexStats
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // These are the record table's tests, run over both backends from the
-// conformance harness: a snapshot stays exact for as long as it is held,
-// whatever is written after it (sequentially against a model, concurrently
-// against the change feed), and the first read after a write costs the
-// same at any store size.
+// conformance harness: a snapshot — its name postings included — stays
+// exact for as long as it is held, whatever is written after it
+// (sequentially against a model, concurrently against the change feed),
+// and the first read after a write costs the same at any store size.
 
 // tableModel is the reference copy of a store's live records.
 type tableModel struct {
@@ -94,10 +94,10 @@ func byFrom(es []Edge) []Edge {
 	return es
 }
 
-// check compares a snapshot with the model record for record. ids lists
-// every id the run ever used, so records stored after the snapshot are
-// checked to be absent from it.
-func (m *tableModel) check(t *testing.T, sn *Snapshot, ids []string, what string) {
+// check compares a snapshot with the model record for record. ids and
+// names list every id and name the run ever used, so records stored after
+// the snapshot are checked to be absent from it.
+func (m *tableModel) check(t *testing.T, sn *Snapshot, ids, names []string, what string) {
 	t.Helper()
 	if sn.NumObjects() != len(m.objects) {
 		t.Fatalf("%s: snapshot@%d has %d objects, the store had %d", what, sn.Revision(), sn.NumObjects(), len(m.objects))
@@ -127,11 +127,32 @@ func (m *tableModel) check(t *testing.T, sn *Snapshot, ids []string, what string
 			t.Fatalf("%s: snapshot@%d surrogates(%s) = %v, the store had %v", what, sn.Revision(), id, sn.Surrogates(id), m.surrogates[id])
 		}
 	}
+	// Every posted id is one object the store had by that name, and the
+	// postings of all names together count every named object.
+	unposted := 0
+	for _, o := range m.objects {
+		if o.Name != "" {
+			unposted++
+		}
+	}
+	for _, name := range names {
+		got := sn.FindByName(name)
+		slices.Sort(got)
+		for i, id := range got {
+			if o, ok := m.objects[id]; !ok || o.Name != name || i > 0 && got[i-1] == id {
+				t.Fatalf("%s: snapshot@%d FindByName(%q) = %v, the store had %s as %+v (%v)", what, sn.Revision(), name, got, id, o, ok)
+			}
+		}
+		unposted -= len(got)
+	}
+	if unposted != 0 {
+		t.Fatalf("%s: snapshot@%d posts %d named objects too few", what, sn.Revision(), unposted)
+	}
 }
 
 // checkCounts compares the backend's O(1) counts and a fresh snapshot with
 // the model.
-func (m *tableModel) checkCounts(t *testing.T, b Backend, ids []string, what string) {
+func (m *tableModel) checkCounts(t *testing.T, b Backend, ids, names []string, what string) {
 	t.Helper()
 	if b.NumObjects() != len(m.objects) || b.NumEdges() != m.edges {
 		t.Fatalf("%s: backend counts %d objects, %d edges; the model has %d, %d",
@@ -141,7 +162,7 @@ func (m *tableModel) checkCounts(t *testing.T, b Backend, ids []string, what str
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.check(t, sn, ids, what)
+	m.check(t, sn, ids, names, what)
 }
 
 type heldSnapshot struct {
@@ -157,11 +178,17 @@ func conformSnapshotImmutable(t *testing.T, h backendHarness) {
 	b, path := h.open(t)
 	rng := rand.New(rand.NewSource(16))
 	model := newTableModel()
-	var ids []string
+	var ids, names []string
 	var held []heldSnapshot
 
+	// Names come from a pool of 64, one per step in turn, so a posting
+	// holds ids of many steps and a re-store moves an id out of a posting
+	// that still holds others.
+	for i := 0; i < 64; i++ {
+		names = append(names, fmt.Sprintf("v%d", i))
+	}
 	randObject := func(id string, step int) Object {
-		o := Object{ID: id, Kind: Data, Name: fmt.Sprintf("v%d", step)}
+		o := Object{ID: id, Kind: Data, Name: names[step%len(names)]}
 		if rng.Intn(2) == 0 {
 			o.Kind = Invocation
 		}
@@ -241,38 +268,40 @@ func conformSnapshotImmutable(t *testing.T, h backendHarness) {
 	checkHeld := func(what string) {
 		t.Helper()
 		for _, hs := range held {
-			hs.want.check(t, hs.sn, ids, what)
+			hs.want.check(t, hs.sn, ids, names, what)
 		}
 	}
 	if len(held) < 200 {
 		t.Fatalf("only %d snapshots held", len(held))
 	}
 	checkHeld("live")
-	model.checkCounts(t, b, ids, "live")
+	model.checkCounts(t, b, ids, names, "live")
 
 	if c, ok := b.(compactor); ok {
 		if err := c.Compact(); err != nil {
 			t.Fatal(err)
 		}
 		checkHeld("after Compact")
-		model.checkCounts(t, b, ids, "after Compact")
+		model.checkCounts(t, b, ids, names, "after Compact")
 	}
 	if h.reopen != nil {
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
 		}
-		model.checkCounts(t, h.reopen(t, path), ids, "reopened")
+		model.checkCounts(t, h.reopen(t, path), ids, names, "reopened")
 		checkHeld("after reopen")
 	}
 }
 
 // conformSnapshotImmutableConcurrent races writers on every stripe with
-// snapshot takers and with readers walking snapshots that are already
-// old, then rebuilds the store at each snapshot's revision from the
-// change feed and compares.
+// snapshot takers and with readers walking (and probing the names of)
+// snapshots that are already old, then rebuilds the store at each
+// snapshot's revision from the change feed and compares. The writers'
+// re-stores move ids out of the "first" posting while readers probe it.
 func conformSnapshotImmutableConcurrent(t *testing.T, h backendHarness) {
 	b, _ := h.open(t)
 	const writers, perWriter = 4, 100
+	names := []string{"batched", "first", "re-stored"}
 	var (
 		mu      sync.Mutex
 		taken   []*Snapshot
@@ -376,6 +405,14 @@ func conformSnapshotImmutableConcurrent(t *testing.T, h backendHarness) {
 					}
 					_, _ = sn.In(o.ID), sn.Surrogates(o.ID)
 				}
+				for _, name := range names {
+					for _, id := range sn.FindByName(name) {
+						if o, ok := sn.Object(id); !ok || o.Name != name {
+							t.Errorf("snapshot@%d: FindByName(%q) lists %s, named %q (%v)", sn.Revision(), name, id, o.Name, ok)
+							return
+						}
+					}
+				}
 			}
 		}(g)
 	}
@@ -411,7 +448,7 @@ func conformSnapshotImmutableConcurrent(t *testing.T, h backendHarness) {
 		for ; next < len(changes) && changes[next].Rev <= sn.Revision(); next++ {
 			model.apply(changes[next])
 		}
-		model.check(t, sn, ids, "concurrent")
+		model.check(t, sn, ids, names, "concurrent")
 	}
 	if b.NumObjects() != len(model.objects) || b.NumEdges() != model.edges {
 		t.Errorf("backend counts %d objects, %d edges; the feed rebuilt %d, %d",

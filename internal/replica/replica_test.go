@@ -108,6 +108,23 @@ func waitForRev(t *testing.T, r *Replica, rev uint64) {
 	}
 }
 
+// objectWrites counts the stores of id in b's change feed: a blind
+// re-apply of an object the store already held counts twice.
+func objectWrites(t *testing.T, b plus.Backend, id string) int {
+	t.Helper()
+	changes, err := b.ChangesSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, c := range changes {
+		if c.Kind == plus.ChangeObject && c.Object.ID == id {
+			n++
+		}
+	}
+	return n
+}
+
 // ingestChain writes a linear provenance chain of n objects.
 func ingestChain(t *testing.T, c *plusclient.Client, prefix string, n int) {
 	t.Helper()
