@@ -201,7 +201,6 @@ func run() error {
 	horizon := flag.Int("change-horizon", 0, "mem backend: recent changes the change feed retains (0 = default)")
 	latticePath := flag.String("lattice", "", "path to a JSON lattice spec (default: two-level)")
 	sync := flag.Bool("sync", false, "fsync every append (log backend)")
-	cache := flag.Bool("cache", true, "memoise lineage answers until the store changes")
 	authKeys := flag.String("auth-keys", "", "HMAC keyring file; requires signed session tokens on every request")
 	authAnon := flag.Bool("auth-anonymous", false, "with -auth-keys: keep the legacy read-only (query) surface open to tokenless requests")
 	sessionTTL := flag.Duration("session-ttl", plus.DefaultSessionTTL, "default lifetime of tokens minted by POST /v2/sessions")
@@ -298,14 +297,8 @@ func run() error {
 		}
 	}
 
-	engine := plus.NewEngine(observed, lat)
 	opts := append([]plus.ServerOption{plus.WithAuth(auth), plus.WithObservability(telemetry)}, extraOpts...)
-	var srv *plus.Server
-	if *cache {
-		srv = plus.NewCachedServer(plus.NewCachedEngine(engine), opts...)
-	} else {
-		srv = plus.NewServer(engine, opts...)
-	}
+	srv := plus.NewServer(plus.NewEngine(observed, lat), opts...)
 	// PLUSQL declarative queries: POST /v2/query.
 	plusql.Attach(srv, plusql.NewEngine(observed, lat))
 
@@ -362,8 +355,8 @@ func run() error {
 	if rep != nil {
 		role = fmt.Sprintf("follower of %s", *follow)
 	}
-	log.Printf("plusd: serving %s backend on %s as %s (%d objects, %d edges, cache=%v, epoch=%s, auth=%s)",
-		*backendKind, *addr, role, backend.NumObjects(), backend.NumEdges(), *cache, backend.Epoch(), mode)
+	log.Printf("plusd: serving %s backend on %s as %s (%d objects, %d edges, epoch=%s, auth=%s)",
+		*backendKind, *addr, role, backend.NumObjects(), backend.NumEdges(), backend.Epoch(), mode)
 	return listenAndServe(*addr, srv, *tlsPair, *tlsSelf)
 }
 

@@ -8,13 +8,13 @@ import (
 	"repro/internal/privilege"
 )
 
-// This file is the single server-side authorization middleware of the
-// API. Every handler resolves its caller through Server.Authorize with
-// the capability the endpoint needs; there is deliberately exactly one
-// resolution path, so a missing token, a bad signature, an expired
-// token, a viewer conflict and a missing capability fail identically on
-// every endpoint — structured {error, code} bodies, never a silent
-// Public fallback.
+// This file is the server-side authorization of the API. The dispatcher
+// (server.go) resolves every caller through principal and judges it with
+// authorize against the capability its endpoint declares; there is
+// deliberately exactly one resolution path, so a missing token, a bad
+// signature, an expired token, a viewer conflict and a missing
+// capability fail identically on every endpoint — structured
+// {error, code} bodies, never a silent Public fallback.
 //
 // Three server modes, selected by AuthConfig:
 //
@@ -95,40 +95,39 @@ type Principal struct {
 // Can reports whether the principal holds capability cap.
 func (p Principal) Can(cap Capability) bool { return capsHave(p.Capabilities, cap) }
 
-// Authorize resolves the request principal and requires capability
-// need. It is the only authorization path of the API:
+// authorize judges a resolved principal against the capability need a
+// route declares, counting the decision. resolveErr is principal's
+// failure, which stands (counted as unauthorized). A principal missing
+// need is 403 forbidden — 401 for an anonymous-read principal, whose fix
+// is to authenticate.
+func (s *Server) authorize(p Principal, resolveErr *APIError, need Capability) *APIError {
+	if resolveErr != nil {
+		s.obs.authz.With(string(need), "unauthorized").Inc()
+		return resolveErr
+	}
+	if !p.Can(need) {
+		s.obs.authz.With(string(need), "forbidden").Inc()
+		if s.auth.Require && p.Token == nil {
+			return v2Errorf(http.StatusUnauthorized, CodeUnauthorized,
+				"plus: the %q capability requires an authenticated session token", need)
+		}
+		return v2Errorf(http.StatusForbidden, CodeForbidden,
+			"plus: principal %q lacks the %q capability", p.Viewer, need)
+	}
+	s.obs.authz.With(string(need), "ok").Inc()
+	return nil
+}
+
+// principal resolves who is asking, before any capability check:
 //
 //   - An X-Plus-Session token is verified against the keyring
 //     (constant-time): expired is 401 token_expired, unknown key id or
 //     bad signature 401 bad_token, a viewer the lattice does not know
 //     403, an X-Plus-Viewer header contradicting the token 400.
 //   - Without a token: 401 unauthorized when auth is required (unless
-//     AnonymousRead covers a query-capability request); otherwise the
-//     legacy open-mode principal — validated X-Plus-Viewer header or
-//     Public, holding every capability.
-//   - A resolved principal missing need is 403 forbidden.
-func (s *Server) Authorize(r *http.Request, need Capability) (Principal, *APIError) {
-	p, apiErr := s.principal(r)
-	if apiErr != nil {
-		s.obs.authz.With(string(need), "unauthorized").Inc()
-		return Principal{}, apiErr
-	}
-	if !p.Can(need) {
-		s.obs.authz.With(string(need), "forbidden").Inc()
-		if s.auth.Require && p.Token == nil {
-			// An anonymous-read principal outside its read-only surface:
-			// the fix is to authenticate, so answer 401, not 403.
-			return Principal{}, v2Errorf(http.StatusUnauthorized, CodeUnauthorized,
-				"plus: the %q capability requires an authenticated session token", need)
-		}
-		return Principal{}, v2Errorf(http.StatusForbidden, CodeForbidden,
-			"plus: principal %q lacks the %q capability", p.Viewer, need)
-	}
-	s.obs.authz.With(string(need), "ok").Inc()
-	return p, nil
-}
-
-// principal resolves who is asking, before any capability check.
+//     AnonymousRead admits it with the query capability alone);
+//     otherwise the legacy open-mode principal — validated X-Plus-Viewer
+//     header or Public, holding every capability.
 func (s *Server) principal(r *http.Request) (Principal, *APIError) {
 	token := r.Header.Get(HeaderSession)
 	header := privilege.Predicate(r.Header.Get(HeaderViewer))

@@ -149,13 +149,6 @@ func TestHealthzCacheStats(t *testing.T) {
 	if h.QueryCache != nil {
 		t.Error("queryCache present without the query subsystem attached")
 	}
-
-	// An uncached server reports no cache section at all.
-	plain := httptest.NewServer(NewServer(NewEngine(s, privilege.TwoLevel())))
-	t.Cleanup(plain.Close)
-	if h2 := healthz(t, plain.URL); h2.LineageCache != nil {
-		t.Error("lineageCache present on an uncached server")
-	}
 }
 
 // TestHealthzMemBackend exercises the probe over the volatile backend,

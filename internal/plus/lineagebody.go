@@ -186,15 +186,15 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 
 // writeLineageBody writes a lineage answer as a 200 response with its
 // Content-Length set.
-func writeLineageBody(w http.ResponseWriter, req Request, res *Result) {
+func writeLineageBody(w http.ResponseWriter, req Request, res *Result) *APIError {
 	body, err := appendLineageBody(nil, req, res)
 	if err != nil {
-		WriteAPIError(w, v2Errorf(http.StatusInternalServerError, CodeInternal, "%s", err))
-		return
+		return v2Errorf(http.StatusInternalServerError, CodeInternal, "%s", err)
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body) // a failed write means the client is gone: no one to tell
+	return nil
 }

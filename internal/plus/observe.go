@@ -148,21 +148,26 @@ func WithObservability(o *Observability) ServerOption {
 // configured).
 func (s *Server) Observability() *Observability { return s.obs }
 
-// statusWriter captures the status and body size a handler produced. It
-// forwards Flush so the /v2/changes NDJSON stream keeps flushing through
-// the middleware, and Unwrap for http.ResponseController users.
+// statusWriter captures the route that served a request (set by the
+// dispatcher) and the status and body size it produced, and whether the
+// response has started. It forwards Flush so the /v2/changes NDJSON
+// stream keeps flushing through the middleware, and Unwrap for
+// http.ResponseController users.
 type statusWriter struct {
 	http.ResponseWriter
+	route  string
 	status int
 	bytes  int64
+	wrote  bool
 }
 
 func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
+	w.status, w.wrote = status, true
 	w.ResponseWriter.WriteHeader(status)
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
+	w.wrote = true
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
@@ -189,15 +194,11 @@ func (s *Server) serveObserved(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(obs.HeaderRequestID, reqID)
 	r = r.WithContext(obs.WithRequestID(r.Context(), reqID))
 
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	// The label is the dispatched route's pattern, not the raw path:
+	// bounded cardinality regardless of what clients request.
+	sw := &statusWriter{ResponseWriter: w, route: "unmatched", status: http.StatusOK}
 	s.mux.ServeHTTP(sw, r)
-
-	// The registered pattern, not the raw path: bounded label
-	// cardinality regardless of what clients request.
-	_, route := s.mux.Handler(r)
-	if route == "" {
-		route = "unmatched"
-	}
+	route := sw.route
 	o := s.obs
 	o.httpRequests.With(route, r.Method, strconv.Itoa(sw.status)).Inc()
 	o.httpLatency.With(route).ObserveSince(start)
@@ -278,40 +279,30 @@ func (s *Server) registerServerMetrics() {
 	reg.GaugeFunc("plus_intern_bytes",
 		"Bytes of string data held by the global intern table.",
 		func() float64 { return float64(intern.Bytes()) })
-	if ce, ok := s.answerer.(*CachedEngine); ok {
-		reg.GaugeFunc("plus_lineage_cache_entries", "Cached lineage answers.",
-			func() float64 { return float64(ce.Stats().Entries) })
-		reg.GaugeFunc("plus_lineage_cache_closure_nodes",
-			"Closure nodes held by the cached lineage answers (what the cache bound counts).",
-			func() float64 { return float64(ce.Stats().ClosureNodes) })
-		reg.CounterFunc("plus_lineage_cache_hits_total", "Lineage cache hits.",
-			func() float64 { return float64(ce.Stats().Hits) })
-		reg.CounterFunc("plus_lineage_cache_misses_total", "Lineage cache misses.",
-			func() float64 { return float64(ce.Stats().Misses) })
-		reg.CounterFunc("plus_lineage_cache_delta_evictions_total",
-			"Lineage cache entries evicted by change-feed deltas.",
-			func() float64 { return float64(ce.Stats().DeltaEvictions) })
-		reg.CounterFunc("plus_lineage_cache_capacity_evictions_total",
-			"Lineage cache entries evicted least-recently-served-first to stay inside the closure-node budget.",
-			func() float64 { return float64(ce.Stats().CapacityEvictions) })
-		reg.CounterFunc("plus_lineage_cache_wipes_total",
-			"Lineage cache full invalidations.",
-			func() float64 { return float64(ce.Stats().Wipes) })
-	}
+	ce := s.engine
+	reg.GaugeFunc("plus_lineage_cache_entries", "Cached lineage answers.",
+		func() float64 { return float64(ce.Stats().Entries) })
+	reg.GaugeFunc("plus_lineage_cache_closure_nodes",
+		"Closure nodes held by the cached lineage answers (what the cache bound counts).",
+		func() float64 { return float64(ce.Stats().ClosureNodes) })
+	reg.CounterFunc("plus_lineage_cache_hits_total", "Lineage cache hits.",
+		func() float64 { return float64(ce.Stats().Hits) })
+	reg.CounterFunc("plus_lineage_cache_misses_total", "Lineage cache misses.",
+		func() float64 { return float64(ce.Stats().Misses) })
+	reg.CounterFunc("plus_lineage_cache_delta_evictions_total",
+		"Lineage cache entries evicted by change-feed deltas.",
+		func() float64 { return float64(ce.Stats().DeltaEvictions) })
+	reg.CounterFunc("plus_lineage_cache_capacity_evictions_total",
+		"Lineage cache entries evicted least-recently-served-first to stay inside the closure-node budget.",
+		func() float64 { return float64(ce.Stats().CapacityEvictions) })
+	reg.CounterFunc("plus_lineage_cache_wipes_total",
+		"Lineage cache full invalidations.",
+		func() float64 { return float64(ce.Stats().Wipes) })
 }
 
-// handleV2Metrics serves the registry under the admin capability:
-// Prometheus text exposition by default, the JSON snapshot with
-// ?format=json (what plusctl top polls).
-func (s *Server) handleV2Metrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapAdmin); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
+// serveMetrics serves the registry: Prometheus text exposition by
+// default, the JSON snapshot with ?format=json (what plusctl top polls).
+func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request, _ Principal) *APIError {
 	reg := s.obs.Registry()
 	switch r.URL.Query().Get("format") {
 	case "", "prometheus":
@@ -323,27 +314,20 @@ func (s *Server) handleV2Metrics(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_ = reg.WriteJSON(w)
 	default:
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest,
-			"plus: unknown metrics format %q (want prometheus or json)", r.URL.Query().Get("format")))
+		return v2Errorf(http.StatusBadRequest, CodeBadRequest,
+			"plus: unknown metrics format %q (want prometheus or json)", r.URL.Query().Get("format"))
 	}
+	return nil
 }
 
-// handleV2Slowlog serves the slow-query ring (admin capability), oldest
-// first.
-func (s *Server) handleV2Slowlog(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapAdmin); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
+// serveSlowlog serves the slow-query ring, oldest first.
+func (s *Server) serveSlowlog(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
 	entries := s.obs.SlowQueryLog().Entries()
 	if entries == nil {
 		entries = []obs.SlowEntry{}
 	}
 	writeJSON(w, http.StatusOK, entries)
+	return nil
 }
 
 // ObserveBackend decorates a Backend with per-operation latency
@@ -368,27 +352,6 @@ func NewObserveBackend(b Backend, reg *obs.Registry) Backend {
 		ops: reg.HistogramVec("plus_backend_op_seconds",
 			"Storage backend operation latency by operation.", obs.ScaleNanos, "op"),
 	}
-}
-
-func (o *ObserveBackend) PutObject(obj Object) error {
-	t := time.Now()
-	err := o.Backend.PutObject(obj)
-	o.ops.With("put_object").ObserveSince(t)
-	return err
-}
-
-func (o *ObserveBackend) PutEdge(e Edge) error {
-	t := time.Now()
-	err := o.Backend.PutEdge(e)
-	o.ops.With("put_edge").ObserveSince(t)
-	return err
-}
-
-func (o *ObserveBackend) PutSurrogate(sp SurrogateSpec) error {
-	t := time.Now()
-	err := o.Backend.PutSurrogate(sp)
-	o.ops.With("put_surrogate").ObserveSince(t)
-	return err
 }
 
 func (o *ObserveBackend) Apply(b Batch) (uint64, error) {

@@ -111,16 +111,11 @@ func ExportOPM(b Backend, w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// ExportOPM writes the whole store as an OPM document.
-func (s *LogBackend) ExportOPM(w io.Writer) error { return ExportOPM(s, w) }
-
-// ExportOPM writes the whole backend as an OPM document.
-func (m *MemBackend) ExportOPM(w io.Writer) error { return ExportOPM(m, w) }
-
-// ImportOPM reads an OPM document and stores its contents in a backend.
-// Entities are inserted before dependencies, so a well-formed document
-// always imports; dependencies naming unknown entities are an error. Edge
-// direction follows dataflow: used(P, A) becomes A -> P,
+// ImportOPM reads an OPM document and stores its contents in a backend
+// as one atomic batch: a document that fails validation (a dependency
+// naming an unknown entity, say) leaves the backend untouched. Entities
+// are applied before dependencies, so a well-formed document always
+// imports. Edge direction follows dataflow: used(P, A) becomes A -> P,
 // wasGeneratedBy(A, P) becomes P -> A.
 func ImportOPM(b Backend, r io.Reader) error {
 	var doc OPMDocument
@@ -128,35 +123,29 @@ func ImportOPM(b Backend, r io.Reader) error {
 	if err := dec.Decode(&doc); err != nil {
 		return fmt.Errorf("plus: opm decode: %w", err)
 	}
+	var batch Batch
 	for _, a := range doc.Artifacts {
 		o := Object{ID: a.ID, Kind: Data, Name: a.Value, Features: a.Notes}
 		if a.XPlus != nil {
 			o.Lowest, o.Protect = a.XPlus.Lowest, a.XPlus.Protect
 		}
-		if err := b.PutObject(o); err != nil {
-			return err
-		}
+		batch.Objects = append(batch.Objects, o)
 	}
 	for _, p := range doc.Processes {
 		o := Object{ID: p.ID, Kind: Invocation, Name: p.Value, Features: p.Notes}
 		if p.XPlus != nil {
 			o.Lowest, o.Protect = p.XPlus.Lowest, p.XPlus.Protect
 		}
-		if err := b.PutObject(o); err != nil {
-			return err
-		}
+		batch.Objects = append(batch.Objects, o)
 	}
 	for _, d := range doc.Used {
-		if err := b.PutEdge(Edge{From: d.Cause, To: d.Effect, Label: roleOr(d.Role, "used")}); err != nil {
-			return err
-		}
+		batch.Edges = append(batch.Edges, Edge{From: d.Cause, To: d.Effect, Label: roleOr(d.Role, "used")})
 	}
 	for _, d := range doc.WasGeneratedBy {
-		if err := b.PutEdge(Edge{From: d.Cause, To: d.Effect, Label: roleOr(d.Role, "wasGeneratedBy")}); err != nil {
-			return err
-		}
+		batch.Edges = append(batch.Edges, Edge{From: d.Cause, To: d.Effect, Label: roleOr(d.Role, "wasGeneratedBy")})
 	}
-	return nil
+	_, err := b.Apply(batch)
+	return err
 }
 
 func roleOr(role, fallback string) string {
@@ -165,9 +154,3 @@ func roleOr(role, fallback string) string {
 	}
 	return fallback
 }
-
-// ImportOPM reads an OPM document into the store.
-func (s *LogBackend) ImportOPM(r io.Reader) error { return ImportOPM(s, r) }
-
-// ImportOPM reads an OPM document into the backend.
-func (m *MemBackend) ImportOPM(r io.Reader) error { return ImportOPM(m, r) }

@@ -2,8 +2,13 @@ package plus
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/privilege"
 )
 
 func opmFixture(t *testing.T) *LogBackend {
@@ -33,7 +38,7 @@ func opmFixture(t *testing.T) *LogBackend {
 func TestOPMExportShape(t *testing.T) {
 	s := opmFixture(t)
 	var buf bytes.Buffer
-	if err := s.ExportOPM(&buf); err != nil {
+	if err := ExportOPM(s, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -55,12 +60,12 @@ func TestOPMExportShape(t *testing.T) {
 func TestOPMRoundTrip(t *testing.T) {
 	src := opmFixture(t)
 	var buf bytes.Buffer
-	if err := src.ExportOPM(&buf); err != nil {
+	if err := ExportOPM(src, &buf); err != nil {
 		t.Fatal(err)
 	}
 
 	dst, _ := openTemp(t)
-	if err := dst.ImportOPM(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := ImportOPM(dst, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if dst.NumObjects() != src.NumObjects() || dst.NumEdges() != src.NumEdges() {
@@ -88,7 +93,7 @@ func TestOPMImportForeignDocument(t *testing.T) {
 	  "wasGeneratedBy": [{"effect":"a2","cause":"p1"}]
 	}`
 	s, _ := openTemp(t)
-	if err := s.ImportOPM(strings.NewReader(doc)); err != nil {
+	if err := ImportOPM(s, strings.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
 	if s.NumObjects() != 3 || s.NumEdges() != 2 {
@@ -105,12 +110,59 @@ func TestOPMImportForeignDocument(t *testing.T) {
 
 func TestOPMImportErrors(t *testing.T) {
 	s, _ := openTemp(t)
-	if err := s.ImportOPM(strings.NewReader(`not json`)); err == nil {
+	if err := ImportOPM(s, strings.NewReader(`not json`)); err == nil {
 		t.Error("garbage accepted")
 	}
-	if err := s.ImportOPM(strings.NewReader(`{"used":[{"effect":"p","cause":"a"}]}`)); err == nil {
+	if err := ImportOPM(s, strings.NewReader(`{"used":[{"effect":"p","cause":"a"}]}`)); err == nil {
 		t.Error("dependency on unknown entities accepted")
 	}
+}
+
+// TestOPMImportIsAtomic: a document with one dangling dependency is
+// refused whole, imported directly and over POST /v2/opm alike — no
+// entity or good dependency of it lands, and the revision stays put.
+func TestOPMImportIsAtomic(t *testing.T) {
+	const doc = `{
+	  "artifacts": [{"id":"a1","value":"input"}],
+	  "processes": [{"id":"p1","value":"step"}],
+	  "used": [{"effect":"p1","cause":"a1"},{"effect":"p1","cause":"ghost"}]
+	}`
+	seeded := func(t *testing.T) Backend {
+		m := NewMemBackend(0)
+		t.Cleanup(func() { m.Close() })
+		if err := m.PutObject(Object{ID: "seed", Kind: Data, Name: "seed"}); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	unchanged := func(t *testing.T, b Backend) {
+		t.Helper()
+		if b.NumObjects() != 1 || b.NumEdges() != 0 || b.Revision() != 1 {
+			t.Errorf("after a refused import: %d objects, %d edges, revision %d; want 1, 0, 1",
+				b.NumObjects(), b.NumEdges(), b.Revision())
+		}
+	}
+
+	direct := seeded(t)
+	if err := ImportOPM(direct, strings.NewReader(doc)); err == nil {
+		t.Error("dangling dependency accepted")
+	}
+	unchanged(t, direct)
+
+	served := seeded(t)
+	srv := httptest.NewServer(NewServer(NewEngine(served, privilege.TwoLevel())))
+	t.Cleanup(srv.Close)
+	resp, err := http.Post(srv.URL+"/v2/opm", "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body APIError
+	_ = json.NewDecoder(resp.Body).Decode(&body)
+	if resp.StatusCode != http.StatusBadRequest || body.Code != CodeBadRequest {
+		t.Errorf("POST /v2/opm = %d %q, want 400 %q", resp.StatusCode, body.Code, CodeBadRequest)
+	}
+	unchanged(t, served)
 }
 
 func TestOPMExportOnClosedStore(t *testing.T) {
@@ -119,7 +171,7 @@ func TestOPMExportOnClosedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.ExportOPM(&buf); err == nil {
+	if err := ExportOPM(s, &buf); err == nil {
 		t.Error("export on closed store accepted")
 	}
 }

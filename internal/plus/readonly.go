@@ -18,9 +18,9 @@ type readOnly struct {
 	proxy http.Handler
 }
 
-// WithReadOnly puts the server in follower mode: every mutating endpoint
-// (/v2/batch, POST /v2/opm, /v2/compact) refuses with a structured 403 code "read_only" instead of
-// touching the local store, which only the replication apply loop may
+// WithReadOnly puts the server in follower mode: every endpoint the table
+// marks as a write (/v2/batch, POST /v2/opm, /v2/compact) refuses with a
+// structured 403 code "read_only" instead of touching the local store, which only the replication apply loop may
 // write. A non-nil proxy reverses the refusal into a pass-through: the
 // original request — auth headers intact, so the primary authorizes the
 // original principal — is forwarded to it, and the follower observes the
@@ -32,8 +32,7 @@ func WithReadOnly(proxy http.Handler) ServerOption {
 
 // gateWrite enforces the read-only policy on one mutating request. It
 // reports true when the request was fully answered here (refused or
-// proxied) and the handler must return. The gate runs before
-// authorization: the follower may not even hold the keyring material to
+// proxied). The dispatcher runs it before authorization: the follower may not even hold the keyring material to
 // judge an ingest token, and when proxying, authorization is the
 // primary's call to make.
 func (s *Server) gateWrite(w http.ResponseWriter, r *http.Request) bool {

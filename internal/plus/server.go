@@ -1,7 +1,6 @@
 package plus
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,36 +11,31 @@ import (
 	"repro/internal/intern"
 )
 
-// lineageAnswerer lets the server run against either a plain Engine or a
-// CachedEngine; handlers always pass the request context so cancellation
-// propagates into the closure walk.
-type lineageAnswerer interface {
-	LineageContext(context.Context, Request) (*Result, error)
-}
-
-// Server exposes a store and its query engine over HTTP with a small JSON
-// API, the v2 wire API (v2.go documents it):
+// Server exposes a store and its cache-fronted query engine over HTTP,
+// the v2 wire API (v2.go documents it). Every route is one Endpoint of
+// the table NewCachedServer mounts:
 //
-//	POST     /v2/sessions       mint a stateless signed session token
-//	POST     /v2/batch          atomic ingest of objects, edges, surrogates
-//	GET      /v2/changes        NDJSON change feed with durable cursors
-//	GET      /v2/snapshot       full store at one revision (resync payload)
-//	GET      /v2/lineage        protected lineage query (see LineageResponse)
-//	GET      /v2/objects/{id}   principal-scoped point read
-//	POST     /v2/compact        rewrite the durable log to live records
-//	GET|POST /v2/opm            export / import an OPM document
-//	GET      /v2/metrics        metrics registry (text or ?format=json)
-//	GET      /v2/slowlog        slow-query ring
-//	GET      /v1/healthz        readiness probe (store open, counts, revision)
+//	method  pattern            caller       write  purpose
+//	GET     /v1/healthz        anyone              readiness probe (store open, counts, revision)
+//	POST    /v2/sessions       any principal       mint a stateless signed session token
+//	POST    /v2/batch          ingest       yes    atomic ingest of objects, edges, surrogates
+//	GET     /v2/changes        replicate           NDJSON change feed with durable cursors
+//	GET     /v2/snapshot       replicate           full store at one revision (resync payload)
+//	GET     /v2/lineage        query               protected lineage query (see LineageResponse)
+//	GET     /v2/objects/{id}   query               principal-scoped point read
+//	POST    /v2/compact        admin        yes    rewrite the durable log to live records
+//	GET     /v2/opm            replicate           export an OPM document
+//	POST    /v2/opm            ingest       yes    import an OPM document
+//	GET     /v2/metrics        admin               metrics registry (text or ?format=json)
+//	GET     /v2/slowlog        admin               slow-query ring, oldest first
 //
-// plusql.Attach adds POST /v2/query. Every route except the healthz probe
-// resolves its caller through the capability model (auth.go documents the
-// trust surface).
+// plusql.Attach mounts POST /v2/query (query). The capability model
+// (auth.go) documents the trust surface.
 type Server struct {
-	engine   *Engine
-	answerer lineageAnswerer
-	mux      *http.ServeMux
-	auth     AuthConfig
+	engine *CachedEngine
+	mux    *http.ServeMux
+	routes []*route
+	auth   AuthConfig
 
 	// keyring is the live token keyring, swapped atomically so plusd's
 	// SIGHUP reload rotates keys with zero downtime: requests in flight
@@ -77,19 +71,16 @@ func WithAuth(cfg AuthConfig) ServerOption {
 	return func(s *Server) { s.auth = cfg }
 }
 
-// NewServer wires the HTTP handlers around an engine.
+// NewServer wires the HTTP handlers around an engine, fronted by a
+// lineage cache (NewCachedEngine).
 func NewServer(engine *Engine, opts ...ServerOption) *Server {
-	return newServer(engine, engine, opts...)
+	return NewCachedServer(NewCachedEngine(engine), opts...)
 }
 
 // NewCachedServer wires the handlers around a cache-fronted engine;
 // lineage answers are memoised until the store changes.
 func NewCachedServer(engine *CachedEngine, opts ...ServerOption) *Server {
-	return newServer(engine.Engine, engine, opts...)
-}
-
-func newServer(engine *Engine, answerer lineageAnswerer, opts ...ServerOption) *Server {
-	s := &Server{engine: engine, answerer: answerer, mux: http.NewServeMux()}
+	s := &Server{engine: engine, mux: http.NewServeMux()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -102,18 +93,139 @@ func newServer(engine *Engine, answerer lineageAnswerer, opts ...ServerOption) *
 		s.engine.SetObservability(s.obs)
 	}
 	s.registerServerMetrics()
-	s.Handle("/v1/healthz", http.HandlerFunc(s.handleHealthz))
-	s.Handle("/v2/sessions", http.HandlerFunc(s.handleV2Sessions))
-	s.Handle("/v2/batch", http.HandlerFunc(s.handleV2Batch))
-	s.Handle("/v2/changes", http.HandlerFunc(s.handleV2Changes))
-	s.Handle("/v2/snapshot", http.HandlerFunc(s.handleV2Snapshot))
-	s.Handle("/v2/lineage", http.HandlerFunc(s.handleV2Lineage))
-	s.Handle("/v2/objects/", http.HandlerFunc(s.handleV2ObjectByID))
-	s.Handle("/v2/compact", http.HandlerFunc(s.handleV2Compact))
-	s.Handle("/v2/opm", http.HandlerFunc(s.handleV2OPM))
-	s.Handle("/v2/metrics", http.HandlerFunc(s.handleV2Metrics))
-	s.Handle("/v2/slowlog", http.HandlerFunc(s.handleV2Slowlog))
+	for _, e := range []Endpoint{
+		{"/v1/healthz", http.MethodGet, anyone, false, s.serveHealthz},
+		{"/v2/sessions", http.MethodPost, anyPrincipal, false, s.serveSessions},
+		{"/v2/batch", http.MethodPost, CapIngest, true, s.serveBatch},
+		{"/v2/changes", http.MethodGet, CapReplicate, false, s.serveChanges},
+		{"/v2/snapshot", http.MethodGet, CapReplicate, false, s.serveSnapshot},
+		{"/v2/lineage", http.MethodGet, CapQuery, false, s.serveLineage},
+		{"/v2/objects/", http.MethodGet, CapQuery, false, s.serveObject},
+		{"/v2/compact", http.MethodPost, CapAdmin, true, s.serveCompact},
+		{"/v2/opm", http.MethodGet, CapReplicate, false, s.serveOPMExport},
+		{"/v2/opm", http.MethodPost, CapIngest, true, s.serveOPMImport},
+		{"/v2/metrics", http.MethodGet, CapAdmin, false, s.serveMetrics},
+		{"/v2/slowlog", http.MethodGet, CapAdmin, false, s.serveSlowlog},
+	} {
+		s.Mount(e)
+	}
 	return s
+}
+
+// Endpoint is one route of the API, declared once: its pattern and
+// method, what the caller must be, whether it writes, and how it is
+// served. Every endpoint goes through the same dispatcher (route's
+// ServeHTTP), so no serve function checks its method, gates a write,
+// authorizes or writes its own error.
+type Endpoint struct {
+	Pattern string
+	Method  string
+	// Need is the capability the caller must hold. Two values are open
+	// to this package's own routes only: anyPrincipal (a resolved
+	// principal, no capability) and anyone (no principal at all).
+	Need Capability
+	// Write marks a mutation, which a follower refuses (or proxies)
+	// before authorization (WithReadOnly).
+	Write bool
+	// Serve answers an authorized request for principal p. A returned
+	// error is written as the structured body unless Serve has already
+	// started the response.
+	Serve func(w http.ResponseWriter, r *http.Request, p Principal) *APIError
+}
+
+// The caller requirements that are not a capability.
+const (
+	// anyPrincipal: a resolved principal, whatever it may do (minting a
+	// session only ever attenuates the caller's own).
+	anyPrincipal Capability = "(principal)"
+	// anyone: no principal is resolved (the readiness probe).
+	anyone Capability = "(anyone)"
+)
+
+// route is one mux pattern and the endpoints mounted on it, one per
+// method; allow is their methods in mount order (the 405's Allow).
+type route struct {
+	s         *Server
+	pattern   string
+	endpoints []Endpoint
+	allow     string
+}
+
+// Mount adds an endpoint to the server's table; higher layers (PLUSQL's
+// POST /v2/query) extend the API through it without this package
+// importing them. Mount before serving: the table is read without a
+// lock. It panics on an endpoint that names no known capability (or
+// neither anyone nor anyPrincipal) and on a method its pattern already
+// serves.
+func (s *Server) Mount(e Endpoint) {
+	if !capsHave(AllCapabilities(), e.Need) && e.Need != anyPrincipal && e.Need != anyone {
+		panic(fmt.Sprintf("plus: endpoint %s %s needs unknown capability %q", e.Method, e.Pattern, e.Need))
+	}
+	var rt *route
+	for _, have := range s.routes {
+		if have.pattern == e.Pattern {
+			rt = have
+		}
+	}
+	if rt == nil {
+		rt = &route{s: s, pattern: e.Pattern}
+		s.routes = append(s.routes, rt)
+		s.mux.Handle(e.Pattern, rt)
+	}
+	var methods []string
+	for _, have := range rt.endpoints {
+		if have.Method == e.Method {
+			panic(fmt.Sprintf("plus: endpoint %s %s mounted twice", e.Method, e.Pattern))
+		}
+		methods = append(methods, have.Method)
+	}
+	rt.endpoints = append(rt.endpoints, e)
+	rt.allow = strings.Join(append(methods, e.Method), ", ")
+}
+
+// ServeHTTP is the dispatcher, the one path every routed request takes:
+//
+//  1. a method the pattern does not serve gets the structured 405 with
+//     the pattern's methods in Allow;
+//  2. a write on a follower is refused or proxied (gateWrite), before
+//     authorization;
+//  3. the caller is resolved and authorized (just resolved for
+//     anyPrincipal, neither for anyone);
+//  4. the endpoint is served;
+//  5. a returned error is written, unless the response has started.
+//
+// It also names the route for serveObserved's metrics.
+func (rt *route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s, sw := rt.s, w.(*statusWriter) // serveObserved is the mux's only caller
+	sw.route = rt.pattern
+	var e *Endpoint
+	for i := range rt.endpoints {
+		if rt.endpoints[i].Method == r.Method {
+			e = &rt.endpoints[i]
+		}
+	}
+	if e == nil {
+		w.Header().Set("Allow", rt.allow)
+		WriteAPIError(w, v2Errorf(http.StatusMethodNotAllowed, CodeMethodNotAllowed, "plus: method not allowed"))
+		return
+	}
+	if e.Write && s.gateWrite(w, r) {
+		return
+	}
+	var p Principal
+	var apiErr *APIError
+	if e.Need != anyone {
+		p, apiErr = s.principal(r)
+		if e.Need != anyPrincipal {
+			apiErr = s.authorize(p, apiErr, e.Need)
+		}
+	}
+	if apiErr == nil {
+		apiErr = e.Serve(w, r, p)
+	}
+	if apiErr != nil && !sw.wrote {
+		WriteAPIError(w, apiErr)
+	}
 }
 
 // ServeHTTP implements http.Handler through the observability middleware:
@@ -139,22 +251,9 @@ func (s *Server) ReloadKeyringFromFile(path string) error {
 	return nil
 }
 
-// Handle registers an additional route on the server's mux, letting
-// higher layers (e.g. the PLUSQL query subsystem) extend the API without
-// this package importing them.
-func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
-
 // SetQueryStats registers the provider of the query-subsystem view-cache
 // counters rendered in healthz (plusql.Attach wires it).
 func (s *Server) SetQueryStats(fn func() QueryCacheHealth) { s.queryStats = fn }
-
-// MethodNotAllowed writes the API's structured 405 (code
-// "method_not_allowed") with an Allow header listing the admissible
-// methods.
-func MethodNotAllowed(w http.ResponseWriter, allowed ...string) {
-	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	WriteAPIError(w, v2Errorf(http.StatusMethodNotAllowed, CodeMethodNotAllowed, "plus: method not allowed"))
-}
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
@@ -165,10 +264,6 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // maxBodyBytes bounds POST /v2/sessions bodies; a session request is a
 // few fields, so anything near a megabyte is malformed or hostile.
 const maxBodyBytes = 1 << 20
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	return DecodeJSONBody(w, r, maxBodyBytes, v)
-}
 
 // DecodeJSONBody decodes a JSON request body under the API's shared
 // conventions: a hard size cap and unknown fields rejected. Extension
@@ -299,8 +394,7 @@ type HealthzResponse struct {
 	Index *IndexStats `json:"index,omitempty"`
 	// Intern reports the global string-intern table.
 	Intern *InternHealth `json:"intern,omitempty"`
-	// LineageCache reports the delta-scoped lineage answer cache (present
-	// when the server fronts a CachedEngine).
+	// LineageCache reports the delta-scoped lineage answer cache.
 	LineageCache *LineageCacheStats `json:"lineageCache,omitempty"`
 	// QueryCache reports the PLUSQL protected-view cache (present when
 	// the query subsystem is attached).
@@ -312,18 +406,14 @@ type HealthzResponse struct {
 	Replica *ReplicaHealth `json:"replica,omitempty"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
+func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
 	b := s.engine.store
 	if err := b.Ping(); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, HealthzResponse{
 			Status:   "unavailable",
 			Revision: b.Revision(),
 		})
-		return
+		return nil
 	}
 	resp := HealthzResponse{
 		Status:   "ok",
@@ -336,10 +426,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Index = &st
 	}
 	resp.Intern = &InternHealth{Strings: intern.Count(), Bytes: intern.Bytes()}
-	if ce, ok := s.answerer.(*CachedEngine); ok {
-		st := ce.Stats()
-		resp.LineageCache = &st
-	}
+	lc := s.engine.Stats()
+	resp.LineageCache = &lc
 	if s.queryStats != nil {
 		st := s.queryStats()
 		resp.QueryCache = &st
@@ -349,4 +437,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Replica = s.replicaHealth()
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }

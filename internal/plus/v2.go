@@ -147,29 +147,18 @@ type SessionResponse struct {
 	KeyID     string `json:"keyId"`
 }
 
-func (s *Server) handleV2Sessions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	// Minting needs a resolved principal but no particular capability:
-	// any authenticated caller may attenuate its own token. Anonymous
-	// callers can mint only in open mode (where the principal holds
-	// every capability by definition).
-	caller, apiErr := s.principal(r)
-	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
+// serveSessions mints a token for a resolved principal of any
+// capability: any authenticated caller may attenuate its own token.
+// Anonymous callers can mint only in open mode (where the principal holds
+// every capability by definition).
+func (s *Server) serveSessions(w http.ResponseWriter, r *http.Request, caller Principal) *APIError {
 	if s.auth.Require && caller.Token == nil {
-		WriteAPIError(w, v2Errorf(http.StatusUnauthorized, CodeUnauthorized,
-			"plus: minting a session requires an authenticated principal"))
-		return
+		return v2Errorf(http.StatusUnauthorized, CodeUnauthorized,
+			"plus: minting a session requires an authenticated principal")
 	}
 	var req SessionRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err))
-		return
+	if err := DecodeJSONBody(w, r, maxBodyBytes, &req); err != nil {
+		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err)
 	}
 
 	viewer := privilege.Predicate(req.Viewer)
@@ -177,33 +166,27 @@ func (s *Server) handleV2Sessions(w http.ResponseWriter, r *http.Request) {
 		viewer = caller.Viewer
 	}
 	if !s.engine.lattice.Known(viewer) {
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeUnknownViewer,
-			"plus: unknown viewer predicate %q", viewer))
-		return
+		return v2Errorf(http.StatusBadRequest, CodeUnknownViewer,
+			"plus: unknown viewer predicate %q", viewer)
 	}
 	if caller.Token != nil && viewer != caller.Viewer && !s.engine.lattice.Dominates(caller.Viewer, viewer) {
-		WriteAPIError(w, v2Errorf(http.StatusForbidden, CodeForbidden,
-			"plus: cannot mint viewer %q from a token for %q", viewer, caller.Viewer))
-		return
+		return v2Errorf(http.StatusForbidden, CodeForbidden,
+			"plus: cannot mint viewer %q from a token for %q", viewer, caller.Viewer)
 	}
 
 	caps, err := ParseCapabilities(req.Capabilities)
 	if err != nil {
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err))
-		return
+		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err)
 	}
 	if len(caps) == 0 {
 		caps = caller.Capabilities
 	} else if !capsSubset(caps, caller.Capabilities) {
-		WriteAPIError(w, v2Errorf(http.StatusForbidden, CodeForbidden,
-			"plus: requested capabilities %v exceed the caller's %v", caps, caller.Capabilities))
-		return
+		return v2Errorf(http.StatusForbidden, CodeForbidden,
+			"plus: requested capabilities %v exceed the caller's %v", caps, caller.Capabilities)
 	}
 
 	if req.TTLSeconds < 0 {
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest,
-			"plus: negative ttlSeconds"))
-		return
+		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "plus: negative ttlSeconds")
 	}
 	ttl := s.auth.DefaultTTL
 	if req.TTLSeconds > 0 {
@@ -229,8 +212,7 @@ func (s *Server) handleV2Sessions(w http.ResponseWriter, r *http.Request) {
 	kr := s.Keyring()
 	token, err := kr.Mint(claims)
 	if err != nil {
-		WriteAPIError(w, v2Errorf(http.StatusInternalServerError, CodeInternal, "%s", err))
-		return
+		return v2Errorf(http.StatusInternalServerError, CodeInternal, "%s", err)
 	}
 	writeJSON(w, http.StatusCreated, SessionResponse{
 		Token:        token,
@@ -239,6 +221,7 @@ func (s *Server) handleV2Sessions(w http.ResponseWriter, r *http.Request) {
 		ExpiresAt:    claims.ExpiresAt,
 		KeyID:        kr.Active(),
 	})
+	return nil
 }
 
 // BatchRequest is the body of POST /v2/batch: a whole ingest unit applied
@@ -260,42 +243,31 @@ type BatchResponse struct {
 	Surrogates int    `json:"surrogates"`
 }
 
-// maxBatchBytes bounds POST /v2/batch bodies; bulk ingest units are
-// allowed to be big, but not unbounded.
-const maxBatchBytes = 64 << 20
+// Body caps of the bulk endpoints: an ingest unit (POST /v2/batch) or
+// an OPM document (POST /v2/opm) may be big, but not unbounded.
+const (
+	maxBatchBytes = 64 << 20
+	maxOPMBytes   = 64 << 20
+)
 
-func (s *Server) handleV2Batch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	if s.gateWrite(w, r) {
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapIngest); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, _ Principal) *APIError {
 	var req BatchRequest
 	if err := DecodeJSONBody(w, r, maxBatchBytes, &req); err != nil {
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err))
-		return
+		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err)
 	}
 	b := Batch{Objects: req.Objects, Edges: req.Edges, Surrogates: req.Surrogates}
 	if err := b.checkSurrogateIDs(func(id string) bool {
 		_, err := s.engine.store.GetObject(id)
 		return err == nil
 	}); err != nil {
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err))
-		return
+		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err)
 	}
 	// Apply reports the revision of the batch's own last record (read
 	// under its locks), so the returned cursor never skips a concurrent
 	// writer's records.
 	rev, err := s.engine.store.Apply(b)
 	if err != nil {
-		WriteAPIError(w, v2StoreError(err))
-		return
+		return v2StoreError(err)
 	}
 	s.obs.batchRecords.Observe(int64(len(req.Objects) + len(req.Edges) + len(req.Surrogates)))
 	writeJSON(w, http.StatusOK, BatchResponse{
@@ -305,63 +277,41 @@ func (s *Server) handleV2Batch(w http.ResponseWriter, r *http.Request) {
 		Edges:      len(req.Edges),
 		Surrogates: len(req.Surrogates),
 	})
+	return nil
 }
 
-func (s *Server) handleV2ObjectByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	p, apiErr := s.Authorize(r, CapQuery)
-	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
-	viewer := p.Viewer
+func (s *Server) serveObject(w http.ResponseWriter, r *http.Request, p Principal) *APIError {
 	id := strings.TrimPrefix(r.URL.Path, "/v2/objects/")
 	o, err := s.engine.store.GetObject(id)
 	if err != nil {
-		WriteAPIError(w, v2StoreError(err))
-		return
+		return v2StoreError(err)
 	}
 	// Principal-scoped fetch: a record above the caller's privilege is
 	// refused, not served.
-	if o.Lowest != "" && !s.engine.lattice.Dominates(viewer, privilege.Predicate(o.Lowest)) {
-		WriteAPIError(w, v2Errorf(http.StatusForbidden, CodeForbidden,
-			"plus: object %q requires privilege %q", id, o.Lowest))
-		return
+	if o.Lowest != "" && !s.engine.lattice.Dominates(p.Viewer, privilege.Predicate(o.Lowest)) {
+		return v2Errorf(http.StatusForbidden, CodeForbidden,
+			"plus: object %q requires privilege %q", id, o.Lowest)
 	}
 	writeJSON(w, http.StatusOK, o)
+	return nil
 }
 
-func (s *Server) handleV2Lineage(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	p, apiErr := s.Authorize(r, CapQuery)
-	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
+func (s *Server) serveLineage(w http.ResponseWriter, r *http.Request, p Principal) *APIError {
 	q := r.URL.Query()
 	if q.Get("viewer") != "" {
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest,
-			"plus: v2 carries the viewer in the %s header or a session, not a query parameter", HeaderViewer))
-		return
+		return v2Errorf(http.StatusBadRequest, CodeBadRequest,
+			"plus: v2 carries the viewer in the %s header or a session, not a query parameter", HeaderViewer)
 	}
 	req, err := parseLineageParams(q)
 	if err != nil {
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err))
-		return
+		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err)
 	}
 	req.Viewer = p.Viewer
-	res, err := s.answerer.LineageContext(r.Context(), req)
+	res, err := s.engine.LineageContext(r.Context(), req)
 	if err != nil {
-		WriteAPIError(w, v2StoreError(err))
-		return
+		return v2StoreError(err)
 	}
-	writeLineageBody(w, req, res)
+	return writeLineageBody(w, req, res)
 }
 
 // SnapshotResponse is the answer to GET /v2/snapshot: the full store at
@@ -379,19 +329,10 @@ type SnapshotResponse struct {
 	Surrogates []SurrogateSpec `json:"surrogates"`
 }
 
-func (s *Server) handleV2Snapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapReplicate); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
+func (s *Server) serveSnapshot(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
 	sn, err := s.engine.store.Snapshot()
 	if err != nil {
-		WriteAPIError(w, v2StoreError(err))
-		return
+		return v2StoreError(err)
 	}
 	resp := SnapshotResponse{
 		Cursor:   Cursor{Epoch: s.engine.store.Epoch(), Rev: sn.Revision()}.Encode(),
@@ -406,6 +347,7 @@ func (s *Server) handleV2Snapshot(w http.ResponseWriter, r *http.Request) {
 		resp.Surrogates = append(resp.Surrogates, sn.Surrogates(o.ID)...)
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // ChangeEvent is one NDJSON line of GET /v2/changes.
@@ -459,7 +401,7 @@ func (s *Server) v2ResyncError(why string) *APIError {
 	return e
 }
 
-// handleV2Changes streams the change feed as NDJSON. Query parameters:
+// serveChanges streams the change feed as NDJSON. Query parameters:
 //
 //	cursor  resume position (a token from a previous event, batch response
 //	        or snapshot); absent means from the beginning of history
@@ -470,15 +412,7 @@ func (s *Server) v2ResyncError(why string) *APIError {
 // Every change event carries the cursor that resumes *after* it, so a
 // consumer that persists the last cursor it applied gets exactly-once
 // delivery across disconnects and server restarts (durable backends).
-func (s *Server) handleV2Changes(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapReplicate); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
+func (s *Server) serveChanges(w http.ResponseWriter, r *http.Request, _ Principal) *APIError {
 	q := r.URL.Query()
 	epoch := s.engine.store.Epoch()
 	cur := Cursor{Epoch: epoch, Rev: 0}
@@ -486,16 +420,14 @@ func (s *Server) handleV2Changes(w http.ResponseWriter, r *http.Request) {
 		var err error
 		cur, err = DecodeCursor(cstr)
 		if err != nil {
-			WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadCursor, "%s", err))
-			return
+			return v2Errorf(http.StatusBadRequest, CodeBadCursor, "%s", err)
 		}
 	}
 	limit := 0
 	if lstr := q.Get("limit"); lstr != "" {
 		n, err := strconv.Atoi(lstr)
 		if err != nil || n < 0 {
-			WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest, "plus: bad limit %q", lstr))
-			return
+			return v2Errorf(http.StatusBadRequest, CodeBadRequest, "plus: bad limit %q", lstr)
 		}
 		limit = n
 	}
@@ -503,8 +435,7 @@ func (s *Server) handleV2Changes(w http.ResponseWriter, r *http.Request) {
 	if wstr := q.Get("wait"); wstr != "" {
 		d, err := time.ParseDuration(wstr)
 		if err != nil || d < 0 {
-			WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest, "plus: bad wait %q", wstr))
-			return
+			return v2Errorf(http.StatusBadRequest, CodeBadRequest, "plus: bad wait %q", wstr)
 		}
 		if d > maxChangeWait {
 			d = maxChangeWait
@@ -513,8 +444,7 @@ func (s *Server) handleV2Changes(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if cur.Epoch != epoch {
-		WriteAPIError(w, s.v2ResyncError(fmt.Sprintf("cursor epoch %q is not the store's %q", cur.Epoch, epoch)))
-		return
+		return s.v2ResyncError(fmt.Sprintf("cursor epoch %q is not the store's %q", cur.Epoch, epoch))
 	}
 	// Probe before committing to a 200: a cursor past the retained window
 	// (or from a diverged, e.g. crash-truncated, history) must fail the
@@ -523,15 +453,13 @@ func (s *Server) handleV2Changes(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrTooFarBehind):
-			WriteAPIError(w, s.v2ResyncError(fmt.Sprintf("revision %d aged out of the retained change window", cur.Rev)))
+			return s.v2ResyncError(fmt.Sprintf("revision %d aged out of the retained change window", cur.Rev))
 		case errors.Is(err, ErrClosed):
-			WriteAPIError(w, v2Errorf(http.StatusServiceUnavailable, CodeUnavailable, "%s", err))
-		default:
-			// A future revision: the history this cursor saw no longer
-			// exists (e.g. a torn tail was truncated by crash recovery).
-			WriteAPIError(w, s.v2ResyncError(fmt.Sprintf("revision %d is beyond the store's history", cur.Rev)))
+			return v2Errorf(http.StatusServiceUnavailable, CodeUnavailable, "%s", err)
 		}
-		return
+		// A future revision: the history this cursor saw no longer exists
+		// (e.g. a torn tail was truncated by crash recovery).
+		return s.v2ResyncError(fmt.Sprintf("revision %d is beyond the store's history", cur.Rev))
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -554,7 +482,7 @@ func (s *Server) handleV2Changes(w http.ResponseWriter, r *http.Request) {
 			wroteSync = false
 			if limit > 0 && emitted >= limit {
 				flush()
-				return
+				return nil
 			}
 		}
 		if !wroteSync {
@@ -568,30 +496,30 @@ func (s *Server) handleV2Changes(w http.ResponseWriter, r *http.Request) {
 		// no missed wakeups, no polling interval.
 		for {
 			if wait <= 0 || time.Now().After(deadline) || r.Context().Err() != nil {
-				return
+				return nil
 			}
 			notify := s.engine.store.Notify()
 			if s.engine.store.Epoch() != epoch {
 				// Compaction rotated the epoch mid-stream: every cursor this
 				// stream could stamp is already dead. End it; the client
 				// reconnects and resyncs through the pre-stream 410 probe.
-				return
+				return nil
 			}
 			if s.engine.store.Revision() > cur.Rev {
 				break
 			}
 			if s.engine.store.Ping() != nil {
-				return
+				return nil
 			}
 			timer := time.NewTimer(time.Until(deadline))
 			select {
 			case <-r.Context().Done():
 				timer.Stop()
-				return
+				return nil
 			case <-notify:
 				timer.Stop()
 			case <-timer.C:
-				return
+				return nil
 			}
 		}
 		changes, err = s.engine.store.ChangesSince(cur.Rev)
@@ -599,7 +527,7 @@ func (s *Server) handleV2Changes(w http.ResponseWriter, r *http.Request) {
 			// Mid-stream loss (horizon overtaken while waiting): end the
 			// stream; the client reconnects with its cursor and receives
 			// the typed 410 through the pre-stream probe.
-			return
+			return nil
 		}
 	}
 }
@@ -618,29 +546,16 @@ type CompactResponse struct {
 	Cursor   string `json:"cursor"`
 }
 
-// handleV2Compact rewrites the durable log to live records only
-// (LogBackend.Compact) under the admin capability.
-func (s *Server) handleV2Compact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	if s.gateWrite(w, r) {
-		return
-	}
-	if _, apiErr := s.Authorize(r, CapAdmin); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
+// serveCompact rewrites the durable log to live records only
+// (LogBackend.Compact).
+func (s *Server) serveCompact(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
 	c, ok := unwrapBackend(s.engine.store).(compactor)
 	if !ok {
-		WriteAPIError(w, v2Errorf(http.StatusBadRequest, CodeBadRequest,
-			"plus: this backend does not support compaction"))
-		return
+		return v2Errorf(http.StatusBadRequest, CodeBadRequest,
+			"plus: this backend does not support compaction")
 	}
 	if err := c.Compact(); err != nil {
-		WriteAPIError(w, v2StoreError(err))
-		return
+		return v2StoreError(err)
 	}
 	writeJSON(w, http.StatusOK, CompactResponse{
 		Status:   "compacted",
@@ -648,40 +563,26 @@ func (s *Server) handleV2Compact(w http.ResponseWriter, r *http.Request) {
 		Revision: s.engine.store.Revision(),
 		Cursor:   Cursor{Epoch: s.engine.store.Epoch(), Rev: s.engine.store.Revision()}.Encode(),
 	})
+	return nil
 }
 
-// handleV2OPM exports the store as an OPM document (GET, the replicate
-// capability: the export carries raw records) or imports one (POST, the
-// ingest capability).
-func (s *Server) handleV2OPM(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		if _, apiErr := s.Authorize(r, CapReplicate); apiErr != nil {
-			WriteAPIError(w, apiErr)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := ExportOPM(s.engine.store, w); err != nil {
-			// Headers may already be out; best effort.
-			WriteAPIError(w, v2StoreError(err))
-		}
-	case http.MethodPost:
-		if s.gateWrite(w, r) {
-			return
-		}
-		if _, apiErr := s.Authorize(r, CapIngest); apiErr != nil {
-			WriteAPIError(w, apiErr)
-			return
-		}
-		// OPM documents can be large but not unbounded; allow 64 MiB.
-		if err := ImportOPM(s.engine.store, http.MaxBytesReader(w, r.Body, 64<<20)); err != nil {
-			WriteAPIError(w, v2StoreError(err))
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"status": "imported"})
-	default:
-		MethodNotAllowed(w, http.MethodGet, http.MethodPost)
+// serveOPMExport exports the store as an OPM document. An error after
+// the document has started is not written: the body is already out.
+func (s *Server) serveOPMExport(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
+	w.Header().Set("Content-Type", "application/json")
+	if err := ExportOPM(s.engine.store, w); err != nil {
+		return v2StoreError(err)
 	}
+	return nil
+}
+
+// serveOPMImport imports an OPM document as one atomic batch.
+func (s *Server) serveOPMImport(w http.ResponseWriter, r *http.Request, _ Principal) *APIError {
+	if err := ImportOPM(s.engine.store, http.MaxBytesReader(w, r.Body, maxOPMBytes)); err != nil {
+		return v2StoreError(err)
+	}
+	writeJSON(w, http.StatusCreated, map[string]string{"status": "imported"})
+	return nil
 }
 
 // parseLineageParams decodes the lineage query parameters: start or

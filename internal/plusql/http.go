@@ -3,7 +3,6 @@ package plusql
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -49,48 +48,18 @@ const serverMaxRows = 10000
 // maxQueryBytes bounds POST /v2/query bodies; query text is tiny.
 const maxQueryBytes = 1 << 16
 
-// NewV2Handler serves PLUSQL as POST /v2/query. The viewer travels as the
-// request principal (X-Plus-Viewer header or session token) and is
-// validated by the plus server; a body naming one is rejected as an
-// unknown field. Errors use the structured body; parse errors carry their
-// line:column position in the message.
-func NewV2Handler(s *plus.Server, e *Engine) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			plus.MethodNotAllowed(w, http.MethodPost)
-			return
-		}
-		p, apiErr := s.Authorize(r, plus.CapQuery)
-		if apiErr != nil {
-			plus.WriteAPIError(w, apiErr)
-			return
-		}
-		viewer := p.Viewer
-		var req QueryRequest
-		if err := plus.DecodeJSONBody(w, r, maxQueryBytes, &req); err != nil {
-			plus.WriteAPIError(w, &plus.APIError{
-				Status: http.StatusBadRequest, Code: plus.CodeBadRequest, Message: err.Error()})
-			return
-		}
-		serveQuery(w, r, e, req, viewer, func(status int, err error) {
-			code := plus.CodeBadRequest
-			switch status {
-			case http.StatusInternalServerError:
-				code = plus.CodeInternal
-			case http.StatusServiceUnavailable:
-				code = plus.CodeUnavailable
-			}
-			plus.WriteAPIError(w, &plus.APIError{Status: status, Code: code, Message: err.Error()})
-		})
-	})
-}
-
-// serveQuery runs one decoded query request for an already-resolved
-// viewer and writes the response; writeErr renders failures.
-func serveQuery(w http.ResponseWriter, r *http.Request, e *Engine, req QueryRequest, viewer privilege.Predicate, writeErr func(int, error)) {
+// serveQuery answers POST /v2/query for an authorized principal. The
+// viewer travels as the request principal (X-Plus-Viewer header or
+// session token), never in the body: a body naming one is rejected as an
+// unknown field. Parse errors carry their line:column position in the
+// message.
+func (e *Engine) serveQuery(w http.ResponseWriter, r *http.Request, p plus.Principal) *plus.APIError {
+	var req QueryRequest
+	if err := plus.DecodeJSONBody(w, r, maxQueryBytes, &req); err != nil {
+		return &plus.APIError{Status: http.StatusBadRequest, Code: plus.CodeBadRequest, Message: err.Error()}
+	}
 	if req.Query == "" {
-		writeErr(http.StatusBadRequest, fmt.Errorf("plusql: empty query"))
-		return
+		return &plus.APIError{Status: http.StatusBadRequest, Code: plus.CodeBadRequest, Message: "plusql: empty query"}
 	}
 	limit := req.Limit
 	if limit <= 0 || limit > serverMaxRows {
@@ -100,7 +69,7 @@ func serveQuery(w http.ResponseWriter, r *http.Request, e *Engine, req QueryRequ
 	// Ask for one row beyond the cap so a full page is
 	// distinguishable from a truncated one.
 	rs, err := e.QueryContext(r.Context(), req.Query, Options{
-		Viewer:  viewer,
+		Viewer:  p.Viewer,
 		Mode:    plus.Mode(req.Mode),
 		MaxRows: limit + 1,
 		Explain: req.Explain,
@@ -108,17 +77,16 @@ func serveQuery(w http.ResponseWriter, r *http.Request, e *Engine, req QueryRequ
 	if err != nil {
 		// Request faults are 400; backend/materialisation faults are
 		// the server's problem.
-		status := http.StatusInternalServerError
+		apiErr := &plus.APIError{Status: http.StatusInternalServerError, Code: plus.CodeInternal, Message: err.Error()}
 		switch {
 		case IsClientError(err):
-			status = http.StatusBadRequest
+			apiErr.Status, apiErr.Code = http.StatusBadRequest, plus.CodeBadRequest
 		case errors.Is(err, plus.ErrClosed):
-			status = http.StatusServiceUnavailable
+			apiErr.Status, apiErr.Code = http.StatusServiceUnavailable, plus.CodeUnavailable
 		}
-		writeErr(status, err)
-		return
+		return apiErr
 	}
-	respViewer := string(viewer)
+	respViewer := string(p.Viewer)
 	if respViewer == "" {
 		respViewer = string(privilege.Public)
 	}
@@ -147,15 +115,16 @@ func serveQuery(w http.ResponseWriter, r *http.Request, e *Engine, req QueryRequ
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_ = json.NewEncoder(w).Encode(resp)
+	return nil
 }
 
-// Attach mounts the principal-scoped query endpoint POST /v2/query on a
-// plus server, wires the view-cache counters into its healthz payload,
-// and — when the server is observable — instruments the engine
-// (plus_plusql_seconds{phase}, slow-query capture) and exposes the
-// view-cache counters as plus_query_view_* metrics.
+// Attach mounts the principal-scoped query endpoint POST /v2/query (the
+// query capability) on a plus server, wires the view-cache counters into
+// its healthz payload, and — when the server is observable — instruments
+// the engine (plus_plusql_seconds{phase}, slow-query capture) and exposes
+// the view-cache counters as plus_query_view_* metrics.
 func Attach(s *plus.Server, e *Engine) {
-	s.Handle("/v2/query", NewV2Handler(s, e))
+	s.Mount(plus.Endpoint{Pattern: "/v2/query", Method: http.MethodPost, Need: plus.CapQuery, Serve: e.serveQuery})
 	s.SetQueryStats(func() plus.QueryCacheHealth {
 		st := e.CacheStats()
 		return plus.QueryCacheHealth{
