@@ -1,6 +1,7 @@
 package plus_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -8,6 +9,24 @@ import (
 	"repro/internal/privilege"
 	"repro/internal/workload"
 )
+
+// allocNodes is the size of the graph the allocation guards run over.
+const allocNodes = 4000
+
+// benchShapedBackend loads a graph shaped like cmd/plusbench's (5 edges
+// per node, one node in ten protected with a surrogate) of allocNodes
+// nodes into a mem backend.
+func benchShapedBackend(t *testing.T) *plus.MemBackend {
+	t.Helper()
+	b := plus.NewMemBackend(0)
+	t.Cleanup(func() { b.Close() })
+	err := workload.GenerateLarge(workload.LargeConfig{Nodes: allocNodes, EdgesPerNode: 5, ProtectEvery: 10, BatchSize: 1024, Seed: 1},
+		func(batch plus.Batch) error { _, err := b.Apply(batch); return err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // TestColdLineageAllocsPerClosureNode is a clock-free guard on what one
 // cold lineage answer costs: the allocations of Engine.Lineage plus the
@@ -22,16 +41,9 @@ func TestColdLineageAllocsPerClosureNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	b := plus.NewMemBackend(0)
-	t.Cleanup(func() { b.Close() })
-	const nodes = 4000
-	err := workload.GenerateLarge(workload.LargeConfig{Nodes: nodes, EdgesPerNode: 5, ProtectEvery: 10, BatchSize: 1024, Seed: 1},
-		func(batch plus.Batch) error { _, err := b.Apply(batch); return err })
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := benchShapedBackend(t)
 	en := plus.NewEngine(b, privilege.TwoLevel())
-	req := plus.Request{Start: workload.LargeNodeID(nodes - 2), Direction: graph.Backward, Depth: 5,
+	req := plus.Request{Start: workload.LargeNodeID(allocNodes - 2), Direction: graph.Backward, Depth: 5,
 		Viewer: privilege.Public, Mode: plus.ModeSurrogate}
 	res, err := en.Lineage(req)
 	if err != nil {
@@ -55,5 +67,41 @@ func TestColdLineageAllocsPerClosureNode(t *testing.T) {
 	t.Logf("%.0f allocations for a %d-node closure: %.1f per closure node", allocs, closure, perNode)
 	if perNode > 12 {
 		t.Errorf("%.1f allocations per closure node, want at most 12", perNode)
+	}
+}
+
+// TestCachedLineageHitAllocs is a clock-free guard on a cache hit: it
+// returns the body the miss encoded, so it allocates nothing that grows
+// with the answer. A depth-3 and a depth-5 ancestry over the graph of
+// TestColdLineageAllocsPerClosureNode (closures of different sizes) must
+// cost the same, at most 2 allocations; encoding the answer again on a
+// hit costs dozens, more at depth 5 than at depth 3.
+func TestCachedLineageHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	ce := plus.NewCachedEngine(plus.NewEngine(benchShapedBackend(t), privilege.TwoLevel()))
+	ctx := context.Background()
+	var counts [2]float64
+	for i, depth := range []int{3, 5} {
+		req := plus.Request{Start: workload.LargeNodeID(allocNodes - 2), Direction: graph.Backward, Depth: depth,
+			Viewer: privilege.Public, Mode: plus.ModeSurrogate}
+		miss, err := ce.LineageBody(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = testing.AllocsPerRun(100, func() {
+			hit, err := ce.LineageBody(ctx, req)
+			if err != nil || len(hit) != len(miss) {
+				t.Fatalf("hit: %d bytes, err %v; the miss wrote %d", len(hit), err, len(miss))
+			}
+		})
+		t.Logf("depth %d: a %d-byte body, %.0f allocations per hit", depth, len(miss), counts[i])
+	}
+	if st := ce.Stats(); st.Misses != 2 || st.Hits < 200 {
+		t.Fatalf("stats = %+v: want every ask after the first of each depth a hit", st)
+	}
+	if counts[0] != counts[1] || counts[1] > 2 {
+		t.Errorf("a hit allocates %.0f times at depth 3 and %.0f at depth 5, want the same and at most 2", counts[0], counts[1])
 	}
 }

@@ -4,15 +4,20 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/privilege"
 )
 
-// CachedEngine wraps an Engine with per-query memoisation of protected
-// lineage answers, invalidated by the change feed: a write evicts only the
-// cached answers whose lineage closure the delta touches.
+// CachedEngine wraps an Engine with per-query memoisation of encoded
+// protected lineage answers, invalidated by the change feed: a write
+// evicts only the cached answers whose lineage closure the delta touches.
+// An entry is the answer's response body and its closure's sorted ids, so
+// a hit writes bytes already encoded and pins no Spec or Account.
+// LineageBody is the cached path; the embedded Engine's Lineage and
+// LineageContext compute afresh.
 //
 // This realises the §7 advantage the paper claims over view-based
 // protection ("view recomputation when object sensitivity changes" versus
@@ -30,10 +35,10 @@ import (
 //
 // The cache is bounded: it holds at most lineageCacheBudget closure nodes
 // across all entries and evicts the least recently served answers beyond
-// that. The budget counts closure nodes, not entries, because an entry
-// pins its whole Spec and Account and answers differ several-fold in size
-// with the requested depth; an answer larger than the whole budget is
-// served but never admitted.
+// that. The budget counts closure nodes, not entries, because an entry's
+// body and closure grow with its closure and answers differ several-fold
+// in size with the requested depth; an answer larger than the whole
+// budget is served but never admitted.
 type CachedEngine struct {
 	*Engine
 
@@ -47,8 +52,8 @@ type CachedEngine struct {
 }
 
 // lineageCacheBudget is the number of closure nodes the lineage cache may
-// hold (each pins about 1.2 KB of live Spec and Account; README, "The
-// lineage cache is bounded").
+// hold (each costs about 0.32 KB of live heap, nearly all of it body;
+// README, "The lineage cache is bounded").
 const lineageCacheBudget = 1 << 17
 
 // LineageCacheStats reports the lineage cache counters.
@@ -72,10 +77,11 @@ type LineageCacheStats struct {
 
 type cacheEntry struct {
 	key cacheKey
-	res *Result
-	// closure holds the original object ids the answer was derived from;
-	// cacheDelta.stales tests a delta against them.
-	closure map[string]bool
+	// body is the answer's response body, shared read-only by every hit.
+	body []byte
+	// closure holds the original object ids the answer was derived from,
+	// sorted; cacheDelta.stales tests a delta against them.
+	closure []string
 	// served is set by the first hit; see cacheDelta.stales.
 	served bool
 }
@@ -191,11 +197,11 @@ func newCacheDelta(changes []Change) *cacheDelta {
 //
 // The direction is only trusted for an answer that has been served from
 // the cache at least once. One nobody has asked for twice is tested as if
-// walked both ways, so any write next to it drops it: it pins its whole
-// Spec and Account (≈270 KB at depth 3), and answers that are never
-// re-asked would otherwise outlive every write around them and pile up to
-// the budget — on a write-then-read-something-new load the server's
-// resident set doubled for no hit.
+// walked both ways, so any write next to it drops it: it holds its body
+// and closure (≈31 KB at depth 3 on plusbench's graph), and answers that
+// are never re-asked would otherwise outlive every write around them and
+// pile up to the budget — on a write-then-read-something-new load the
+// server's resident set doubled for no hit.
 func (d *cacheDelta) stales(ent *cacheEntry) bool {
 	k := ent.key
 	if k.kind != "" && d.kinds[k.kind] || k.start == "" && d.names[k.startName] {
@@ -210,41 +216,40 @@ func (d *cacheDelta) stales(ent *cacheEntry) bool {
 		dir != graph.Backward && intersects(ent.closure, d.froms)
 }
 
-// intersects reports whether the two id sets share a member.
-func intersects(a, b map[string]bool) bool {
-	if len(b) < len(a) {
-		a, b = b, a
+// intersects reports whether the sorted closure and the id set share a
+// member: a binary search per id of the set, or a scan of the closure
+// when the set is the larger.
+func intersects(closure []string, set map[string]bool) bool {
+	if len(set) < len(closure) {
+		for id := range set {
+			if _, ok := slices.BinarySearch(closure, id); ok {
+				return true
+			}
+		}
+		return false
 	}
-	for id := range a {
-		if b[id] {
+	for _, id := range closure {
+		if set[id] {
 			return true
 		}
 	}
 	return false
 }
 
-// Lineage answers like Engine.Lineage but serves repeated queries from the
-// cache while their lineage region is unchanged. Cached results share the
-// account — callers must treat answers as read-only (which they are over
-// HTTP, where each answer is serialised).
-func (ce *CachedEngine) Lineage(req Request) (*Result, error) {
-	return ce.LineageContext(context.Background(), req)
-}
-
-// LineageContext is Lineage with cancellation and deadline propagation
-// into the underlying engine; cache hits ignore the context (they cost
-// one map lookup).
-func (ce *CachedEngine) LineageContext(ctx context.Context, req Request) (*Result, error) {
+// LineageBody returns the response body of req's protected lineage answer:
+// the bytes appendLineageBody writes for Engine.LineageContext's answer.
+// A repeated query whose lineage region is unchanged gets the slice the
+// first one encoded, with its timing; callers must not write to it. A
+// body that cannot be encoded fails with an error wrapping
+// errNoJSONForm and is not cached.
+func (ce *CachedEngine) LineageBody(ctx context.Context, req Request) ([]byte, error) {
 	// A closed backend must not keep answering out of the cache.
 	if err := ce.store.Ping(); err != nil {
 		return nil, err
 	}
-	if req.Viewer == "" {
-		req.Viewer = privilege.Public
-	}
-	if req.Mode == "" {
-		req.Mode = ModeSurrogate
-	}
+	req = req.withDefaults()
+	// The key fixes every field the body echoes (start, startName, viewer,
+	// mode), so one body serves every request with that key.
 	key := cacheKey{
 		start:     req.Start,
 		startName: req.StartName,
@@ -264,9 +269,9 @@ func (ce *CachedEngine) LineageContext(ctx context.Context, req Request) (*Resul
 		ce.lru.MoveToFront(el)
 		ent := el.Value.(*cacheEntry)
 		ent.served = true
-		res := ent.res
+		body := ent.body
 		ce.mu.Unlock()
-		return res, nil
+		return body, nil
 	}
 	ce.stats.Misses++
 	ce.mu.Unlock()
@@ -275,24 +280,29 @@ func (ce *CachedEngine) LineageContext(ctx context.Context, req Request) (*Resul
 	if err != nil {
 		return nil, err
 	}
-
-	if res.Spec.Graph.NumNodes() > ce.budget {
-		// Larger than the whole cache: served, never admitted.
-		return res, nil
+	body, err := appendLineageBody(nil, req, res)
+	if err != nil {
+		return nil, err
 	}
-	closure := map[string]bool{}
-	for _, id := range res.Spec.Graph.Nodes() {
-		closure[string(id)] = true
+	g := res.Spec.Graph
+	if g.NumNodes() > ce.budget {
+		// Larger than the whole cache: served, never admitted.
+		return body, nil
+	}
+	// Nodes come in id order, so the closure is sorted.
+	closure := make([]string, 0, g.NumNodes())
+	for n := range g.SortedNodes() {
+		closure = append(closure, string(n.ID))
 	}
 	ce.mu.Lock()
 	// Only cache when the store has not moved under the computation: the
 	// answer's snapshot sits between rev (observed before computing) and
 	// the current revision, so equality pins it to the cache generation.
 	if ce.rev == rev && ce.store.Revision() == rev {
-		ce.admitLocked(&cacheEntry{key: key, res: res, closure: closure})
+		ce.admitLocked(&cacheEntry{key: key, body: body, closure: closure})
 	}
 	ce.mu.Unlock()
-	return res, nil
+	return body, nil
 }
 
 // CacheStats reports hit/miss counters and the live entry count.

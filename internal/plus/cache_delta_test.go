@@ -1,11 +1,10 @@
 package plus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/account"
@@ -33,15 +32,15 @@ func TestCachedEngineKindFilterRestore(t *testing.T) {
 	en := NewEngine(m, privilege.TwoLevel())
 	ce := NewCachedEngine(en)
 	req := Request{Start: "b", Direction: graph.Backward, KindFilter: Data}
-	if res, err := ce.Lineage(req); err != nil || res.Spec.Graph.NumNodes() != 1 {
-		t.Fatalf("before the re-store: %v nodes, err %v; want 1", res.Spec.Graph.NumNodes(), err)
+	if n := len(decodeBody(t, cachedBody(t, ce, req)).Nodes); n != 1 {
+		t.Fatalf("before the re-store: %d nodes; want 1", n)
 	}
 	if err := m.PutObject(Object{ID: "a", Kind: Data, Name: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	assertCachedIsFresh(t, ce, en, req)
-	if res, _ := ce.Lineage(req); res.Spec.Graph.NumNodes() != 2 {
-		t.Errorf("after a became data: %d nodes, want 2", res.Spec.Graph.NumNodes())
+	if n := len(decodeBody(t, cachedBody(t, ce, req)).Nodes); n != 2 {
+		t.Errorf("after a became data: %d nodes, want 2", n)
 	}
 }
 
@@ -56,15 +55,15 @@ func TestCachedEngineStartNameNewSeed(t *testing.T) {
 	en := NewEngine(m, privilege.TwoLevel())
 	ce := NewCachedEngine(en)
 	req := Request{StartName: "report"}
-	if res, err := ce.Lineage(req); err != nil || res.Spec.Graph.NumNodes() != 1 {
-		t.Fatalf("one report: %v nodes, err %v; want 1", res.Spec.Graph.NumNodes(), err)
+	if n := len(decodeBody(t, cachedBody(t, ce, req)).Nodes); n != 1 {
+		t.Fatalf("one report: %d nodes; want 1", n)
 	}
 	if err := m.PutObject(Object{ID: "r2", Kind: Data, Name: "report"}); err != nil {
 		t.Fatal(err)
 	}
 	assertCachedIsFresh(t, ce, en, req)
-	if res, _ := ce.Lineage(req); res.Spec.Graph.NumNodes() != 2 {
-		t.Errorf("two reports: %d nodes, want 2", res.Spec.Graph.NumNodes())
+	if n := len(decodeBody(t, cachedBody(t, ce, req)).Nodes); n != 2 {
+		t.Errorf("two reports: %d nodes, want 2", n)
 	}
 }
 
@@ -80,13 +79,9 @@ func TestCachedEngineChildUnderBackwardStartEvictsNothing(t *testing.T) {
 	back := Request{Start: "report", Direction: graph.Backward}
 	fwd := Request{Start: "report", Direction: graph.Forward}
 	once := Request{Start: "report", Direction: graph.Backward, Depth: 1}
-	ask := func(req Request) *Result {
+	ask := func(req Request) []byte {
 		t.Helper()
-		res, err := ce.Lineage(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return cachedBody(t, ce, req)
 	}
 	attach := func(child string) {
 		t.Helper()
@@ -100,11 +95,11 @@ func TestCachedEngineChildUnderBackwardStartEvictsNothing(t *testing.T) {
 	evictions := func() uint64 { return ce.Stats().DeltaEvictions }
 
 	cached := ask(back)
-	if ask(back) != cached {
+	if !sameBody(ask(back), cached) {
 		t.Fatal("the second ask was not a hit")
 	}
 	attach("child1")
-	if ask(back) != cached {
+	if !sameBody(ask(back), cached) {
 		t.Error("a child under the start evicted a served backward answer")
 	}
 	if n := evictions(); n != 0 {
@@ -120,45 +115,25 @@ func TestCachedEngineChildUnderBackwardStartEvictsNothing(t *testing.T) {
 	if n := evictions(); n != 2 {
 		t.Errorf("delta evictions = %d, want 2: the forward answer, which grew, and the backward one asked once", n)
 	}
-	if ask(back) != cached {
+	if !sameBody(ask(back), cached) {
 		t.Error("the second child evicted the served backward answer")
 	}
-	if ask(once) == askedOnce {
+	if sameBody(ask(once), askedOnce) {
 		t.Error("a backward answer asked once outlived a write next to it")
 	}
 }
 
-// renderAnswer flattens what a lineage response carries of an answer —
-// nodes with features and surrogate flags, edges with labels and
-// surrogate flags — into one order-independent string.
-func renderAnswer(res *Result) string {
-	var lines []string
-	for _, id := range res.Account.Graph.Nodes() {
-		n, _ := res.Account.Graph.NodeByID(id)
-		var feats []string
-		for k, v := range n.Features {
-			feats = append(feats, k+"="+v)
-		}
-		sort.Strings(feats)
-		_, surr := res.Account.SurrogateNodes[id]
-		lines = append(lines, fmt.Sprintf("node %s surrogate=%v %s", id, surr, strings.Join(feats, ",")))
-	}
-	for _, e := range res.Account.Graph.Edges() {
-		lines = append(lines, fmt.Sprintf("edge %s>%s %q surrogate=%v", e.From, e.To, e.Label, res.Account.SurrogateEdges[e.ID()]))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
 // assertCachedIsFresh asks the cached engine and a fresh computation the
-// same question and requires the same answer (or the same refusal), sound
-// for its viewer. It asks the cache twice, so the answer it leaves behind
-// has been served and faces the next delta under the directional rule.
+// same question and requires the same refusal, or the same body byte for
+// byte but for the timing block, from a fresh answer sound for its
+// viewer. It asks the cache twice and requires the second ask to return
+// the first's slice, so the answer it leaves behind has been served and
+// faces the next delta under the directional rule.
 func assertCachedIsFresh(t *testing.T, ce *CachedEngine, en *Engine, req Request) {
 	t.Helper()
-	got, gotErr := ce.Lineage(req)
-	if again, _ := ce.Lineage(req); gotErr == nil && again != got {
-		t.Fatalf("%+v: asked twice at one revision, served two answers", req)
+	got, gotErr := ce.LineageBody(context.Background(), req)
+	if again, _ := ce.LineageBody(context.Background(), req); gotErr == nil && !sameBody(again, got) {
+		t.Fatalf("%+v: asked twice at one revision, served two bodies", req)
 	}
 	want, wantErr := en.Lineage(req)
 	if (gotErr == nil) != (wantErr == nil) {
@@ -170,11 +145,15 @@ func assertCachedIsFresh(t *testing.T, ce *CachedEngine, en *Engine, req Request
 		}
 		return
 	}
-	if g, w := renderAnswer(got), renderAnswer(want); g != w {
-		t.Fatalf("%+v: cached answer differs from a fresh one\ncached:\n%s\nfresh:\n%s", req, g, w)
+	wantBody, err := appendLineageBody(nil, req.withDefaults(), want)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := account.VerifySound(got.Spec, got.Account); err != nil {
-		t.Fatalf("%+v: cached answer unsound: %v", req, err)
+	if g, w := stripTiming(got), stripTiming(wantBody); g != w {
+		t.Fatalf("%+v: cached body differs from a fresh one\ncached:\n%s\nfresh:\n%s", req, g, w)
+	}
+	if err := account.VerifySound(want.Spec, want.Account); err != nil {
+		t.Fatalf("%+v: fresh answer unsound: %v", req, err)
 	}
 }
 

@@ -2,7 +2,10 @@ package plus
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,20 +13,50 @@ import (
 	"repro/internal/privilege"
 )
 
+// cachedBody asks ce for req's lineage body and fails the test on an
+// error.
+func cachedBody(t testing.TB, ce *CachedEngine, req Request) []byte {
+	t.Helper()
+	body, err := ce.LineageBody(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// sameBody reports whether two bodies are one slice: the same backing
+// array and length, as a cache hit returns the body its miss encoded.
+func sameBody(a, b []byte) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
+// decodeBody decodes a lineage body into its wire struct.
+func decodeBody(t testing.TB, body []byte) LineageResponse {
+	t.Helper()
+	var resp LineageResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("lineage body does not decode: %v\n%s", err, body)
+	}
+	return resp
+}
+
+// stripTiming cuts the trailing "timing" object off a lineage body: the
+// one part of it that depends on when the answer was computed.
+func stripTiming(body []byte) string {
+	if i := bytes.LastIndex(body, []byte(`,"timing":{`)); i >= 0 {
+		return string(body[:i])
+	}
+	return string(body)
+}
+
 func TestCachedEngineHitsAndInvalidation(t *testing.T) {
 	en := lineageFixture(t)
 	ce := NewCachedEngine(en)
 	req := Request{Start: "report", Direction: graph.Backward, Viewer: privilege.Public}
 
-	r1, err := ce.Lineage(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := ce.Lineage(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
+	r1 := cachedBody(t, ce, req)
+	r2 := cachedBody(t, ce, req)
+	if !sameBody(r1, r2) {
 		t.Error("second identical query should be served from cache")
 	}
 	hits, misses, entries := ce.CacheStats()
@@ -32,9 +65,7 @@ func TestCachedEngineHitsAndInvalidation(t *testing.T) {
 	}
 
 	// Different viewer is a different entry.
-	if _, err := ce.Lineage(Request{Start: "report", Direction: graph.Backward, Viewer: "Protected"}); err != nil {
-		t.Fatal(err)
-	}
+	cachedBody(t, ce, Request{Start: "report", Direction: graph.Backward, Viewer: "Protected"})
 	if _, _, entries := ce.CacheStats(); entries != 2 {
 		t.Errorf("entries = %d, want 2", entries)
 	}
@@ -44,11 +75,7 @@ func TestCachedEngineHitsAndInvalidation(t *testing.T) {
 	if err := en.store.PutObject(Object{ID: "unrelated", Kind: Data, Name: "unrelated"}); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := ce.Lineage(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3 != r1 {
+	if r3 := cachedBody(t, ce, req); !sameBody(r3, r1) {
 		t.Error("disjoint write evicted an unaffected cached account")
 	}
 	if _, _, entries := ce.CacheStats(); entries != 2 {
@@ -61,11 +88,7 @@ func TestCachedEngineHitsAndInvalidation(t *testing.T) {
 	if err := en.store.PutObject(Object{ID: "src", Kind: Data, Name: "raw feed v2"}); err != nil {
 		t.Fatal(err)
 	}
-	r4, err := ce.Lineage(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4 == r1 {
+	if r4 := cachedBody(t, ce, req); sameBody(r4, r1) {
 		t.Error("stale account served after a write inside its closure")
 	}
 	st := ce.Stats()
@@ -93,11 +116,7 @@ func TestCachedEngineSensitivityChange(t *testing.T) {
 	ce := NewCachedEngine(NewEngine(s, privilege.TwoLevel()))
 	req := Request{Start: "b", Direction: graph.Backward, Viewer: privilege.Public}
 
-	r1, err := ce.Lineage(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Account.Graph.HasNode("x") {
+	if r1 := decodeBody(t, cachedBody(t, ce, req)); !hasNode(r1, "x") {
 		t.Fatal("x should be public initially")
 	}
 
@@ -107,16 +126,21 @@ func TestCachedEngineSensitivityChange(t *testing.T) {
 	if err := s.PutObject(Object{ID: "x", Kind: Data, Name: "x", Lowest: "Protected"}); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ce.Lineage(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Account.Graph.HasNode("x") {
+	r2 := decodeBody(t, cachedBody(t, ce, req))
+	if hasNode(r2, "x") {
 		t.Error("reclassified node still visible; stale cache?")
 	}
-	if !r2.Account.Graph.HasEdge("a", "b") {
-		t.Errorf("connectivity not summarised after reclassification: %v", r2.Account.Graph.Edges())
+	if !hasEdge(r2, "a", "b") {
+		t.Errorf("connectivity not summarised after reclassification: %v", r2.Edges)
 	}
+}
+
+func hasNode(resp LineageResponse, id string) bool {
+	return slices.ContainsFunc(resp.Nodes, func(n LineageNode) bool { return n.ID == id })
+}
+
+func hasEdge(resp LineageResponse, from, to string) bool {
+	return slices.ContainsFunc(resp.Edges, func(e LineageEdge) bool { return e.From == from && e.To == to })
 }
 
 func TestCachedEngineConcurrent(t *testing.T) {
@@ -132,7 +156,7 @@ func TestCachedEngineConcurrent(t *testing.T) {
 				if (i+j)%2 == 0 {
 					viewer = "Protected"
 				}
-				if _, err := ce.Lineage(Request{Start: "report", Direction: graph.Backward, Viewer: viewer}); err != nil {
+				if _, err := ce.LineageBody(context.Background(), Request{Start: "report", Direction: graph.Backward, Viewer: viewer}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -182,11 +206,7 @@ func TestCachedEngineBudgetBoundsNeverRepeatedRequests(t *testing.T) {
 	_, ce := chainCache(t, 110, budget)
 	// 100 never-repeated 4-node answers: ten times the budget.
 	for i := 3; i < 103; i++ {
-		res, err := ce.Lineage(chainReq(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := res.Spec.Graph.NumNodes(); n != 4 {
+		if n := len(decodeBody(t, cachedBody(t, ce, chainReq(i))).Nodes); n != 4 {
 			t.Fatalf("closure of %s has %d nodes, want 4", chainID(i), n)
 		}
 		if st := ce.Stats(); st.ClosureNodes > budget || st.Entries > budget/4 {
@@ -203,9 +223,7 @@ func TestCachedEngineHitRefreshesRecency(t *testing.T) {
 	_, ce := chainCache(t, 20, 12) // room for three 4-node answers
 	ask := func(i int) {
 		t.Helper()
-		if _, err := ce.Lineage(chainReq(i)); err != nil {
-			t.Fatal(err)
-		}
+		cachedBody(t, ce, chainReq(i))
 	}
 	ask(4)
 	ask(8)
@@ -228,11 +246,7 @@ func TestCachedEngineHitRefreshesRecency(t *testing.T) {
 func TestCachedEngineOversizedAnswerServedNotRetained(t *testing.T) {
 	_, ce := chainCache(t, 10, 3)
 	for round := 1; round <= 2; round++ {
-		res, err := ce.Lineage(chainReq(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := res.Account.Graph.NumNodes(); n != 4 {
+		if n := len(decodeBody(t, cachedBody(t, ce, chainReq(5))).Nodes); n != 4 {
 			t.Fatalf("oversized answer has %d account nodes, want 4", n)
 		}
 		st := ce.Stats()
@@ -241,9 +255,7 @@ func TestCachedEngineOversizedAnswerServedNotRetained(t *testing.T) {
 		}
 	}
 	// An answer that fits is still cached beside it.
-	if _, err := ce.Lineage(Request{Start: chainID(5), Direction: graph.Backward, Depth: 1}); err != nil {
-		t.Fatal(err)
-	}
+	cachedBody(t, ce, Request{Start: chainID(5), Direction: graph.Backward, Depth: 1})
 	if st := ce.Stats(); st.Entries != 1 || st.ClosureNodes != 2 {
 		t.Errorf("stats = %+v, want the 2-node answer cached", st)
 	}
@@ -252,13 +264,9 @@ func TestCachedEngineOversizedAnswerServedNotRetained(t *testing.T) {
 func TestCachedEngineEvictionAndWipeKeepAccounting(t *testing.T) {
 	m, ce := chainCache(t, 30, 1000)
 	for _, i := range []int{5, 15, 25} {
-		if _, err := ce.Lineage(chainReq(i)); err != nil {
-			t.Fatal(err)
-		}
+		cachedBody(t, ce, chainReq(i))
 	}
-	if _, err := ce.Lineage(Request{Start: chainID(25), Direction: graph.Backward, Depth: 1}); err != nil {
-		t.Fatal(err)
-	}
+	cachedBody(t, ce, Request{Start: chainID(25), Direction: graph.Backward, Depth: 1})
 	if st := ce.Stats(); st.Entries != 4 || st.ClosureNodes != 14 {
 		t.Fatalf("stats = %+v, want 4 entries holding 14 nodes", st)
 	}
@@ -266,9 +274,7 @@ func TestCachedEngineEvictionAndWipeKeepAccounting(t *testing.T) {
 	if err := m.PutObject(Object{ID: chainID(13), Kind: Data, Name: "link v2"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ce.Lineage(chainReq(5)); err != nil {
-		t.Fatal(err)
-	}
+	cachedBody(t, ce, chainReq(5))
 	if st := ce.Stats(); st.Entries != 3 || st.ClosureNodes != 10 || st.DeltaEvictions != 1 || st.Hits != 1 {
 		t.Fatalf("after delta: stats = %+v, want 3 entries, 10 nodes, 1 delta eviction, 1 hit", st)
 	}
@@ -280,9 +286,7 @@ func TestCachedEngineEvictionAndWipeKeepAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ce.Lineage(chainReq(25)); err != nil {
-		t.Fatal(err)
-	}
+	cachedBody(t, ce, chainReq(25))
 	st := ce.Stats()
 	if st.Wipes != 1 || st.Entries != 1 || st.ClosureNodes != 4 || st.CapacityEvictions != 0 {
 		t.Errorf("after wipe: stats = %+v, want 1 wipe and only the re-asked 4-node answer held", st)
@@ -318,13 +322,14 @@ func TestCachedEngineBoundedConcurrent(t *testing.T) {
 		go func(r int) {
 			defer readers.Done()
 			for j := 0; j < 150; j++ {
-				res, err := ce.Lineage(chainReq(3 + (r*7+j*5)%60))
+				body, err := ce.LineageBody(context.Background(), chainReq(3+(r*7+j*5)%60))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if n := res.Spec.Graph.NumNodes(); n != 4 {
-					t.Errorf("closure has %d nodes, want 4", n)
+				var resp LineageResponse
+				if err := json.Unmarshal(body, &resp); err != nil || len(resp.Nodes) != 4 {
+					t.Errorf("closure has %d nodes, want 4 (%v)", len(resp.Nodes), err)
 					return
 				}
 				if st := ce.Stats(); st.ClosureNodes > budget || st.ClosureNodes != 4*st.Entries {
@@ -342,38 +347,91 @@ func TestCachedEngineBoundedConcurrent(t *testing.T) {
 	}
 }
 
-// TestLineageResponseConcurrentRender renders one cached answer from two
-// goroutines at once, as concurrent clients of a hot lineage do: the
-// account graph's order memo and the utility memo are built by whichever
-// render gets there first, and both renders must produce the same body,
-// the one encoding/json writes for it.
-func TestLineageResponseConcurrentRender(t *testing.T) {
-	ce := NewCachedEngine(lineageFixture(t))
-	for _, viewer := range []privilege.Predicate{privilege.Public, "Protected"} {
-		req := Request{Start: "report", Direction: graph.Backward, Viewer: viewer}
-		res, err := ce.Lineage(req)
+// TestCachedBodyConcurrentHits has 8 goroutines ask one key while a
+// writer applies batches inside and outside its closure. Every body a
+// reader gets must be the fresh encoding, timing aside, at some revision
+// between the one it read before asking and the one it read after; and
+// no body may change after it was returned, although hits share one
+// slice.
+func TestCachedBodyConcurrentHits(t *testing.T) {
+	m, ce := chainCache(t, 12, lineageCacheBudget)
+	en := NewEngine(m, privilege.TwoLevel())
+	req := Request{Start: chainID(5), Direction: graph.Backward}.withDefaults()
+
+	// fresh holds the fresh encoding at each revision the writer made.
+	var mu sync.Mutex
+	fresh := map[uint64]string{}
+	record := func(rev uint64) {
+		res, err := en.Lineage(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body, err := appendLineageBody(nil, req, res)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		fresh[rev] = stripTiming(body)
+		mu.Unlock()
+	}
+	record(m.Revision())
+
+	type served struct {
+		before, after uint64
+		body, copy    []byte
+	}
+	const readers, asks, writes = 8, 150, 60
+	got := make([][]served, readers)
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range asks {
+				before := m.Revision()
+				body, err := ce.LineageBody(context.Background(), req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[r] = append(got[r], served{before, m.Revision(), body, bytes.Clone(body)})
+			}
+		}()
+	}
+	// Only this goroutine writes, so the snapshot right after its Apply
+	// is the revision Apply returned.
+	for i := range writes {
+		var b Batch
+		if i%3 == 0 { // inside: c002 is an ancestor of c005, and its name is in the body
+			b.Objects = []Object{{ID: chainID(2), Kind: Data, Name: fmt.Sprintf("link v%d", i)}}
+		} else { // outside: c008 is a descendant
+			b.Objects = []Object{{ID: chainID(8), Kind: Data, Name: fmt.Sprintf("link v%d", i)}}
+		}
+		rev, err := m.Apply(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit, err := ce.Lineage(req); err != nil || hit != res {
-			t.Fatalf("%s: second ask not served from cache (%v)", viewer, err)
+		record(rev)
+	}
+	wg.Wait()
+
+	for r := range got {
+		for _, s := range got[r] {
+			if !bytes.Equal(s.body, s.copy) {
+				t.Fatalf("reader %d: a body changed after it was returned", r)
+			}
+			ok := false
+			for rev := s.before; rev <= s.after && !ok; rev++ {
+				ok = fresh[rev] == stripTiming(s.body)
+			}
+			if !ok {
+				t.Fatalf("reader %d: body asked between revisions %d and %d is no fresh encoding there:\n%s", r, s.before, s.after, s.body)
+			}
 		}
-		var bodies [2][]byte
-		var errs [2]error
-		var wg sync.WaitGroup
-		for i := range bodies {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				bodies[i], errs[i] = appendLineageBody(nil, req, res)
-			}()
-		}
-		wg.Wait()
-		if errs[0] != nil || errs[1] != nil {
-			t.Fatalf("%s: %v, %v", viewer, errs[0], errs[1])
-		}
-		if !bytes.Equal(bodies[0], bodies[1]) || !bytes.Equal(bodies[0], oracleBody(t, req, res)) {
-			t.Errorf("%s: concurrent renders of one cached answer differ", viewer)
-		}
+	}
+	if st := ce.Stats(); st.Hits == 0 || st.DeltaEvictions == 0 {
+		t.Errorf("the run must exercise hits and delta evictions: %+v", st)
 	}
 }

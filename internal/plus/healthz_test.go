@@ -125,19 +125,13 @@ func TestHealthzCacheStats(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	req := Request{Start: "c", Direction: graph.Backward}
-	if _, err := ce.Lineage(req); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ce.Lineage(req); err != nil {
-		t.Fatal(err)
-	}
+	cachedBody(t, ce, req)
+	cachedBody(t, ce, req)
 	// A write inside the closure evicts the entry; healthz reports it.
 	if err := s.PutObject(Object{ID: "a", Kind: Data, Name: "a v2"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ce.Lineage(req); err != nil {
-		t.Fatal(err)
-	}
+	cachedBody(t, ce, req)
 	h := healthz(t, srv.URL)
 	if h.LineageCache == nil {
 		t.Fatal("healthz missing lineageCache section on a cached server")

@@ -1,12 +1,15 @@
 package plus
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/internal/measure"
 )
 
 // appendLineageBody appends the body of a lineage answer to dst: exactly
@@ -15,12 +18,13 @@ import (
 // the account graph with no reflection and no intermediate structs. Nodes
 // come in the graph's memoised id order, each node's features with sorted
 // keys (as encoding/json orders map keys), edges sorted by (from, to).
-// Like encoding/json it fails on a utility that is NaN or infinite.
+// Like encoding/json it fails on a utility that is NaN or infinite, with
+// an error wrapping errNoJSONForm.
 func appendLineageBody(dst []byte, req Request, res *Result) ([]byte, error) {
-	pathUtil, nodeUtil := res.Utilities()
-	for _, f := range [2]float64{pathUtil, nodeUtil} {
+	u := measure.Utilities(res.Spec, res.Account)
+	for _, f := range [2]float64{u.Path, u.Node} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return dst, fmt.Errorf("plus: lineage of %q: utility %v has no JSON form", startRef(req), f)
+			return dst, fmt.Errorf("plus: lineage of %q: utility %v %w", startRef(req), f, errNoJSONForm)
 		}
 	}
 	a := res.Account
@@ -95,9 +99,9 @@ func appendLineageBody(dst []byte, req Request, res *Result) ([]byte, error) {
 	}
 
 	dst = append(dst, `,"pathUtility":`...)
-	dst = appendJSONFloat(dst, pathUtil)
+	dst = appendJSONFloat(dst, u.Path)
 	dst = append(dst, `,"nodeUtility":`...)
-	dst = appendJSONFloat(dst, nodeUtil)
+	dst = appendJSONFloat(dst, u.Node)
 	t := res.Timing
 	dst = append(dst, `,"timing":{"dbAccessUs":`...)
 	dst = strconv.AppendInt(dst, t.DBAccess.Microseconds(), 10)
@@ -109,6 +113,10 @@ func appendLineageBody(dst []byte, req Request, res *Result) ([]byte, error) {
 	dst = strconv.AppendInt(dst, t.Total.Microseconds(), 10)
 	return append(dst, "}}\n"...), nil
 }
+
+// errNoJSONForm marks an answer appendLineageBody cannot encode: the
+// server's fault, not the request's.
+var errNoJSONForm = errors.New("has no JSON form")
 
 const hexDigits = "0123456789abcdef"
 
@@ -184,17 +192,13 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// writeLineageBody writes a lineage answer as a 200 response with its
-// Content-Length set.
-func writeLineageBody(w http.ResponseWriter, req Request, res *Result) *APIError {
-	body, err := appendLineageBody(nil, req, res)
-	if err != nil {
-		return v2Errorf(http.StatusInternalServerError, CodeInternal, "%s", err)
-	}
+// writeLineageBody writes an encoded lineage answer as a 200 response
+// with its Content-Length set. It never writes to body, which a cached
+// answer shares with every concurrent hit.
+func writeLineageBody(w http.ResponseWriter, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body) // a failed write means the client is gone: no one to tell
-	return nil
 }

@@ -3,12 +3,14 @@ package plus
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/account"
 	"repro/internal/graph"
+	"repro/internal/measure"
 	"repro/internal/privilege"
 	"repro/internal/surrogate"
 )
@@ -17,14 +19,14 @@ import (
 // struct: the oracle appendLineageBody is held to, byte for byte, through
 // encoding/json.
 func buildLineageResponse(req Request, res *Result) LineageResponse {
-	pathUtil, nodeUtil := res.Utilities()
+	u := measure.Utilities(res.Spec, res.Account)
 	resp := LineageResponse{
 		Start:       req.Start,
 		StartName:   req.StartName,
 		Viewer:      string(req.Viewer),
 		Mode:        string(req.Mode),
-		PathUtility: pathUtil,
-		NodeUtility: nodeUtil,
+		PathUtility: u.Path,
+		NodeUtility: u.Node,
 		Timing: LineageTiming{
 			DBAccessUS: res.Timing.DBAccess.Microseconds(),
 			BuildUS:    res.Timing.Build.Microseconds(),
@@ -115,10 +117,10 @@ func TestAppendJSONFloat(t *testing.T) {
 // TestLineageBodyRefusesNonFiniteUtility: encoding/json cannot encode NaN,
 // and neither may the body invent a form for it.
 func TestLineageBodyRefusesNonFiniteUtility(t *testing.T) {
-	res := fuzzResult(nil, nil, "", 0)
-	res.utilOnce.Do(func() { res.pathUtil = math.NaN() })
-	if _, err := appendLineageBody(nil, Request{Start: "x"}, res); err == nil {
-		t.Fatal("NaN utility encoded")
+	res := fuzzResult([]string{"x"}, nil, "", 0)
+	res.Account.InfoScore["x"] = math.NaN()
+	if _, err := appendLineageBody(nil, Request{Start: "x"}, res); !errors.Is(err, errNoJSONForm) {
+		t.Fatalf("NaN node utility: err %v, want errNoJSONForm", err)
 	}
 }
 

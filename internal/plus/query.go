@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/account"
 	"repro/internal/graph"
-	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/privilege"
@@ -60,6 +59,18 @@ type Request struct {
 	KindFilter ObjectKind
 }
 
+// withDefaults fills in the defaults of an unset viewer (Public) and mode
+// (surrogate).
+func (req Request) withDefaults() Request {
+	if req.Viewer == "" {
+		req.Viewer = privilege.Public
+	}
+	if req.Mode == "" {
+		req.Mode = ModeSurrogate
+	}
+	return req
+}
+
 // Timing is the Figure 10 cost decomposition of answering one query.
 type Timing struct {
 	// DBAccess: reading the lineage closure out of the store.
@@ -81,25 +92,6 @@ type Result struct {
 	Spec    *account.Spec
 	Account *account.Account
 	Timing  Timing
-
-	// utilOnce memoises the §4.1 utility measures: PathUtility takes the
-	// all-nodes reachability counts of both graphs (one blocked-bitset
-	// pass each, see graph.ConnectedPairsAll), and a cache-served answer
-	// is asked for the same numbers on every request.
-	utilOnce sync.Once
-	pathUtil float64
-	nodeUtil float64
-}
-
-// Utilities returns the §4.1 path/node utility of the protected answer,
-// computed on first use and reused for every later serving of the same
-// Result (cached answers are shared and read-only).
-func (r *Result) Utilities() (path, node float64) {
-	r.utilOnce.Do(func() {
-		r.pathUtil = measure.PathUtility(r.Spec, r.Account)
-		r.nodeUtil = measure.NodeUtility(r.Spec, r.Account)
-	})
-	return r.pathUtil, r.nodeUtil
 }
 
 // Engine answers lineage queries against a storage backend under a
@@ -439,12 +431,7 @@ func (en *Engine) Lineage(req Request) (*Result, error) {
 // instead of finishing a walk nobody is waiting for.
 func (en *Engine) LineageContext(ctx context.Context, req Request) (*Result, error) {
 	t0 := time.Now()
-	if req.Viewer == "" {
-		req.Viewer = privilege.Public
-	}
-	if req.Mode == "" {
-		req.Mode = ModeSurrogate
-	}
+	req = req.withDefaults()
 	if !en.lattice.Known(req.Viewer) {
 		return nil, fmt.Errorf("plus: unknown viewer predicate %q", req.Viewer)
 	}

@@ -291,8 +291,12 @@ func TestCachedServerServesAndInvalidates(t *testing.T) {
 	ingestV2Fixture(t, srv.URL)
 
 	_, r1, _ := lineage(t, srv.URL, "start=report", nil)
-	if st, _, _ := lineage(t, srv.URL, "start=report", nil); st != http.StatusOK {
+	st, first, _ := get(t, srv.URL+"/v2/lineage?start=report", nil)
+	if st != http.StatusOK {
 		t.Fatalf("second lineage = %d", st)
+	}
+	if _, again, _ := get(t, srv.URL+"/v2/lineage?start=report", nil); !bytes.Equal(again, first) {
+		t.Errorf("a cache hit's body differs from the previous hit's:\n%s\n%s", first, again)
 	}
 	hits, _, _ := engine.CacheStats()
 	if hits == 0 {

@@ -125,24 +125,18 @@ func TestLineageStartNameCacheKey(t *testing.T) {
 	b := startNameFixture(t)
 	ce := NewCachedEngine(NewEngine(b, privilege.TwoLevel()))
 
-	byID, err := ce.Lineage(Request{Start: "a3", Direction: graph.Backward})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName, err := ce.Lineage(Request{StartName: "report", Direction: graph.Backward})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nid, nname := len(lineageNodeIDs(t, byID)), len(lineageNodeIDs(t, byName)); nid == nname {
+	byID := cachedBody(t, ce, Request{Start: "a3", Direction: graph.Backward})
+	byName := cachedBody(t, ce, Request{StartName: "report", Direction: graph.Backward})
+	if nid, nname := len(decodeBody(t, byID).Nodes), len(decodeBody(t, byName).Nodes); nid == nname {
 		t.Fatalf("cache served the same closure (%d nodes) for distinct seed specs", nid)
 	}
-	// Both answers must now be cache hits.
-	for _, req := range []Request{
-		{Start: "a3", Direction: graph.Backward},
-		{StartName: "report", Direction: graph.Backward},
+	// Both answers must now be cache hits, each its own body.
+	for req, first := range map[Request][]byte{
+		{Start: "a3", Direction: graph.Backward}:         byID,
+		{StartName: "report", Direction: graph.Backward}: byName,
 	} {
-		if _, err := ce.Lineage(req); err != nil {
-			t.Fatal(err)
+		if !sameBody(cachedBody(t, ce, req), first) {
+			t.Errorf("%+v: the second ask was not served the first's body", req)
 		}
 	}
 	if hits, _, _ := ce.CacheStats(); hits != 2 {

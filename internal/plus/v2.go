@@ -307,11 +307,15 @@ func (s *Server) serveLineage(w http.ResponseWriter, r *http.Request, p Principa
 		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err)
 	}
 	req.Viewer = p.Viewer
-	res, err := s.engine.LineageContext(r.Context(), req)
+	body, err := s.engine.LineageBody(r.Context(), req)
+	if errors.Is(err, errNoJSONForm) {
+		return v2Errorf(http.StatusInternalServerError, CodeInternal, "%s", err)
+	}
 	if err != nil {
 		return v2StoreError(err)
 	}
-	return writeLineageBody(w, req, res)
+	writeLineageBody(w, body)
+	return nil
 }
 
 // SnapshotResponse is the answer to GET /v2/snapshot: the full store at

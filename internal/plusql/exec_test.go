@@ -133,17 +133,17 @@ func TestContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := lineage.LineageContext(ctx, plus.Request{Start: "b"}); !errors.Is(err, context.Canceled) {
+	if _, err := lineage.LineageBody(ctx, plus.Request{Start: "b"}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled lineage = %v, want context.Canceled", err)
 	}
 	if _, err := query.QueryContext(ctx, `node(X)`, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled query = %v, want context.Canceled", err)
 	}
-	if _, err := lineage.LineageContext(context.Background(), plus.Request{Start: "b"}); err != nil {
+	if _, err := lineage.LineageBody(context.Background(), plus.Request{Start: "b"}); err != nil {
 		t.Errorf("live context lineage: %v", err)
 	}
 	b.Close()
-	if _, err := lineage.LineageContext(context.Background(), plus.Request{Start: "b"}); !errors.Is(err, plus.ErrClosed) {
+	if _, err := lineage.LineageBody(context.Background(), plus.Request{Start: "b"}); !errors.Is(err, plus.ErrClosed) {
 		t.Errorf("lineage after close = %v, want ErrClosed", err)
 	}
 }
