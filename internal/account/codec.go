@@ -76,7 +76,7 @@ func (a *Account) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &ja); err != nil {
 		return fmt.Errorf("account: decode: %w", err)
 	}
-	fresh := newAccount(graph.New(), nil)
+	fresh := newAccount(graph.New(), nil, 0)
 	for _, p := range ja.HighWater {
 		fresh.HighWater = append(fresh.HighWater, privilege.Predicate(p))
 	}

@@ -242,13 +242,16 @@ func Maintain(a *Account, spec *Spec, d Delta, pre *PreState) (*Account, Maintai
 
 	// Connect the pairs the delta's new edges create. Walks run on the
 	// advanced spec, so one pass sees every new edge whatever the order.
-	w := &walker{view: v, acct: a, onAdd: func(ge graph.Edge) { st.AddedEdges = append(st.AddedEdges, ge) }}
+	w := newWalker(v, a)
+	w.onAdd = func(ge graph.Edge) { st.AddedEdges = append(st.AddedEdges, ge) }
 	for _, id := range d.NewEdges {
 		e, ok := spec.Graph.EdgeByID(id)
 		if !ok {
 			continue
 		}
-		disp := w.disposition(id)
+		f, _ := spec.Graph.Slot(id.From)
+		t, _ := spec.Graph.Slot(id.To)
+		disp := w.disposition(f, t)
 		gu, gv := a.FromOriginal[e.From], a.FromOriginal[e.To]
 		if gid := (graph.EdgeID{From: gu, To: gv}); a.SurrogateEdges[gid] {
 			if disp != policy.ShowEdge {
@@ -273,11 +276,11 @@ func Maintain(a *Account, spec *Spec, d Delta, pre *PreState) (*Account, Maintai
 			}
 			st.AddedEdges = append(st.AddedEdges, ge)
 		}
-		back, fwd := w.ends(id)
-		for _, c := range [3][2][]graph.NodeID{
+		back, fwd := w.ends(f, t)
+		for _, c := range [3][2][]int32{
 			{back, fwd}, // e is c (a Show e is its own, already served, pair)
-			{back, w.walk(e.To, graph.Forward, approaching)},   // e before c
-			{w.walk(e.From, graph.Backward, approaching), fwd}, // e after c
+			{back, w.walk(t, graph.Forward, approaching)}, // e before c
+			{w.walk(f, graph.Backward, approaching), fwd}, // e after c
 		} {
 			if err := w.connect(c[0], c[1]); err != nil {
 				return nil, st, err

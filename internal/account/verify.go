@@ -87,11 +87,16 @@ func PermittedPath(spec *Spec, a *Account, n1, n2 graph.NodeID) bool {
 	if n1 == n2 {
 		return false
 	}
-	w := &walker{view: viewOf(spec, a), acct: a}
-	if de, ok := spec.Graph.EdgeByID(graph.EdgeID{From: n1, To: n2}); ok {
-		return w.disposition(de.ID()) == policy.ShowEdge
+	s1, ok1 := spec.Graph.Slot(n1)
+	s2, ok2 := spec.Graph.Slot(n2)
+	if !ok1 || !ok2 {
+		return false
 	}
-	return w.permittedFrom(n1)[n2]
+	w := newWalker(viewOf(spec, a), a)
+	if spec.Graph.HasSlotEdge(s1, s2) {
+		return w.disposition(s1, s2) == policy.ShowEdge
+	}
+	return w.permittedFrom(s1)[s2]
 }
 
 // VerifyMaximal checks the three properties of Definition 9 for the given

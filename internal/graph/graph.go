@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"iter"
 	"maps"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -42,9 +43,6 @@ type EdgeID struct {
 
 // String renders the edge as "from->to".
 func (e EdgeID) String() string { return string(e.From) + "->" + string(e.To) }
-
-// Reverse returns the edge identifier with the endpoints swapped.
-func (e EdgeID) Reverse() EdgeID { return EdgeID{From: e.To, To: e.From} }
 
 // Features is the attribute-value map attached to a node ("timestamp",
 // "author", ... per §2). A nil Features map is equivalent to an empty one.
@@ -129,8 +127,9 @@ func (e Edge) ID() EdgeID { return EdgeID{From: e.From, To: e.To} }
 //
 // The sorted node order every accessor promises is computed once and
 // memoised: the live slots in id order plus each slot's rank in it. Any
-// node insert or removal drops the memo; edge changes and feature
-// replacement keep it. With the memo, Nodes copies it, Edges orders each
+// node insert or removal drops the memo; edge changes, feature
+// replacement and a rename that leaves the node's place in the order
+// unchanged keep it. With the memo, Nodes copies it, Edges orders each
 // successor list by integer rank, and Successors / Predecessors /
 // Neighbors sort by rank instead of comparing strings.
 //
@@ -146,6 +145,10 @@ type Graph struct {
 	edges map[uint64]string // edgeKey(from, to) -> label
 	free  []int32           // slots of removed nodes, reused first
 	order atomic.Pointer[sortOrder]
+
+	// adj is the backing array of the adjacency windows Clone cut, kept so
+	// that a released graph reused as a clone cuts them from it again.
+	adj []int32
 }
 
 // sortOrder is the memoised node order: slots lists the live slots in
@@ -162,8 +165,75 @@ func (o *sortOrder) byRank(a, b int32) int { return int(o.rank[a]) - int(o.rank[
 func edgeKey(from, to int32) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{slot: make(map[NodeID]int32), edges: make(map[uint64]string)}
+func New() *Graph { return NewSized(0, 0) }
+
+// NewSized returns an empty graph with room for the given numbers of nodes
+// and edges, so that adding that many grows none of its maps or slot
+// slices. It is a graph Release handed back when there is one.
+func NewSized(nodes, edges int) *Graph {
+	if g := reuse(nodes); g != nil {
+		g.nodes = slices.Grow(g.nodes, nodes)
+		g.out = slices.Grow(g.out, nodes)
+		g.in = slices.Grow(g.in, nodes)
+		return g
+	}
+	return &Graph{
+		slot:  make(map[NodeID]int32, nodes),
+		nodes: make([]Node, 0, nodes),
+		out:   make([][]int32, 0, nodes),
+		in:    make([][]int32, 0, nodes),
+		edges: make(map[uint64]string, edges),
+	}
+}
+
+// spare holds the graphs Release handed back, for NewSized and Clone to
+// build on instead of allocating: two per processor, as a lineage miss
+// builds two (G and G′), and none of more than maxSpareSlots slots, so
+// what it retains stays within a few megabytes.
+var spare = make(chan *Graph, 2*runtime.GOMAXPROCS(0))
+
+const maxSpareSlots = 1 << 12
+
+// Release hands back a graph that nothing will read or write again, so
+// that a later NewSized or Clone reuses the capacity of its maps and
+// slices: a graph built over and over at about the same size then costs
+// almost no allocation. The caller must hold the only reference to g and
+// must not touch g afterwards; graphs cloned from g, or g from, keep
+// their feature maps and order memo, which Release never writes.
+func Release(g *Graph) {
+	if cap(g.nodes) > maxSpareSlots {
+		return
+	}
+	clear(g.slot)
+	clear(g.edges)
+	clear(g.nodes) // drops the feature maps
+	g.nodes = g.nodes[:0]
+	clear(g.out)
+	g.out = g.out[:0]
+	clear(g.in)
+	g.in = g.in[:0]
+	g.free = g.free[:0]
+	g.order.Store(nil)
+	select {
+	case spare <- g:
+	default:
+	}
+}
+
+// reuse returns a released graph, empty, for a graph of n nodes, or nil
+// when there is none. Graphs past maxSpareSlots nodes are never built on a
+// spare: filling one would grow its maps entry by entry, slower than
+// making them at the right size.
+func reuse(n int) *Graph {
+	if n > maxSpareSlots {
+		return nil
+	}
+	select {
+	case g := <-spare:
+		return g
+	default:
+		return nil
+	}
 }
 
 // NumNodes returns |N|.
@@ -209,10 +279,19 @@ func (g *Graph) ReplaceNode(old NodeID, n Node) error {
 		}
 		delete(g.slot, old)
 		g.slot[n.ID] = s
-		g.order.Store(nil)
+		if o := g.order.Load(); o != nil && !o.holds(g, s, n.ID) {
+			g.order.Store(nil)
+		}
 	}
 	g.nodes[s] = n
 	return nil
+}
+
+// holds reports whether the order stays sorted when the node in slot s is
+// renamed id: whether id still sorts between its neighbours in it.
+func (o *sortOrder) holds(g *Graph, s int32, id NodeID) bool {
+	r := int(o.rank[s])
+	return (r == 0 || g.nodes[o.slots[r-1]].ID < id) && (r == len(o.slots)-1 || id < g.nodes[o.slots[r+1]].ID)
 }
 
 // AddNodeID inserts a featureless node with the given id if not present.
@@ -235,6 +314,35 @@ func (g *Graph) NodeByID(id NodeID) (Node, bool) {
 		return Node{}, false
 	}
 	return g.nodes[s], true
+}
+
+// NumSlots returns one past the highest slot the graph has used: every
+// slot a node holds is below it, and a slice indexed by slot needs this
+// length. A free slot (of a removed node) holds no node.
+func (g *Graph) NumSlots() int { return len(g.nodes) }
+
+// Slot returns the slot of node id.
+func (g *Graph) Slot(id NodeID) (int32, bool) {
+	s, ok := g.slot[id]
+	return s, ok
+}
+
+// SlotID returns the id of the node in slot s, or "" for a free slot.
+func (g *Graph) SlotID(s int32) NodeID { return g.nodes[s].ID }
+
+// OutSlots returns the slots of the successors of the node in slot s, in
+// insertion order. The slice is the graph's own: the caller must not
+// modify it, and it is valid until the graph is next mutated.
+func (g *Graph) OutSlots(s int32) []int32 { return g.out[s] }
+
+// InSlots is OutSlots for the predecessors.
+func (g *Graph) InSlots(s int32) []int32 { return g.in[s] }
+
+// HasSlotEdge reports whether the directed edge between the nodes in
+// slots from and to exists.
+func (g *Graph) HasSlotEdge(from, to int32) bool {
+	_, ok := g.edges[edgeKey(from, to)]
+	return ok
 }
 
 // AddEdge inserts a directed edge. Both endpoints must already exist and a
@@ -392,24 +500,39 @@ func (g *Graph) SortedNodes() iter.Seq[Node] {
 	}
 }
 
+// SortedSlots returns the slots of the nodes in the order Nodes returns
+// their ids. The slice is the graph's memoised order: the caller must not
+// modify it, and it is valid until a node is next added or removed.
+func (g *Graph) SortedSlots() []int32 { return g.sorted().slots }
+
 // Edges returns all edges sorted by (From, To).
 func (g *Graph) Edges() []Edge {
-	o := g.sorted()
-	es := make([]Edge, 0, len(g.edges))
-	widest := 0
-	for _, succ := range g.out {
-		widest = max(widest, len(succ))
-	}
-	buf := make([]int32, 0, widest)
-	for _, f := range o.slots {
-		buf = append(buf[:0], g.out[f]...)
-		slices.SortFunc(buf, o.byRank)
-		from := g.nodes[f].ID
-		for _, t := range buf {
-			es = append(es, Edge{From: from, To: g.nodes[t].ID, Label: g.edges[edgeKey(f, t)]})
+	return slices.AppendSeq(make([]Edge, 0, len(g.edges)), g.SortedEdges())
+}
+
+// SortedEdges yields every edge in the order Edges returns them, without
+// building the slice: each successor list is ordered by memoised rank in
+// one scratch buffer as its source comes up.
+func (g *Graph) SortedEdges() iter.Seq[Edge] {
+	return func(yield func(Edge) bool) {
+		o := g.sorted()
+		byRank := o.byRank // one method value, not one per source node
+		widest := 0
+		for _, succ := range g.out {
+			widest = max(widest, len(succ))
+		}
+		buf := make([]int32, 0, widest)
+		for _, f := range o.slots {
+			buf = append(buf[:0], g.out[f]...)
+			slices.SortFunc(buf, byRank)
+			from := g.nodes[f].ID
+			for _, t := range buf {
+				if !yield(Edge{From: from, To: g.nodes[t].ID, Label: g.edges[edgeKey(f, t)]}) {
+					return
+				}
+			}
 		}
 	}
-	return es
 }
 
 // Successors returns the targets of the node's outgoing edges, sorted.
@@ -480,16 +603,24 @@ func (g *Graph) Degree(id NodeID) int {
 // shares the nodes' feature maps, which no graph writes into (see Node).
 // Every adjacency list is a capacity-bounded window of one backing array:
 // an append moves that list out, a removal stays inside its window.
+// The copy is a graph Release handed back when there is one.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		slot:  maps.Clone(g.slot),
-		nodes: slices.Clone(g.nodes),
-		out:   make([][]int32, len(g.out)),
-		in:    make([][]int32, len(g.in)),
-		edges: maps.Clone(g.edges),
-		free:  slices.Clone(g.free),
+	c := reuse(len(g.nodes))
+	if c == nil {
+		c = &Graph{slot: maps.Clone(g.slot), edges: maps.Clone(g.edges)}
+	} else {
+		maps.Copy(c.slot, g.slot)
+		maps.Copy(c.edges, g.edges)
 	}
-	buf := make([]int32, 0, 2*len(g.edges))
+	c.nodes = append(c.nodes[:0], g.nodes...)
+	c.out = slices.Grow(c.out[:0], len(g.out))[:len(g.out)]
+	c.in = slices.Grow(c.in[:0], len(g.in))[:len(g.in)]
+	c.free = append(c.free[:0], g.free...)
+	buf := c.adj[:0]
+	if cap(buf) < 2*len(g.edges) {
+		buf = make([]int32, 0, 2*len(g.edges))
+	}
+	c.adj = buf
 	window := func(adj []int32) []int32 {
 		lo := len(buf)
 		buf = append(buf, adj...)

@@ -323,9 +323,6 @@ func TestEdgeIDHelpers(t *testing.T) {
 	if e.String() != "a->b" {
 		t.Errorf("String = %q", e.String())
 	}
-	if r := e.Reverse(); r.From != "b" || r.To != "a" {
-		t.Errorf("Reverse = %v", r)
-	}
 }
 
 func TestAncestorsDescendants(t *testing.T) {

@@ -179,3 +179,112 @@ func BenchmarkBuildAndOrder(b *testing.B) {
 		g.Edges()
 	}
 }
+
+// TestRenameKeepsOrderInPlace: a rename that leaves the node's place in
+// the order keeps the memo (a clone renaming its nodes, as a protected
+// account replaces originals by their surrogates, sorts nothing again),
+// one that moves it drops the memo, and the clone's renames never reach
+// the source's order.
+func TestRenameKeepsOrderInPlace(t *testing.T) {
+	g := New()
+	for _, id := range []NodeID{"a", "b", "c", "d"} {
+		g.AddNode(Node{ID: id})
+	}
+	g.MustAddEdge("a", "b")
+	g.MustAddEdge("b", "d")
+	g.Nodes()
+	c := g.Clone()
+	memo := c.order.Load()
+	if err := c.ReplaceNode("b", Node{ID: "b~"}); err != nil {
+		t.Fatal(err)
+	}
+	if c.order.Load() != memo {
+		t.Error("a rename between its neighbours dropped the order memo")
+	}
+	if got, want := c.Nodes(), []NodeID{"a", "b~", "c", "d"}; !slices.Equal(got, want) {
+		t.Errorf("after an in-place rename Nodes = %v, want %v", got, want)
+	}
+	if err := c.ReplaceNode("a", Node{ID: "e"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Nodes(), []NodeID{"b~", "c", "d", "e"}; !slices.Equal(got, want) {
+		t.Errorf("after a moving rename Nodes = %v, want %v", got, want)
+	}
+	if got, want := slices.Collect(func(yield func(string) bool) {
+		for e := range c.SortedEdges() {
+			if !yield(e.ID().String()) {
+				return
+			}
+		}
+	}), []string{"b~->d", "e->b~"}; !slices.Equal(got, want) {
+		t.Errorf("SortedEdges = %v, want %v", got, want)
+	}
+	if got, want := g.Nodes(), []NodeID{"a", "b", "c", "d"}; !slices.Equal(got, want) {
+		t.Errorf("the source's Nodes = %v after the clone's renames, want %v", got, want)
+	}
+}
+
+// TestReleasedGraphsAreReusedClean: a released graph comes back from
+// NewSized and from Clone empty of everything it held, builds and clones
+// exactly as a new one does, and its release leaves the graphs it shared
+// feature maps and an order memo with untouched.
+func TestReleasedGraphsAreReusedClean(t *testing.T) {
+	for len(spare) > 0 {
+		<-spare
+	}
+	nodes, edges := plusbenchShape(200, 3)
+	g := build(nodes, edges)
+	want := g.Edges()
+	c := g.Clone()
+	c.RemoveEdge(want[0].From, want[0].To)
+	Release(c)
+	if len(spare) != 1 {
+		t.Fatalf("%d spare graphs after one release, want 1", len(spare))
+	}
+	if !slices.Equal(g.Edges(), want) || g.NumNodes() != len(nodes) {
+		t.Fatal("releasing a clone changed its source")
+	}
+	for _, n := range nodes[:5] {
+		if got, _ := g.NodeByID(n.ID); !got.Features.Equal(n.Features) {
+			t.Fatalf("releasing a clone changed the features of %s", n.ID)
+		}
+	}
+
+	h := NewSized(3, 2)
+	if len(spare) != 0 || h.NumNodes() != 0 || h.NumEdges() != 0 || h.NumSlots() != 0 || len(h.Nodes()) != 0 {
+		t.Fatalf("NewSized did not hand back the released graph empty: %d nodes, %d edges, %d slots", h.NumNodes(), h.NumEdges(), h.NumSlots())
+	}
+	for _, id := range []NodeID{"z", "x", "y"} {
+		h.AddNode(Node{ID: id})
+	}
+	h.MustAddEdge("x", "y")
+	h.MustAddEdge("z", "x")
+	if got := h.Nodes(); !slices.Equal(got, []NodeID{"x", "y", "z"}) {
+		t.Errorf("reused graph Nodes = %v", got)
+	}
+	if got := h.Edges(); len(got) != 2 || got[0].ID() != (EdgeID{"x", "y"}) || got[1].ID() != (EdgeID{"z", "x"}) {
+		t.Errorf("reused graph Edges = %v", got)
+	}
+
+	Release(h)
+	c2 := g.Clone()
+	if len(spare) != 0 || !c2.Equal(g) || !slices.Equal(c2.Edges(), want) {
+		t.Fatal("a clone built on a released graph differs from its source")
+	}
+	c2.RemoveEdge(want[1].From, want[1].To)
+	if !slices.Equal(g.Edges(), want) {
+		t.Fatal("a clone built on a released graph shares adjacency with its source")
+	}
+
+	for len(spare) > 0 {
+		<-spare
+	}
+	big := NewSized(0, 0)
+	for i := range maxSpareSlots + 1 {
+		big.AddNode(Node{ID: NodeID(fmt.Sprint(i))})
+	}
+	Release(big)
+	if len(spare) != 0 {
+		t.Error("a graph past maxSpareSlots was kept")
+	}
+}

@@ -1,6 +1,10 @@
 package graph
 
-import "math/bits"
+import (
+	"math/bits"
+	"runtime"
+	"slices"
+)
 
 // reachBlockWords is the width, in 64-bit words, of the column block the
 // all-nodes reachability kernel works on: 512 columns, so one row of one
@@ -11,7 +15,20 @@ const reachBlockWords = 8
 // |ancestors(id) ∪ descendants(id)|: the number of nodes connected to id
 // by a directed path to or from it. This is the connectivity notion behind
 // the Path Utility Measure's %P and the "connected pairs" density of
-// §6.1.2. The tests check it against a per-node walk.
+// §6.1.2. It is ConnectedCounts keyed by id; the tests check it against a
+// per-node walk.
+func (g *Graph) ConnectedPairsAll() map[NodeID]int {
+	counts := make(map[NodeID]int, len(g.slot))
+	conn := g.ConnectedCounts()
+	for id, s := range g.slot {
+		counts[id] = conn[s]
+	}
+	return counts
+}
+
+// ConnectedCounts is ConnectedPairsAll indexed by slot: conn[s] counts the
+// nodes connected to the node in slot s, and the count of a free slot is
+// meaningless. It has NumSlots entries.
 //
 // The kernel runs on the graph's own slots and slot adjacency, condensed
 // into strongly connected components (every component a singleton on a
@@ -22,25 +39,32 @@ const reachBlockWords = 8
 // reachBlockWords words of columns at a time. Work is O((n+e)·n/64) word
 // operations; scratch is one 64-byte block row per component (plus the
 // O(n) index arrays), never the n²/8 bytes of a full closure matrix.
-func (g *Graph) ConnectedPairsAll() map[NodeID]int {
-	counts := make(map[NodeID]int, len(g.slot))
-	if len(g.slot) == 0 {
-		return counts
-	}
-
+func (g *Graph) ConnectedCounts() []int {
 	// The graph's slots are the dense ids and its slot adjacency the
 	// forward lists; a free slot is an isolated node whose count is never
 	// read.
 	adj := g.out
 	n := len(adj)
-	comp, members, start := condense(adj)
+	conn := make([]int, n)
+	if len(g.slot) == 0 {
+		return conn
+	}
+	var sc *kernelScratch
+	select {
+	case sc = <-kernelSpare:
+	default:
+		sc = new(kernelScratch)
+	}
+	defer sc.release(n)
+	comp, members, start := sc.condense(adj)
 	k := len(start) - 1
 
 	// Row c holds, for the current column block, the columns (positions
 	// in members) of every node in component c's descendant — then
 	// ancestor — set, the component's own members included.
 	const blockBits = reachBlockWords * 64
-	rows := make([]uint64, k*reachBlockWords)
+	sc.rows = resize(sc.rows, k*reachBlockWords)
+	rows := sc.rows
 	row := func(c int32) []uint64 {
 		return rows[int(c)*reachBlockWords : (int(c)+1)*reachBlockWords]
 	}
@@ -53,7 +77,9 @@ func (g *Graph) ConnectedPairsAll() map[NodeID]int {
 	}
 	// reach[c] accumulates |descendants| + |ancestors| of component c over
 	// the blocks, each side counting c's own members once.
-	reach := make([]int, k)
+	sc.reach = resize(sc.reach, k)
+	reach := sc.reach
+	clear(reach)
 	for lo := 0; lo < n; lo += blockBits {
 		// Components are numbered in reverse topological order: every
 		// edge leaves a higher-numbered component for a lower one. Going
@@ -88,11 +114,11 @@ func (g *Graph) ConnectedPairsAll() map[NodeID]int {
 
 	// Both sides counted the component itself; the node is connected to
 	// its size-1 fellow members and to neither side's copy of itself.
-	for id, u := range g.slot {
+	for u := range conn {
 		c := comp[u]
-		counts[id] = reach[c] - int(start[c+1]-start[c]) - 1
+		conn[u] = reach[c] - int(start[c+1]-start[c]) - 1
 	}
-	return counts
+	return conn
 }
 
 func orInto(dst, src []uint64) {
@@ -117,24 +143,24 @@ func popcount(r []uint64) int {
 // out in reverse topological order of the condensation: an edge between
 // two components always runs from the higher-numbered to the
 // lower-numbered one.
-func condense(adj [][]int32) (comp, members, start []int32) {
+func (sc *kernelScratch) condense(adj [][]int32) (comp, members, start []int32) {
 	n := len(adj)
 	const unvisited = 0
-	index := make([]int32, n) // visit number, 1-based
-	low := make([]int32, n)
-	comp = make([]int32, n)
+	index := resize(sc.index, n) // visit number, 1-based
+	clear(index)
+	low := resize(sc.low, n)
+	comp = resize(sc.comp, n)
 	for i := range comp {
 		comp[i] = -1 // unassigned: unvisited or still on the stack
 	}
-	members = make([]int32, 0, n)
-	start = make([]int32, 0, n+1)
-
-	type frame struct{ v, next int32 }
+	members = slices.Grow(sc.members[:0], n)
+	start = slices.Grow(sc.start[:0], n+1)
 	var (
-		stack []int32 // Tarjan's node stack
-		calls []frame // the simulated recursion
+		stack = sc.stack[:0] // Tarjan's node stack
+		calls = sc.calls[:0] // the simulated recursion
 		visit int32
 	)
+	defer func() { sc.index, sc.low, sc.stack, sc.calls = index, low, stack, calls }()
 	for root := int32(0); int(root) < n; root++ {
 		if index[root] != unvisited {
 			continue
@@ -183,5 +209,37 @@ func condense(adj [][]int32) (comp, members, start []int32) {
 		}
 	}
 	start = append(start, int32(len(members)))
+	sc.comp, sc.members, sc.start = comp, members, start
 	return comp, members, start
 }
+
+// kernelScratch is the working memory of one ConnectedCounts run. Runs
+// take it from kernelSpare and put it back, one per processor at most and
+// none grown for more than maxSpareSlots slots, so the counts of a graph
+// of a size seen before allocate only the slice they return.
+type kernelScratch struct {
+	index, low, comp, members, start, stack []int32
+	calls                                   []frame
+	rows                                    []uint64
+	reach                                   []int
+}
+
+// frame is one call of condense's simulated recursion.
+type frame struct{ v, next int32 }
+
+var kernelSpare = make(chan *kernelScratch, runtime.GOMAXPROCS(0))
+
+// release puts the scratch of a run over n slots back for the next run.
+func (sc *kernelScratch) release(n int) {
+	if n > maxSpareSlots {
+		return
+	}
+	select {
+	case kernelSpare <- sc:
+	default:
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are unspecified.
+func resize[E any](s []E, n int) []E { return slices.Grow(s[:0], n)[:n] }

@@ -4,7 +4,8 @@
 // adversary constants of Figure 5.
 //
 // Every measure that needs the §4.1 connectivity counts takes them for the
-// whole graph at once from graph.ConnectedPairsAll: O((n+e)·n/64) word
+// whole graph at once from graph.ConnectedCounts (or its id-keyed form,
+// graph.ConnectedPairsAll): O((n+e)·n/64) word
 // operations over 64 bytes of scratch per node, against the
 // O(n·(n+e)) map-BFS walks of a count per node. The
 // counts are integers, so the measures are bit-identical either way.
@@ -23,36 +24,41 @@ import (
 // An isolated original (denominator 0) contributes 1 when present — all of
 // its (empty) connectivity is retained — and 0 otherwise.
 func PathPercentage(spec *account.Spec, a *account.Account, n graph.NodeID) float64 {
-	connG := spec.Graph.ConnectedPairsAll()
-	connA := a.Graph.ConnectedPairsAll()
-	return pathPercentage(a, n, connG, connA)
+	s, ok := spec.Graph.Slot(n)
+	if !ok {
+		return pathPercentage(a, n, 0, nil)
+	}
+	return pathPercentage(a, n, spec.Graph.ConnectedCounts()[s], a.Graph.ConnectedCounts())
 }
 
-func pathPercentage(a *account.Account, n graph.NodeID, connG, connA map[graph.NodeID]int) float64 {
+// pathPercentage is %P(n) from n's count in G and the account's counts
+// indexed by G' slot (graph.ConnectedCounts).
+func pathPercentage(a *account.Account, n graph.NodeID, denom int, connA []int) float64 {
 	id, ok := a.Corresponding(n)
 	if !ok {
 		return 0
 	}
-	denom := connG[n]
 	if denom == 0 {
 		return 1
 	}
-	return float64(connA[id]) / float64(denom)
+	s, _ := a.Graph.Slot(id)
+	return float64(connA[s]) / float64(denom)
 }
 
 // PathUtility computes the Path Utility Measure (Figure 3a): the average of
-// %P(n) over every node n of the original graph.
+// %P(n) over every node n of the original graph, summed in node id order.
 func PathUtility(spec *account.Spec, a *account.Account) float64 {
-	if spec.Graph.NumNodes() == 0 {
+	g := spec.Graph
+	if g.NumNodes() == 0 {
 		return 0
 	}
-	connG := spec.Graph.ConnectedPairsAll()
-	connA := a.Graph.ConnectedPairsAll()
+	connG := g.ConnectedCounts()
+	connA := a.Graph.ConnectedCounts()
 	var sum float64
-	for _, n := range spec.Graph.Nodes() {
-		sum += pathPercentage(a, n, connG, connA)
+	for _, s := range g.SortedSlots() {
+		sum += pathPercentage(a, g.SlotID(s), connG[s], connA)
 	}
-	return sum / float64(spec.Graph.NumNodes())
+	return sum / float64(g.NumNodes())
 }
 
 // NodeUtility computes the Node Utility Measure (Figure 3c): the sum of
@@ -64,8 +70,8 @@ func NodeUtility(spec *account.Spec, a *account.Account) float64 {
 		return 0
 	}
 	var sum float64
-	for _, id := range a.Graph.Nodes() {
-		sum += a.InfoScore[id]
+	for n := range a.Graph.SortedNodes() {
+		sum += a.InfoScore[n.ID]
 	}
 	return sum / float64(spec.Graph.NumNodes())
 }

@@ -26,7 +26,7 @@ type NodeReport struct {
 // NodeReports computes one row per original node, sorted by id.
 func NodeReports(spec *account.Spec, a *account.Account) []NodeReport {
 	connG := spec.Graph.ConnectedPairsAll()
-	connA := a.Graph.ConnectedPairsAll()
+	connA := a.Graph.ConnectedCounts()
 	var out []NodeReport
 	for _, n := range spec.Graph.Nodes() {
 		r := NodeReport{
@@ -37,10 +37,11 @@ func NodeReports(spec *account.Spec, a *account.Account) []NodeReport {
 			r.Corresponding = id
 			r.Present = true
 			r.InfoScore = a.InfoScore[id]
-			r.ConnectedOut = connA[id]
+			s, _ := a.Graph.Slot(id)
+			r.ConnectedOut = connA[s]
 			_, r.SurrogateUsed = a.SurrogateNodes[id]
 		}
-		r.PathPercentage = pathPercentage(a, n, connG, connA)
+		r.PathPercentage = pathPercentage(a, n, r.ConnectedIn, connA)
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Original < out[j].Original })

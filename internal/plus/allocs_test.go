@@ -2,6 +2,7 @@ package plus_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -103,5 +104,66 @@ func TestCachedLineageHitAllocs(t *testing.T) {
 	}
 	if counts[0] != counts[1] || counts[1] > 2 {
 		t.Errorf("a hit allocates %.0f times at depth 3 and %.0f at depth 5, want the same and at most 2", counts[0], counts[1])
+	}
+}
+
+// TestServedMissBytesPerClosureNode is a clock-free guard on the bytes one
+// served cold lineage answer allocates, the response body included: the
+// whole CachedEngine.LineageBody miss (fetch, build, protect, measure,
+// encode and the cache's own copy), read from runtime.MemStats.TotalAlloc
+// over 36 misses on distinct starts, at depth 3 and at depth 5, over the
+// graph of TestColdLineageAllocsPerClosureNode. It reports the bytes per
+// closure node and their ratio to the bodies returned. The store hands
+// fetch its adjacency without copies, the spec and account maps are sized
+// from the closure, the anchor walks are keyed by slot and the body is
+// encoded into reused scratch and kept as one exact-size copy: at most
+// 2 KB per closure node at either depth and at most 6× the body at
+// depth 5.
+func TestServedMissBytesPerClosureNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	b := benchShapedBackend(t)
+	en := plus.NewEngine(b, privilege.TwoLevel())
+	ctx := context.Background()
+	const starts = 36
+	for _, depth := range []int{3, 5} {
+		reqs := make([]plus.Request, starts)
+		closure := 0
+		for i := range reqs {
+			reqs[i] = plus.Request{Start: workload.LargeNodeID(allocNodes - 1 - i), Direction: graph.Backward, Depth: depth,
+				Viewer: privilege.Public, Mode: plus.ModeSurrogate}
+			res, err := en.Lineage(reqs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			closure += res.Spec.Graph.NumNodes()
+		}
+		ce := plus.NewCachedEngine(en)
+		var before, after runtime.MemStats
+		bodies := 0
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, req := range reqs {
+			body, err := ce.LineageBody(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies += len(body)
+		}
+		runtime.ReadMemStats(&after)
+		if st := ce.Stats(); st.Misses != starts || st.Hits != 0 {
+			t.Fatalf("depth %d: stats %+v, want %d misses and no hit", depth, st, starts)
+		}
+		alloc := float64(after.TotalAlloc - before.TotalAlloc)
+		perNode, ratio := alloc/float64(closure), alloc/float64(bodies)
+		t.Logf("depth %d: %d misses over %d closure nodes allocated %.0f KB: %.0f B per closure node, %.1f× the %d KB of bodies",
+			depth, starts, closure, alloc/1024, perNode, ratio, bodies/1024)
+		if perNode > 2048 {
+			t.Errorf("depth %d: %.0f bytes allocated per closure node, want at most 2048", depth, perNode)
+		}
+		if depth == 5 && ratio > 6 {
+			t.Errorf("depth %d: a miss allocates %.1f× its body, want at most 6×", depth, ratio)
+		}
 	}
 }

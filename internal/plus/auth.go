@@ -147,7 +147,7 @@ func (s *Server) principal(r *http.Request) (Principal, *APIError) {
 			return Principal{}, v2Errorf(http.StatusBadRequest, CodeViewerConflict,
 				"plus: %s %q contradicts the token's viewer %q", HeaderViewer, header, viewer)
 		}
-		if !s.engine.lattice.Known(viewer) {
+		if !s.lattice.Known(viewer) {
 			// A well-signed token for a predicate this node's lattice never
 			// declared: the credential is real but grants nothing here.
 			return Principal{}, v2Errorf(http.StatusForbidden, CodeForbidden,
@@ -161,7 +161,7 @@ func (s *Server) principal(r *http.Request) (Principal, *APIError) {
 	}
 	viewer := privilege.Public
 	if header != "" {
-		if !s.engine.lattice.Known(header) {
+		if !s.lattice.Known(header) {
 			return Principal{}, v2Errorf(http.StatusBadRequest, CodeUnknownViewer,
 				"plus: unknown viewer predicate %q", header)
 		}

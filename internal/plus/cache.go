@@ -3,7 +3,7 @@ package plus
 import (
 	"container/list"
 	"context"
-	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -16,8 +16,17 @@ import (
 // evicts only the cached answers whose lineage closure the delta touches.
 // An entry is the answer's response body and its closure's sorted ids, so
 // a hit writes bytes already encoded and pins no Spec or Account.
-// LineageBody is the cached path; the embedded Engine's Lineage and
-// LineageContext compute afresh.
+// LineageBody is the only way in: the engine it fronts is a field, not
+// embedded, so an uncached Lineage cannot be called on a CachedEngine by
+// mistake.
+//
+// A miss allocates about what it keeps. fetch hands buildSpec the
+// snapshot's own adjacency, the anchor walks key their state by G's slots,
+// the body is encoded into reused scratch and kept as one exact-size copy,
+// and G and G′ go back to the graph package (graph.Release) for the next
+// miss to build on, since nothing outside LineageBody holds them: on
+// plusbench's graph a depth-5 miss allocates ≈1.7 KB per closure node,
+// ≈5× its body (TestServedMissBytesPerClosureNode).
 //
 // This realises the §7 advantage the paper claims over view-based
 // protection ("view recomputation when object sensitivity changes" versus
@@ -40,7 +49,8 @@ import (
 // in size with the requested depth; an answer larger than the whole
 // budget is served but never admitted.
 type CachedEngine struct {
-	*Engine
+	engine *Engine
+	store  Backend // engine.Backend(), the feed the cache follows
 
 	mu      sync.Mutex
 	rev     uint64
@@ -99,7 +109,7 @@ type cacheKey struct {
 
 // NewCachedEngine wraps the engine with a delta-scoped invalidating cache.
 func NewCachedEngine(engine *Engine) *CachedEngine {
-	return &CachedEngine{Engine: engine, entries: map[cacheKey]*list.Element{}, budget: lineageCacheBudget}
+	return &CachedEngine{engine: engine, store: engine.Backend(), entries: map[cacheKey]*list.Element{}, budget: lineageCacheBudget}
 }
 
 // removeLocked drops one entry and its share of the held count.
@@ -131,6 +141,12 @@ func (ce *CachedEngine) admitLocked(ent *cacheEntry) {
 // processed those changes.
 func (ce *CachedEngine) refreshLocked(rev uint64) {
 	if rev <= ce.rev {
+		return
+	}
+	if len(ce.entries) == 0 {
+		// Nothing to evict: skip reading the feed, which on the first ask
+		// after a bulk load is the whole store.
+		ce.rev = rev
 		return
 	}
 	changes, err := ce.store.ChangesSince(ce.rev)
@@ -276,23 +292,29 @@ func (ce *CachedEngine) LineageBody(ctx context.Context, req Request) ([]byte, e
 	ce.stats.Misses++
 	ce.mu.Unlock()
 
-	res, err := ce.Engine.LineageContext(ctx, req)
+	res, err := ce.engine.LineageContext(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	body, err := appendLineageBody(nil, req, res)
-	if err != nil {
-		return nil, err
-	}
+	body, err := encodeBody(req, res)
+	// The closure holds the answer's original ids; nodes come in id order,
+	// so it is sorted. An answer larger than the whole cache is served but
+	// never admitted.
 	g := res.Spec.Graph
-	if g.NumNodes() > ce.budget {
-		// Larger than the whole cache: served, never admitted.
-		return body, nil
+	var closure []string
+	if err == nil && g.NumNodes() <= ce.budget {
+		closure = make([]string, 0, g.NumNodes())
+		for n := range g.SortedNodes() {
+			closure = append(closure, string(n.ID))
+		}
 	}
-	// Nodes come in id order, so the closure is sorted.
-	closure := make([]string, 0, g.NumNodes())
-	for n := range g.SortedNodes() {
-		closure = append(closure, string(n.ID))
+	// Nothing outside this call holds the answer's graphs: hand them back
+	// for the next miss to build on, G first, for its spec, then G′, whose
+	// adjacency array its clone reuses.
+	graph.Release(g)
+	graph.Release(res.Account.Graph)
+	if err != nil || closure == nil {
+		return body, err
 	}
 	ce.mu.Lock()
 	// Only cache when the store has not moved under the computation: the
@@ -305,10 +327,36 @@ func (ce *CachedEngine) LineageBody(ctx context.Context, req Request) ([]byte, e
 	return body, nil
 }
 
-// CacheStats reports hit/miss counters and the live entry count.
-func (ce *CachedEngine) CacheStats() (hits, misses uint64, entries int) {
-	st := ce.Stats()
-	return st.Hits, st.Misses, st.Entries
+// bodyScratch holds the buffers lineage misses encode their bodies into,
+// one per concurrent miss up to its capacity. It is a channel rather than
+// a sync.Pool because a pool drops its buffers at every collection, and a
+// served miss would then grow its buffer again from nothing. A buffer past
+// maxBodyScratch is not kept, so a rare huge answer stays garbage.
+var bodyScratch = make(chan []byte, runtime.GOMAXPROCS(0))
+
+const maxBodyScratch = 1 << 20
+
+// encodeBody returns the body of a lineage answer in a slice of exactly
+// its length. It is encoded into scratch from bodyScratch, which grows to
+// the size of the largest answers once and is reused from miss to miss.
+func encodeBody(req Request, res *Result) ([]byte, error) {
+	var scratch []byte
+	select {
+	case scratch = <-bodyScratch:
+	default:
+	}
+	buf, err := appendLineageBody(scratch[:0], req, res)
+	var body []byte
+	if err == nil {
+		body = append(make([]byte, 0, len(buf)), buf...)
+	}
+	if cap(buf) <= maxBodyScratch {
+		select {
+		case bodyScratch <- buf:
+		default:
+		}
+	}
+	return body, err
 }
 
 // Stats reports the full lineage-cache counters, including delta-scoped
@@ -320,11 +368,4 @@ func (ce *CachedEngine) Stats() LineageCacheStats {
 	st.Entries = len(ce.entries)
 	st.ClosureNodes = ce.held
 	return st
-}
-
-// String summarises the cache state for logs.
-func (ce *CachedEngine) String() string {
-	st := ce.Stats()
-	return fmt.Sprintf("plus cache: %d entries (%d closure nodes), %d hits, %d misses, %d delta-evicted, %d capacity-evicted, %d wiped",
-		st.Entries, st.ClosureNodes, st.Hits, st.Misses, st.DeltaEvictions, st.CapacityEvictions, st.Wipes)
 }

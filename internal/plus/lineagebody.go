@@ -75,11 +75,11 @@ func appendLineageBody(dst []byte, req Request, res *Result) ([]byte, error) {
 	}
 
 	dst = append(dst, `,"edges":`...)
-	if edges := a.Graph.Edges(); len(edges) == 0 {
+	if a.Graph.NumEdges() == 0 {
 		dst = append(dst, "null"...)
 	} else {
 		sep := byte('[')
-		for _, e := range edges {
+		for e := range a.Graph.SortedEdges() {
 			dst = append(dst, sep)
 			sep = ','
 			dst = append(dst, `{"from":`...)

@@ -229,7 +229,7 @@ func (s *Server) registerServerMetrics() {
 	if reg == nil {
 		return
 	}
-	b := s.engine.store
+	b := s.store
 	reg.GaugeFunc("plus_store_objects", "Live objects in the store.",
 		func() float64 { return float64(b.NumObjects()) })
 	reg.GaugeFunc("plus_store_edges", "Live edges in the store.",

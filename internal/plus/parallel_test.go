@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -74,18 +75,20 @@ func TestParallelFetchMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(fs.objects) != len(fp.objects) || len(fs.edges) != len(fp.edges) {
+				s, p := flatten(fs), flatten(fp)
+				sIDs, pIDs, sEdges, pEdges := s.ids, p.ids, s.edges, p.edges
+				if len(sIDs) != len(pIDs) || len(sEdges) != len(pEdges) {
 					t.Fatalf("req %+v: sequential %d objects/%d edges, parallel %d/%d",
-						req, len(fs.objects), len(fs.edges), len(fp.objects), len(fp.edges))
+						req, len(sIDs), len(sEdges), len(pIDs), len(pEdges))
 				}
-				for i := range fs.objects {
-					if fs.objects[i].ID != fp.objects[i].ID {
+				for i := range sIDs {
+					if sIDs[i] != pIDs[i] {
 						t.Fatalf("req %+v: object order diverges at %d: %s vs %s",
-							req, i, fs.objects[i].ID, fp.objects[i].ID)
+							req, i, sIDs[i], pIDs[i])
 					}
 				}
-				for i := range fs.edges {
-					if fs.edges[i] != fp.edges[i] {
+				for i := range sEdges {
+					if sEdges[i] != pEdges[i] {
 						t.Fatalf("req %+v: edge order diverges at %d", req, i)
 					}
 				}
@@ -155,15 +158,28 @@ func TestSnapshotQueriesDoNotBlockWriters(t *testing.T) {
 	}
 }
 
+// closure is a fetched closure laid out flat: its object ids, edges and
+// surrogate specs in fetch order.
+type closure struct {
+	ids        []string
+	edges      []Edge
+	surrogates []SurrogateSpec
+	levels     int
+}
+
+// flatten concatenates the runs of a fetched closure.
+func flatten(f *fetched) closure {
+	return closure{slices.Concat(f.ids...), slices.Concat(f.edges...), slices.Concat(f.surrogates...), f.levels}
+}
+
 // dedupedWalk is the reference closure fetch: a sequential level BFS that
 // copies the adjacency lists a direction asks for and dedupes every edge
 // by its endpoints, whatever the direction.
-func dedupedWalk(sn *Snapshot, req Request) *fetched {
-	f := &fetched{}
+func dedupedWalk(sn *Snapshot, req Request) closure {
+	var f closure
 	seen := map[string]bool{req.Start: true}
 	edgeSeen := map[[2]string]bool{}
-	o, _ := sn.Object(req.Start)
-	f.objects = append(f.objects, o)
+	f.ids = append(f.ids, req.Start)
 	frontier := []string{req.Start}
 	depth := 0
 	for ; len(frontier) > 0 && (req.Depth == 0 || depth < req.Depth); depth++ {
@@ -193,8 +209,7 @@ func dedupedWalk(sn *Snapshot, req Request) *fetched {
 				}
 				if !seen[n] {
 					seen[n] = true
-					o, _ := sn.Object(n)
-					f.objects = append(f.objects, o)
+					f.ids = append(f.ids, n)
 					next = append(next, n)
 				}
 			}
@@ -202,8 +217,8 @@ func dedupedWalk(sn *Snapshot, req Request) *fetched {
 		frontier = next
 	}
 	f.levels = depth
-	for _, o := range f.objects {
-		f.surrogates = append(f.surrogates, sn.Surrogates(o.ID)...)
+	for _, id := range f.ids {
+		f.surrogates = append(f.surrogates, sn.Surrogates(id)...)
 	}
 	return f
 }
@@ -243,14 +258,14 @@ func TestFetchMatchesDedupedWalk(t *testing.T) {
 				for _, depth := range []int{0, 1, 3} {
 					for _, filt := range []Request{{}, {LabelFilter: "generated"}, {KindFilter: Invocation}} {
 						req := Request{Start: start, Direction: dir, Depth: depth, LabelFilter: filt.LabelFilter, KindFilter: filt.KindFilter}
-						got, err := en.fetch(context.Background(), req)
+						f, err := en.fetch(context.Background(), req)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if want := dedupedWalk(sn, req); !reflect.DeepEqual(got, want) {
+						if got, want := flatten(f), dedupedWalk(sn, req); !reflect.DeepEqual(got, want) {
 							t.Fatalf("workers %d, %+v: fetched %d objects/%d edges/%d surrogates in %d levels, want %d/%d/%d in %d",
-								workers, req, len(got.objects), len(got.edges), len(got.surrogates), got.levels,
-								len(want.objects), len(want.edges), len(want.surrogates), want.levels)
+								workers, req, len(got.ids), len(got.edges), len(got.surrogates), got.levels,
+								len(want.ids), len(want.edges), len(want.surrogates), want.levels)
 						}
 					}
 				}

@@ -210,11 +210,19 @@ func (en *Engine) Lattice() *privilege.Lattice { return en.lattice }
 // Backend returns the storage backend the engine queries.
 func (en *Engine) Backend() Backend { return en.store }
 
-// fetched is the raw lineage closure pulled from the store.
+// fetched is the raw lineage closure pulled from the store, held as runs
+// that share the snapshot's records wherever the walk can: buildSpec reads
+// each object from the snapshot by id, and a one-way walk without filters
+// keeps the snapshot's own adjacency slices as its edge runs, copying no
+// edge. Every run is read-only.
 type fetched struct {
-	objects    []Object
-	edges      []Edge
-	surrogates []SurrogateSpec
+	sn *Snapshot
+	// ids holds the closure's object ids in visit order, one run per BFS
+	// level; edges and surrogates hold its edges and the surrogate specs
+	// of its objects.
+	ids        [][]string
+	edges      [][]Edge
+	surrogates [][]SurrogateSpec
 	// levels is how many BFS levels the walk expanded.
 	levels int
 }
@@ -225,8 +233,10 @@ type fetched struct {
 const parallelFrontier = 64
 
 // fetch walks a snapshot's adjacency from the start object, honouring the
-// requested direction and depth, and returns every object, edge and
-// surrogate in the closure. This is the "DB access" phase of Figure 10.
+// requested direction and depth, and returns the ids, edges and
+// surrogates of the closure as runs (see fetched): it copies no object,
+// and on a one-way walk without filters no edge either. This is the "DB
+// access" phase of Figure 10.
 //
 // The walk is a level-synchronised BFS: each depth's frontier is expanded
 // — in parallel across a worker pool once the frontier is wide enough —
@@ -261,8 +271,10 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 	}
 
 	// expand returns the admissible edges of one node. A one-way walk
-	// without filters reads the snapshot's adjacency in place; only
-	// Undirected concatenates, and only a filter copies.
+	// without filters reads the snapshot's adjacency in place, and fetch
+	// keeps that slice as an edge run; an undirected walk concatenates
+	// into a slice of its own, which the merge below dedupes in place, and
+	// only a filter copies.
 	expand := func(cur string) []Edge {
 		var steps []Edge
 		switch req.Direction {
@@ -271,13 +283,14 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 		case graph.Backward:
 			steps = sn.In(cur)
 		default:
-			steps = append(slices.Clip(sn.Out(cur)), sn.In(cur)...)
+			steps = slices.Concat(sn.Out(cur), sn.In(cur))
 		}
 		if req.LabelFilter == "" && req.KindFilter == "" {
 			return steps
 		}
 		var kept []Edge
-		for _, e := range steps {
+		for i := range steps {
+			e := &steps[i]
 			if req.LabelFilter != "" && e.Label != req.LabelFilter {
 				continue
 			}
@@ -286,13 +299,13 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 					continue
 				}
 			}
-			kept = append(kept, e)
+			kept = append(kept, *e)
 		}
 		return kept
 	}
 
-	f := &fetched{}
-	seen := map[string]bool{}
+	f := &fetched{sn: sn}
+	seen := make(map[string]bool, len(seeds))
 	// A one-way walk meets each edge once, at the endpoint it expands
 	// (each node is expanded at most once); an undirected walk meets it at
 	// both, so only that one dedupes edges.
@@ -300,16 +313,14 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 	if req.Direction == graph.Undirected {
 		edgeSeen = map[[2]string]bool{}
 	}
-	var frontier []string
+	frontier := make([]string, 0, len(seeds))
 	for _, id := range seeds {
-		if seen[id] {
-			continue
+		if !seen[id] {
+			seen[id] = true
+			frontier = append(frontier, id)
 		}
-		seen[id] = true
-		o, _ := sn.Object(id)
-		f.objects = append(f.objects, o)
-		frontier = append(frontier, id)
 	}
+	f.ids = append(f.ids, frontier)
 	depth := 0
 	for ; len(frontier) > 0 && (req.Depth == 0 || depth < req.Depth); depth++ {
 		if err := ctx.Err(); err != nil {
@@ -351,34 +362,45 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 		// is deterministic regardless of worker scheduling.
 		var next []string
 		for i, steps := range expansions {
-			for _, e := range steps {
-				if edgeSeen != nil {
-					key := [2]string{e.From, e.To}
-					if edgeSeen[key] {
-						continue
+			if edgeSeen != nil {
+				kept := steps[:0]
+				for j := range steps {
+					if key := [2]string{steps[j].From, steps[j].To}; !edgeSeen[key] {
+						edgeSeen[key] = true
+						kept = append(kept, steps[j])
 					}
-					edgeSeen[key] = true
 				}
-				f.edges = append(f.edges, e)
-				if n := other(e, frontier[i]); !seen[n] {
+				steps = kept
+			}
+			if len(steps) == 0 {
+				continue
+			}
+			f.edges = append(f.edges, steps)
+			for j := range steps {
+				if n := other(&steps[j], frontier[i]); !seen[n] {
 					seen[n] = true
-					o, _ := sn.Object(n)
-					f.objects = append(f.objects, o)
 					next = append(next, n)
 				}
 			}
 		}
+		if len(next) > 0 {
+			f.ids = append(f.ids, next)
+		}
 		frontier = next
 	}
 	f.levels = depth
-	for _, o := range f.objects {
-		f.surrogates = append(f.surrogates, sn.Surrogates(o.ID)...)
+	for _, run := range f.ids {
+		for _, id := range run {
+			if ss := sn.Surrogates(id); len(ss) > 0 {
+				f.surrogates = append(f.surrogates, ss)
+			}
+		}
 	}
 	return f, nil
 }
 
 // other returns the endpoint of e that is not cur.
-func other(e Edge, cur string) string {
+func other(e *Edge, cur string) string {
 	if e.To == cur {
 		return e.From
 	}
@@ -392,28 +414,45 @@ func (en *Engine) build(f *fetched) (*account.Spec, error) {
 }
 
 // buildSpec turns a fetched record set into an account.Spec over the
-// lattice: graph, labeling, policy thresholds and surrogate registry.
-// Shared by the lineage engine (per-closure) and SpecFromSnapshot
-// (whole store, for PLUSQL's protected views).
+// lattice: graph, labeling, policy thresholds and surrogate registry. It
+// reads each object from the snapshot by id and each edge and surrogate in
+// place, and sizes the graph from the fetched counts, so adding the
+// closure grows neither its node nor its edge index. Shared by the lineage engine
+// (per-closure) and SpecFromSnapshot (whole store, for PLUSQL's protected
+// views).
 func buildSpec(lattice *privilege.Lattice, f *fetched) (*account.Spec, error) {
-	g := graph.New()
+	nodes, edges := 0, 0
+	for _, run := range f.ids {
+		nodes += len(run)
+	}
+	for _, run := range f.edges {
+		edges += len(run)
+	}
+	g := graph.NewSized(nodes, edges)
 	lb := privilege.NewLabeling(lattice)
 	pol := policy.New(lattice)
 	reg := surrogate.NewRegistry(lb)
 
-	for _, o := range f.objects {
-		if err := applyObjectRecord(g, lb, pol, o); err != nil {
-			return nil, err
+	for _, run := range f.ids {
+		for _, id := range run {
+			o, _ := f.sn.Object(id)
+			if err := applyObjectRecord(g, lb, pol, &o); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for _, e := range f.edges {
-		if err := applyEdgeRecord(g, pol, e); err != nil {
-			return nil, err
+	for _, run := range f.edges {
+		for i := range run {
+			if err := applyEdgeRecord(g, pol, &run[i]); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for _, sp := range f.surrogates {
-		if err := applySurrogateRecord(reg, sp); err != nil {
-			return nil, err
+	for _, run := range f.surrogates {
+		for i := range run {
+			if err := applySurrogateRecord(reg, &run[i]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return &account.Spec{Graph: g, Labeling: lb, Policy: pol, Surrogates: reg}, nil

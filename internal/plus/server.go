@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/intern"
+	"repro/internal/privilege"
 )
 
 // Server exposes a store and its cache-fronted query engine over HTTP,
@@ -32,10 +33,15 @@ import (
 // plusql.Attach mounts POST /v2/query (query). The capability model
 // (auth.go) documents the trust surface.
 type Server struct {
-	engine *CachedEngine
-	mux    *http.ServeMux
-	routes []*route
-	auth   AuthConfig
+	// engine answers lineage queries; store and lattice are the backend
+	// and the privilege lattice of the engine it fronts, which every other
+	// route reads.
+	engine  *CachedEngine
+	store   Backend
+	lattice *privilege.Lattice
+	mux     *http.ServeMux
+	routes  []*route
+	auth    AuthConfig
 
 	// keyring is the live token keyring, swapped atomically so plusd's
 	// SIGHUP reload rotates keys with zero downtime: requests in flight
@@ -80,7 +86,7 @@ func NewServer(engine *Engine, opts ...ServerOption) *Server {
 // NewCachedServer wires the handlers around a cache-fronted engine;
 // lineage answers are memoised until the store changes.
 func NewCachedServer(engine *CachedEngine, opts ...ServerOption) *Server {
-	s := &Server{engine: engine, mux: http.NewServeMux()}
+	s := &Server{engine: engine, store: engine.engine.Backend(), lattice: engine.engine.Lattice(), mux: http.NewServeMux()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -90,7 +96,7 @@ func NewCachedServer(engine *CachedEngine, opts ...ServerOption) *Server {
 		s.obs = NewObservability(nil, nil, nil)
 	}
 	if s.obs.Registry() != nil || s.obs.SlowQueryLog() != nil {
-		s.engine.SetObservability(s.obs)
+		engine.engine.SetObservability(s.obs)
 	}
 	s.registerServerMetrics()
 	for _, e := range []Endpoint{
@@ -346,7 +352,7 @@ type ChangeFeedHealth struct {
 // changeFeedHealth assembles the block (nil when the backend exposes no
 // window introspection).
 func (s *Server) changeFeedHealth() *ChangeFeedHealth {
-	b := s.engine.store
+	b := s.store
 	w, ok := backendChangeWindow(b)
 	if !ok {
 		return nil
@@ -407,7 +413,7 @@ type HealthzResponse struct {
 }
 
 func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
-	b := s.engine.store
+	b := s.store
 	if err := b.Ping(); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, HealthzResponse{
 			Status:   "unavailable",

@@ -298,8 +298,7 @@ func TestCachedServerServesAndInvalidates(t *testing.T) {
 	if _, again, _ := get(t, srv.URL+"/v2/lineage?start=report", nil); !bytes.Equal(again, first) {
 		t.Errorf("a cache hit's body differs from the previous hit's:\n%s\n%s", first, again)
 	}
-	hits, _, _ := engine.CacheStats()
-	if hits == 0 {
+	if engine.Stats().Hits == 0 {
 		t.Error("second HTTP query did not hit the cache")
 	}
 	// Mutation invalidates; the next answer reflects the new object.

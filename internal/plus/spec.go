@@ -16,7 +16,7 @@ import (
 // protection threshold all track the new record, including clearing what
 // it no longer carries. buildSpec (whole snapshot) and ApplyDelta (change
 // feed) share this translation so the two paths cannot drift apart.
-func applyObjectRecord(g *graph.Graph, lb *privilege.Labeling, pol *policy.Policy, o Object) error {
+func applyObjectRecord(g *graph.Graph, lb *privilege.Labeling, pol *policy.Policy, o *Object) error {
 	id := graph.NodeID(o.ID)
 	feats := graph.Features{"name": o.Name, "kind": string(o.Kind)}
 	for k, v := range o.Features {
@@ -47,7 +47,7 @@ func applyObjectRecord(g *graph.Graph, lb *privilege.Labeling, pol *policy.Polic
 
 // applyEdgeRecord installs one stored edge and its optional incidence
 // marking. Shared by buildSpec and ApplyDelta.
-func applyEdgeRecord(g *graph.Graph, pol *policy.Policy, e Edge) error {
+func applyEdgeRecord(g *graph.Graph, pol *policy.Policy, e *Edge) error {
 	ge := graph.Edge{From: graph.NodeID(e.From), To: graph.NodeID(e.To), Label: e.Label}
 	if err := g.AddEdge(ge); err != nil {
 		return err
@@ -73,7 +73,7 @@ func applyEdgeRecord(g *graph.Graph, pol *policy.Policy, e Edge) error {
 
 // applySurrogateRecord registers one stored surrogate. Shared by
 // buildSpec and ApplyDelta.
-func applySurrogateRecord(reg *surrogate.Registry, sp SurrogateSpec) error {
+func applySurrogateRecord(reg *surrogate.Registry, sp *SurrogateSpec) error {
 	lowest := privilege.Predicate(sp.Lowest)
 	if sp.Lowest == "" {
 		lowest = privilege.Public
@@ -98,12 +98,18 @@ func applySurrogateRecord(reg *surrogate.Registry, sp SurrogateSpec) error {
 // Records are added in sorted object order, keeping the spec (and
 // everything derived from it) deterministic.
 func SpecFromSnapshot(sn *Snapshot, lattice *privilege.Lattice) (*account.Spec, error) {
-	f := &fetched{objects: sn.Objects()}
-	sort.Slice(f.objects, func(i, j int) bool { return f.objects[i].ID < f.objects[j].ID })
-	for _, o := range f.objects {
+	ids := make([]string, 0, sn.NumObjects())
+	sn.eachObject(func(o Object) { ids = append(ids, o.ID) })
+	sort.Strings(ids)
+	f := &fetched{sn: sn, ids: [][]string{ids}}
+	for _, id := range ids {
 		// Out covers each edge exactly once (edges are keyed by From).
-		f.edges = append(f.edges, sn.Out(o.ID)...)
-		f.surrogates = append(f.surrogates, sn.Surrogates(o.ID)...)
+		if out := sn.Out(id); len(out) > 0 {
+			f.edges = append(f.edges, out)
+		}
+		if ss := sn.Surrogates(id); len(ss) > 0 {
+			f.surrogates = append(f.surrogates, ss)
+		}
 	}
 	return buildSpec(lattice, f)
 }
@@ -151,15 +157,16 @@ func ClassifyDelta(spec *account.Spec, d *Delta) account.Delta {
 // SpecFromSnapshot at B. The spec is mutated in place; on error it may be
 // partially advanced and must be discarded.
 func ApplyDelta(spec *account.Spec, d *Delta) error {
-	for _, c := range d.Changes {
+	for i := range d.Changes {
+		c := &d.Changes[i]
 		var err error
 		switch c.Kind {
 		case ChangeObject:
-			err = applyObjectRecord(spec.Graph, spec.Labeling, spec.Policy, c.Object)
+			err = applyObjectRecord(spec.Graph, spec.Labeling, spec.Policy, &c.Object)
 		case ChangeEdge:
-			err = applyEdgeRecord(spec.Graph, spec.Policy, c.Edge)
+			err = applyEdgeRecord(spec.Graph, spec.Policy, &c.Edge)
 		case ChangeSurrogate:
-			err = applySurrogateRecord(spec.Surrogates, c.Surrogate)
+			err = applySurrogateRecord(spec.Surrogates, &c.Surrogate)
 		default:
 			err = fmt.Errorf("plus: unknown change kind %d", c.Kind)
 		}

@@ -139,7 +139,7 @@ func TestLineageStartNameCacheKey(t *testing.T) {
 			t.Errorf("%+v: the second ask was not served the first's body", req)
 		}
 	}
-	if hits, _, _ := ce.CacheStats(); hits != 2 {
+	if hits := ce.Stats().Hits; hits != 2 {
 		t.Fatalf("cache hits = %d, want 2", hits)
 	}
 }

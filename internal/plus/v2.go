@@ -165,11 +165,11 @@ func (s *Server) serveSessions(w http.ResponseWriter, r *http.Request, caller Pr
 	if viewer == "" {
 		viewer = caller.Viewer
 	}
-	if !s.engine.lattice.Known(viewer) {
+	if !s.lattice.Known(viewer) {
 		return v2Errorf(http.StatusBadRequest, CodeUnknownViewer,
 			"plus: unknown viewer predicate %q", viewer)
 	}
-	if caller.Token != nil && viewer != caller.Viewer && !s.engine.lattice.Dominates(caller.Viewer, viewer) {
+	if caller.Token != nil && viewer != caller.Viewer && !s.lattice.Dominates(caller.Viewer, viewer) {
 		return v2Errorf(http.StatusForbidden, CodeForbidden,
 			"plus: cannot mint viewer %q from a token for %q", viewer, caller.Viewer)
 	}
@@ -257,7 +257,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, _ Principal)
 	}
 	b := Batch{Objects: req.Objects, Edges: req.Edges, Surrogates: req.Surrogates}
 	if err := b.checkSurrogateIDs(func(id string) bool {
-		_, err := s.engine.store.GetObject(id)
+		_, err := s.store.GetObject(id)
 		return err == nil
 	}); err != nil {
 		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err)
@@ -265,14 +265,14 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, _ Principal)
 	// Apply reports the revision of the batch's own last record (read
 	// under its locks), so the returned cursor never skips a concurrent
 	// writer's records.
-	rev, err := s.engine.store.Apply(b)
+	rev, err := s.store.Apply(b)
 	if err != nil {
 		return v2StoreError(err)
 	}
 	s.obs.batchRecords.Observe(int64(len(req.Objects) + len(req.Edges) + len(req.Surrogates)))
 	writeJSON(w, http.StatusOK, BatchResponse{
 		Revision:   rev,
-		Cursor:     Cursor{Epoch: s.engine.store.Epoch(), Rev: rev}.Encode(),
+		Cursor:     Cursor{Epoch: s.store.Epoch(), Rev: rev}.Encode(),
 		Objects:    len(req.Objects),
 		Edges:      len(req.Edges),
 		Surrogates: len(req.Surrogates),
@@ -282,13 +282,13 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, _ Principal)
 
 func (s *Server) serveObject(w http.ResponseWriter, r *http.Request, p Principal) *APIError {
 	id := strings.TrimPrefix(r.URL.Path, "/v2/objects/")
-	o, err := s.engine.store.GetObject(id)
+	o, err := s.store.GetObject(id)
 	if err != nil {
 		return v2StoreError(err)
 	}
 	// Principal-scoped fetch: a record above the caller's privilege is
 	// refused, not served.
-	if o.Lowest != "" && !s.engine.lattice.Dominates(p.Viewer, privilege.Predicate(o.Lowest)) {
+	if o.Lowest != "" && !s.lattice.Dominates(p.Viewer, privilege.Predicate(o.Lowest)) {
 		return v2Errorf(http.StatusForbidden, CodeForbidden,
 			"plus: object %q requires privilege %q", id, o.Lowest)
 	}
@@ -334,15 +334,15 @@ type SnapshotResponse struct {
 }
 
 func (s *Server) serveSnapshot(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
-	sn, err := s.engine.store.Snapshot()
+	sn, err := s.store.Snapshot()
 	if err != nil {
 		return v2StoreError(err)
 	}
 	resp := SnapshotResponse{
-		Cursor:   Cursor{Epoch: s.engine.store.Epoch(), Rev: sn.Revision()}.Encode(),
+		Cursor:   Cursor{Epoch: s.store.Epoch(), Rev: sn.Revision()}.Encode(),
 		Revision: sn.Revision(),
-		Epoch:    s.engine.store.Epoch(),
-		Lattice:  s.engine.lattice.Pairs(),
+		Epoch:    s.store.Epoch(),
+		Lattice:  s.lattice.Pairs(),
 		Objects:  sn.Objects(),
 	}
 	sort.Slice(resp.Objects, func(i, j int) bool { return resp.Objects[i].ID < resp.Objects[j].ID })
@@ -400,7 +400,7 @@ const maxChangeWait = 30 * time.Second
 // life of the store), so it must rebase onto a snapshot.
 func (s *Server) v2ResyncError(why string) *APIError {
 	e := v2Errorf(http.StatusGone, CodeTooFarBehind, "plus: %s; resync from a snapshot", why)
-	e.ResyncCursor = Cursor{Epoch: s.engine.store.Epoch(), Rev: s.engine.store.Revision()}.Encode()
+	e.ResyncCursor = Cursor{Epoch: s.store.Epoch(), Rev: s.store.Revision()}.Encode()
 	e.ResyncURL = "/v2/snapshot"
 	return e
 }
@@ -418,7 +418,7 @@ func (s *Server) v2ResyncError(why string) *APIError {
 // delivery across disconnects and server restarts (durable backends).
 func (s *Server) serveChanges(w http.ResponseWriter, r *http.Request, _ Principal) *APIError {
 	q := r.URL.Query()
-	epoch := s.engine.store.Epoch()
+	epoch := s.store.Epoch()
 	cur := Cursor{Epoch: epoch, Rev: 0}
 	if cstr := q.Get("cursor"); cstr != "" {
 		var err error
@@ -453,7 +453,7 @@ func (s *Server) serveChanges(w http.ResponseWriter, r *http.Request, _ Principa
 	// Probe before committing to a 200: a cursor past the retained window
 	// (or from a diverged, e.g. crash-truncated, history) must fail the
 	// whole request with a typed 410, not mid-stream.
-	changes, err := s.engine.store.ChangesSince(cur.Rev)
+	changes, err := s.store.ChangesSince(cur.Rev)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrTooFarBehind):
@@ -502,17 +502,17 @@ func (s *Server) serveChanges(w http.ResponseWriter, r *http.Request, _ Principa
 			if wait <= 0 || time.Now().After(deadline) || r.Context().Err() != nil {
 				return nil
 			}
-			notify := s.engine.store.Notify()
-			if s.engine.store.Epoch() != epoch {
+			notify := s.store.Notify()
+			if s.store.Epoch() != epoch {
 				// Compaction rotated the epoch mid-stream: every cursor this
 				// stream could stamp is already dead. End it; the client
 				// reconnects and resyncs through the pre-stream 410 probe.
 				return nil
 			}
-			if s.engine.store.Revision() > cur.Rev {
+			if s.store.Revision() > cur.Rev {
 				break
 			}
-			if s.engine.store.Ping() != nil {
+			if s.store.Ping() != nil {
 				return nil
 			}
 			timer := time.NewTimer(time.Until(deadline))
@@ -526,7 +526,7 @@ func (s *Server) serveChanges(w http.ResponseWriter, r *http.Request, _ Principa
 				return nil
 			}
 		}
-		changes, err = s.engine.store.ChangesSince(cur.Rev)
+		changes, err = s.store.ChangesSince(cur.Rev)
 		if err != nil {
 			// Mid-stream loss (horizon overtaken while waiting): end the
 			// stream; the client reconnects with its cursor and receives
@@ -553,7 +553,7 @@ type CompactResponse struct {
 // serveCompact rewrites the durable log to live records only
 // (LogBackend.Compact).
 func (s *Server) serveCompact(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
-	c, ok := unwrapBackend(s.engine.store).(compactor)
+	c, ok := unwrapBackend(s.store).(compactor)
 	if !ok {
 		return v2Errorf(http.StatusBadRequest, CodeBadRequest,
 			"plus: this backend does not support compaction")
@@ -563,9 +563,9 @@ func (s *Server) serveCompact(w http.ResponseWriter, _ *http.Request, _ Principa
 	}
 	writeJSON(w, http.StatusOK, CompactResponse{
 		Status:   "compacted",
-		LogBytes: s.engine.store.Size(),
-		Revision: s.engine.store.Revision(),
-		Cursor:   Cursor{Epoch: s.engine.store.Epoch(), Rev: s.engine.store.Revision()}.Encode(),
+		LogBytes: s.store.Size(),
+		Revision: s.store.Revision(),
+		Cursor:   Cursor{Epoch: s.store.Epoch(), Rev: s.store.Revision()}.Encode(),
 	})
 	return nil
 }
@@ -574,7 +574,7 @@ func (s *Server) serveCompact(w http.ResponseWriter, _ *http.Request, _ Principa
 // the document has started is not written: the body is already out.
 func (s *Server) serveOPMExport(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
 	w.Header().Set("Content-Type", "application/json")
-	if err := ExportOPM(s.engine.store, w); err != nil {
+	if err := ExportOPM(s.store, w); err != nil {
 		return v2StoreError(err)
 	}
 	return nil
@@ -582,7 +582,7 @@ func (s *Server) serveOPMExport(w http.ResponseWriter, _ *http.Request, _ Princi
 
 // serveOPMImport imports an OPM document as one atomic batch.
 func (s *Server) serveOPMImport(w http.ResponseWriter, r *http.Request, _ Principal) *APIError {
-	if err := ImportOPM(s.engine.store, http.MaxBytesReader(w, r.Body, maxOPMBytes)); err != nil {
+	if err := ImportOPM(s.store, http.MaxBytesReader(w, r.Body, maxOPMBytes)); err != nil {
 		return v2StoreError(err)
 	}
 	writeJSON(w, http.StatusCreated, map[string]string{"status": "imported"})
