@@ -10,7 +10,7 @@
 //	put-edge -from ID -to ID [-label L] [-protect-at P] [-protect-mode surrogate|hide]
 //	put-surrogate -for ID -id ID -name NAME [-lowest P] [-score F]
 //	get [-viewer P] ID
-//	lineage -start ID [-direction ancestors|descendants|both] [-depth N] [-viewer P] [-mode surrogate|hide] [-label L] [-kind data|invocation]
+//	lineage -start ID | -name NAME [-direction ancestors|descendants|both] [-depth N] [-viewer P] [-mode surrogate|hide] [-label L] [-kind data|invocation]
 //	query [-viewer P] [-mode surrogate|hide] [-limit N] [-format table|json] [-explain] 'PLUSQL'
 //	batch [-viewer P] [-token T] [-file batch.json]
 //	follow [-viewer P] [-token T] [-cursor C] [-tail] [-wait D] [-max N] [-no-resync]
@@ -81,7 +81,7 @@ var commands = []struct{ name, synopsis string }{
 	{"put-edge", `put-edge -from ID -to ID [-label L] [-protect-at P] [-protect-mode surrogate|hide]`},
 	{"put-surrogate", `put-surrogate -for ID -id ID -name NAME [-lowest P] [-score F]`},
 	{"get", `get [-viewer P] ID`},
-	{"lineage", `lineage -start ID [-direction ancestors|descendants|both] [-depth N] [-viewer P] [-mode surrogate|hide] [-label L] [-kind data|invocation]`},
+	{"lineage", `lineage -start ID | -name NAME [-direction ancestors|descendants|both] [-depth N] [-viewer P] [-mode surrogate|hide] [-label L] [-kind data|invocation]`},
 	{"query", `query [-viewer P] [-mode surrogate|hide] [-limit N] [-format table|json] [-explain] 'PLUSQL query'`},
 	{"batch", `batch [-viewer P] [-token T] [-file batch.json]`},
 	{"follow", `follow [-viewer P] [-token T] [-cursor C] [-tail] [-wait D] [-max N] [-no-resync]`},
@@ -426,6 +426,7 @@ func execute(t target, cmd string, rest []string) error {
 	case "lineage":
 		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		start := fs.String("start", "", "starting object id")
+		name := fs.String("name", "", "start from every object of this name (instead of -start)")
 		direction := fs.String("direction", "ancestors", "ancestors, descendants or both")
 		depth := fs.Int("depth", 0, "max hops (0 = unbounded)")
 		viewer := fs.String("viewer", "", "consumer privilege-predicate")
@@ -438,7 +439,7 @@ func execute(t target, cmd string, rest []string) error {
 			return err
 		}
 		resp, err := c.Lineage(ctx, plusclient.LineageRequest{
-			Start: *start, Direction: *direction, Depth: *depth, Mode: *mode,
+			Start: *start, StartName: *name, Direction: *direction, Depth: *depth, Mode: *mode,
 			Label: *label, Kind: *kind,
 		})
 		if err != nil {

@@ -60,6 +60,7 @@ func TestExecuteWorkflow(t *testing.T) {
 		{"get", "-viewer", "Protected", "proc"},
 		{"lineage", "-start", "out", "-direction", "ancestors", "-viewer", "Public", "-mode", "surrogate"},
 		{"lineage", "-start", "out", "-depth", "1"},
+		{"lineage", "-name", "result", "-direction", "ancestors"},
 		{"status"},
 		{"healthz"},
 	}
@@ -67,6 +68,9 @@ func TestExecuteWorkflow(t *testing.T) {
 		if err := execute(c, s[0], s[1:]); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
+	}
+	if err := execute(c, "lineage", []string{"-start", "out", "-name", "result"}); err == nil {
+		t.Error("lineage with both -start and -name accepted")
 	}
 }
 

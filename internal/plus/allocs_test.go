@@ -167,3 +167,43 @@ func TestServedMissBytesPerClosureNode(t *testing.T) {
 		}
 	}
 }
+
+// TestLineageDecodeAllocsPerNode is a clock-free guard on what decoding a
+// lineage answer costs the client: LineageResponse.UnmarshalJSON over the
+// depth-5 body of TestCachedLineageHitAllocs, per node of the answer. The
+// decoder keeps one string copy of the body and slices every unescaped
+// string out of it, so it allocates the node and edge slices and one
+// feature map per node, ≈2 allocations per node; reflective encoding/json
+// takes ≈27 and fails the bound of 4.
+func TestLineageDecodeAllocsPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	ce := plus.NewCachedEngine(plus.NewEngine(benchShapedBackend(t), privilege.TwoLevel()))
+	req := plus.Request{Start: workload.LargeNodeID(allocNodes - 2), Direction: graph.Backward, Depth: 5,
+		Viewer: privilege.Public, Mode: plus.ModeSurrogate}
+	body, err := ce.LineageBody(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp plus.LineageResponse
+	if err := resp.UnmarshalJSON(body); err != nil {
+		t.Fatal(err)
+	}
+	nodes := len(resp.Nodes)
+	if nodes < 500 || len(resp.Edges) < 2*nodes {
+		t.Fatalf("an answer of %d nodes and %d edges: not the shape this guard is sized for", nodes, len(resp.Edges))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		var resp plus.LineageResponse
+		if err := resp.UnmarshalJSON(body); err != nil || len(resp.Nodes) != nodes {
+			t.Fatalf("decoded %d nodes, err %v; want %d", len(resp.Nodes), err, nodes)
+		}
+	})
+	perNode := allocs / float64(nodes)
+	t.Logf("%.0f allocations to decode a %d KB body of %d nodes and %d edges: %.1f per node",
+		allocs, len(body)/1024, nodes, len(resp.Edges), perNode)
+	if perNode > 4 {
+		t.Errorf("%.1f allocations per node, want at most 4", perNode)
+	}
+}

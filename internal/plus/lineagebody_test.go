@@ -5,8 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/account"
 	"repro/internal/graph"
@@ -15,12 +21,17 @@ import (
 	"repro/internal/surrogate"
 )
 
+// reflectLineage is LineageResponse without its methods: encoding/json
+// encodes and decodes it by reflection, the oracle appendLineageBody and
+// UnmarshalJSON are held to.
+type reflectLineage LineageResponse
+
 // buildLineageResponse renders a protected lineage answer as its wire
 // struct: the oracle appendLineageBody is held to, byte for byte, through
 // encoding/json.
-func buildLineageResponse(req Request, res *Result) LineageResponse {
+func buildLineageResponse(req Request, res *Result) reflectLineage {
 	u := measure.Utilities(res.Spec, res.Account)
-	resp := LineageResponse{
+	resp := reflectLineage{
 		Start:       req.Start,
 		StartName:   req.StartName,
 		Viewer:      string(req.Viewer),
@@ -62,7 +73,8 @@ func oracleBody(t testing.TB, req Request, res *Result) []byte {
 }
 
 // checkBody fails unless appendLineageBody writes exactly the oracle's
-// bytes, appended after whatever dst already held.
+// bytes, appended after whatever dst already held, and UnmarshalJSON
+// decodes them as the oracle does.
 func checkBody(t testing.TB, req Request, res *Result) {
 	t.Helper()
 	want := oracleBody(t, req, res)
@@ -72,6 +84,30 @@ func checkBody(t testing.TB, req Request, res *Result) {
 	}
 	if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
 		t.Fatalf("body differs from encoding/json:\n got %q\nwant %q", got, want)
+	}
+	checkDecode(t, want)
+}
+
+// checkDecode fails unless UnmarshalJSON accepts data exactly when
+// json.Unmarshal into a reflectLineage does and, when both accept it,
+// decodes the same value, nil and empty slices and maps told apart; and
+// the same again when each decodes data a second time over its first
+// answer.
+func checkDecode(t testing.TB, data []byte) {
+	t.Helper()
+	var got LineageResponse
+	var want reflectLineage
+	for pass := 1; pass <= 2; pass++ {
+		errGot, errWant := got.UnmarshalJSON(data), json.Unmarshal(data, &want)
+		if (errGot == nil) != (errWant == nil) {
+			t.Fatalf("pass %d over %q: UnmarshalJSON err %v, encoding/json err %v", pass, data, errGot, errWant)
+		}
+		if errGot != nil {
+			return
+		}
+		if !reflect.DeepEqual(reflectLineage(got), want) {
+			t.Fatalf("pass %d over %q: decoded\n%#v\nwant\n%#v", pass, data, got, want)
+		}
 	}
 }
 
@@ -176,12 +212,107 @@ func fuzzResult(ids []string, feats graph.Features, label string, flags uint8) *
 // seeds cover HTML-sensitive bytes, quotes, control bytes, invalid UTF-8,
 // U+2028/U+2029, an empty closure and startName present and absent.
 func FuzzLineageBody(f *testing.F) {
-	f.Add("report", "", "a", "b", "c", "name", "x", "input-to", uint8(0))
-	f.Add("", "", "", "", "", "", "", "", uint8(0))
-	f.Add("<s>&", "na\"me", "a\x00\x1f", "b\u2028", "c\u2029", "k\\", "\xff\xfe", "l\t\n\r\b\f", uint8(0xff))
+	for _, seed := range lineageBodySeeds {
+		f.Add(seed.start, seed.startName, seed.id1, seed.id2, seed.id3, seed.key, seed.value, seed.label, seed.flags)
+	}
 	f.Fuzz(func(t *testing.T, start, startName, id1, id2, id3, key, value, label string, flags uint8) {
-		ids := []string{id1, id2, id3}[:flags%4]
-		req := Request{Start: start, StartName: startName, Viewer: privilege.Predicate(key), Mode: Mode(value)}
-		checkBody(t, req, fuzzResult(ids, graph.Features{key: value, value: label}, label, flags))
+		req, res := lineageBodySeed{start, startName, id1, id2, id3, key, value, label, flags}.answer()
+		checkBody(t, req, res)
 	})
+}
+
+// lineageBodySeed is one input of FuzzLineageBody.
+type lineageBodySeed struct {
+	start, startName, id1, id2, id3, key, value, label string
+	flags                                              uint8
+}
+
+// lineageBodySeeds are FuzzLineageBody's seeds in code.
+var lineageBodySeeds = []lineageBodySeed{
+	{"report", "", "a", "b", "c", "name", "x", "input-to", 0},
+	{"", "", "", "", "", "", "", "", 0},
+	{"<s>&", "na\"me", "a\x00\x1f", "b\u2028", "c\u2029", "k\\", "\xff\xfe", "l\t\n\r\b\f", 0xff},
+}
+
+// answer is the request and lineage answer FuzzLineageBody encodes for
+// the seed.
+func (s lineageBodySeed) answer() (Request, *Result) {
+	ids := []string{s.id1, s.id2, s.id3}[:s.flags%4]
+	req := Request{Start: s.start, StartName: s.startName, Viewer: privilege.Predicate(s.key), Mode: Mode(s.value)}
+	return req, fuzzResult(ids, graph.Features{s.key: s.value, s.value: s.label}, s.label, s.flags)
+}
+
+// lineageBodyCorpus returns the body of every answer in FuzzLineageBody's
+// corpus: its seeds in code and its committed seed files.
+func lineageBodyCorpus(t testing.TB) [][]byte {
+	t.Helper()
+	seeds := append([]lineageBodySeed(nil), lineageBodySeeds...)
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzLineageBody", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("FuzzLineageBody's seed files: %v, err %v", files, err)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(lines) != 10 || lines[0] != "go test fuzz v1" {
+			t.Fatalf("%s: not a FuzzLineageBody seed file", file)
+		}
+		var args [9]string
+		for i, line := range lines[1:] {
+			typ := "string("
+			if i == len(args)-1 {
+				typ = "byte("
+			}
+			lit, ok := strings.CutPrefix(line, typ)
+			if args[i], err = strconv.Unquote(strings.TrimSuffix(lit, ")")); !ok || err != nil {
+				t.Fatalf("%s: line %q is not a FuzzLineageBody argument", file, line)
+			}
+		}
+		flags, size := utf8.DecodeRuneInString(args[8])
+		if size != len(args[8]) || flags > 0xff {
+			t.Fatalf("%s: flags %q are not a byte", file, args[8])
+		}
+		seeds = append(seeds, lineageBodySeed{args[0], args[1], args[2], args[3], args[4], args[5], args[6], args[7], uint8(flags)})
+	}
+	bodies := make([][]byte, len(seeds))
+	for i, seed := range seeds {
+		req, res := seed.answer()
+		if bodies[i], err = appendLineageBody(nil, req, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bodies
+}
+
+// FuzzLineageDecode holds UnmarshalJSON to encoding/json on any input:
+// it must accept exactly what json.Unmarshal into a reflectLineage
+// accepts and decode the same value (checkDecode). The seeds are every
+// body of FuzzLineageBody's corpus, and the committed ones cover
+// surrogate pairs and lone surrogates, invalid UTF-8 and U+2028, null
+// and empty nodes and features, a case-folded key, a repeated key, an
+// unknown field, a float timing and trailing data.
+func FuzzLineageDecode(f *testing.F) {
+	for _, body := range lineageBodyCorpus(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, data)
+	})
+}
+
+// TestLineageDecodeDepthLimit: encoding/json refuses a document nested
+// deeper than 10 000 arrays and objects, the answer's own object
+// included, and so must UnmarshalJSON, in an unknown field as anywhere.
+func TestLineageDecodeDepthLimit(t *testing.T) {
+	for _, depth := range []int{9999, 10000} {
+		doc := `{"unknown":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `}`
+		var resp LineageResponse
+		if err := resp.UnmarshalJSON([]byte(doc)); (err == nil) != (depth < 10000) {
+			t.Errorf("an answer holding %d nested arrays: err %v", depth, err)
+		}
+		checkDecode(t, []byte(doc))
+	}
 }

@@ -17,6 +17,11 @@
 //	    Viewer: "Public", Capabilities: []string{"query"}})
 //	cur, err := c.Batch(ctx, plusclient.BatchRequest{Objects: ...})
 //	res, err := c.Lineage(ctx, plusclient.LineageRequest{Start: "report"})
+//	byName, err := c.Lineage(ctx, plusclient.LineageRequest{StartName: "final report"})
+//
+// Lineage decodes its answer without reflection, and the strings it
+// returns share one copy of the body, so keeping any one of them keeps
+// the whole body alive.
 //
 // Change-feed consumption is resumable: Follow streams deltas, hands the
 // caller one durable cursor per applied event, reconnects on transport
@@ -430,10 +435,12 @@ func (c *Client) GetObject(ctx context.Context, id string) (plus.Object, error) 
 	return o, err
 }
 
-// LineageRequest is one protected lineage question. The viewer is NOT a
-// field: it is the client's principal.
+// LineageRequest is one protected lineage question, seeded by an object
+// id (Start) or by every object of a name (StartName), exactly one of
+// the two. The viewer is NOT a field: it is the client's principal.
 type LineageRequest struct {
 	Start     string
+	StartName string
 	Direction string // ancestors (default) | descendants | both
 	Depth     int    // 0 = unbounded
 	Mode      string // surrogate (default) | hide
@@ -441,10 +448,18 @@ type LineageRequest struct {
 	Kind      string // data | invocation traversal filter
 }
 
-// Lineage runs one lineage query as the client's principal.
+// Lineage runs one lineage query as the client's principal. The answer
+// is decoded without reflection (plus.LineageResponse.UnmarshalJSON), and
+// its strings share one copy of the body: keeping any one of them keeps
+// the whole body alive.
 func (c *Client) Lineage(ctx context.Context, q LineageRequest) (*plus.LineageResponse, error) {
 	params := url.Values{}
-	params.Set("start", q.Start)
+	if q.Start != "" {
+		params.Set("start", q.Start)
+	}
+	if q.StartName != "" {
+		params.Set("startName", q.StartName)
+	}
 	if q.Direction != "" {
 		params.Set("direction", q.Direction)
 	}
@@ -460,12 +475,30 @@ func (c *Client) Lineage(ctx context.Context, q LineageRequest) (*plus.LineageRe
 	if q.Kind != "" {
 		params.Set("kind", q.Kind)
 	}
-	var resp plus.LineageResponse
-	if err := c.do(ctx, http.MethodGet, "/v2/lineage?"+params.Encode(), nil, &resp); err != nil {
+	resp, err := c.send(ctx, http.MethodGet, "/v2/lineage?"+params.Encode(), nil)
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
+		// ReadFrom wants MinRead bytes free before each read, the one
+		// that finds EOF included.
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		return nil, fmt.Errorf("plusclient: read lineage answer: %w", err)
+	}
+	var out plus.LineageResponse
+	if err := out.UnmarshalJSON(body.Bytes()); err != nil {
+		return nil, fmt.Errorf("plusclient: decode: %w", err)
+	}
+	return &out, nil
 }
+
+// maxPresizedBody caps the buffer a Content-Length header can make
+// Lineage allocate before any of the body has arrived.
+const maxPresizedBody = 64 << 20
 
 // QueryOptions tune one PLUSQL query.
 type QueryOptions struct {

@@ -2,16 +2,19 @@ package plusclient
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/plus"
 	"repro/internal/plusql"
 	"repro/internal/privilege"
@@ -95,6 +98,55 @@ func TestSDKBatchLineageQuery(t *testing.T) {
 	h, err := c.Healthz(ctx)
 	if err != nil || h.Status != "ok" {
 		t.Errorf("healthz = %+v, %v", h, err)
+	}
+}
+
+// reflectLineage is plus.LineageResponse without its methods, so
+// encoding/json decodes it by reflection.
+type reflectLineage plus.LineageResponse
+
+// TestSDKLineageMatchesServedBody: the SDK's answer to a name-seeded
+// lineage is the body the server's cache holds for the same request,
+// decoded by encoding/json, the startName echo and the timing block
+// included; a request carrying both start and startName stays a 400.
+func TestSDKLineageMatchesServedBody(t *testing.T) {
+	ctx := context.Background()
+	m := plus.NewMemBackend(0)
+	t.Cleanup(func() { m.Close() })
+	ce := plus.NewCachedEngine(plus.NewEngine(m, privilege.TwoLevel()))
+	ts := httptest.NewServer(plus.NewCachedServer(ce))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL, WithViewer("Public"))
+	if _, err := c.Batch(ctx, fixtureBatch()); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := c.Lineage(ctx, LineageRequest{StartName: "derived table", Direction: "ancestors"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.StartName != "derived table" || got.Start != "" || len(got.Nodes) != 3 {
+		t.Fatalf("name-seeded answer: start %q, startName %q, %d nodes", got.Start, got.StartName, len(got.Nodes))
+	}
+	body, err := ce.LineageBody(ctx, plus.Request{StartName: "derived table", Direction: graph.Backward, Viewer: "Public"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ce.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("cache stats %+v: the SDK's request and this one must share one entry", st)
+	}
+	var want reflectLineage
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reflectLineage(*got), want) {
+		t.Errorf("SDK answer\n%#v\nserved body decoded by encoding/json\n%#v", *got, want)
+	}
+
+	_, err = c.Lineage(ctx, LineageRequest{Start: "out", StartName: "derived table"})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Errorf("start and startName together: err %v, want a 400", err)
 	}
 }
 
