@@ -179,9 +179,6 @@ func printStatus(w *os.File, h plus.HealthzResponse) error {
 	if ix := h.Index; ix != nil {
 		fmt.Fprintf(tw, "index\t%d name entries, %d probes\n", ix.NameEntries, ix.Hits)
 	}
-	if in := h.Intern; in != nil {
-		fmt.Fprintf(tw, "intern table\t%d strings, %d bytes\n", in.Strings, in.Bytes)
-	}
 	if rep := h.Replica; rep != nil {
 		fmt.Fprintf(tw, "replication\t%s of %s (%s)\n", rep.Role, rep.Primary, rep.State)
 		fmt.Fprintf(tw, "  applied\t%d of %d (lag %d revisions, %.1fs)\n",

@@ -80,10 +80,9 @@ func TestPrintStatus(t *testing.T) {
 	lc := plus.LineageCacheStats{Entries: 2, ClosureNodes: 31, Hits: 7, Misses: 3, DeltaEvictions: 1, CapacityEvictions: 6}
 	qc := plus.QueryCacheHealth{Views: 1, Hits: 4, Misses: 2, Advanced: 5, FullBuilds: 1}
 	ix := plus.IndexStats{NameEntries: 8, Hits: 21}
-	in := plus.InternHealth{Strings: 42, Bytes: 311}
 	h := plus.HealthzResponse{
 		Status: "ok", Objects: 9, Edges: 4, Revision: 13,
-		LineageCache: &lc, QueryCache: &qc, Index: &ix, Intern: &in,
+		LineageCache: &lc, QueryCache: &qc, Index: &ix,
 	}
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -101,7 +100,6 @@ func TestPrintStatus(t *testing.T) {
 		"2 entries (31 closure nodes)", "7 hits", "1 evicted", "6 evicted for capacity",
 		"1 cached", "5 advanced", "1 full builds",
 		"8 name entries, 21 probes",
-		"42 strings, 311 bytes",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("status output missing %q:\n%s", want, out)

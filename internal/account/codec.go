@@ -95,7 +95,7 @@ func (a *Account) UnmarshalJSON(data []byte) error {
 		if _, dup := fresh.FromOriginal[orig]; dup {
 			return fmt.Errorf("account: decode: original %s mapped twice", orig)
 		}
-		feats := graph.Features(jn.Features).Interned()
+		feats := graph.Features(jn.Features)
 		fresh.Graph.AddNode(graph.Node{ID: id, Features: feats})
 		fresh.ToOriginal[id] = orig
 		fresh.FromOriginal[orig] = id

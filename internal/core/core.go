@@ -67,9 +67,9 @@ func (b *Builder) fail(err error) {
 }
 
 // Node adds a node with optional features; lowest "" means Public. The
-// features are copied (interned), so the caller keeps its map.
+// features are copied, so the caller keeps its map.
 func (b *Builder) Node(id graph.NodeID, lowest privilege.Predicate, features graph.Features) *Builder {
-	b.graph.AddNode(graph.Node{ID: id, Features: features.Interned()})
+	b.graph.AddNode(graph.Node{ID: id, Features: features.Clone()})
 	if lowest != "" && lowest != privilege.Public {
 		b.fail(b.labeling.SetNode(id, lowest))
 	}

@@ -52,6 +52,28 @@ func TestBuilderAndProtect(t *testing.T) {
 	}
 }
 
+// TestBuilderNodeCopiesFeatures holds Builder.Node to its promise that the
+// caller keeps its map: writing into the map after Node, before and after
+// Spec, leaves the built graph as it was given.
+func TestBuilderNodeCopiesFeatures(t *testing.T) {
+	feats := graph.Features{"name": "alpha"}
+	b := NewBuilder(privilege.TwoLevel()).Node("a", "", feats)
+	feats["name"] = "changed"
+	feats["extra"] = "x"
+	spec, err := b.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(feats, "name")
+	n, ok := spec.Graph.NodeByID("a")
+	if !ok {
+		t.Fatal("node a missing")
+	}
+	if want := (graph.Features{"name": "alpha"}); !n.Features.Equal(want) {
+		t.Errorf("features of a = %v, want %v", n.Features, want)
+	}
+}
+
 func TestProtectHideMode(t *testing.T) {
 	spec, err := builderFixture().Spec()
 	if err != nil {

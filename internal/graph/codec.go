@@ -54,7 +54,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		if fresh.HasNode(NodeID(jn.ID)) {
 			return fmt.Errorf("graph: decode: duplicate node %s", jn.ID)
 		}
-		fresh.AddNode(Node{ID: NodeID(jn.ID), Features: Features(jn.Features).Interned()})
+		fresh.AddNode(Node{ID: NodeID(jn.ID), Features: jn.Features})
 	}
 	for _, je := range jg.Edges {
 		if err := fresh.AddEdge(Edge{From: NodeID(je.From), To: NodeID(je.To), Label: je.Label}); err != nil {

@@ -25,8 +25,6 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
-
-	"repro/internal/intern"
 )
 
 // NodeID identifies a node within one graph. IDs are opaque strings chosen
@@ -71,24 +69,6 @@ func (f Features) Equal(g Features) bool {
 		}
 	}
 	return true
-}
-
-// Interned returns an independent copy of the feature map whose keys and
-// values are the canonical interned strings (intern.Canon): value-equal to
-// the originals, but every graph holding the same attribute or value
-// shares one backing array, and each carries a symbol for integer
-// comparison in the secondary indexes. AddNode does not intern; decoders
-// that bring strings in from outside the store call this before handing
-// the map over (the store interns at its own ingest).
-func (f Features) Interned() Features {
-	if f == nil {
-		return nil
-	}
-	out := make(Features, len(f))
-	for k, v := range f {
-		out[intern.Canon(k)] = intern.Canon(v)
-	}
-	return out
 }
 
 // Node is a graph node: an identifier plus its feature set. A feature map
@@ -243,8 +223,8 @@ func (g *Graph) NumNodes() int { return len(g.slot) }
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // AddNode inserts a node, replacing any node with the same ID. The graph
-// takes ownership of the node's feature map: it is neither copied nor
-// interned, and the caller must not write into it afterwards (see Node).
+// takes ownership of the node's feature map: it is not copied, and the
+// caller must not write into it afterwards (see Node).
 func (g *Graph) AddNode(n Node) {
 	if s, ok := g.slot[n.ID]; ok {
 		g.nodes[s] = n

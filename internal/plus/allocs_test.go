@@ -3,6 +3,7 @@ package plus_test
 import (
 	"context"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/graph"
@@ -205,5 +206,46 @@ func TestLineageDecodeAllocsPerNode(t *testing.T) {
 		allocs, len(body)/1024, nodes, len(resp.Edges), perNode)
 	if perNode > 4 {
 		t.Errorf("%.1f allocations per node, want at most 4", perNode)
+	}
+}
+
+// TestRestoreChurnHeapBounded is a clock-free guard on what history costs
+// the store: re-storing one object, each time with a feature value never
+// seen before, must leave retained heap bounded by the change-feed horizon
+// (1 024 changes here), not by the number of writes. From 50 000 to
+// 200 000 re-stores the heap may grow by at most 2 MB; a table that keeps
+// every string ever stored grows by ≈100 B per write, ≈14 MB over the
+// same span.
+func TestRestoreChurnHeapBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures differ under -race")
+	}
+	b := plus.NewMemBackend(0)
+	defer b.Close()
+	b.SetChangeHorizon(1024)
+	writes := 0
+	restore := func(until int) {
+		for ; writes < until; writes++ {
+			o := plus.Object{ID: "churn", Kind: plus.Data, Name: "churn",
+				Features: map[string]string{"seq": strconv.Itoa(writes)}}
+			if err := b.PutObject(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	restore(50_000)
+	before := heap()
+	restore(200_000)
+	growth := heap() - before
+	t.Logf("%d re-stores of one object grew the heap by %d KB", writes-50_000, growth/1024)
+	if growth > 2<<20 {
+		t.Errorf("heap grew by %d KB over %d re-stores of one object, want at most 2048 KB", growth/1024, writes-50_000)
 	}
 }

@@ -15,7 +15,8 @@ import "fmt"
 // facade layers program against. All methods must be safe for concurrent
 // use. Mutations must be atomic per call and must bump Revision exactly
 // once per applied record, so equal revisions imply identical contents
-// (within one process).
+// (within one process). A stored record keeps the feature map it arrives
+// with, so a caller must not write into that map afterwards.
 type Backend interface {
 	// PutObject stores (or replaces) a provenance object.
 	PutObject(o Object) error

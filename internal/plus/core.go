@@ -102,19 +102,16 @@ func (c *storeCore) write(b *Batch, check func() error) (uint64, error) {
 // table and the feed. Callers hold the write lock (or own the core, as
 // replay does).
 func (c *storeCore) storeObject(o Object) {
-	o = internObject(o)
 	c.tab.putObject(c.tab.slot(o.ID), o)
 	c.record(Change{Kind: ChangeObject, Object: o})
 }
 
 func (c *storeCore) storeEdge(e Edge) {
-	e = internEdge(e)
 	c.tab.putEdge(c.tab.slot(e.From), c.tab.slot(e.To), e)
 	c.record(Change{Kind: ChangeEdge, Edge: e})
 }
 
 func (c *storeCore) storeSurrogate(sp SurrogateSpec) {
-	sp = internSurrogate(sp)
 	c.tab.putSurrogate(c.tab.slot(sp.ForID), sp)
 	c.record(Change{Kind: ChangeSurrogate, Surrogate: sp})
 }

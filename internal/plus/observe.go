@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/intern"
 	"repro/internal/obs"
 )
 
@@ -273,12 +272,6 @@ func (s *Server) registerServerMetrics() {
 			"Name lookups (Snapshot.FindByName) answered from the postings.",
 			func() float64 { return float64(sp.IndexStats().Hits) })
 	}
-	reg.GaugeFunc("plus_intern_strings",
-		"Distinct strings resident in the global intern table.",
-		func() float64 { return float64(intern.Count()) })
-	reg.GaugeFunc("plus_intern_bytes",
-		"Bytes of string data held by the global intern table.",
-		func() float64 { return float64(intern.Bytes()) })
 	ce := s.engine
 	reg.GaugeFunc("plus_lineage_cache_entries", "Cached lineage answers.",
 		func() float64 { return float64(ce.Stats().Entries) })

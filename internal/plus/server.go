@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/intern"
 	"repro/internal/privilege"
 )
 
@@ -379,14 +378,6 @@ type QueryCacheHealth struct {
 	Fallbacks       uint64 `json:"fallbacks"`
 }
 
-// InternHealth reports the global string-intern table: how many distinct
-// strings the store's kinds, names and features collapsed into, and the
-// bytes they occupy.
-type InternHealth struct {
-	Strings int   `json:"strings"`
-	Bytes   int64 `json:"bytes"`
-}
-
 // HealthzResponse is the readiness-probe answer: whether the backend is
 // open plus the live counts, revision and cache/delta activity a
 // deployment can alert on.
@@ -398,8 +389,6 @@ type HealthzResponse struct {
 	// Index reports the record table's name postings (present when the
 	// backend is built on the table).
 	Index *IndexStats `json:"index,omitempty"`
-	// Intern reports the global string-intern table.
-	Intern *InternHealth `json:"intern,omitempty"`
 	// LineageCache reports the delta-scoped lineage answer cache.
 	LineageCache *LineageCacheStats `json:"lineageCache,omitempty"`
 	// QueryCache reports the PLUSQL protected-view cache (present when
@@ -431,7 +420,6 @@ func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request, _ Principa
 		st := ip.IndexStats()
 		resp.Index = &st
 	}
-	resp.Intern = &InternHealth{Strings: intern.Count(), Bytes: intern.Bytes()}
 	lc := s.engine.Stats()
 	resp.LineageCache = &lc
 	if s.queryStats != nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/account"
 	"repro/internal/graph"
-	"repro/internal/intern"
 	"repro/internal/plus"
 )
 
@@ -145,7 +144,7 @@ func (v *View) post(id graph.NodeID, f graph.Features, present bool) {
 		setPosting(v.byKind, k, id, present)
 	}
 	if name := f["name"]; name != "" {
-		setPosting(v.byName, intern.S(name), id, present)
+		setPosting(v.byName, name, id, present)
 	}
 	for _, p := range attrPairs(f) {
 		setPosting(v.byAttr, p, id, present)

@@ -65,7 +65,7 @@
 // many X the scan offers.
 //
 // Point predicates additionally lower into the view's own postings
-// (kind, interned name and interned (attr key, value) -> nodes, built with
+// (kind, name and (attr key, value) -> nodes, built with
 // the view and kept current by Advance; see view.go): a kind/name/attr
 // probe is a hash lookup instead of a scan, which is what keeps point
 // queries sublinear on million-node graphs (BENCH_index.json).

@@ -1,9 +1,13 @@
 package plusql
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/plus"
@@ -206,5 +210,69 @@ func TestIndexNaiveParityRandomized(t *testing.T) {
 	st := e.CacheStats()
 	if st.Hits == 0 {
 		t.Fatalf("view cache never hit: %+v", st)
+	}
+}
+
+// TestNameFeatureOverridesRecordName pins which name a node goes by when
+// a record's Name and a user feature called "name" disagree. The graph
+// form writes the record's features over Name, so PLUSQL (index and naive
+// path alike) and the lineage answer see the feature. The store's name
+// postings key by the record's Name, so a name-seeded lineage resolves
+// that one and not the feature.
+func TestNameFeatureOverridesRecordName(t *testing.T) {
+	b := plus.NewMemBackend(0)
+	t.Cleanup(func() { b.Close() })
+	if err := b.PutObject(plus.Object{ID: "n", Kind: plus.Data, Name: "A", Features: map[string]string{"name": "B"}}); err != nil {
+		t.Fatal(err)
+	}
+	lat := privilege.TwoLevel()
+	e := NewEngine(b, lat)
+	for _, tc := range []struct {
+		src  string
+		want int
+	}{{`name(X, "B")`, 1}, {`name(X, "A")`, 0}} {
+		planned, err := e.Query(tc.src, Options{Explain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(planned.Plan, "[name=") {
+			t.Errorf("%s is not served from the name postings:\n%s", tc.src, planned.Plan)
+		}
+		naive, err := e.Query(tc.src, Options{Naive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, rs := range map[string]*ResultSet{"index": planned, "naive": naive} {
+			if len(rs.Rows) != tc.want || tc.want == 1 && rs.Rows[0][0].ID != "n" {
+				t.Errorf("%s on the %s path: rows %+v, want %d naming n", tc.src, path, rs.Rows, tc.want)
+			}
+		}
+	}
+
+	ts := httptest.NewServer(plus.NewServer(plus.NewEngine(b, lat)))
+	t.Cleanup(ts.Close)
+	get := func(name string) (*http.Response, error) {
+		return http.Get(ts.URL + "/v2/lineage?startName=" + name)
+	}
+	resp, err := get("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lr plus.LineageResponse
+	err = json.NewDecoder(resp.Body).Decode(&lr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("startName=A: HTTP %d, %v", resp.StatusCode, err)
+	}
+	if len(lr.Nodes) != 1 || lr.Nodes[0].ID != "n" || lr.Nodes[0].Features["name"] != "B" {
+		t.Errorf("startName=A answered %+v, want node n with name feature B", lr.Nodes)
+	}
+	resp, err = get("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("startName=B: HTTP %d, want 404", resp.StatusCode)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/account"
 	"repro/internal/graph"
-	"repro/internal/intern"
 	"repro/internal/plus"
 	"repro/internal/privilege"
 )
@@ -33,14 +32,14 @@ type View struct {
 
 	nodes  []graph.NodeID            // all account nodes, sorted
 	byKind map[string][]graph.NodeID // "kind" feature -> sorted nodes
-	// byName and byAttr are the view-level secondary indexes: interned
-	// "name" feature -> sorted nodes, and interned (attr key, attr value)
-	// pair -> sorted nodes. Unnamed nodes, empty attr values and the
+	// byName and byAttr are the view-level secondary indexes: "name"
+	// feature -> sorted nodes, and (attr key, attr value) pair -> sorted
+	// nodes. Unnamed nodes, empty attr values and the
 	// reserved kind/name keys are not posted (the planner never uses the
 	// indexes for those probes), keeping index-served enumeration
 	// byte-identical to a sorted scan-and-filter.
-	byName map[intern.Sym][]graph.NodeID
-	byAttr map[uint64][]graph.NodeID
+	byName map[string][]graph.NodeID
+	byAttr map[attr][]graph.NodeID
 	out    map[graph.NodeID][]Neighbor // adjacency, sorted by neighbour
 	in     map[graph.NodeID][]Neighbor
 	edges  int
@@ -114,8 +113,8 @@ func (v *View) index() {
 	v.fwdReach = map[graph.NodeID][]graph.NodeID{}
 	v.backReach = map[graph.NodeID][]graph.NodeID{}
 	v.edges = 0
-	v.byName = map[intern.Sym][]graph.NodeID{}
-	v.byAttr = map[uint64][]graph.NodeID{}
+	v.byName = map[string][]graph.NodeID{}
+	v.byAttr = map[attr][]graph.NodeID{}
 	v.nodes = acct.Graph.Nodes() // sorted, so every posting list is sorted
 	for _, id := range v.nodes {
 		n, _ := acct.Graph.NodeByID(id)
@@ -123,7 +122,7 @@ func (v *View) index() {
 			v.byKind[k] = append(v.byKind[k], id)
 		}
 		if name := n.Features["name"]; name != "" {
-			v.byName[intern.S(name)] = append(v.byName[intern.S(name)], id)
+			v.byName[name] = append(v.byName[name], id)
 		}
 		for _, p := range attrPairs(n.Features) {
 			v.byAttr[p] = append(v.byAttr[p], id)
@@ -163,31 +162,29 @@ func (v *View) Nodes() []graph.NodeID { return v.nodes }
 // sorted. Callers must not mutate the returned slice.
 func (v *View) NodesByKind(k string) []graph.NodeID { return v.byKind[k] }
 
+// attr is one (feature key, feature value) pair: the key of the attr
+// postings.
+type attr struct{ key, value string }
+
 // attrPairs maps a node's feature set to its secondary-index keys:
-// one interned (key, value) pair per feature, skipping the reserved
+// one (key, value) pair per feature, skipping the reserved
 // kind/name keys (they have their own indexes) and empty values (the
 // planner routes empty-constant probes to scans, because an absent key
 // also matches an empty constant under map-lookup semantics).
-func attrPairs(f graph.Features) []uint64 {
-	var out []uint64
+func attrPairs(f graph.Features) []attr {
+	var out []attr
 	for k, val := range f {
 		if k == "kind" || k == "name" || val == "" {
 			continue
 		}
-		out = append(out, intern.Pair(intern.S(k), intern.S(val)))
+		out = append(out, attr{k, val})
 	}
 	return out
 }
 
 // NodesByName returns the visible nodes whose "name" feature equals the
 // non-empty name, sorted. Callers must not mutate the returned slice.
-func (v *View) NodesByName(name string) []graph.NodeID {
-	sym, known := intern.Lookup(name)
-	if !known || sym == intern.None {
-		return nil
-	}
-	return v.byName[sym]
-}
+func (v *View) NodesByName(name string) []graph.NodeID { return v.byName[name] }
 
 // NameCount reports how many visible nodes carry the name feature.
 func (v *View) NameCount(name string) int { return len(v.NodesByName(name)) }
@@ -203,12 +200,7 @@ func (v *View) NodesByAttr(key, value string) []graph.NodeID {
 	case "name":
 		return v.NodesByName(value)
 	}
-	ksym, kok := intern.Lookup(key)
-	vsym, vok := intern.Lookup(value)
-	if !kok || !vok {
-		return nil
-	}
-	return v.byAttr[intern.Pair(ksym, vsym)]
+	return v.byAttr[attr{key, value}]
 }
 
 // AttrCount reports how many visible nodes carry the feature pair.
