@@ -101,8 +101,10 @@ func (b *Builder) ProtectEdge(from, to graph.NodeID, at privilege.Predicate, mod
 	return b
 }
 
-// WithSurrogate registers a provider surrogate for a node.
+// WithSurrogate registers a provider surrogate for a node. Its features
+// are copied, as Node's are, so the caller keeps its map.
 func (b *Builder) WithSurrogate(forID graph.NodeID, s surrogate.Surrogate) *Builder {
+	s.Features = s.Features.Clone()
 	b.fail(b.reg.Add(forID, s))
 	return b
 }

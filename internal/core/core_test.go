@@ -52,25 +52,33 @@ func TestBuilderAndProtect(t *testing.T) {
 	}
 }
 
-// TestBuilderNodeCopiesFeatures holds Builder.Node to its promise that the
-// caller keeps its map: writing into the map after Node, before and after
-// Spec, leaves the built graph as it was given.
+// TestBuilderNodeCopiesFeatures holds Builder.Node and
+// Builder.WithSurrogate to their promise that the caller keeps its map:
+// writing into the map after the call, before and after Spec, leaves the
+// built graph and registry as they were given.
 func TestBuilderNodeCopiesFeatures(t *testing.T) {
 	feats := graph.Features{"name": "alpha"}
-	b := NewBuilder(privilege.TwoLevel()).Node("a", "", feats)
+	surr := graph.Features{"name": "anon"}
+	b := NewBuilder(privilege.TwoLevel()).Node("a", "Protected", feats).
+		WithSurrogate("a", surrogate.Surrogate{ID: "a'", Features: surr, Lowest: privilege.Public, InfoScore: 0.5})
 	feats["name"] = "changed"
 	feats["extra"] = "x"
+	surr["name"] = "changed"
 	spec, err := b.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
 	delete(feats, "name")
+	delete(surr, "name")
 	n, ok := spec.Graph.NodeByID("a")
 	if !ok {
 		t.Fatal("node a missing")
 	}
 	if want := (graph.Features{"name": "alpha"}); !n.Features.Equal(want) {
 		t.Errorf("features of a = %v, want %v", n.Features, want)
+	}
+	if ss := spec.Surrogates.Surrogates("a"); len(ss) != 1 || !ss[0].Features.Equal(graph.Features{"name": "anon"}) {
+		t.Errorf("surrogates of a = %+v, want one with features name=anon", ss)
 	}
 }
 

@@ -15,8 +15,11 @@ import "fmt"
 // facade layers program against. All methods must be safe for concurrent
 // use. Mutations must be atomic per call and must bump Revision exactly
 // once per applied record, so equal revisions imply identical contents
-// (within one process). A stored record keeps the feature map it arrives
-// with, so a caller must not write into that map afterwards.
+// (within one process). The store keeps no caller's feature map: it
+// shapes each object's and surrogate's features into the node's graph
+// form once, at ingest (shape.go), and every read below hands records
+// back as they were posted. A feature map a read returns may be shared
+// with the store, so a caller must not write into it.
 type Backend interface {
 	// PutObject stores (or replaces) a provenance object.
 	PutObject(o Object) error
@@ -109,13 +112,25 @@ func (sn *Snapshot) Revision() uint64 { return sn.rev }
 // NumObjects reports how many objects the snapshot holds.
 func (sn *Snapshot) NumObjects() int { return sn.objects }
 
-// Object looks up one object.
+// Object looks up one object, as it was posted.
 func (sn *Snapshot) Object(id string) (Object, bool) {
+	b := sn.of(id)
+	o, ok := b.objects[id]
+	if !ok {
+		return Object{}, false
+	}
+	return b.postedObject(o), true
+}
+
+// stored looks up one object as the store keeps it (shape.go): its
+// Features is the graph form, shared with the store.
+func (sn *Snapshot) stored(id string) (Object, bool) {
 	o, ok := sn.of(id).objects[id]
 	return o, ok
 }
 
-// Objects returns every object in the snapshot in unspecified order.
+// Objects returns every object in the snapshot, as posted, in unspecified
+// order.
 func (sn *Snapshot) Objects() []Object { return sn.objectList(sn.objects) }
 
 // Out returns the outgoing edges of an object. The slice is shared with
@@ -126,9 +141,13 @@ func (sn *Snapshot) Out(id string) []Edge { return sn.of(id).out[id] }
 // the snapshot and must not be mutated.
 func (sn *Snapshot) In(id string) []Edge { return sn.of(id).in[id] }
 
-// Surrogates returns the surrogate specs of an object. The slice is
-// shared with the snapshot and must not be mutated.
-func (sn *Snapshot) Surrogates(id string) []SurrogateSpec { return sn.of(id).surrogates[id] }
+// Surrogates returns the surrogate specs of an object, as posted. The
+// slice may be shared with the snapshot and must not be mutated.
+func (sn *Snapshot) Surrogates(id string) []SurrogateSpec { return sn.of(id).postedSurrogates(id) }
+
+// storedSurrogates returns the surrogate specs of an object as the store
+// keeps them, in a slice shared with the snapshot.
+func (sn *Snapshot) storedSurrogates(id string) []SurrogateSpec { return sn.of(id).surrogates[id] }
 
 // validateObject is the shared object-shape check every backend applies
 // before accepting a record.

@@ -21,12 +21,14 @@ import (
 // mistake.
 //
 // A miss allocates about what it keeps. fetch hands buildSpec the
-// snapshot's own adjacency, the anchor walks key their state by G's slots,
-// the body is encoded into reused scratch and kept as one exact-size copy,
-// and G and G′ go back to the graph package (graph.Release) for the next
-// miss to build on, since nothing outside LineageBody holds them: on
-// plusbench's graph a depth-5 miss allocates ≈1.7 KB per closure node,
-// ≈5× its body (TestServedMissBytesPerClosureNode).
+// snapshot's own adjacency and each object's graph-form feature map, the
+// one the store shaped at ingest (shape.go), the anchor walks key their
+// state by G's slots, the body is encoded into reused scratch and kept as
+// one exact-size copy, and G and G′ go back to the graph package
+// (graph.Release) for the next miss to build on, since nothing outside
+// LineageBody holds them: on plusbench's graph a depth-5 miss allocates
+// ≈1.3 KB per closure node, ≈4× its body
+// (TestServedMissBytesPerClosureNode).
 //
 // This realises the §7 advantage the paper claims over view-based
 // protection ("view recomputation when object sensitivity changes" versus

@@ -28,10 +28,15 @@ const (
 
 // Change is one applied record together with the revision it produced.
 // Exactly one of Object, Edge and Surrogate is meaningful, selected by
-// Kind.
+// Kind. Backend.ChangesSince returns records as they were posted; a
+// Delta's changes carry them as stored (shape.go), whose feature map is
+// the graph form ApplyDelta hands to the spec.
 type Change struct {
-	Rev       uint64
-	Kind      ChangeKind
+	Rev  uint64
+	Kind ChangeKind
+	// keep holds the record's keep bits (shape.go); it fits in the
+	// padding after Kind.
+	keep      uint8
 	Object    Object
 	Edge      Edge
 	Surrogate SurrogateSpec
@@ -56,7 +61,10 @@ type Delta struct {
 	Since uint64
 	// Rev is the revision the delta ends at (inclusive).
 	Rev uint64
-	// Changes holds the applied records in revision order.
+	// Changes holds the applied records in revision order, as stored:
+	// an object's or surrogate's Features is its graph form (nil when it
+	// was posted without features) and is shared with the store, so it
+	// must not be written into.
 	Changes []Change
 }
 

@@ -60,7 +60,8 @@ func (s *LogBackend) Compact() error {
 			return err
 		}
 		for _, id := range ids {
-			if err := put(recObject, s.tab.of(id).objects[id]); err != nil {
+			b := s.tab.of(id)
+			if err := put(recObject, b.postedObject(b.objects[id])); err != nil {
 				return err
 			}
 		}
@@ -71,7 +72,7 @@ func (s *LogBackend) Compact() error {
 					return err
 				}
 			}
-			for _, sp := range b.surrogates[id] {
+			for _, sp := range b.postedSurrogates(id) {
 				if err := put(recSurrogate, sp); err != nil {
 					return err
 				}

@@ -100,10 +100,12 @@ func (c *storeCore) write(b *Batch, check func() error) (uint64, error) {
 
 // storeObject, storeEdge and storeSurrogate put one checked record into the
 // table and the feed. Callers hold the write lock (or own the core, as
-// replay does).
+// replay does). Objects and surrogates are stored shaped (shape.go): the
+// table and the feed share the record's one graph-form feature map.
 func (c *storeCore) storeObject(o Object) {
-	c.tab.putObject(c.tab.slot(o.ID), o)
-	c.record(Change{Kind: ChangeObject, Object: o})
+	o, keep := shapeObject(o)
+	c.tab.putObject(c.tab.slot(o.ID), o, keep)
+	c.record(Change{Kind: ChangeObject, keep: keep, Object: o})
 }
 
 func (c *storeCore) storeEdge(e Edge) {
@@ -112,8 +114,9 @@ func (c *storeCore) storeEdge(e Edge) {
 }
 
 func (c *storeCore) storeSurrogate(sp SurrogateSpec) {
-	c.tab.putSurrogate(c.tab.slot(sp.ForID), sp)
-	c.record(Change{Kind: ChangeSurrogate, Surrogate: sp})
+	sp, keep := shapeSurrogate(sp)
+	c.tab.putSurrogate(c.tab.slot(sp.ForID), sp, keep)
+	c.record(Change{Kind: ChangeSurrogate, keep: keep, Surrogate: sp})
 }
 
 // record appends ch to the feed at the next revision. Once the feed holds
@@ -197,11 +200,12 @@ func (c *storeCore) GetObject(id string) (Object, error) {
 	if c.closed.Load() {
 		return Object{}, ErrClosed
 	}
-	o, ok := c.tab.of(id).objects[id]
+	b := c.tab.of(id)
+	o, ok := b.objects[id]
 	if !ok {
 		return Object{}, fmt.Errorf("plus: %q: %w", id, ErrNotFound)
 	}
-	return o, nil
+	return b.postedObject(o), nil
 }
 
 // Objects returns every object (unspecified order).
@@ -229,7 +233,7 @@ func (c *storeCore) EdgesTo(id string) []Edge {
 func (c *storeCore) SurrogatesOf(id string) []SurrogateSpec {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return append([]SurrogateSpec(nil), c.tab.of(id).surrogates[id]...)
+	return append([]SurrogateSpec(nil), c.tab.of(id).postedSurrogates(id)...)
 }
 
 // NumObjects / NumEdges report the table's own counts.
@@ -271,15 +275,15 @@ func (c *storeCore) ChangeWindow() FeedWindow {
 // ErrTooFarBehind and the caller rebuilds from a snapshot.
 func (c *storeCore) ChangesSince(since uint64) ([]Change, error) {
 	var out []Change
-	err := c.walkChangesSince(since, math.MaxUint64, func(ch *Change) { out = append(out, *ch) })
+	err := c.walkChangesSince(since, math.MaxUint64, func(ch *Change) { out = append(out, ch.posted()) })
 	return out, err
 }
 
 // walkChangesSince streams the resident changes with revision in
-// (since, upTo] to visit in revision order, copying nothing. The pointer
-// passed to visit is valid only for the duration of the call, which runs
-// under the read lock. The window is checked before the first visit, so a
-// failed walk has visited nothing.
+// (since, upTo] to visit in revision order, as stored, copying nothing.
+// The pointer passed to visit is valid only for the duration of the call,
+// which runs under the read lock. The window is checked before the first
+// visit, so a failed walk has visited nothing.
 func (c *storeCore) walkChangesSince(since, upTo uint64, visit func(*Change)) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

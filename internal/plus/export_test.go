@@ -19,3 +19,25 @@ const (
 	NeedAnyone       = anyone
 	NeedAnyPrincipal = anyPrincipal
 )
+
+// StoredFeatureMaps returns every feature map sn's records hold as the
+// store keeps them, keyed "object <id>" and "surrogate <id> of <for>";
+// records stored without features hold none and are left out.
+func StoredFeatureMaps(sn *Snapshot) map[string]map[string]string {
+	out := map[string]map[string]string{}
+	for _, b := range sn.at {
+		for id, o := range b.objects {
+			if o.Features != nil {
+				out["object "+id] = o.Features
+			}
+		}
+		for id, ss := range b.surrogates {
+			for _, sp := range ss {
+				if sp.Features != nil {
+					out["surrogate "+sp.ID+" of "+id] = sp.Features
+				}
+			}
+		}
+	}
+	return out
+}

@@ -3,13 +3,16 @@ package plus
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
 // FuzzReplay writes arbitrary bytes as a log file and opens it: replay
 // must never panic; it either recovers a store (possibly empty, after
 // truncating a torn tail) or fails with an error. Stores it does recover
-// must survive an append and a reopen.
+// must survive an append and a reopen that reads every object and
+// surrogate back as the recovered store gave it (testdata/fuzz holds a
+// log whose records carry user "name" and "kind" features).
 func FuzzReplay(f *testing.F) {
 	// Seed with a real log prefix.
 	dir, err := os.MkdirTemp("", "plus-fuzz-seed-*")
@@ -61,6 +64,11 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("recovered store rejects appends: %v", err)
 		}
 		n := st.NumObjects()
+		objects := st.Objects()
+		surrogates := map[string][]SurrogateSpec{}
+		for _, o := range objects {
+			surrogates[o.ID] = st.SurrogatesOf(o.ID)
+		}
 		if err := st.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
@@ -71,6 +79,15 @@ func FuzzReplay(f *testing.F) {
 		defer st2.Close()
 		if st2.NumObjects() != n {
 			t.Fatalf("reopen lost objects: %d vs %d", st2.NumObjects(), n)
+		}
+		for _, o := range objects {
+			got, err := st2.GetObject(o.ID)
+			if err != nil || !sameObject(got, o) {
+				t.Fatalf("object %s reopened as %+v (%v), was %+v", o.ID, got, err, o)
+			}
+			if got := st2.SurrogatesOf(o.ID); !slices.EqualFunc(got, surrogates[o.ID], sameSurrogate) {
+				t.Fatalf("surrogates of %s reopened as %+v, were %+v", o.ID, got, surrogates[o.ID])
+			}
 		}
 	})
 }

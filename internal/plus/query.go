@@ -256,7 +256,7 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 	// snapshot's name postings.
 	var seeds []string
 	if req.Start != "" || req.StartName == "" {
-		if _, ok := sn.Object(req.Start); !ok {
+		if _, ok := sn.stored(req.Start); !ok {
 			return nil, fmt.Errorf("plus: lineage of %q: %w", req.Start, ErrNotFound)
 		}
 		seeds = []string{req.Start}
@@ -295,7 +295,7 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 				continue
 			}
 			if req.KindFilter != "" {
-				if o, ok := sn.Object(other(e, cur)); !ok || o.Kind != req.KindFilter {
+				if o, ok := sn.stored(other(e, cur)); !ok || o.Kind != req.KindFilter {
 					continue
 				}
 			}
@@ -391,7 +391,7 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 	f.levels = depth
 	for _, run := range f.ids {
 		for _, id := range run {
-			if ss := sn.Surrogates(id); len(ss) > 0 {
+			if ss := sn.storedSurrogates(id); len(ss) > 0 {
 				f.surrogates = append(f.surrogates, ss)
 			}
 		}
@@ -435,7 +435,7 @@ func buildSpec(lattice *privilege.Lattice, f *fetched) (*account.Spec, error) {
 
 	for _, run := range f.ids {
 		for _, id := range run {
-			o, _ := f.sn.Object(id)
+			o, _ := f.sn.stored(id)
 			if err := applyObjectRecord(g, lb, pol, &o); err != nil {
 				return nil, err
 			}

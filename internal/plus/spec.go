@@ -15,12 +15,15 @@ import (
 // replacing any previous version: features, lowest() labeling and the
 // protection threshold all track the new record, including clearing what
 // it no longer carries. buildSpec (whole snapshot) and ApplyDelta (change
-// feed) share this translation so the two paths cannot drift apart.
+// feed) share this translation so the two paths cannot drift apart. o is
+// as stored (shape.go): its Features is already the node's graph form,
+// which the graph shares with the store; only a featureless object's
+// {name, kind} map is built here.
 func applyObjectRecord(g *graph.Graph, lb *privilege.Labeling, pol *policy.Policy, o *Object) error {
 	id := graph.NodeID(o.ID)
-	feats := graph.Features{"name": o.Name, "kind": string(o.Kind)}
-	for k, v := range o.Features {
-		feats[k] = v
+	feats := graph.Features(o.Features)
+	if feats == nil {
+		feats = graph.Features{"name": o.Name, "kind": string(o.Kind)}
 	}
 	g.AddNode(graph.Node{ID: id, Features: feats})
 	if o.Lowest != "" {
@@ -71,16 +74,17 @@ func applyEdgeRecord(g *graph.Graph, pol *policy.Policy, e *Edge) error {
 	return pol.SetIncidenceThreshold(ge.To, ge.ID(), lowest, below)
 }
 
-// applySurrogateRecord registers one stored surrogate. Shared by
+// applySurrogateRecord registers one stored surrogate, its graph-form
+// features shared with the store as applyObjectRecord's are. Shared by
 // buildSpec and ApplyDelta.
 func applySurrogateRecord(reg *surrogate.Registry, sp *SurrogateSpec) error {
 	lowest := privilege.Predicate(sp.Lowest)
 	if sp.Lowest == "" {
 		lowest = privilege.Public
 	}
-	feats := graph.Features{"name": sp.Name}
-	for k, v := range sp.Features {
-		feats[k] = v
+	feats := graph.Features(sp.Features)
+	if feats == nil {
+		feats = graph.Features{"name": sp.Name}
 	}
 	return reg.Add(graph.NodeID(sp.ForID), surrogate.Surrogate{
 		ID:        graph.NodeID(sp.ID),
@@ -107,7 +111,7 @@ func SpecFromSnapshot(sn *Snapshot, lattice *privilege.Lattice) (*account.Spec, 
 		if out := sn.Out(id); len(out) > 0 {
 			f.edges = append(f.edges, out)
 		}
-		if ss := sn.Surrogates(id); len(ss) > 0 {
+		if ss := sn.storedSurrogates(id); len(ss) > 0 {
 			f.surrogates = append(f.surrogates, ss)
 		}
 	}

@@ -42,6 +42,12 @@ type bucket struct {
 	in         map[string][]Edge // keyed by To
 	surrogates map[string][]SurrogateSpec
 	names      map[string][]string // name -> ids of the objects carrying it, unordered
+	// objectKeep and surrogateKeep hold the keep bits (shape.go) of the
+	// rare records that have any: by object id, and by ForID one entry
+	// per surrogate index up to the last that has bits. Both stay nil in
+	// a bucket that never held such a record, so copying it costs nothing.
+	objectKeep    map[string]uint8
+	surrogateKeep map[string][]uint8
 }
 
 // emptyBucket stands in every slot nothing has been stored in; its
@@ -77,7 +83,7 @@ func (bs *bucketSet) slot(id string) int {
 
 func (bs *bucketSet) of(id string) *bucket { return bs.at[bs.slot(id)] }
 
-// eachObject visits every object in unspecified order.
+// eachObject visits every object, as stored, in unspecified order.
 func (bs *bucketSet) eachObject(visit func(Object)) {
 	for _, b := range bs.at {
 		for _, o := range b.objects {
@@ -86,10 +92,37 @@ func (bs *bucketSet) eachObject(visit func(Object)) {
 	}
 }
 
-// objectList returns every object; n sizes the slice.
+// objectList returns every object as posted; n sizes the slice.
 func (bs *bucketSet) objectList(n int) []Object {
 	out := make([]Object, 0, n)
-	bs.eachObject(func(o Object) { out = append(out, o) })
+	for _, b := range bs.at {
+		for _, o := range b.objects {
+			out = append(out, b.postedObject(o))
+		}
+	}
+	return out
+}
+
+// postedObject returns the bucket's stored object o as it was posted.
+func (b *bucket) postedObject(o Object) Object { return unshapeObject(o, b.objectKeep[o.ID]) }
+
+// postedSurrogates returns the surrogates of id as they were posted: the
+// stored slice itself when none carries features, else a copy.
+func (b *bucket) postedSurrogates(id string) []SurrogateSpec {
+	ss := b.surrogates[id]
+	i := slices.IndexFunc(ss, func(sp SurrogateSpec) bool { return sp.Features != nil })
+	if i < 0 {
+		return ss
+	}
+	out := slices.Clone(ss)
+	keep := b.surrogateKeep[id]
+	for ; i < len(out); i++ {
+		var k uint8
+		if i < len(keep) {
+			k = keep[i]
+		}
+		out[i] = unshapeSurrogate(out[i], k)
+	}
 	return out
 }
 
@@ -127,20 +160,29 @@ func (t *table) own(i int) *bucket {
 	b = &bucket{
 		gen: t.gen, objects: maps.Clone(b.objects), out: maps.Clone(b.out), in: maps.Clone(b.in),
 		surrogates: maps.Clone(b.surrogates), names: maps.Clone(b.names),
+		objectKeep: maps.Clone(b.objectKeep), surrogateKeep: maps.Clone(b.surrogateKeep),
 	}
 	t.at[i] = b
 	return b
 }
 
-// putObject stores o in slot i (its id's) and moves its id from the
-// posting of the name it replaced to the posting of its own name, each in
-// that name's slot.
-func (t *table) putObject(i int, o Object) {
+// putObject stores shaped object o and its keep bits in slot i (its
+// id's) and moves its id from the posting of the name it replaced to the
+// posting of its own name, each in that name's slot.
+func (t *table) putObject(i int, o Object, keep uint8) {
 	b := t.own(i)
 	prev, replaced := b.objects[o.ID]
 	b.objects[o.ID] = o
 	if !replaced {
 		t.objects.Add(1)
+	}
+	if keep != 0 {
+		if b.objectKeep == nil {
+			b.objectKeep = map[string]uint8{}
+		}
+		b.objectKeep[o.ID] = keep
+	} else {
+		delete(b.objectKeep, o.ID)
 	}
 	if prev.Name == o.Name {
 		return
@@ -174,10 +216,22 @@ func (t *table) putEdge(fi, ti int, e Edge) {
 	t.edges.Add(1)
 }
 
-// putSurrogate stores sp in slot i (its ForID's).
-func (t *table) putSurrogate(i int, sp SurrogateSpec) {
+// putSurrogate stores shaped surrogate sp and its keep bits in slot i
+// (its ForID's).
+func (t *table) putSurrogate(i int, sp SurrogateSpec, keep uint8) {
 	b := t.own(i)
+	at := len(b.surrogates[sp.ForID])
 	b.surrogates[sp.ForID] = append(b.surrogates[sp.ForID], sp)
+	if keep != 0 {
+		if b.surrogateKeep == nil {
+			b.surrogateKeep = map[string][]uint8{}
+		}
+		// Append-only like the surrogate list, so a snapshot's copy of
+		// the bucket never sees an entry change.
+		bits := b.surrogateKeep[sp.ForID]
+		bits = append(bits, make([]uint8, at-len(bits))...)
+		b.surrogateKeep[sp.ForID] = append(bits, keep)
+	}
 }
 
 // has and hasEdge are the stored-state callbacks of Batch.validate.

@@ -15,6 +15,7 @@ package surrogate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -77,6 +78,10 @@ func (r *Registry) EnableNullDefault() { r.nullDefault = true }
 
 // Add registers a surrogate for an original node, validating the paper's
 // constraints against the labeling and previously registered siblings.
+// The registry takes ownership of s.Features without a copy, as
+// graph.AddNode does: the map is immutable from here on, shared with
+// every account the surrogate stands in, and a caller that keeps a map it
+// will write into passes a Features.Clone instead.
 func (r *Registry) Add(original graph.NodeID, s Surrogate) error {
 	if s.ID == "" {
 		return fmt.Errorf("surrogate: empty surrogate id for %s", original)
@@ -112,7 +117,6 @@ func (r *Registry) Add(original graph.NodeID, s Surrogate) error {
 				s.ID, s.InfoScore, sib.ID, sib.InfoScore, sib.Lowest, s.Lowest)
 		}
 	}
-	s.Features = s.Features.Clone()
 	r.byNode[original] = append(r.byNode[original], s)
 	r.ids[s.ID] = original
 	return nil
@@ -182,17 +186,13 @@ func (r *Registry) SelectForSet(original graph.NodeID, hw []privilege.Predicate,
 // Labeling returns the labeling the registry validates against.
 func (r *Registry) Labeling() *privilege.Labeling { return r.labeling }
 
-// Clone returns an independent copy of the registry (sharing the labeling).
+// Clone returns an independent copy of the registry, sharing the
+// labeling and the surrogates' immutable feature maps.
 func (r *Registry) Clone() *Registry {
 	c := NewRegistry(r.labeling)
 	c.nullDefault = r.nullDefault
 	for n, ss := range r.byNode {
-		cp := make([]Surrogate, len(ss))
-		for i, s := range ss {
-			s.Features = s.Features.Clone()
-			cp[i] = s
-		}
-		c.byNode[n] = cp
+		c.byNode[n] = slices.Clone(ss)
 	}
 	for id, orig := range r.ids {
 		c.ids[id] = orig
