@@ -13,9 +13,9 @@
 // The -backend flag selects the storage engine: "log" (default) is the
 // durable CRC-guarded append-only log at -db; "mem" is the same store
 // core without the log, for read-heavy serving (contents die with the
-// process; -db and -sync are ignored, and -change-horizon bounds how many
-// recent changes the change feed that drives incremental cache and view
-// maintenance retains).
+// process; -db and -sync are ignored). On either backend -change-horizon
+// bounds how many recent changes the change feed that drives incremental
+// cache and view maintenance retains.
 //
 // Caches are delta-scoped: a write evicts only the lineage answers and
 // PLUSQL views whose account region it touches; GET /v1/healthz reports
@@ -180,25 +180,33 @@ func listenAndServe(addr string, h http.Handler, tlsPair, tlsSelfDir string) err
 
 // openBackend builds the storage engine the -backend flag selected.
 func openBackend(kind, db string, horizon int, sync bool) (plus.Backend, error) {
+	var b interface {
+		plus.Backend
+		SetChangeHorizon(int)
+	}
 	switch kind {
 	case "log":
-		return plus.Open(db, plus.Options{Sync: sync})
-	case "mem":
-		m := plus.NewMemBackend(0)
-		if horizon > 0 {
-			m.SetChangeHorizon(horizon)
+		l, err := plus.Open(db, plus.Options{Sync: sync})
+		if err != nil {
+			return nil, err
 		}
-		return m, nil
+		b = l
+	case "mem":
+		b = plus.NewMemBackend(0)
 	default:
 		return nil, fmt.Errorf("unknown backend %q (want log or mem)", kind)
 	}
+	if horizon > 0 {
+		b.SetChangeHorizon(horizon)
+	}
+	return b, nil
 }
 
 func run() error {
 	addr := flag.String("addr", ":7337", "listen address")
 	db := flag.String("db", "plus.log", "path to the store log file (log backend)")
 	backendKind := flag.String("backend", "log", "storage backend: log (durable) or mem (in-memory, no log)")
-	horizon := flag.Int("change-horizon", 0, "mem backend: recent changes the change feed retains (0 = default)")
+	horizon := flag.Int("change-horizon", 0, "recent changes the change feed retains (0 = default)")
 	latticePath := flag.String("lattice", "", "path to a JSON lattice spec (default: two-level)")
 	sync := flag.Bool("sync", false, "fsync every append (log backend)")
 	authKeys := flag.String("auth-keys", "", "HMAC keyring file; requires signed session tokens on every request")

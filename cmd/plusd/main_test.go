@@ -35,7 +35,7 @@ func TestLoadLatticeFromFile(t *testing.T) {
 }
 
 func TestOpenBackendKinds(t *testing.T) {
-	logB, err := openBackend("log", filepath.Join(t.TempDir(), "plus.log"), 0, false)
+	logB, err := openBackend("log", filepath.Join(t.TempDir(), "plus.log"), 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,18 +43,28 @@ func TestOpenBackendKinds(t *testing.T) {
 	if _, ok := logB.(*plus.LogBackend); !ok {
 		t.Errorf("log backend = %T", logB)
 	}
+	if h := logB.ChangeWindow().Horizon; h != 64 {
+		t.Errorf("log change horizon = %d, want 64", h)
+	}
 
 	memB, err := openBackend("mem", "", 128, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer memB.Close()
-	mb, ok := memB.(*plus.MemBackend)
-	if !ok {
-		t.Fatalf("mem backend = %T", memB)
+	if _, ok := memB.(*plus.MemBackend); !ok {
+		t.Errorf("mem backend = %T", memB)
 	}
-	if h := mb.ChangeWindow().Horizon; h != 128 {
-		t.Errorf("change horizon = %d, want 128", h)
+	if h := memB.ChangeWindow().Horizon; h != 128 {
+		t.Errorf("mem change horizon = %d, want 128", h)
+	}
+	defaultB, err := openBackend("mem", "", 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer defaultB.Close()
+	if h := defaultB.ChangeWindow().Horizon; h != plus.DefaultChangeHorizon {
+		t.Errorf("default change horizon = %d, want %d", h, plus.DefaultChangeHorizon)
 	}
 
 	if _, err := openBackend("banana", "", 0, false); err == nil {

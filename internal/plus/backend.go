@@ -1,6 +1,10 @@
 package plus
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // This file defines the storage seam of the PLUS substrate. The original
 // prototype was "one file, one lock": a single map-backed log index behind
@@ -88,6 +92,20 @@ type Backend interface {
 	// Close releases the backend; subsequent mutations and reads fail
 	// with ErrClosed.
 	Close() error
+
+	// The reporting methods behind the healthz blocks and the metrics
+	// registry. ChangeWindow reports the resident change-feed window;
+	// Wakeups counts notifier broadcasts that woke parked followers;
+	// StoreStats counts snapshots built and buckets copied; IndexStats
+	// reports the name postings.
+	ChangeWindow() FeedWindow
+	Wakeups() uint64
+	StoreStats() StoreStats
+	IndexStats() IndexStats
+
+	// observeOps makes Apply, GetObject, ChangesSince and Snapshot record
+	// their latency into h (NewObserveBackend).
+	observeOps(h *obs.HistogramVec)
 }
 
 // Snapshot is an immutable point-in-time view of a backend: a frozen copy

@@ -506,7 +506,7 @@ func conformChangeHorizon(t *testing.T, h backendHarness) {
 	if _, err := sn.DeltaSince(0); !errors.Is(err, ErrTooFarBehind) {
 		t.Errorf("DeltaSince(0) = %v, want ErrTooFarBehind", err)
 	}
-	w := b.(changeWindower).ChangeWindow()
+	w := b.ChangeWindow()
 	if w.Base == 0 {
 		t.Fatalf("window base = 0 after %d writes under horizon %d", 3*n, n)
 	}

@@ -5,6 +5,9 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // storeCore is the one storage engine under both backends: the record
@@ -51,6 +54,11 @@ type storeCore struct {
 	// after a write share one snapshot. Acquired before mu.
 	snapMu sync.Mutex
 	closed atomic.Bool
+
+	// ops, when set (NewObserveBackend), receives the latency of Apply,
+	// GetObject, ChangesSince and Snapshot by operation; nil records
+	// nothing.
+	ops atomic.Pointer[obs.HistogramVec]
 }
 
 // DefaultChangeHorizon is how many recent changes a backend keeps resident
@@ -61,6 +69,15 @@ func (c *storeCore) init(epoch string) {
 	c.tab = newTable()
 	c.horizon = DefaultChangeHorizon
 	c.epoch = epoch
+}
+
+func (c *storeCore) observeOps(h *obs.HistogramVec) { c.ops.Store(h) }
+
+// timed records the latency of op since start, when the store is observed.
+func (c *storeCore) timed(op string, start time.Time) {
+	if h := c.ops.Load(); h != nil {
+		h.With(op).ObserveSince(start)
+	}
 }
 
 // write is the one write path. Under the write lock it runs check against
@@ -190,11 +207,13 @@ func (c *storeCore) PutSurrogate(sp SurrogateSpec) error {
 // leave the store untouched, and readers never observe a half-applied
 // batch. Objects are stored before edges and surrogates.
 func (c *storeCore) Apply(b Batch) (uint64, error) {
+	defer c.timed("apply", time.Now())
 	return c.write(&b, func() error { return b.validate(c.tab.has, c.tab.hasEdge) })
 }
 
 // GetObject fetches one object by id.
 func (c *storeCore) GetObject(id string) (Object, error) {
+	defer c.timed("get_object", time.Now())
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed.Load() {
@@ -274,6 +293,7 @@ func (c *storeCore) ChangeWindow() FeedWindow {
 // revision order. A since older than the resident window fails with
 // ErrTooFarBehind and the caller rebuilds from a snapshot.
 func (c *storeCore) ChangesSince(since uint64) ([]Change, error) {
+	defer c.timed("changes_since", time.Now())
 	var out []Change
 	err := c.walkChangesSince(since, math.MaxUint64, func(ch *Change) { out = append(out, ch.posted()) })
 	return out, err
@@ -309,6 +329,7 @@ func (c *storeCore) walkChangesSince(since, upTo uint64, visit func(*Change)) er
 // under the read lock — no record is copied — while other first readers
 // wait on snapMu for its result.
 func (c *storeCore) Snapshot() (*Snapshot, error) {
+	defer c.timed("snapshot", time.Now())
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}

@@ -79,7 +79,7 @@ func TestFindByIndexBasics(t *testing.T) {
 			if got := sn.FindByName("never-stored-name-xyzzy"); len(got) != 0 {
 				t.Fatalf("unknown name matched %v", got)
 			}
-			st := mustIndexStats(t, b)
+			st := b.IndexStats()
 			if st.Hits != 3 {
 				t.Fatalf("hits = %d, want one per probe (3)", st.Hits)
 			}
@@ -88,15 +88,6 @@ func TestFindByIndexBasics(t *testing.T) {
 			}
 		})
 	}
-}
-
-func mustIndexStats(t *testing.T, b Backend) IndexStats {
-	t.Helper()
-	p, ok := b.(storeStatsProvider)
-	if !ok {
-		t.Fatalf("backend %T has no index stats", b)
-	}
-	return p.IndexStats()
 }
 
 func equalStrings(a, b []string) bool {
@@ -131,7 +122,7 @@ func TestIndexAdvancesIncrementally(t *testing.T) {
 					}
 				}
 			}
-			if st := mustIndexStats(t, b); st.Misses != 0 || st.Advances != 0 || st.Rebuilds != 0 {
+			if st := b.IndexStats(); st.Misses != 0 || st.Advances != 0 || st.Rebuilds != 0 {
 				t.Fatalf("index stats = %+v, want no misses, advances or rebuilds", st)
 			}
 		})
@@ -244,7 +235,7 @@ func TestIndexReplacementMovesPostings(t *testing.T) {
 			if got := sn.FindByName("after"); len(got) != 0 {
 				t.Fatalf("name after = %v once x is unnamed, want none", got)
 			}
-			if st := mustIndexStats(t, b); st.NameEntries != 0 {
+			if st := b.IndexStats(); st.NameEntries != 0 {
 				t.Fatalf("name entries = %d once x is unnamed, want 0", st.NameEntries)
 			}
 		})

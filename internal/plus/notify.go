@@ -51,6 +51,6 @@ func (n *notifier) broadcast() {
 }
 
 // Wakeups reports how many broadcasts found waiters to wake. Both
-// backends inherit it (Backend embeds notifier), giving the metrics
+// backends inherit it (storeCore embeds notifier), giving the metrics
 // layer a change-feed wakeup counter.
 func (n *notifier) Wakeups() uint64 { return n.wakeups.Load() }

@@ -12,10 +12,10 @@ import (
 // This file wires the obs substrate into the PLUS server: the request
 // middleware (trace IDs, route metrics, structured request logs), the
 // GET /v2/metrics and GET /v2/slowlog admin endpoints, the backend
-// latency decorator, and the registration of store/change-feed/cache
-// gauges. The instrumentation contract throughout is "nil means off":
-// every handle below is nil-safe, so a server built without
-// WithObservability pays a nil check per site and nothing else.
+// operation latency hook (NewObserveBackend), and the registration of
+// store/change-feed/cache gauges. The instrumentation contract throughout
+// is "nil means off": every handle below is nil-safe, so a server built
+// without WithObservability pays a nil check per site and nothing else.
 
 // HeaderRequestID re-exports the trace header so API callers need not
 // import the obs package.
@@ -30,36 +30,6 @@ type FeedWindow struct {
 	Base    uint64 `json:"base"`
 	Depth   int    `json:"depth"`
 	Horizon int    `json:"horizon"`
-}
-
-// changeWindower is the optional backend capability behind the
-// change-feed health block; both built-in backends implement it.
-type changeWindower interface{ ChangeWindow() FeedWindow }
-
-// wakeupReporter is the optional backend capability reporting notifier
-// broadcast activity; both built-in backends inherit it from notifier.
-type wakeupReporter interface{ Wakeups() uint64 }
-
-// backendChangeWindow resolves the change window through any decorator
-// layers (ObserveBackend unwraps itself).
-func backendChangeWindow(b Backend) (FeedWindow, bool) {
-	if cw, ok := unwrapBackend(b).(changeWindower); ok {
-		return cw.ChangeWindow(), true
-	}
-	return FeedWindow{}, false
-}
-
-// unwrapBackend peels decorator backends (ObserveBackend) off until the
-// concrete storage engine is reached; capability type assertions
-// (compactor, changeWindower) go through it.
-func unwrapBackend(b Backend) Backend {
-	for {
-		ob, ok := b.(*ObserveBackend)
-		if !ok {
-			return b
-		}
-		b = ob.Backend
-	}
 }
 
 // Observability bundles the server's telemetry sinks: the metric
@@ -239,39 +209,33 @@ func (s *Server) registerServerMetrics() {
 		func() float64 { return float64(b.Size()) })
 	reg.GaugeFunc("plus_uptime_seconds", "Seconds since process start.",
 		func() float64 { return time.Since(processStart).Seconds() })
-	if _, ok := backendChangeWindow(b); ok {
-		reg.GaugeFunc("plus_changefeed_base_revision",
-			"Oldest change-feed position the backend can still serve.",
-			func() float64 { w, _ := backendChangeWindow(b); return float64(w.Base) })
-		reg.GaugeFunc("plus_changefeed_ring_depth",
-			"Resident change-feed entries.",
-			func() float64 { w, _ := backendChangeWindow(b); return float64(w.Depth) })
-		reg.GaugeFunc("plus_changefeed_horizon",
-			"Configured change-feed retention capacity.",
-			func() float64 { w, _ := backendChangeWindow(b); return float64(w.Horizon) })
-	}
-	if wr, ok := unwrapBackend(b).(wakeupReporter); ok {
-		reg.CounterFunc("plus_notify_wakeups_total",
-			"Change-feed notifier broadcasts that woke parked followers.",
-			func() float64 { return float64(wr.Wakeups()) })
-	}
-	if sp, ok := unwrapBackend(b).(storeStatsProvider); ok {
-		reg.CounterFunc("plus_store_snapshots_built_total",
-			"Snapshots built (one per revision a reader asked at); none copies records.",
-			func() float64 { return float64(sp.StoreStats().SnapshotsBuilt) })
-		reg.CounterFunc("plus_store_bucket_copies_total",
-			"Record-table buckets a write copied because a snapshot still shared them.",
-			func() float64 { return float64(sp.StoreStats().BucketCopies) })
-		reg.CounterFunc("plus_store_records_copied_total",
-			"Records (objects, per-id adjacency and surrogate lists, name postings) in those copied buckets.",
-			func() float64 { return float64(sp.StoreStats().RecordsCopied) })
-		reg.GaugeFuncVec("plus_index_entries",
-			"Record-table postings by index (name: one per named object).", "index").
-			Register(func() float64 { return float64(sp.IndexStats().NameEntries) }, "name")
-		reg.CounterFunc("plus_index_hits_total",
-			"Name lookups (Snapshot.FindByName) answered from the postings.",
-			func() float64 { return float64(sp.IndexStats().Hits) })
-	}
+	reg.GaugeFunc("plus_changefeed_base_revision",
+		"Oldest change-feed position the backend can still serve.",
+		func() float64 { return float64(b.ChangeWindow().Base) })
+	reg.GaugeFunc("plus_changefeed_ring_depth",
+		"Resident change-feed entries.",
+		func() float64 { return float64(b.ChangeWindow().Depth) })
+	reg.GaugeFunc("plus_changefeed_horizon",
+		"Configured change-feed retention capacity.",
+		func() float64 { return float64(b.ChangeWindow().Horizon) })
+	reg.CounterFunc("plus_notify_wakeups_total",
+		"Change-feed notifier broadcasts that woke parked followers.",
+		func() float64 { return float64(b.Wakeups()) })
+	reg.CounterFunc("plus_store_snapshots_built_total",
+		"Snapshots built (one per revision a reader asked at); none copies records.",
+		func() float64 { return float64(b.StoreStats().SnapshotsBuilt) })
+	reg.CounterFunc("plus_store_bucket_copies_total",
+		"Record-table buckets a write copied because a snapshot still shared them.",
+		func() float64 { return float64(b.StoreStats().BucketCopies) })
+	reg.CounterFunc("plus_store_records_copied_total",
+		"Records (objects, per-id adjacency and surrogate lists, name postings) in those copied buckets.",
+		func() float64 { return float64(b.StoreStats().RecordsCopied) })
+	reg.GaugeFuncVec("plus_index_entries",
+		"Record-table postings by index (name: one per named object).", "index").
+		Register(func() float64 { return float64(b.IndexStats().NameEntries) }, "name")
+	reg.CounterFunc("plus_index_hits_total",
+		"Name lookups (Snapshot.FindByName) answered from the postings.",
+		func() float64 { return float64(b.IndexStats().Hits) })
 	ce := s.engine
 	reg.GaugeFunc("plus_lineage_cache_entries", "Cached lineage answers.",
 		func() float64 { return float64(ce.Stats().Entries) })
@@ -323,54 +287,16 @@ func (s *Server) serveSlowlog(w http.ResponseWriter, _ *http.Request, _ Principa
 	return nil
 }
 
-// ObserveBackend decorates a Backend with per-operation latency
-// histograms (plus_backend_op_seconds{op}). Read paths that must stay
-// lock-free and allocation-free (Revision, Epoch, Notify, Ping) pass
-// through unmeasured — their cost is below timer resolution and they run
-// on every long-poll loop. Capability assertions against the concrete
-// engine (compaction, change windows) resolve through unwrapBackend.
-type ObserveBackend struct {
-	Backend
-	ops *obs.HistogramVec
-}
-
-// NewObserveBackend wraps b; a nil registry returns b unwrapped since
-// there is nothing to record into.
+// NewObserveBackend makes b record the latency of Apply, GetObject,
+// ChangesSince and Snapshot into reg's plus_backend_op_seconds{op} and
+// returns b. Read paths that must stay lock-free and allocation-free
+// (Revision, Epoch, Notify, Ping) are not timed: their cost is below timer
+// resolution and they run on every long-poll loop. A nil registry leaves b
+// unobserved.
 func NewObserveBackend(b Backend, reg *obs.Registry) Backend {
-	if reg == nil {
-		return b
+	if reg != nil {
+		b.observeOps(reg.HistogramVec("plus_backend_op_seconds",
+			"Storage backend operation latency by operation.", obs.ScaleNanos, "op"))
 	}
-	return &ObserveBackend{
-		Backend: b,
-		ops: reg.HistogramVec("plus_backend_op_seconds",
-			"Storage backend operation latency by operation.", obs.ScaleNanos, "op"),
-	}
-}
-
-func (o *ObserveBackend) Apply(b Batch) (uint64, error) {
-	t := time.Now()
-	rev, err := o.Backend.Apply(b)
-	o.ops.With("apply").ObserveSince(t)
-	return rev, err
-}
-
-func (o *ObserveBackend) GetObject(id string) (Object, error) {
-	t := time.Now()
-	obj, err := o.Backend.GetObject(id)
-	o.ops.With("get_object").ObserveSince(t)
-	return obj, err
-}
-
-func (o *ObserveBackend) ChangesSince(since uint64) ([]Change, error) {
-	t := time.Now()
-	cs, err := o.Backend.ChangesSince(since)
-	o.ops.With("changes_since").ObserveSince(t)
-	return cs, err
-}
-
-func (o *ObserveBackend) Snapshot() (*Snapshot, error) {
-	t := time.Now()
-	sn, err := o.Backend.Snapshot()
-	o.ops.With("snapshot").ObserveSince(t)
-	return sn, err
+	return b
 }

@@ -17,8 +17,8 @@ import (
 )
 
 // obsServer builds an open-mode MemBackend server with a live registry,
-// a record-everything slow-query ring and the backend latency decorator
-// — the full observability stack plusd -slow-query 1ns would wire.
+// a record-everything slow-query ring and backend op latency — the full
+// observability stack plusd -slow-query 1ns would wire.
 func obsServer(t *testing.T) (*httptest.Server, *Server, *obs.Registry) {
 	t.Helper()
 	m := NewMemBackend(0)
@@ -75,8 +75,8 @@ func TestMetricsEndpointFormats(t *testing.T) {
 		"# TYPE plus_http_request_seconds summary",
 		"plus_store_objects 4",
 		"plus_store_edges 3",
-		// One snapshot for the one lineage, found through ObserveBackend;
-		// nothing was written after it, so no bucket was copied.
+		// One snapshot for the one lineage; nothing was written after
+		// it, so no bucket was copied.
 		"plus_store_snapshots_built_total 1",
 		"plus_store_bucket_copies_total 0",
 		"plus_store_records_copied_total 0",
@@ -412,5 +412,47 @@ func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 				t.Errorf("%s quantiles out of order: %+v", f.Name, q)
 			}
 		}
+	}
+}
+
+// TestBackendOpCounts pins how many timed backend operations a fixed
+// request sequence costs, on both backends, and that healthz carries the
+// index and changeFeed blocks for each: one batch (its surrogate-id check
+// reads one object, then one apply), one lineage miss (one snapshot), one
+// GET /v2/objects/{id} (one object read) and one /v2/changes read (one
+// feed read).
+func TestBackendOpCounts(t *testing.T) {
+	for _, h := range conformanceHarnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			b, _ := h.open(t)
+			reg := obs.NewRegistry()
+			b = NewObserveBackend(b, reg)
+			srv := NewCachedServer(NewCachedEngine(NewEngine(b, privilege.TwoLevel())),
+				WithObservability(NewObservability(reg, nil, nil)))
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+
+			br := ingestV2Fixture(t, ts.URL)
+			if st, _, _ := lineage(t, ts.URL, "start=report&direction=ancestors", nil); st != http.StatusOK {
+				t.Fatalf("lineage = %d", st)
+			}
+			if st := doJSON(t, http.MethodGet, ts.URL+"/v2/objects/report", nil, nil, nil); st != http.StatusOK {
+				t.Fatalf("GET /v2/objects/report = %d", st)
+			}
+			if st, body, _ := get(t, ts.URL+"/v2/changes?cursor="+br.Cursor, nil); st != http.StatusOK {
+				t.Fatalf("GET /v2/changes = %d: %s", st, body)
+			}
+			hz := healthz(t, ts.URL)
+			if hz.Index == nil || hz.ChangeFeed == nil {
+				t.Errorf("healthz index = %v, changeFeed = %v; want both blocks", hz.Index, hz.ChangeFeed)
+			}
+
+			counts := seriesCounts(reg.Gather())
+			for op, want := range map[string]float64{"apply": 1, "get_object": 2, "snapshot": 1, "changes_since": 1} {
+				if got := counts["plus_backend_op_seconds|op="+op]; got != want {
+					t.Errorf("plus_backend_op_seconds_count{op=%q} = %v, want %v", op, got, want)
+				}
+			}
+		})
 	}
 }

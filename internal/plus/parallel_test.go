@@ -12,10 +12,9 @@ import (
 	"repro/internal/privilege"
 )
 
-// wideDAG stores a 3-level fan-in DAG wide enough to trip the parallel
-// frontier (width > parallelFrontier): `width` leaves feed `width`
-// mid-level invocations (each leaf into two invocations), which all feed
-// one sink. Returns the sink id.
+// wideDAG stores a 3-level fan-in DAG with frontiers `width` wide:
+// `width` leaves feed `width` mid-level invocations (each leaf into two
+// invocations), which all feed one sink. Returns the sink id.
 func wideDAG(t testing.TB, b Backend, width int) string {
 	t.Helper()
 	var batch Batch
@@ -43,58 +42,6 @@ func wideDAG(t testing.TB, b Backend, width int) string {
 		t.Fatal(err)
 	}
 	return "sink"
-}
-
-// TestParallelFetchMatchesSequential pins the tentpole invariant: the
-// worker-pool frontier BFS must fetch exactly the same closure, in the
-// same order, as the single-threaded walk.
-func TestParallelFetchMatchesSequential(t *testing.T) {
-	for _, h := range conformanceHarnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			b, _ := h.open(t)
-			sink := wideDAG(t, b, 200)
-
-			seq := NewEngine(b, privilege.TwoLevel())
-			seq.fetchWorkers = 1
-			par := NewEngine(b, privilege.TwoLevel())
-			par.fetchWorkers = 8
-
-			for _, req := range []Request{
-				{Start: sink, Direction: graph.Backward},
-				{Start: sink, Direction: graph.Backward, Depth: 1},
-				{Start: "leaf000", Direction: graph.Forward},
-				{Start: "leaf000", Direction: graph.Undirected},
-				{Start: sink, Direction: graph.Backward, LabelFilter: "generated"},
-				{Start: sink, Direction: graph.Backward, KindFilter: Invocation},
-			} {
-				fs, err := seq.fetch(context.Background(), req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fp, err := par.fetch(context.Background(), req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, p := flatten(fs), flatten(fp)
-				sIDs, pIDs, sEdges, pEdges := s.ids, p.ids, s.edges, p.edges
-				if len(sIDs) != len(pIDs) || len(sEdges) != len(pEdges) {
-					t.Fatalf("req %+v: sequential %d objects/%d edges, parallel %d/%d",
-						req, len(sIDs), len(sEdges), len(pIDs), len(pEdges))
-				}
-				for i := range sIDs {
-					if sIDs[i] != pIDs[i] {
-						t.Fatalf("req %+v: object order diverges at %d: %s vs %s",
-							req, i, sIDs[i], pIDs[i])
-					}
-				}
-				for i := range sEdges {
-					if sEdges[i] != pEdges[i] {
-						t.Fatalf("req %+v: edge order diverges at %d", req, i)
-					}
-				}
-			}
-		})
-	}
 }
 
 // TestSnapshotQueriesDoNotBlockWriters drives concurrent lineage reads
@@ -227,7 +174,7 @@ func dedupedWalk(sn *Snapshot, req Request) closure {
 // deduping edges only on undirected walks fetches exactly the closure of
 // the walk that dedupes everything, in the same order — on all three
 // directions, with and without a depth bound and a filter, over a graph
-// with cycles and a frontier wide enough for the worker pool.
+// with cycles and frontiers at least 64 wide.
 func TestFetchMatchesDedupedWalk(t *testing.T) {
 	b := NewMemBackend(0)
 	t.Cleanup(func() { b.Close() })
@@ -250,23 +197,20 @@ func TestFetchMatchesDedupedWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		en := NewEngine(b, privilege.TwoLevel())
-		en.fetchWorkers = workers
-		for _, start := range []string{sink, "leaf003", "c10"} {
-			for _, dir := range []graph.Direction{graph.Backward, graph.Forward, graph.Undirected} {
-				for _, depth := range []int{0, 1, 3} {
-					for _, filt := range []Request{{}, {LabelFilter: "generated"}, {KindFilter: Invocation}} {
-						req := Request{Start: start, Direction: dir, Depth: depth, LabelFilter: filt.LabelFilter, KindFilter: filt.KindFilter}
-						f, err := en.fetch(context.Background(), req)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got, want := flatten(f), dedupedWalk(sn, req); !reflect.DeepEqual(got, want) {
-							t.Fatalf("workers %d, %+v: fetched %d objects/%d edges/%d surrogates in %d levels, want %d/%d/%d in %d",
-								workers, req, len(got.ids), len(got.edges), len(got.surrogates), got.levels,
-								len(want.ids), len(want.edges), len(want.surrogates), want.levels)
-						}
+	en := NewEngine(b, privilege.TwoLevel())
+	for _, start := range []string{sink, "leaf003", "c10"} {
+		for _, dir := range []graph.Direction{graph.Backward, graph.Forward, graph.Undirected} {
+			for _, depth := range []int{0, 1, 3} {
+				for _, filt := range []Request{{}, {LabelFilter: "generated"}, {KindFilter: Invocation}} {
+					req := Request{Start: start, Direction: dir, Depth: depth, LabelFilter: filt.LabelFilter, KindFilter: filt.KindFilter}
+					f, err := en.fetch(context.Background(), req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := flatten(f), dedupedWalk(sn, req); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%+v: fetched %d objects/%d edges/%d surrogates in %d levels, want %d/%d/%d in %d",
+							req, len(got.ids), len(got.edges), len(got.surrogates), got.levels,
+							len(want.ids), len(want.edges), len(want.surrogates), want.levels)
 					}
 				}
 			}

@@ -3,10 +3,8 @@ package plus
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -101,10 +99,6 @@ type Result struct {
 type Engine struct {
 	store   Backend
 	lattice *privilege.Lattice
-
-	// fetchWorkers bounds the frontier-BFS worker pool: GOMAXPROCS at
-	// construction.
-	fetchWorkers int
 
 	// obsHooks holds the engine's telemetry handles (SetObservability);
 	// nil means uninstrumented. Atomic so wiring it after construction is
@@ -201,7 +195,7 @@ func describeLineage(req Request) string {
 
 // NewEngine binds a backend to the lattice its Lowest nicknames refer to.
 func NewEngine(store Backend, lattice *privilege.Lattice) *Engine {
-	return &Engine{store: store, lattice: lattice, fetchWorkers: runtime.GOMAXPROCS(0)}
+	return &Engine{store: store, lattice: lattice}
 }
 
 // Lattice returns the engine's privilege lattice.
@@ -227,11 +221,6 @@ type fetched struct {
 	levels int
 }
 
-// parallelFrontier is the frontier width at which fetch switches from a
-// single-threaded expansion to the worker pool: below it the
-// coordination overhead outweighs the map lookups being parallelised.
-const parallelFrontier = 64
-
 // fetch walks a snapshot's adjacency from the start object, honouring the
 // requested direction and depth, and returns the ids, edges and
 // surrogates of the closure as runs (see fetched): it copies no object,
@@ -239,10 +228,9 @@ const parallelFrontier = 64
 // access" phase of Figure 10.
 //
 // The walk is a level-synchronised BFS: each depth's frontier is expanded
-// — in parallel across a worker pool once the frontier is wide enough —
-// and the results are merged in frontier order, so the visit order (and
-// therefore the fetched closure) is identical to the sequential walk.
-// Because the snapshot is immutable, no locks are held at any point.
+// and merged in frontier order, so the visit order (and therefore the
+// fetched closure) is deterministic. Because the snapshot is immutable, no
+// locks are held at any point.
 //
 // Cancellation is checked once per BFS level: a deep walk over a large
 // store stops within one frontier expansion of the context's deadline.
@@ -273,7 +261,7 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 	// expand returns the admissible edges of one node. A one-way walk
 	// without filters reads the snapshot's adjacency in place, and fetch
 	// keeps that slice as an edge run; an undirected walk concatenates
-	// into a slice of its own, which the merge below dedupes in place, and
+	// into a slice of its own, which the level loop below dedupes in place, and
 	// only a filter copies.
 	expand := func(cur string) []Edge {
 		var steps []Edge
@@ -326,42 +314,9 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("plus: lineage of %q: %w", startRef(req), err)
 		}
-		expansions := make([][]Edge, len(frontier))
-		if workers := en.fetchWorkers; workers > 1 && len(frontier) >= parallelFrontier {
-			// Worker pool over contiguous chunks of the frontier.
-			if workers > len(frontier) {
-				workers = len(frontier)
-			}
-			chunk := (len(frontier) + workers - 1) / workers
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if lo >= len(frontier) {
-					break
-				}
-				if hi > len(frontier) {
-					hi = len(frontier)
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						expansions[i] = expand(frontier[i])
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		} else {
-			for i, cur := range frontier {
-				expansions[i] = expand(cur)
-			}
-		}
-
-		// Merge in frontier order: dedupe is sequential, so the closure
-		// is deterministic regardless of worker scheduling.
 		var next []string
-		for i, steps := range expansions {
+		for _, cur := range frontier {
+			steps := expand(cur)
 			if edgeSeen != nil {
 				kept := steps[:0]
 				for j := range steps {
@@ -377,7 +332,7 @@ func (en *Engine) fetch(ctx context.Context, req Request) (*fetched, error) {
 			}
 			f.edges = append(f.edges, steps)
 			for j := range steps {
-				if n := other(&steps[j], frontier[i]); !seen[n] {
+				if n := other(&steps[j], cur); !seen[n] {
 					seen[n] = true
 					next = append(next, n)
 				}

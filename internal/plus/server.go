@@ -340,42 +340,30 @@ func parseDirection(s string) (graph.Direction, error) {
 type ChangeFeedHealth struct {
 	Epoch    string `json:"epoch"`
 	Revision uint64 `json:"revision"`
-	// Base is the oldest change-feed position the backend can still
-	// serve; Depth is the resident change count; Horizon the configured
-	// retention capacity.
-	Base    uint64 `json:"base"`
-	Depth   int    `json:"depth"`
-	Horizon int    `json:"horizon"`
+	FeedWindow
 }
 
-// changeFeedHealth assembles the block (nil when the backend exposes no
-// window introspection).
-func (s *Server) changeFeedHealth() *ChangeFeedHealth {
-	b := s.store
-	w, ok := backendChangeWindow(b)
-	if !ok {
-		return nil
-	}
-	return &ChangeFeedHealth{
-		Epoch:    b.Epoch(),
-		Revision: b.Revision(),
-		Base:     w.Base,
-		Depth:    w.Depth,
-		Horizon:  w.Horizon,
-	}
-}
-
-// QueryCacheHealth mirrors the PLUSQL view-cache counters
-// (plusql.ViewCacheStats) in the healthz payload; it lives here so the
-// probe response stays typed without an import cycle.
+// QueryCacheHealth reports the PLUSQL protected-view cache counters
+// (plusql.Engine.CacheStats); it lives here so the healthz payload stays
+// typed without an import cycle.
 type QueryCacheHealth struct {
-	Views           int    `json:"views"`
-	Hits            uint64 `json:"hits"`
-	Misses          uint64 `json:"misses"`
+	// Views is the live cached view count.
+	Views int `json:"views"`
+	// Hits / Misses count view lookups: a miss is a lookup that had to
+	// refresh the view (advance or build) itself; a lookup that waited
+	// for another query's refresh of the same revision is a hit.
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Advanced counts views refreshed by patching in what the delta
+	// added; AdvanceRebuilds counts advances where the spec moved
+	// incrementally but the account had to be regenerated.
 	Advanced        uint64 `json:"advanced"`
 	AdvanceRebuilds uint64 `json:"advanceRebuilds"`
-	FullBuilds      uint64 `json:"fullBuilds"`
-	Fallbacks       uint64 `json:"fallbacks"`
+	// FullBuilds counts views built from scratch off a snapshot;
+	// Fallbacks counts advance attempts abandoned (feed too far behind,
+	// delta failed to apply).
+	FullBuilds uint64 `json:"fullBuilds"`
+	Fallbacks  uint64 `json:"fallbacks"`
 }
 
 // HealthzResponse is the readiness-probe answer: whether the backend is
@@ -386,8 +374,7 @@ type HealthzResponse struct {
 	Objects  int    `json:"objects"`
 	Edges    int    `json:"edges"`
 	Revision uint64 `json:"revision"`
-	// Index reports the record table's name postings (present when the
-	// backend is built on the table).
+	// Index reports the record table's name postings.
 	Index *IndexStats `json:"index,omitempty"`
 	// LineageCache reports the delta-scoped lineage answer cache.
 	LineageCache *LineageCacheStats `json:"lineageCache,omitempty"`
@@ -416,17 +403,15 @@ func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request, _ Principa
 		Edges:    b.NumEdges(),
 		Revision: b.Revision(),
 	}
-	if ip, ok := unwrapBackend(b).(storeStatsProvider); ok {
-		st := ip.IndexStats()
-		resp.Index = &st
-	}
+	ix := b.IndexStats()
+	resp.Index = &ix
 	lc := s.engine.Stats()
 	resp.LineageCache = &lc
 	if s.queryStats != nil {
 		st := s.queryStats()
 		resp.QueryCache = &st
 	}
-	resp.ChangeFeed = s.changeFeedHealth()
+	resp.ChangeFeed = &ChangeFeedHealth{Epoch: b.Epoch(), Revision: b.Revision(), FeedWindow: b.ChangeWindow()}
 	if s.replicaHealth != nil {
 		resp.Replica = s.replicaHealth()
 	}

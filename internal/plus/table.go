@@ -300,11 +300,3 @@ type IndexStats struct {
 func (t *table) indexStats() IndexStats {
 	return IndexStats{NameEntries: int(t.named.Load()), Hits: t.nameProbes.Load()}
 }
-
-// storeStatsProvider is implemented by backends built on the record
-// table; healthz and the metrics registry discover it by assertion
-// (through unwrapBackend for decorated stores).
-type storeStatsProvider interface {
-	StoreStats() StoreStats
-	IndexStats() IndexStats
-}

@@ -499,8 +499,7 @@ func conformSnapshotCost(t *testing.T, h backendHarness) {
 		bytesPerRound = float64(ms.TotalAlloc-before) / rounds
 
 		rng := rand.New(rand.NewSource(int64(n)))
-		stats := b.(storeStatsProvider)
-		copied := stats.StoreStats().RecordsCopied
+		copied := b.StoreStats().RecordsCopied
 		for i := 0; i < rounds; i++ {
 			child := fmt.Sprintf("child%d", i)
 			round(Batch{
@@ -508,7 +507,7 @@ func conformSnapshotCost(t *testing.T, h backendHarness) {
 				Edges:   []Edge{{From: id(rng.Intn(n)), To: child}, {From: id(rng.Intn(n)), To: child}},
 			})
 		}
-		recordsPerBatch = float64(stats.StoreStats().RecordsCopied-copied) / rounds
+		recordsPerBatch = float64(b.StoreStats().RecordsCopied-copied) / rounds
 		return bytesPerRound, recordsPerBatch
 	}
 	smallBytes, _ := measure(2_000)

@@ -553,7 +553,7 @@ type CompactResponse struct {
 // serveCompact rewrites the durable log to live records only
 // (LogBackend.Compact).
 func (s *Server) serveCompact(w http.ResponseWriter, _ *http.Request, _ Principal) *APIError {
-	c, ok := unwrapBackend(s.store).(compactor)
+	c, ok := s.store.(compactor)
 	if !ok {
 		return v2Errorf(http.StatusBadRequest, CodeBadRequest,
 			"plus: this backend does not support compaction")

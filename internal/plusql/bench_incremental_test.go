@@ -138,7 +138,7 @@ func TestIncrementalSpeedupReport(t *testing.T) {
 		writes          = 40
 		queriesPerWrite = 2
 	)
-	measure := func(incremental bool) (time.Duration, ViewCacheStats) {
+	measure := func(incremental bool) (time.Duration, plus.QueryCacheHealth) {
 		back := mixedWorkloadBackend(t, nodes)
 		e := NewEngine(back, privilege.TwoLevel())
 		e.SetIncremental(incremental)
@@ -162,7 +162,7 @@ func TestIncrementalSpeedupReport(t *testing.T) {
 		return m
 	}
 	var incSamples, rebSamples []time.Duration
-	var incStats ViewCacheStats
+	var incStats plus.QueryCacheHealth
 	for round := 0; round < 3; round++ {
 		d, st := measure(true)
 		incSamples = append(incSamples, d)

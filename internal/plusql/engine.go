@@ -71,33 +71,12 @@ type Engine struct {
 	mu          sync.Mutex
 	slots       map[slotKey]*viewSlot
 	incremental bool
-	stats       ViewCacheStats
+	stats       plus.QueryCacheHealth
 
 	// obsHooks holds the engine's telemetry handles (SetObservability);
 	// nil means uninstrumented. Atomic so wiring it after construction is
 	// safe while queries are in flight.
 	obsHooks atomic.Pointer[queryObs]
-}
-
-// ViewCacheStats reports the protected-view cache counters.
-type ViewCacheStats struct {
-	// Views is the live cached view count.
-	Views int `json:"views"`
-	// Hits / Misses count view lookups: a miss is a lookup that had to
-	// refresh the view (advance or build) itself; a lookup that waited
-	// for another query's refresh of the same revision is a hit.
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Advanced counts views refreshed by patching in what the delta
-	// added; AdvanceRebuilds counts advances where the spec moved
-	// incrementally but the account had to be regenerated.
-	Advanced        uint64 `json:"advanced"`
-	AdvanceRebuilds uint64 `json:"advanceRebuilds"`
-	// FullBuilds counts views built from scratch off a snapshot;
-	// Fallbacks counts advance attempts abandoned (feed too far behind,
-	// delta failed to apply).
-	FullBuilds uint64 `json:"fullBuilds"`
-	Fallbacks  uint64 `json:"fallbacks"`
 }
 
 type slotKey struct {
@@ -133,7 +112,7 @@ func (e *Engine) SetIncremental(on bool) {
 }
 
 // CacheStats reports the view-cache counters.
-func (e *Engine) CacheStats() ViewCacheStats {
+func (e *Engine) CacheStats() plus.QueryCacheHealth {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats

@@ -125,18 +125,7 @@ func (e *Engine) serveQuery(w http.ResponseWriter, r *http.Request, p plus.Princ
 // the view-cache counters as plus_query_view_* metrics.
 func Attach(s *plus.Server, e *Engine) {
 	s.Mount(plus.Endpoint{Pattern: "/v2/query", Method: http.MethodPost, Need: plus.CapQuery, Serve: e.serveQuery})
-	s.SetQueryStats(func() plus.QueryCacheHealth {
-		st := e.CacheStats()
-		return plus.QueryCacheHealth{
-			Views:           st.Views,
-			Hits:            st.Hits,
-			Misses:          st.Misses,
-			Advanced:        st.Advanced,
-			AdvanceRebuilds: st.AdvanceRebuilds,
-			FullBuilds:      st.FullBuilds,
-			Fallbacks:       st.Fallbacks,
-		}
-	})
+	s.SetQueryStats(e.CacheStats)
 	o := s.Observability()
 	e.SetObservability(o)
 	if reg := o.Registry(); reg != nil {
