@@ -14,11 +14,7 @@ import (
 // unreferencedAllowed lists exported functions and methods under internal/
 // that no non-test code uses but that stay on purpose, keyed
 // "pkg.Recv.Func" (or "pkg.Func"). Every entry says why.
-var unreferencedAllowed = map[string]string{
-	// The incremental-vs-rebuild switch for the speedup report and the
-	// mixed-workload benchmarks; it goes with them (ROADMAP item 1(a)).
-	"plusql.Engine.SetIncremental": "test-only switch for the incremental speedup report",
-}
+var unreferencedAllowed = map[string]string{}
 
 // interfaceMethods are method names that satisfy a standard-library
 // interface (fmt.Stringer, error, json.Marshaler, http.Handler, sort and

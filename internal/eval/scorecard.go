@@ -23,6 +23,19 @@ type Claim struct {
 // It is the one-shot answer to "did the reproduction work?": each row is
 // backed by the same code paths the individual experiments use.
 func Scorecard() ([]Claim, error) {
+	claims, err := clockFreeClaims()
+	if err != nil {
+		return nil, err
+	}
+	f10, err := figure10Claim()
+	if err != nil {
+		return nil, err
+	}
+	return append(claims, f10), nil
+}
+
+// clockFreeClaims evaluates every claim but F10, which reads a clock.
+func clockFreeClaims() ([]Claim, error) {
 	var claims []Claim
 	add := func(id, text string, pass bool, detail string, args ...interface{}) {
 		claims = append(claims, Claim{ID: id, Text: text, Pass: pass, Detail: fmt.Sprintf(detail, args...)})
@@ -114,18 +127,6 @@ func Scorecard() ([]Claim, error) {
 	}
 	add("F8", "Figure 8: the surrogate frontier dominates hide's", bestSurr >= bestHide,
 		"max utility %.3f vs %.3f", bestSurr, bestHide)
-
-	// Figure 10: protection subsumed by graph creation + DB access, each
-	// side the median of fig10Runs runs so that one stalled sample cannot
-	// decide a wall-clock comparison.
-	hide, surr, createDB, err := figure10Medians()
-	if err != nil {
-		return nil, err
-	}
-	add("F10", "Figure 10: protection cost is subsumed by graph creation and DB access",
-		surr < createDB && hide < createDB,
-		"protect %v/%v vs create+db %v", hide, surr, createDB)
-
 	return claims, nil
 }
 
@@ -133,24 +134,23 @@ func Scorecard() ([]Claim, error) {
 // over.
 const fig10Runs = 5
 
-// figure10Medians runs Figure10 fig10Runs times, each in a fresh
-// directory, and returns the medians of hide protection, surrogate
-// protection and store write + DB access.
-func figure10Medians() (hide, surr, createDB time.Duration, err error) {
+// figure10Claim is claim F10 over the medians of fig10Runs Figure10 runs,
+// each in a fresh directory, so that one stalled sample cannot decide it.
+func figure10Claim() (Claim, error) {
 	dir, err := os.MkdirTemp("", "plus-scorecard-*")
 	if err != nil {
-		return 0, 0, 0, err
+		return Claim{}, err
 	}
 	defer os.RemoveAll(dir)
 	var hs, ss, cs []time.Duration
 	for i := 0; i < fig10Runs; i++ {
 		run, err := os.MkdirTemp(dir, "run-*")
 		if err != nil {
-			return 0, 0, 0, err
+			return Claim{}, err
 		}
 		f10, err := Figure10(run, 150)
 		if err != nil {
-			return 0, 0, 0, err
+			return Claim{}, err
 		}
 		hs = append(hs, f10.ProtectHide)
 		ss = append(ss, f10.ProtectSurrogate)
@@ -160,15 +160,18 @@ func figure10Medians() (hide, surr, createDB time.Duration, err error) {
 		slices.Sort(ds)
 		return ds[len(ds)/2]
 	}
-	return median(hs), median(ss), median(cs), nil
+	hide, surr, createDB := median(hs), median(ss), median(cs)
+	return Claim{ID: "F10", Text: "Figure 10: protection cost is subsumed by graph creation and DB access",
+		Pass: surr < createDB && hide < createDB, Detail: fmt.Sprintf("protect %v/%v vs create+db %v", hide, surr, createDB)}, nil
 }
 
 // ScorecardTable renders the scorecard.
 func ScorecardTable() (*Table, error) {
 	claims, err := Scorecard()
-	if err != nil {
-		return nil, err
-	}
+	return claimsTable(claims), err
+}
+
+func claimsTable(claims []Claim) *Table {
 	t := &Table{
 		Title:  "Reproduction scorecard: machine-checked paper claims",
 		Header: []string{"claim", "verdict", "statement", "detail"},
@@ -180,5 +183,5 @@ func ScorecardTable() (*Table, error) {
 		}
 		t.Add(c.ID, verdict, c.Text, c.Detail)
 	}
-	return t, nil
+	return t
 }

@@ -5,13 +5,16 @@ import (
 	"testing"
 )
 
+// TestScorecardAllClaimsPass checks the seven claims that read no clock.
+// F10 compares timings, so tier-1 holds it by bytes instead (TestCostLedger's
+// Figure 10 row) and `go run ./cmd/experiments -run scorecard` times it.
 func TestScorecardAllClaimsPass(t *testing.T) {
-	claims, err := Scorecard()
+	claims, err := clockFreeClaims()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(claims) != 8 {
-		t.Fatalf("claims = %d, want 8", len(claims))
+	if len(claims) != 7 {
+		t.Fatalf("claims = %d, want 7", len(claims))
 	}
 	ids := map[string]bool{}
 	for _, c := range claims {
@@ -26,11 +29,7 @@ func TestScorecardAllClaimsPass(t *testing.T) {
 			t.Errorf("claim %s has no detail", c.ID)
 		}
 	}
-	tbl, err := ScorecardTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tbl.String(), "PASS") {
+	if !strings.Contains(claimsTable(claims).String(), "PASS") {
 		t.Error("rendered scorecard missing verdicts")
 	}
 }

@@ -59,18 +59,6 @@ func TestNodesOnUnchangedGraphCopiesTheMemo(t *testing.T) {
 	}
 }
 
-// TestEdgesAllocationsIndependentOfSize pins that Edges orders each
-// successor list in one scratch buffer: the allocation count is a
-// constant, the same at 100 and 1000 nodes.
-func TestEdgesAllocationsIndependentOfSize(t *testing.T) {
-	small, large := plusbenchShaped(100, 2), plusbenchShaped(1000, 2)
-	as := testing.AllocsPerRun(10, func() { small.Edges() })
-	al := testing.AllocsPerRun(10, func() { large.Edges() })
-	if as != al || al > 4 {
-		t.Errorf("Edges allocations: %v at 100 nodes, %v at 1000; want the same small constant", as, al)
-	}
-}
-
 // TestOrderMemoRebuiltAfterNodeChanges checks every ordered accessor after
 // node inserts and removals that each drop the memo, including a removed
 // slot reused by a new id that sorts elsewhere.

@@ -106,6 +106,8 @@ type Backend interface {
 	// observeOps makes Apply, GetObject, ChangesSince and Snapshot record
 	// their latency into h (NewObserveBackend).
 	observeOps(h *obs.HistogramVec)
+	// hasObject reports whether id is stored, untimed and copying nothing.
+	hasObject(id string) bool
 }
 
 // Snapshot is an immutable point-in-time view of a backend: a frozen copy

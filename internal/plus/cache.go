@@ -27,8 +27,8 @@ import (
 // one exact-size copy, and G and G′ go back to the graph package
 // (graph.Release) for the next miss to build on, since nothing outside
 // LineageBody holds them: on plusbench's graph a depth-5 miss allocates
-// ≈1.3 KB per closure node, ≈4× its body
-// (TestServedMissBytesPerClosureNode).
+// ≈1.3 KB per closure node, ≈4× its body (the "served miss" rows of the
+// root package's TestCostLedger).
 //
 // This realises the §7 advantage the paper claims over view-based
 // protection ("view recomputation when object sensitivity changes" versus

@@ -79,7 +79,6 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("SnapshotClonedOncePerRevision", func(t *testing.T) { conformSnapshotClonedOnce(t, h) })
 			t.Run("SnapshotImmutable", func(t *testing.T) { conformSnapshotImmutable(t, h) })
 			t.Run("SnapshotImmutableConcurrent", func(t *testing.T) { conformSnapshotImmutableConcurrent(t, h) })
-			t.Run("SnapshotCostFlatInStoreSize", func(t *testing.T) { conformSnapshotCost(t, h) })
 			t.Run("CloseSemantics", func(t *testing.T) { conformClose(t, h) })
 			t.Run("ConcurrentReadersWriters", func(t *testing.T) { conformConcurrency(t, h) })
 			t.Run("NotifyOnWrite", func(t *testing.T) { conformNotify(t, h) })

@@ -227,6 +227,12 @@ func (c *storeCore) GetObject(id string) (Object, error) {
 	return b.postedObject(o), nil
 }
 
+func (c *storeCore) hasObject(id string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.tab.has(id)
+}
+
 // Objects returns every object (unspecified order).
 func (c *storeCore) Objects() []Object {
 	c.mu.RLock()

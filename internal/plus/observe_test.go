@@ -417,10 +417,12 @@ func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 
 // TestBackendOpCounts pins how many timed backend operations a fixed
 // request sequence costs, on both backends, and that healthz carries the
-// index and changeFeed blocks for each: one batch (its surrogate-id check
-// reads one object, then one apply), one lineage miss (one snapshot), one
-// GET /v2/objects/{id} (one object read) and one /v2/changes read (one
-// feed read).
+// index and changeFeed blocks for each: one batch (one apply; its
+// surrogate-id check asks the table directly, so get_object counts only
+// client reads), one lineage miss (one snapshot), one GET
+// /v2/objects/{id} (one object read) and one /v2/changes read (one feed
+// read). A second batch of three surrogates adds one apply and no
+// get_object.
 func TestBackendOpCounts(t *testing.T) {
 	for _, h := range conformanceHarnesses() {
 		t.Run(h.name, func(t *testing.T) {
@@ -448,7 +450,21 @@ func TestBackendOpCounts(t *testing.T) {
 			}
 
 			counts := seriesCounts(reg.Gather())
-			for op, want := range map[string]float64{"apply": 1, "get_object": 2, "snapshot": 1, "changes_since": 1} {
+			for op, want := range map[string]float64{"apply": 1, "get_object": 1, "snapshot": 1, "changes_since": 1} {
+				if got := counts["plus_backend_op_seconds|op="+op]; got != want {
+					t.Errorf("plus_backend_op_seconds_count{op=%q} = %v, want %v", op, got, want)
+				}
+			}
+
+			three := BatchRequest{Objects: []Object{{ID: "secret", Kind: Data, Lowest: "Protected", Protect: "surrogate"}}}
+			for i := 0; i < 3; i++ {
+				three.Surrogates = append(three.Surrogates, SurrogateSpec{ForID: "secret", ID: fmt.Sprintf("secret-s%d", i), Name: "anon"})
+			}
+			if st := doJSON(t, http.MethodPost, ts.URL+"/v2/batch", nil, three, nil); st != http.StatusOK {
+				t.Fatalf("batch of three surrogates = %d", st)
+			}
+			counts = seriesCounts(reg.Gather())
+			for op, want := range map[string]float64{"apply": 2, "get_object": 1} {
 				if got := counts["plus_backend_op_seconds|op="+op]; got != want {
 					t.Errorf("plus_backend_op_seconds_count{op=%q} = %v, want %v", op, got, want)
 				}

@@ -455,69 +455,3 @@ func conformSnapshotImmutableConcurrent(t *testing.T, h backendHarness) {
 			b.NumObjects(), b.NumEdges(), len(model.objects), model.edges)
 	}
 }
-
-// conformSnapshotCost: what one small write followed by a snapshot costs
-// does not grow with the store. Bytes allocated and the table's own count
-// of records copied are compared at two sizes; no clock is read.
-func conformSnapshotCost(t *testing.T, h backendHarness) {
-	const rounds = 200
-	measure := func(n int) (bytesPerRound, recordsPerBatch float64) {
-		b, _ := h.open(t)
-		id := func(i int) string { return fmt.Sprintf("o%06d", i) }
-		for lo := 0; lo < n; lo += 1000 {
-			var batch Batch
-			for i := lo; i < lo+1000 && i < n; i++ {
-				batch.Objects = append(batch.Objects, Object{ID: id(i), Kind: Data, Name: "bulk"})
-				if i > 0 {
-					batch.Edges = append(batch.Edges, Edge{From: id(i - 1), To: id(i), Label: "next"})
-				}
-				if i >= 7 {
-					batch.Edges = append(batch.Edges, Edge{From: id(i - 7), To: id(i), Label: "skip"})
-				}
-			}
-			if _, err := b.Apply(batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		round := func(batch Batch) {
-			if _, err := b.Apply(batch); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := b.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		round(Batch{Objects: []Object{{ID: "warm", Kind: Data}}})
-
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		for i := 0; i < rounds; i++ {
-			round(Batch{Objects: []Object{{ID: fmt.Sprintf("one%d", i), Kind: Data, Name: "one"}}})
-		}
-		runtime.ReadMemStats(&ms)
-		bytesPerRound = float64(ms.TotalAlloc-before) / rounds
-
-		rng := rand.New(rand.NewSource(int64(n)))
-		copied := b.StoreStats().RecordsCopied
-		for i := 0; i < rounds; i++ {
-			child := fmt.Sprintf("child%d", i)
-			round(Batch{
-				Objects: []Object{{ID: child, Kind: Data, Name: "child"}},
-				Edges:   []Edge{{From: id(rng.Intn(n)), To: child}, {From: id(rng.Intn(n)), To: child}},
-			})
-		}
-		recordsPerBatch = float64(b.StoreStats().RecordsCopied-copied) / rounds
-		return bytesPerRound, recordsPerBatch
-	}
-	smallBytes, _ := measure(2_000)
-	largeBytes, largeRecords := measure(20_000)
-	t.Logf("one-object Apply + Snapshot: %.0f B at 2 000 objects, %.0f B at 20 000; %.1f records copied per small batch at 20 000",
-		smallBytes, largeBytes, largeRecords)
-	if largeBytes > 2*smallBytes {
-		t.Errorf("Apply + Snapshot allocates %.0f B at 20 000 objects, %.0f B at 2 000: it grows with the store", largeBytes, smallBytes)
-	}
-	if largeRecords > 100 {
-		t.Errorf("a small batch + Snapshot copies %.1f records at 20 000 objects, want <= 100", largeRecords)
-	}
-}

@@ -256,10 +256,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, _ Principal)
 		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err)
 	}
 	b := Batch{Objects: req.Objects, Edges: req.Edges, Surrogates: req.Surrogates}
-	if err := b.checkSurrogateIDs(func(id string) bool {
-		_, err := s.store.GetObject(id)
-		return err == nil
-	}); err != nil {
+	if err := b.checkSurrogateIDs(s.store.hasObject); err != nil {
 		return v2Errorf(http.StatusBadRequest, CodeBadRequest, "%s", err)
 	}
 	// Apply reports the revision of the batch's own last record (read

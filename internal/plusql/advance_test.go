@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -201,7 +200,7 @@ func TestEngineAdvanceStats(t *testing.T) {
 
 	// With incremental refresh off, every write forces a full build.
 	e2 := NewEngine(exampleBackend(t), privilege.TwoLevel())
-	e2.SetIncremental(false)
+	e2.incremental = false
 	if _, err := e2.Query(q, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -511,62 +510,6 @@ func TestViewAdvanceRandomParity(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// advanceBytes builds a GenerateLarge graph of the given size and reports
-// the bytes allocated by one Advance over a one-node, one-edge write.
-func advanceBytes(t *testing.T, nodes int) uint64 {
-	t.Helper()
-	b := largeBackend(t, nodes)
-	sn, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewView(sn, privilege.TwoLevel(), privilege.Public, plus.ModeSurrogate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write := func(i int) *plus.Snapshot {
-		t.Helper()
-		id := fmt.Sprintf("added-%d", i)
-		_, err := b.Apply(plus.Batch{
-			Objects: []plus.Object{{ID: id, Kind: plus.Data, Name: "added"}},
-			Edges:   []plus.Edge{{From: workload.LargeNodeID(nodes / 2), To: id, Label: "input-to"}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sn, err := b.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sn
-	}
-	// The first insert grows the exactly-sized node list index() left;
-	// that amortised doubling is not the per-advance cost.
-	if _, _, ok := v.Advance(write(0)); !ok {
-		t.Fatal("warm-up advance refused")
-	}
-	sn = write(1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, info, ok := v.Advance(sn)
-	runtime.ReadMemStats(&after)
-	if !ok || info.AccountRebuilt {
-		t.Fatalf("advance: ok=%v info=%+v, want a localised advance", ok, info)
-	}
-	return after.TotalAlloc - before.TotalAlloc
-}
-
-// TestAdvanceAllocationIsDeltaSized: what an add-node advance allocates
-// follows the delta, not the graph — ten times the nodes may not double
-// it. (Cloning the account, as Advance once did, allocates ~10× here.)
-func TestAdvanceAllocationIsDeltaSized(t *testing.T) {
-	small, large := advanceBytes(t, 2000), advanceBytes(t, 20000)
-	t.Logf("one add-node advance allocates %d B at 2 000 nodes, %d B at 20 000", small, large)
-	if large > 2*small {
-		t.Errorf("advance allocated %d B at 20 000 nodes, more than twice the %d B at 2 000", large, small)
 	}
 }
 

@@ -67,8 +67,8 @@
 // Point predicates additionally lower into the view's own postings
 // (kind, name and (attr key, value) -> nodes, built with
 // the view and kept current by Advance; see view.go): a kind/name/attr
-// probe is a hash lookup instead of a scan, which is what keeps point
-// queries sublinear on million-node graphs (BENCH_index.json).
+// probe is a hash lookup, so a planned point query examines only the rows
+// it returns (the root package's TestCostLedger holds it to that).
 //
 // # Views, slots and refresh
 //

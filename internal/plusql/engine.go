@@ -102,15 +102,6 @@ func NewEngine(store plus.Backend, lattice *privilege.Lattice) *Engine {
 // Lattice returns the engine's privilege lattice.
 func (e *Engine) Lattice() *privilege.Lattice { return e.lattice }
 
-// SetIncremental toggles delta-scoped view refresh (on by default); off
-// forces every revision bump to rebuild views from a snapshot. A
-// benchmarking knob, not a serving mode.
-func (e *Engine) SetIncremental(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.incremental = on
-}
-
 // CacheStats reports the view-cache counters.
 func (e *Engine) CacheStats() plus.QueryCacheHealth {
 	e.mu.Lock()

@@ -130,8 +130,10 @@ func TestFollowCountsResyncs(t *testing.T) {
 	}
 }
 
-// backoffSleep must jitter within [delay/2, delay], double up to the cap,
-// and bail out promptly on context cancellation.
+// backoffSleep must sleep at least delay/2, double up to the cap, and
+// bail out promptly on context cancellation. A timer never fires early,
+// so the lower bound holds on any machine; how late it fires depends on
+// the scheduler, so no upper bound is asserted.
 func TestBackoffSleepBoundsAndCap(t *testing.T) {
 	ctx := context.Background()
 	delay := 20 * time.Millisecond
@@ -142,8 +144,8 @@ func TestBackoffSleepBoundsAndCap(t *testing.T) {
 	if !ok {
 		t.Fatal("backoffSleep reported cancellation")
 	}
-	if elapsed < delay/2-time.Millisecond || elapsed > delay+25*time.Millisecond {
-		t.Errorf("slept %v, want within [%v, %v]", elapsed, delay/2, delay)
+	if elapsed < delay/2 {
+		t.Errorf("slept %v, want at least %v", elapsed, delay/2)
 	}
 	if next != 40*time.Millisecond {
 		t.Errorf("next delay = %v, want 40ms", next)

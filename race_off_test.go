@@ -1,5 +1,5 @@
 //go:build !race
 
-package plus_test
+package repro
 
 const raceEnabled = false

@@ -1,7 +1,7 @@
 //go:build race
 
-package plus_test
+package repro
 
 // raceEnabled reports that this binary was built with -race, whose
-// instrumentation distorts the timing ratios the overhead guards check.
+// instrumentation changes what every operation allocates.
 const raceEnabled = true
